@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionError
 from .group_algebra import FourierGroupElement
 from .mode_basis import CartesianBasis
-from .special_functions import _little_d_entries
+from .special_functions import _finite_angle, _little_d_entries
 
 __all__ = [
     "analyze",
@@ -51,12 +51,6 @@ def synthesize(basis: CartesianBasis, coeffs: np.ndarray) -> np.ndarray:
     return basis.synthesize(coeffs)
 
 
-def _block_out(coeffs: np.ndarray, complex_result: bool) -> np.ndarray:
-    dtype = np.result_type(coeffs.dtype, np.complex128 if complex_result
-                           else np.float64)
-    return np.empty(coeffs.shape, dtype=dtype)
-
-
 def rotate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                   theta: float) -> np.ndarray:
     """Rotation by theta: each level-n block is mixed by the real orthogonal
@@ -66,12 +60,11 @@ def rotate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     is preserved, and levels do not mix.
     """
     coeffs = basis.check_image(coeffs)
-    out = _block_out(coeffs, np.iscomplexobj(coeffs))
+    out = np.empty(coeffs.shape, np.result_type(coeffs.dtype, np.float64))
     angle = 2.0 * float(theta)
-    for n in range(basis.shape.max_total_mode + 1):
-        lev, nx, ny = basis.level_arrays(n)
-        d = _little_d_entries(lev.spin.two_j, angle)
-        out[nx, ny] = d @ coeffs[nx, ny]
+    for two_l, nx, ny in basis.spin_groups:
+        d = _little_d_entries(two_l, angle)
+        out[nx, ny] = coeffs[nx, ny] @ d.T
     return out
 
 
@@ -86,7 +79,7 @@ def ks_coeffs(coeffs: np.ndarray, chi: float) -> np.ndarray:
         raise DimensionError(f"coefficients must be 2-D, got shape {coeffs.shape}")
     nx = np.arange(coeffs.shape[0])[:, None]
     ny = np.arange(coeffs.shape[1])[None, :]
-    return coeffs * np.exp(-1j * float(chi) * (nx + ny))
+    return coeffs * np.exp(-1j * _finite_angle(chi) * (nx + ny))
 
 
 def ka_coeffs(coeffs: np.ndarray, beta: float) -> np.ndarray:
@@ -96,7 +89,7 @@ def ka_coeffs(coeffs: np.ndarray, beta: float) -> np.ndarray:
         raise DimensionError(f"coefficients must be 2-D, got shape {coeffs.shape}")
     nx = np.arange(coeffs.shape[0])[:, None]
     ny = np.arange(coeffs.shape[1])[None, :]
-    return coeffs * np.exp(-1j * float(beta) * (nx - ny))
+    return coeffs * np.exp(-1j * _finite_angle(beta) * (nx - ny))
 
 
 def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
@@ -109,14 +102,14 @@ def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     transform at +-pi/4 (see ``gyrate_coeffs_sandwich``).
     """
     coeffs = basis.check_image(coeffs)
-    out = _block_out(coeffs, True)
     angle = 2.0 * float(gamma)
-    for n in range(basis.shape.max_total_mode + 1):
-        lev, nx, ny = basis.level_arrays(n)
-        d = _little_d_entries(lev.spin.two_j, angle)
-        ph = np.exp(1j * math.pi * (nx - ny) / 4.0)
-        out[nx, ny] = np.conj(ph) * (d @ (ph * coeffs[nx, ny]))
-    return out
+    n_x, n_y = np.indices(coeffs.shape)
+    ph = np.exp(1j * math.pi * (n_x - n_y) / 4.0)
+    work = ph * coeffs
+    out = np.empty_like(work)
+    for two_l, nx, ny in basis.spin_groups:
+        out[nx, ny] = work[nx, ny] @ _little_d_entries(two_l, angle).T
+    return np.conj(ph) * out
 
 
 def gyrate_coeffs_sandwich(basis: CartesianBasis, coeffs: np.ndarray,

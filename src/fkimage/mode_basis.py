@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .special_functions import Spin, as_spin, kravchuk_function, wigner_little_d
+from .special_functions import Spin, as_spin, wigner_little_d
 
 __all__ = [
     "ScreenShape",
@@ -34,6 +34,11 @@ __all__ = [
     "lk_coefficients",
     "lk_mode",
 ]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -171,11 +176,17 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
 
 
 class CartesianBasis:
-    """Precomputed one-dimensional Kravchuk tables and level bookkeeping.
+    """One-dimensional Kravchuk tables and level bookkeeping of a screen.
 
     ``phi_x[n, i]`` holds Psi_n^(j_x) at pixel i (q_x = i - j_x), likewise
     ``phi_y``; both tables are orthogonal, so analysis/synthesis of images
-    is a pair of small matrix products.  All arrays are frozen after
+    is a pair of small matrix products.  The tables are quarter-turn
+    little-d blocks, ``Psi_n(q) = d^j_{n-j,q}(pi/2)``, taken from the
+    spectral kernel.  ``spin_groups`` holds one ``(2*lambda, n_x, n_y)``
+    entry per distinct spin, in ascending spin: the index arrays have shape
+    (levels with that spin, 2*lambda + 1), one row per level in ascending
+    n with members in the level's mu order, so a rotation or gyration
+    costs one little-d block per spin.  All arrays are frozen after
     construction and the object is safe to share between threads.
     """
 
@@ -184,24 +195,23 @@ class CartesianBasis:
         self.phi_x = self._table(shape.j_x)
         self.phi_y = self._table(shape.j_y)
         levels = []
+        by_spin = {}
         for n in range(shape.max_total_mode + 1):
             lev = level_spectrum(shape, n)
             nx = np.fromiter((mi.n_x for mi in lev.members), dtype=np.intp)
             ny = np.fromiter((mi.n_y for mi in lev.members), dtype=np.intp)
-            for arr in (nx, ny):
-                arr.flags.writeable = False
-            levels.append((lev, nx, ny))
+            levels.append((lev, _frozen(nx), _frozen(ny)))
+            by_spin.setdefault(lev.spin.two_j, []).append((nx, ny))
         self._levels = tuple(levels)
+        self.spin_groups = tuple(
+            (two_l, _frozen(np.stack([nx for nx, _ in members])),
+             _frozen(np.stack([ny for _, ny in members])))
+            for two_l, members in sorted(by_spin.items()))
 
     @staticmethod
     def _table(spin: Spin) -> np.ndarray:
-        dim = spin.dimension
-        t = np.empty((dim, dim))
-        for n in range(dim):
-            for i in range(dim):
-                t[n, i] = kravchuk_function(spin, n, (2 * i - spin.two_j) / 2.0)
-        t.flags.writeable = False
-        return t
+        quarter_turn = wigner_little_d(spin, math.pi / 2.0).entries
+        return _frozen(quarter_turn[::-1, ::-1].copy())
 
     @property
     def levels(self) -> tuple[LevelSpectrum, ...]:

@@ -14,6 +14,16 @@ the finite-oscillator wavefunctions row by row::
 
 which pins every sign and index choice in this module.
 
+Evaluation
+----------
+Every little-d block comes from one spectral kernel: the eigenvectors of
+``J_y`` are computed once per spin and cached on ``2*lambda``, and each
+angle then costs one phase and one matrix product.  The mode basis builds
+its one-dimensional Kravchuk tables from the same kernel at ``beta = pi/2``.
+``kravchuk_polynomial`` and ``kravchuk_function`` evaluate the exact
+terminating sum instead; they are the reference the tests and ``verify``
+compare the kernel against.
+
 Half-integer bookkeeping is done with doubled integers (``two_j = 2j``)
 throughout, so no floating-point values are ever used as indices.
 """
@@ -27,7 +37,6 @@ from functools import lru_cache
 from math import comb, factorial, lgamma
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError
 
@@ -39,11 +48,6 @@ __all__ = [
     "LittleDMatrix",
     "wigner_little_d",
 ]
-
-# Largest 2*lambda for which the alternating terminating sum keeps ~1e-12
-# absolute accuracy in double precision; larger spins use the spectral route.
-_SUM_MAX_TWO_LAMBDA = 24
-
 
 def _as_two(value, what="value"):
     """Coerce an integer or half-integer to its doubled-integer form."""
@@ -168,78 +172,48 @@ def kravchuk_function(j, n: int, q) -> float:
 # Wigner little-d
 # ---------------------------------------------------------------------------
 
-def _little_d_sum(two_l: int, beta: float) -> np.ndarray:
-    """Terminating Wigner sum with log-factorial magnitudes and sign tracking.
-
-    Reliable up to 2*lambda ~ 24; beyond that the alternating sum cancels
-    catastrophically in double precision.
-    """
-    dim = two_l + 1
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    if c == 0.0 or s == 0.0:
-        # exact half-angle zeros only occur for beta == 0.0 (handled by the
-        # caller) or non-finite input; route through the spectral form.
-        return _little_d_spectral(two_l, beta)
-    lgf = np.array([lgamma(k + 1.0) for k in range(dim)])
-    idx = np.arange(dim)
-    I1 = idx[:, None, None]          # row: mu  = lam - i1
-    I2 = idx[None, :, None]          # col: mu' = lam - i2
-    K = idx[None, None, :]
-    kmin = np.maximum(0, I1 - I2)
-    kmax = np.minimum(two_l - I2, I1)
-    valid = (K >= kmin) & (K <= kmax)
-    Ks = np.where(valid, K, kmin)    # safe in-range anchor where masked
-    pref = 0.5 * (lgf[two_l - I1] + lgf[I1] + lgf[two_l - I2] + lgf[I2])
-    pc = two_l - 2 * Ks + (I1 - I2)  # power of cos(beta/2)
-    ps = 2 * Ks - (I1 - I2)          # power of sin(beta/2)
-    logterm = (pref
-               - lgf[two_l - I2 - Ks] - lgf[Ks] - lgf[I1 - Ks] - lgf[Ks - I1 + I2]
-               + pc * math.log(abs(c)) + ps * math.log(abs(s)))
-    parity = (I2 - I1 + Ks) % 2
-    if c < 0.0:
-        parity = parity + pc
-    if s < 0.0:
-        parity = parity + ps
-    signs = 1.0 - 2.0 * (parity % 2)
-    logterm = np.where(valid, logterm, -np.inf)
-    peak = logterm.max(axis=2, keepdims=True)
-    acc = np.sum(signs * np.exp(logterm - peak) * valid, axis=2)
-    return np.exp(peak[:, :, 0]) * acc
+def _finite_angle(angle) -> float:
+    """The angle as a float; ``DomainError`` unless it is finite."""
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise DomainError(f"angle must be finite, got {angle}")
+    return angle
 
 
-def _little_d_spectral(two_l: int, beta: float) -> np.ndarray:
-    """Evaluate exp(-i beta J_y) through the Jacobi form of J_y.
+@lru_cache(maxsize=None)
+def _jy_eigenvectors(two_l: int) -> np.ndarray:
+    """Eigenvectors W of J_y for spin two_l/2, columns ordered by ascending
+    eigenvalue mu = -lam, ..., +lam.
 
     A diagonal similarity with powers of i turns J_y into a real symmetric
-    tridiagonal matrix whose spectrum is exactly {-lam, ..., lam}; the
-    eigenvalues are snapped to those half-integers.  Backward-stable at any
-    spin, at the price of one small eigen-decomposition.
+    tridiagonal (Jacobi) matrix; its eigenvectors, with the powers of i put
+    back, are those of J_y.  Only the spin decides W, so the cache holds one
+    entry per distinct 2*lambda and never grows with the number of angles.
     """
     dim = two_l + 1
-    if dim == 1:
-        return np.array([[1.0]])
     lam = two_l / 2.0
     m = lam - np.arange(dim - 1)      # descending, pairs (m, m-1)
     off = -0.5 * np.sqrt((lam + m) * (lam - m + 1.0))
-    _, V = eigh_tridiagonal(np.zeros(dim), off)
-    mu = -lam + np.arange(dim)        # exact ascending spectrum
-    M = (V * np.exp(-1j * beta * mu)) @ V.T
-    steps = (np.arange(dim)[None, :] - np.arange(dim)[:, None]) % 4
-    out = (1j ** steps) * M
-    return np.ascontiguousarray(out.real)
+    _, V = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
+    W = (1j ** (-np.arange(dim) % 4))[:, None] * V
+    W.flags.writeable = False
+    return W
 
 
-@lru_cache(maxsize=1024)
 def _little_d_entries(two_l: int, beta: float) -> np.ndarray:
+    """d^lam(beta) = Re(W diag(exp(-i beta mu)) W^H), descending-mu layout.
+
+    The spectrum of J_y is exactly {-lam, ..., lam}, so the eigen-phases use
+    those half-integers rather than the computed eigenvalues.  Backward-stable
+    at any spin; ``beta == 0`` gives an exact identity.
+    """
+    beta = _finite_angle(beta)
     if beta == 0.0:
-        entries = np.eye(two_l + 1)
-    elif two_l <= _SUM_MAX_TWO_LAMBDA:
-        entries = _little_d_sum(two_l, beta)
-    else:
-        entries = _little_d_spectral(two_l, beta)
-    entries.flags.writeable = False
-    return entries
+        return np.eye(two_l + 1)
+    W = _jy_eigenvectors(two_l)
+    mu = np.arange(-two_l / 2.0, two_l / 2.0 + 1.0)
+    block = (W * np.exp(-1j * beta * mu)) @ W.conj().T
+    return np.ascontiguousarray(block.real)
 
 
 @dataclass(frozen=True)
@@ -269,14 +243,11 @@ class LittleDMatrix:
 def wigner_little_d(lam, beta: float) -> LittleDMatrix:
     """Full Wigner little-d matrix for spin ``lam`` at angle ``beta``.
 
-    Two evaluation routes are used: the explicit terminating sum with
-    log-factorial accumulation for 2*lam <= 24, and the spectral
-    (tridiagonal eigen-decomposition) form beyond, where the alternating
-    sum would lose more than ~3 digits.  Both produce the convention pinned
-    by ``d^j_{n-j,q}(pi/2) == kravchuk_function(j, n, q)``.
+    Evaluated spectrally from the cached eigenvectors of ``J_y``, which is
+    backward-stable at any spin, in the convention pinned by
+    ``d^j_{n-j,q}(pi/2) == kravchuk_function(j, n, q)``.  A non-finite
+    ``beta`` raises ``DomainError``.
     """
     spin = as_spin(lam)
     beta = float(beta)
-    if not math.isfinite(beta):
-        raise DomainError(f"angle beta must be finite, got {beta}")
     return LittleDMatrix(spin, beta, _little_d_entries(spin.two_j, beta))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fkimage import (DimensionError, FourierGroupElement, analyze,
+from fkimage import (DimensionError, DomainError, FourierGroupElement, analyze,
                      apply_element, build_basis, cartesian_mode, f_glyph,
                      fractional_fourier_image, gyrate_coeffs,
                      gyrate_coeffs_sandwich, gyrate_image, ka_coeffs,
@@ -278,15 +278,54 @@ def _dense_block_operator(two_jx, two_jy, angle, gyration):
     return op
 
 
-@pytest.mark.parametrize("gyration", [False, True])
-def test_block_transforms_match_dense_oracle(basis53, rng, gyration):
-    img = random_image(rng, basis53)
-    coeffs = analyze(basis53, img)
+@pytest.mark.parametrize(
+    "screen,gyration",
+    [((5, 3), False), ((5, 3), True), ((2.5, 1), False), ((2.5, 1), True)],
+    ids=["False", "True", "2.5x1-False", "2.5x1-True"])
+def test_block_transforms_match_dense_oracle(rng, screen, gyration):
+    basis = build_basis(screen)
+    coeffs = analyze(basis, random_image(rng, basis))
     for angle in (0.37, math.pi / 6, 2.8):
-        op = _dense_block_operator(10, 6, 2 * angle, gyration)
+        op = _dense_block_operator(basis.shape.j_x.two_j, basis.shape.j_y.two_j,
+                                   2 * angle, gyration)
         expected = (op @ coeffs.ravel()).reshape(coeffs.shape)
         if gyration:
-            got = gyrate_coeffs(basis53, coeffs, angle)
+            got = gyrate_coeffs(basis, coeffs, angle)
         else:
-            got = rotate_coeffs(basis53, coeffs, angle)
+            got = rotate_coeffs(basis, coeffs, angle)
         assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("gyration", [False, True])
+def test_block_transforms_match_level_reference_when_j_x_below_j_y(rng,
+                                                                   gyration):
+    # The dense oracle above assumes j_x >= j_y; here each level is mixed on
+    # its own by the expm little-d, in the library's level bookkeeping.
+    basis = build_basis((3, 4.5))
+    coeffs = analyze(basis, random_image(rng, basis))
+    for angle in (0.37, math.pi / 6, 2.8):
+        expected = np.zeros_like(coeffs)
+        for n in range(basis.shape.max_total_mode + 1):
+            lev, nx, ny = basis.level_arrays(n)
+            d = little_d_expm(lev.spin.two_j, 2 * angle)
+            ph = np.exp(1j * math.pi * (nx - ny) / 4) if gyration else 1.0
+            expected[nx, ny] = np.conj(ph) * (d @ (ph * coeffs[nx, ny]))
+        if gyration:
+            got = gyrate_coeffs(basis, coeffs, angle)
+        else:
+            got = rotate_coeffs(basis, coeffs, angle)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+# ------------------------------------------------------ non-finite angles
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("transform", [
+    lambda basis, c, a: rotate_coeffs(basis, c, a),
+    lambda basis, c, a: gyrate_coeffs(basis, c, a),
+    lambda basis, c, a: ks_coeffs(c, a),
+    lambda basis, c, a: ka_coeffs(c, a)],
+    ids=["rotate_coeffs", "gyrate_coeffs", "ks_coeffs", "ka_coeffs"])
+def test_nonfinite_angle_raises_domain_error(basis53, transform, angle):
+    with pytest.raises(DomainError):
+        transform(basis53, np.ones(basis53.shape.pixels), angle)

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fkimage import (DomainError, Spin, kravchuk_function, kravchuk_polynomial,
-                     wigner_little_d)
+import fkimage
+from fkimage import (DomainError, Spin, analyze, build_basis, kravchuk_function,
+                     kravchuk_polynomial, rotate_coeffs, wigner_little_d)
+from fkimage.special_functions import _jy_eigenvectors
 
 from oracles import kravchuk_fraction, little_d_expm, psi_reference
 
@@ -204,7 +210,8 @@ def test_matches_expm_oracle():
 
 
 def test_route_seam_consistency():
-    # the terminating-sum and spectral routes hand over at 2*lambda = 24
+    # spins around 2*lambda = 24, where an earlier terminating-sum route
+    # handed over to the spectral kernel
     for two_l in (23, 24, 25, 26):
         for beta in (0.9, 2.3):
             got = wigner_little_d(Spin(two_l), beta).entries
@@ -235,3 +242,25 @@ def test_value_accessor():
 def test_rejects_nonfinite_angle():
     with pytest.raises(DomainError):
         wigner_little_d(1, math.inf)
+
+
+def test_kernel_cache_does_not_grow_with_fresh_angles(rng):
+    basis = build_basis((20, 12))
+    coeffs = analyze(basis, rng.standard_normal(basis.shape.pixels))
+    angles = rng.uniform(0.0, 4 * math.pi, 20)
+    rotate_coeffs(basis, coeffs, angles[0])
+    size = _jy_eigenvectors.cache_info().currsize
+    for angle in angles[1:]:
+        rotate_coeffs(basis, coeffs, angle)
+        assert _jy_eigenvectors.cache_info().currsize == size
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(fkimage.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, fkimage; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
