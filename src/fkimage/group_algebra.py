@@ -66,7 +66,9 @@ class FourierGroupElement:
 
     Any real angles are accepted; ``from_matrix`` always returns the
     canonical representative of the first four.  ``omega`` defaults to
-    ``default_omega`` = (psi + phi)/2 and is stored reduced to [0, 2 pi).
+    ``default_omega`` = (psi + phi)/2 and is stored reduced to [0, 2 pi);
+    a value within a few ulps of the default (mod 2 pi) is stored as the
+    default.
     """
 
     chi: float = 0.0
@@ -78,8 +80,15 @@ class FourierGroupElement:
     def __post_init__(self):
         for name in ("chi", "psi", "theta", "phi"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        omega = (self.default_omega if self.omega is None
-                 else _finite("omega", self.omega) % TWO_PI)
+        omega = self.default_omega
+        if self.omega is not None:
+            raw = _finite("omega", self.omega)
+            gap = abs(raw % TWO_PI - omega)
+            # Reducing mod 2 pi rounds: an omega within a few ulps of the
+            # default is the default, so equality and the wire format agree.
+            scale = max(abs(raw), abs(self.psi) + abs(self.phi), TWO_PI)
+            if min(gap, TWO_PI - gap) > 4.0 * math.ulp(scale):
+                omega = raw % TWO_PI
         object.__setattr__(self, "omega", omega)
 
     @classmethod

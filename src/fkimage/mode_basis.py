@@ -185,8 +185,9 @@ class CartesianBasis:
     spectral kernel.  ``spin_groups`` holds one ``(2*lambda, n_x, n_y)``
     entry per distinct spin, in ascending spin: the index arrays have shape
     (levels with that spin, 2*lambda + 1), one row per level in ascending
-    n with members in the level's mu order, so a rotation or gyration
-    costs one little-d block per spin.  ``c[n_x, n_y]`` is the integer
+    n with members in the level's mu order, so a rotation, gyration or
+    group element projects each spin's levels onto its J_y eigenbasis in
+    one matrix product and back in another.  ``c[n_x, n_y]`` is the integer
     ``(n_x - n_y) - 2*mu``, constant on each level: zero on the lower
     triangle, ``n - 2*j_min`` on the flat levels and ``2*(j_x - j_y)``
     on the upper triangle.  It is the offset of the antisymmetric Fourier

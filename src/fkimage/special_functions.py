@@ -16,10 +16,12 @@ which pins every sign and index choice in this module.
 
 Evaluation
 ----------
-Every little-d block comes from one spectral kernel: the eigenvectors of
-``J_y`` are computed once per spin and cached on ``2*lambda``, and each
-angle then costs one phase and one matrix product.  The mode basis builds
-its one-dimensional Kravchuk tables from the same kernel at ``beta = pi/2``.
+One spectral kernel serves the library: the eigenvectors W of ``J_y`` are
+computed once per spin and cached on ``2*lambda``.  ``wigner_little_d``
+forms the dense block ``W diag(exp(-i beta mu)) W^H``; the mode basis
+builds its one-dimensional Kravchuk tables from it at ``beta = pi/2``.
+The transforms in ``fourier_transforms`` form no block: they project the
+coefficients onto W, multiply by the eigen-phases and project back.
 ``kravchuk_polynomial`` and ``kravchuk_function`` evaluate the exact
 terminating sum instead; they are the reference the tests and ``verify``
 compare the kernel against.

@@ -60,6 +60,12 @@ def _random_element(rng) -> ga.FourierGroupElement:
     )
 
 
+def _wide_element(rng) -> ga.FourierGroupElement:
+    """All five angles from (-20, 20), far outside the canonical ranges,
+    so that a dropped or mistracked omega shows."""
+    return ga.FourierGroupElement(*rng.uniform(-20.0, 20.0, 5))
+
+
 def _random_image(rng, shape) -> np.ndarray:
     return (rng.standard_normal(shape.pixels)
             + 1j * rng.standard_normal(shape.pixels))
@@ -439,12 +445,13 @@ def _check_image_homomorphism(ctx):
     basis = ctx["get_basis"]((5, 3))
     worst = 0.0
     for _ in range(ctx["pairs"]):
-        a, b = _random_element(rng), _random_element(rng)
+        a, b = _wide_element(rng), _wide_element(rng)
         img = _random_image(rng, basis.shape)
         lhs = ft.apply_element(basis, img, ga.compose(a, b))
         rhs = ft.apply_element(basis, ft.apply_element(basis, img, b), a)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst, 1e-9, "apply(compose(a,b)) vs apply(a) after apply(b)"
+    return worst, 1e-9, ("apply(compose(a,b)) vs apply(a) after apply(b), "
+                         "angles in (-20, 20)")
 
 
 def _check_inverse_roundtrip(ctx):
@@ -452,12 +459,12 @@ def _check_inverse_roundtrip(ctx):
     basis = ctx["get_basis"]((5, 3))
     worst = 0.0
     for _ in range(ctx["pairs"]):
-        e = _random_element(rng)
+        e = _wide_element(rng)
         img = _random_image(rng, basis.shape)
         back = ft.apply_element(basis, ft.apply_element(basis, img, e),
                                 ga.inverse(e))
         worst = max(worst, float(np.max(np.abs(back - img))))
-    return worst, 1e-9, "apply(inverse(e)) undoes apply(e)"
+    return worst, 1e-9, "apply(inverse(e)) undoes apply(e), angles in (-20, 20)"
 
 
 def _check_file_roundtrips(ctx):

@@ -1,4 +1,5 @@
-"""Independent reference implementations used only by the tests.
+"""Independent reference implementations and random inputs used only by
+the tests.
 
 Each oracle takes a different computational route from the production code:
 Kravchuk values come from exact rational Pochhammer ratios, and little-d
@@ -11,6 +12,8 @@ from math import comb
 
 import numpy as np
 from scipy.linalg import expm
+
+from fkimage import FourierGroupElement
 
 
 def kravchuk_fraction(n, s, two_j):
@@ -45,3 +48,17 @@ def little_d_expm(two_l, beta):
     d = expm(-1j * beta * jy)
     assert np.max(np.abs(d.imag)) < 1e-11
     return d.real
+
+
+def random_image(rng, basis):
+    """Complex Gaussian image on the basis' screen."""
+    return (rng.standard_normal(basis.shape.pixels)
+            + 1j * rng.standard_normal(basis.shape.pixels))
+
+
+def random_element(rng):
+    """Plain group element with angles drawn from the canonical ranges."""
+    return FourierGroupElement(chi=rng.uniform(0, 4 * math.pi),
+                               psi=rng.uniform(0, 2 * math.pi),
+                               theta=rng.uniform(0, math.pi),
+                               phi=rng.uniform(0, 2 * math.pi))

@@ -1,16 +1,19 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fkimage import (DimensionError, DomainError, FourierGroupElement, analyze,
-                     apply_element, build_basis, cartesian_mode, f_glyph,
-                     fractional_fourier_image, gyrate_coeffs,
+from fkimage import (DimensionError, DomainError, FourierGroupElement,
+                     ScreenShape, Spin, analyze, apply_element,
+                     apply_element_coeffs, build_basis, cartesian_mode,
+                     f_glyph, fractional_fourier_image, gyrate_coeffs,
                      gyrate_coeffs_sandwich, gyrate_image, ka_coeffs,
                      ks_coeffs, lk_coefficients, rotate_coeffs, rotate_image,
-                     synthesize)
+                     synthesize, wigner_little_d)
 
-from oracles import little_d_expm
+from oracles import little_d_expm, random_image
 
 
 @pytest.fixture(scope="module")
@@ -21,11 +24,6 @@ def basis53():
 @pytest.fixture(scope="module")
 def basis117():
     return build_basis((11, 7))
-
-
-def random_image(rng, basis):
-    return (rng.standard_normal(basis.shape.pixels)
-            + 1j * rng.standard_normal(basis.shape.pixels))
 
 
 # --------------------------------------------------- analyze/synthesize
@@ -315,6 +313,80 @@ def test_block_transforms_match_level_reference_when_j_x_below_j_y(rng,
         else:
             got = rotate_coeffs(basis, coeffs, angle)
         assert np.max(np.abs(got - expected)) < 1e-12
+
+
+# ------------------------------------------- eigenbasis vs little-d blocks
+
+def _level_reference(basis, coeffs, element):
+    """Rotation, gyration and element action assembled level by level from
+    dense ``wigner_little_d`` blocks and full-grid phases."""
+    levels = [basis.level_arrays(n)
+              for n in range(basis.shape.max_total_mode + 1)]
+    n_x, n_y = np.indices(coeffs.shape)
+    c = np.empty(coeffs.shape)
+    for lev, nx, ny in levels:
+        c[nx, ny] = nx - ny - np.asarray(lev.two_mu)
+
+    def mix(x, beta):
+        out = np.empty_like(x)
+        for lev, nx, ny in levels:
+            out[nx, ny] = wigner_little_d(lev.spin, beta).entries @ x[nx, ny]
+        return out
+
+    def gyrate(x, gamma):
+        ph = np.exp(1j * math.pi * (n_x - n_y) / 4)
+        return np.conj(ph) * mix(ph * x, 2 * gamma)
+
+    e = element
+    act = np.exp(-0.5j * e.phi * (n_x - n_y)) * coeffs
+    act = gyrate(act, e.theta / 2)
+    act *= np.exp(-0.5j * e.psi * (n_x - n_y) - 0.5j * e.chi * (n_x + n_y))
+    act *= np.exp(-1j * (e.omega - e.default_omega) * c)
+    return mix(coeffs, 2 * e.theta), gyrate(coeffs, e.theta), act
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(two_jx=st.integers(0, 40), two_jy=st.integers(0, 40),
+       angles=st.lists(st.floats(-20, 20), min_size=5, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_eigenbasis_transforms_match_little_d_blocks(two_jx, two_jy, angles,
+                                                     seed):
+    # Random screens with 2j <= 40 in both orientations, half-integer spins
+    # included; theta doubles as the rotation and gyration angle.
+    basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
+    coeffs = analyze(basis, random_image(np.random.default_rng(seed), basis))
+    element = FourierGroupElement(*angles)
+    theta = element.theta
+    rotated, gyrated, applied = _level_reference(basis, coeffs, element)
+    scale = np.max(np.abs(coeffs))
+    for got, expected in ((rotate_coeffs(basis, coeffs, theta), rotated),
+                          (gyrate_coeffs(basis, coeffs, theta), gyrated),
+                          (apply_element_coeffs(basis, coeffs, element),
+                           applied)):
+        assert np.max(np.abs(got - expected)) < 1e-12 * scale
+    real = rotate_coeffs(basis, coeffs.real, theta)
+    assert real.dtype == np.float64
+    assert np.max(np.abs(real - rotated.real)) < 1e-12 * scale
+
+
+def test_transforms_form_no_dense_little_d_block(basis117, rng, monkeypatch):
+    coeffs = analyze(basis117, random_image(rng, basis117))
+    element = FourierGroupElement(0.3, 1.9, 2.2, -0.7, 0.4)
+    ops = (lambda: rotate_coeffs(basis117, coeffs, 0.9),
+           lambda: gyrate_coeffs(basis117, coeffs, -1.3),
+           lambda: apply_element_coeffs(basis117, coeffs, element))
+    before = [op() for op in ops]
+
+    def forbidden(*args):
+        raise AssertionError("a transform formed a dense little-d block")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").partition(".")[0] == "fkimage":
+            for name in ("_little_d_entries", "wigner_little_d"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+    for op, expected in zip(ops, before):
+        assert np.array_equal(op(), expected)
 
 
 # ------------------------------------------------------ non-finite angles

@@ -9,15 +9,10 @@ from fkimage import (FourierGroupElement, ValidationError,
                      element_to_json, from_matrix, inverse, to_matrix,
                      wigner_little_d)
 
+from oracles import random_element, random_image
+
 TWO_PI = 2 * math.pi
 FOUR_PI = 4 * math.pi
-
-
-def random_element(rng):
-    return FourierGroupElement(chi=rng.uniform(0, FOUR_PI),
-                               psi=rng.uniform(0, TWO_PI),
-                               theta=rng.uniform(0, math.pi),
-                               phi=rng.uniform(0, TWO_PI))
 
 
 # ------------------------------------------------------------ matrices
@@ -129,8 +124,7 @@ def test_inverse_round_trips_images(rng):
     basis = build_basis((5, 3))
     for _ in range(10):
         e = random_element(rng)
-        img = (rng.standard_normal(basis.shape.pixels)
-               + 1j * rng.standard_normal(basis.shape.pixels))
+        img = random_image(rng, basis)
         back = apply_element(basis, apply_element(basis, img, e), inverse(e))
         assert np.max(np.abs(back - img)) < 1e-9
 
@@ -139,8 +133,7 @@ def test_image_homomorphism_on_square_screen(rng):
     basis = build_basis((2, 2))
     for _ in range(10):
         a, b = random_element(rng), random_element(rng)
-        img = (rng.standard_normal(basis.shape.pixels)
-               + 1j * rng.standard_normal(basis.shape.pixels))
+        img = random_image(rng, basis)
         lhs = apply_element(basis, img, compose(a, b))
         rhs = apply_element(basis, apply_element(basis, img, b), a)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -160,8 +153,7 @@ def test_image_homomorphism_breaks_on_rectangles():
     a = FourierGroupElement(0, math.pi / 2, math.pi / 2, 0)
     b = FourierGroupElement(0, 0, math.pi / 2, math.pi / 2)
     rng = np.random.default_rng(5)
-    img = (rng.standard_normal(basis.shape.pixels)
-           + 1j * rng.standard_normal(basis.shape.pixels))
+    img = random_image(rng, basis)
     c = compose(a, b)
     rhs = apply_element(basis, apply_element(basis, img, b), a)
     projected = apply_element(basis, img,
@@ -179,8 +171,7 @@ def test_inverse_and_compose_exact_for_any_angles(spins):
     for _ in range(20):
         a = FourierGroupElement(*rng.uniform(-20, 20, 4))
         b = FourierGroupElement(*rng.uniform(-20, 20, 4))
-        img = (rng.standard_normal(basis.shape.pixels)
-               + 1j * rng.standard_normal(basis.shape.pixels))
+        img = random_image(rng, basis)
         once = apply_element(basis, img, b)
         back = apply_element(basis, once, inverse(b))
         assert np.max(np.abs(back - img)) < 1e-9
@@ -192,8 +183,7 @@ def test_inverse_and_compose_exact_for_any_angles(spins):
 def test_default_omega_leaves_action_unchanged(rng):
     basis = build_basis((5, 3))
     e = random_element(rng)
-    img = (rng.standard_normal(basis.shape.pixels)
-           + 1j * rng.standard_normal(basis.shape.pixels))
+    img = random_image(rng, basis)
     plain = apply_element(basis, img, e)
     explicit = FourierGroupElement(e.chi, e.psi, e.theta, e.phi,
                                    (e.psi + e.phi) / 2)
@@ -202,6 +192,13 @@ def test_default_omega_leaves_action_unchanged(rng):
     shifted = FourierGroupElement(e.chi, e.psi, e.theta, e.phi,
                                   (e.psi + e.phi) / 2 + 4 * math.pi)
     assert np.max(np.abs(apply_element(basis, img, shifted) - plain)) < 1e-12
+
+
+def test_omega_within_ulps_of_default_is_default():
+    # 1.8 + 4 pi reduces to 1.8000000000000007, a few ulps off (psi+phi)/2
+    e = FourierGroupElement(1.0, 0.7, 1.1, 2.9, 1.8 + 4 * math.pi)
+    assert e == FourierGroupElement(1.0, 0.7, 1.1, 2.9)
+    assert "omega" not in json.loads(element_to_json(e))
 
 
 # ----------------------------------------------------------------- JSON
