@@ -1,23 +1,23 @@
 """Unitary Fourier-group action on mode coefficients and images.
 
 All transforms act on coefficient arrays indexed (n_x, n_y); image-level
-entry points are thin analyze/transform/synthesize wrappers.  Rotations and
-gyrations act block-diagonally on the total-mode levels and never move
-amplitude between levels: the levels that share a spin are projected onto
-that spin's cached J_y eigenbasis, multiplied by the eigen-phases
-exp(-i beta mu) and projected back.  The fractional Fourier transforms are
-pure mode-number phases.
-
-Operator composition is written right-to-left: ``A o B`` means B acts
-first.  The general group element
+entry points are thin analyze/transform/synthesize wrappers.  Operator
+composition is written right-to-left: ``A o B`` means B acts first.  The
+general group element
 
     D(chi; psi, theta, phi; omega) = exp(-i c (omega - (psi + phi)/2))
                                      K_S(chi/2) K_A(psi/2) G(theta/2) K_A(phi/2)
 
-is applied in one pass: its diagonal factors fold into one phase before
-and one after the eigenbasis mix of the gyration.  ``c`` is the per-level
+is applied by ``apply_element_coeffs``, the only code that mixes levels:
+its diagonal factors fold into one phase before and one after a mix of the
+levels in each spin's cached J_y eigenbasis.  ``c`` is the per-level
 integer ``CartesianBasis.c``; the leading phase is 1 for a plain element,
-whose omega is (psi + phi)/2.
+whose omega is (psi + phi)/2.  Rotation by theta is the element
+D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is D(0; 0, 2 gamma, 0);
+both act block-diagonally on the total-mode levels and never move
+amplitude between levels.  The fractional Fourier transforms K_S and K_A
+are pure mode-number phases.  Angles are reduced into (-4 pi, 4 pi)
+before use.
 """
 
 from __future__ import annotations
@@ -57,52 +57,29 @@ def synthesize(basis: CartesianBasis, coeffs: np.ndarray) -> np.ndarray:
     return basis.synthesize(coeffs)
 
 
-def _mode_phases(shape, a: float, b: float) -> np.ndarray:
+def _mode_phases(shape, a: float, b: float):
     """exp(-i a n_x) * exp(-i b n_y) on an (N_x, N_y) grid, built as the
-    outer product of two 1-D exponentials.  Both angles zero give exact
-    ones."""
+    outer product of two 1-D exponentials.  Both angles zero give the
+    scalar 1.0, which callers never multiply into an array."""
+    if a == 0.0 and b == 0.0:
+        return 1.0
     return np.outer(np.exp(-1j * a * np.arange(shape[0])),
                     np.exp(-1j * b * np.arange(shape[1])))
 
 
-def _spin_mix(basis: CartesianBasis, coeffs: np.ndarray,
-              beta: float) -> np.ndarray:
-    """Mix every level by d^{lambda(n)}(beta), in each spin's J_y eigenbasis.
-
-    For the stacked levels x of a spin, ``x d^T`` is computed as
-    ``conj(conj(x) W) * exp(-i beta mu) @ W^T`` with the cached eigenvectors
-    W, so no dense little-d block is formed.  One ``exp`` vector over the
-    doubled projections of the largest spin serves every spin as a strided
-    slice.  The operator is real, so real input gives the real part, and
-    ``beta == 0`` returns an exact copy.
-    """
-    out = coeffs.astype(np.result_type(coeffs.dtype, np.float64))
-    if beta == 0.0:
-        return out
-    real = not np.iscomplexobj(out)
-    top = basis.spin_groups[-1][0]
-    phases = np.exp(-0.5j * beta * np.arange(-top, top + 1))
-    for two_l, nx, ny in basis.spin_groups:
-        W = _jy_eigenvectors(two_l)
-        eig = np.conj(np.conj(coeffs[nx, ny]) @ W)
-        eig *= phases[top - two_l:top + two_l + 1:2]
-        mixed = eig @ W.T
-        out[nx, ny] = mixed.real if real else mixed
-    return out
-
-
 def rotate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                   theta: float) -> np.ndarray:
-    """Rotation by theta: each level-n block is mixed by the real orthogonal
-    little-d matrix d^{lambda(n)}(2*theta) in the level's mu ordering.
+    """Rotation by theta, the group element D(0; -pi/2, 2 theta, pi/2).
 
-    The coefficients of each spin are projected onto its cached J_y
-    eigenbasis, multiplied by the eigen-phases and projected back; see
-    ``_spin_mix``.  Real input stays exactly real, the Euclidean norm is
-    preserved, levels do not mix, and theta = 0 is an exact identity.
+    Each level-n block is mixed by the real orthogonal little-d matrix
+    d^{lambda(n)}(2*theta) in the level's mu ordering: the quarter-turn
+    phases of psi and phi cancel those of the gyration, so both diagonal
+    phases of ``apply_element_coeffs`` are exactly one.  Real input stays
+    exactly real, the Euclidean norm is preserved, levels do not mix, and
+    theta = 0 is an exact identity.
     """
-    coeffs = basis.check_image(coeffs)
-    return _spin_mix(basis, coeffs, 2.0 * _finite_angle(theta))
+    return apply_element_coeffs(basis, coeffs, FourierGroupElement(
+        0.0, -0.5 * math.pi, 2.0 * _finite_angle(theta), 0.5 * math.pi))
 
 
 def _checked_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -132,23 +109,18 @@ def ka_coeffs(coeffs: np.ndarray, beta: float) -> np.ndarray:
 
 def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                   gamma: float) -> np.ndarray:
-    """Gyration by gamma, applied directly as the per-level sandwich
+    """Gyration by gamma, the group element D(0; 0, 2 gamma, 0).
+
+    On each level this is the sandwich
 
         exp(-i pi (n_x-n_y)/4) . d^{lambda(n)}(2*gamma) . exp(+i pi (n'_x-n'_y)/4)
 
     which agrees with conjugating a rotation by the antisymmetric Fourier
-    transform at +-pi/4 (see ``gyrate_coeffs_sandwich``).  The middle
-    factor is applied in each spin's J_y eigenbasis, as in
-    ``rotate_coeffs``; gamma = 0 is an exact identity.
+    transform at +-pi/4 (see ``gyrate_coeffs_sandwich``); gamma = 0 is an
+    exact identity.
     """
-    coeffs = basis.check_image(coeffs)
-    angle = 2.0 * _finite_angle(gamma)
-    # Without the quarter phases at gamma = 0 the identity is exact.
-    quarter = math.pi / 4.0 if angle else 0.0
-    out = _spin_mix(basis, _mode_phases(coeffs.shape, -quarter, quarter)
-                    * coeffs, angle)
-    out *= _mode_phases(coeffs.shape, quarter, -quarter)
-    return out
+    return apply_element_coeffs(basis, coeffs, FourierGroupElement(
+        0.0, 0.0, 2.0 * _finite_angle(gamma), 0.0))
 
 
 def gyrate_coeffs_sandwich(basis: CartesianBasis, coeffs: np.ndarray,
@@ -164,26 +136,54 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                          element: FourierGroupElement) -> np.ndarray:
     """Coefficient-space action of D(chi; psi, theta, phi; omega) in one pass.
 
-    The diagonal factors fold into one pre-multiplier, K_A(phi/2) and the
+    The only code that mixes levels; rotations and gyrations are elements
+    applied here.  Each angle is first reduced into (-4 pi, 4 pi).  The
+    diagonal factors fold into one pre-multiplier, K_A(phi/2) and the
     gyration's exp(+i pi (n_x-n_y)/4), and one post-multiplier, the
     conjugate gyration phase, K_A(psi/2), K_S(chi/2) and the omega phase
-    exp(-i c (omega - (psi + phi)/2)).  Between them the levels are mixed by
-    d^lambda(theta) in each spin's J_y eigenbasis (skipped at theta = 0).
+    exp(-i c (omega - (psi + phi)/2)).  Between them the levels of each
+    spin are projected onto its cached J_y eigenbasis W as
+    ``conj(conj(x) W)``, multiplied by the eigen-phases exp(-i theta mu)
+    and projected back with ``W^T``; one ``exp`` vector over the doubled
+    projections of the largest spin serves every spin as a strided slice.
+
+    At theta = 0 nothing is mixed and the element is one diagonal multiply,
+    K_S(chi/2) K_A((psi + phi)/2) times the omega phase, so the identity
+    element gives an exact copy.  A phase that is exactly one never touches
+    the array: with both phases one, as for a rotation, real input stays
+    real.
     """
     coeffs = basis.check_image(coeffs)
-    # At theta = 0 the gyration's quarter phases cancel; without them the
-    # identity element is an exact identity.
-    quarter = math.pi / 4.0 if element.theta else 0.0
-    half_chi, half_psi, half_phi = (0.5 * element.chi, 0.5 * element.psi,
-                                    0.5 * element.phi)
-    pre = _mode_phases(coeffs.shape, half_phi - quarter, quarter - half_phi)
-    post = _mode_phases(coeffs.shape, half_chi + half_psi + quarter,
-                        half_chi - half_psi - quarter)
+    chi, psi, theta, phi = map(_finite_angle, (
+        element.chi, element.psi, element.theta, element.phi))
+    if theta == 0.0:
+        pre = 1.0
+        post = _mode_phases(coeffs.shape, 0.5 * (chi + psi + phi),
+                            0.5 * (chi - psi - phi))
+    else:
+        quarter = 0.25 * math.pi
+        pre = _mode_phases(coeffs.shape, 0.5 * phi - quarter,
+                           quarter - 0.5 * phi)
+        post = _mode_phases(coeffs.shape, 0.5 * (chi + psi) + quarter,
+                            0.5 * (chi - psi) - quarter)
     shift = element.omega - element.default_omega
     if shift:
-        post *= np.exp(-1j * shift * basis.c)
-    out = _spin_mix(basis, pre * coeffs, element.theta)
-    out *= post
+        post = post * np.exp(-1j * shift * basis.c)
+    out = coeffs.astype(np.result_type(coeffs, np.float64, pre, post))
+    if isinstance(pre, np.ndarray):
+        out *= pre
+    if theta:
+        real = not np.iscomplexobj(out)
+        top = basis.spin_groups[-1][0]
+        phases = np.exp(-0.5j * theta * np.arange(-top, top + 1))
+        for two_l, nx, ny in basis.spin_groups:
+            W = _jy_eigenvectors(two_l)
+            eig = np.conj(np.conj(out[nx, ny]) @ W)
+            eig *= phases[top - two_l:top + two_l + 1:2]
+            mixed = eig @ W.T
+            out[nx, ny] = mixed.real if real else mixed
+    if isinstance(post, np.ndarray):
+        out *= post
     return out
 
 

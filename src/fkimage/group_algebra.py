@@ -98,7 +98,7 @@ class FourierGroupElement:
     @property
     def default_omega(self) -> float:
         """The omega of the plain four-parameter element, (psi + phi)/2."""
-        return (0.5 * (self.psi + self.phi)) % TWO_PI
+        return (0.5 * self.psi + 0.5 * self.phi) % TWO_PI
 
     def as_dict(self) -> dict:
         """Wire format; ``omega`` appears only when it is not the default."""

@@ -175,11 +175,18 @@ def kravchuk_function(j, n: int, q) -> float:
 # ---------------------------------------------------------------------------
 
 def _finite_angle(angle) -> float:
-    """The angle as a float; ``DomainError`` unless it is finite."""
+    """The angle as a float reduced by ``math.fmod`` into (-4 pi, 4 pi);
+    ``DomainError`` unless it is finite.
+
+    4 pi is a multiple of every period of the library's kernel and
+    transforms, so the reduction changes no result but keeps a huge angle
+    from overflowing the phases; an angle already inside the interval is
+    returned bit for bit.
+    """
     angle = float(angle)
     if not math.isfinite(angle):
         raise DomainError(f"angle must be finite, got {angle}")
-    return angle
+    return math.fmod(angle, 4.0 * math.pi)
 
 
 @lru_cache(maxsize=None)

@@ -382,35 +382,57 @@ def _check_fourier_phases(ctx):
     return worst, 1e-12, "fractional Fourier phase laws"
 
 
+def _level_mix(basis, coeffs, beta, quarter=0.0):
+    """Each level mixed by its dense ``wigner_little_d(beta)`` block between
+    the phases exp(+-i quarter (n_x - n_y)): rotation (quarter = 0) and
+    gyration (quarter = pi/4) assembled level by level, without the J_y
+    eigenbasis of the transforms."""
+    out = np.empty(coeffs.shape, dtype=complex)
+    for n in range(basis.shape.max_total_mode + 1):
+        lev, nx, ny = basis.level_arrays(n)
+        ph = np.exp(1j * quarter * (nx - ny))
+        block = wigner_little_d(lev.spin, beta).entries
+        out[nx, ny] = np.conj(ph) * (block @ (ph * coeffs[nx, ny]))
+    return out
+
+
 def _check_gyration_sandwich(ctx):
     rng = ctx["rng"]
     basis = ctx["get_basis"]((11, 7))
     coeffs = ft.analyze(basis, _random_image(rng, basis.shape))
     worst = 0.0
     for gamma in (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4):
-        a = ft.gyrate_coeffs(basis, coeffs, gamma)
-        b = ft.gyrate_coeffs_sandwich(basis, coeffs, gamma)
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst, 1e-10, "direct gyration vs K_A(pi/4) R K_A(-pi/4)"
+        ref = _level_mix(basis, coeffs, 2 * gamma, math.pi / 4)
+        for out in (ft.gyrate_coeffs(basis, coeffs, gamma),
+                    ft.gyrate_coeffs_sandwich(basis, coeffs, gamma)):
+            worst = max(worst, float(np.max(np.abs(out - ref))))
+    return worst, 1e-10, ("direct gyration and K_A(pi/4) R K_A(-pi/4) vs "
+                          "per-level little-d blocks")
 
 
 def _check_apply_reductions(ctx):
     rng = ctx["rng"]
     basis = ctx["get_basis"]((5, 3))
     img = _random_image(rng, basis.shape)
+    coeffs = ft.analyze(basis, img)
     worst = 0.0
     out = ft.apply_element(basis, img, ga.FourierGroupElement.identity())
     worst = max(worst, float(np.max(np.abs(out - img))))
     theta = rng.uniform(0, 2)
-    a = ft.apply_element(basis, img, ga.FourierGroupElement(0, 0, 2 * theta, 0))
-    worst = max(worst, float(np.max(np.abs(a - ft.gyrate_image(basis, img, theta)))))
+    for element, quarter in (
+            (ga.FourierGroupElement(0, 0, 2 * theta, 0), math.pi / 4),
+            (ga.FourierGroupElement(0, -math.pi / 2, 2 * theta, math.pi / 2),
+             0.0)):
+        ref = _level_mix(basis, coeffs, 2 * theta, quarter)
+        got = ft.apply_element_coeffs(basis, coeffs, element)
+        worst = max(worst, float(np.max(np.abs(got - ref))))
     chi, psi, phi = rng.uniform(0, 4, size=3)
     b = ft.apply_element(basis, img, ga.FourierGroupElement(chi, psi, 0, phi))
-    coeffs = ft.analyze(basis, img)
     c = ft.synthesize(basis, ft.ks_coeffs(
         ft.ka_coeffs(coeffs, (psi + phi) / 2), chi / 2))
     worst = max(worst, float(np.max(np.abs(b - c))))
-    return worst, 1e-12, "Euler element reduces to its factors"
+    return worst, 1e-12, ("Euler element reduces to its factors; gyration and "
+                          "rotation elements vs per-level little-d blocks")
 
 
 def _check_matrix_homomorphism(ctx):

@@ -206,11 +206,22 @@ def test_apply_identity_element(basis53, rng):
     assert np.max(np.abs(out - img)) < 1e-12
 
 
-def test_apply_reduces_to_pure_gyration(basis53, rng):
+@pytest.mark.parametrize("reduction", ["gyration", "rotation"])
+def test_apply_reduces_to_gyration_and_rotation(basis53, rng, reduction):
+    # Gyration by theta is D(0; 0, 2 theta, 0) and rotation by theta is
+    # D(0; -pi/2, 2 theta, pi/2), whose diagonal phases cancel exactly: real
+    # coefficients stay float64 and match rotate_coeffs bit for bit.
     img = random_image(rng, basis53)
     theta = 0.9
-    a = apply_element(basis53, img, FourierGroupElement(0, 0, 2 * theta, 0))
-    assert np.max(np.abs(a - gyrate_image(basis53, img, theta))) < 1e-12
+    if reduction == "gyration":
+        a = apply_element(basis53, img, FourierGroupElement(0, 0, 2 * theta, 0))
+        assert np.max(np.abs(a - gyrate_image(basis53, img, theta))) < 1e-12
+    else:
+        coeffs = analyze(basis53, img.real)
+        element = FourierGroupElement(0, -math.pi / 2, 2 * theta, math.pi / 2)
+        a = apply_element_coeffs(basis53, coeffs, element)
+        assert a.dtype == np.float64
+        assert np.array_equal(a, rotate_coeffs(basis53, coeffs, theta))
 
 
 def test_apply_reduces_to_pure_phases(basis53, rng):
@@ -401,3 +412,28 @@ def test_transforms_form_no_dense_little_d_block(basis117, rng, monkeypatch):
 def test_nonfinite_angle_raises_domain_error(basis53, transform, angle):
     with pytest.raises(DomainError):
         transform(basis53, np.ones(basis53.shape.pixels), angle)
+
+
+@pytest.mark.parametrize("angle", [1e308, -1e308])
+@pytest.mark.parametrize("transform", [
+    lambda basis, c, a: rotate_coeffs(basis, c, a),
+    lambda basis, c, a: gyrate_coeffs(basis, c, a),
+    lambda basis, c, a: ks_coeffs(c, a),
+    lambda basis, c, a: ka_coeffs(c, a),
+    lambda basis, c, a: apply_element_coeffs(
+        basis, c, FourierGroupElement(0.3, a, 1.1, 0.2)),
+    lambda basis, c, a: apply_element_coeffs(
+        basis, c, FourierGroupElement(a, a, a, a))],
+    ids=["rotate_coeffs", "gyrate_coeffs", "ks_coeffs", "ka_coeffs",
+         "apply_psi", "apply_all"])
+def test_huge_angle_acts_as_its_reduction_mod_4pi(basis53, rng, transform,
+                                                  angle):
+    # 4 pi is a multiple of every period, so a huge finite angle acts as its
+    # remainder: finite, norm-preserving, and equal to the reduced angle.
+    coeffs = analyze(basis53, random_image(rng, basis53))
+    out = transform(basis53, coeffs, angle)
+    assert np.all(np.isfinite(out))
+    assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(coeffs),
+                                                rel=1e-12)
+    reduced = transform(basis53, coeffs, math.fmod(angle, 4 * math.pi))
+    assert np.array_equal(out, reduced)
