@@ -4,8 +4,9 @@ The pixel screen is modelled as a pair of finite oscillators: an N_x x N_y
 array carries an orthonormal basis of two-dimensional Kravchuk modes, and
 rotations, gyrations, and fractional Fourier transforms are elements of one
 Fourier group acting on mode coefficients: mode-number phases, and a mix of
-each level in the cached eigenbasis of J_y of its spin.  Every transform is
-exactly unitary, so arbitrary compositions are lossless and invertible.
+each level in the eigenbasis of J_y of its spin, the quarter-turn little-d
+block up to diagonal phases.  Every transform is exactly unitary, so
+arbitrary compositions are lossless and invertible.
 """
 
 from .errors import (DimensionError, DomainError, FkimageError, FormatError,

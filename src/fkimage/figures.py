@@ -30,7 +30,7 @@ __all__ = [
 _PAD = 2
 
 
-def _sheet(cells, n_cols, n_rows, cell_shape, maxval=255):
+def _sheet(cells, n_cols, n_rows, cell_shape):
     """Assemble unit-interval tiles into one sheet array indexed [ix, iy]."""
     w, h = cell_shape
     sheet = np.zeros((n_cols * (w + _PAD) + _PAD, n_rows * (h + _PAD) + _PAD))
@@ -41,9 +41,9 @@ def _sheet(cells, n_cols, n_rows, cell_shape, maxval=255):
     return sheet
 
 
-def _write_sheet(sheet01, path, maxval=255):
+def _write_sheet(sheet01, path):
     from .imageio import pixels_to_gray, write_pgm
-    write_pgm(path, pixels_to_gray(sheet01, maxval), maxval)
+    write_pgm(path, pixels_to_gray(sheet01, 255), 255)
     return path
 
 

@@ -10,9 +10,9 @@ general group element
 
 is applied by ``apply_element_coeffs``, the only code that mixes levels:
 its diagonal factors fold into one phase before and one after a mix of the
-levels in each spin's cached J_y eigenbasis.  ``c`` is the per-level
-integer ``CartesianBasis.c``; the leading phase is 1 for a plain element,
-whose omega is (psi + phi)/2.  Rotation by theta is the element
+levels in each spin's J_y eigenbasis, held by the basis.  ``c`` is the
+per-level integer ``CartesianBasis.c``; the leading phase is 1 for a plain
+element, whose omega is (psi + phi)/2.  Rotation by theta is the element
 D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is D(0; 0, 2 gamma, 0);
 both act block-diagonally on the total-mode levels and never move
 amplitude between levels.  The fractional Fourier transforms K_S and K_A
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DimensionError
 from .group_algebra import FourierGroupElement
 from .mode_basis import CartesianBasis
-from .special_functions import _finite_angle, _jy_eigenvectors
+from .special_functions import _finite_angle
 
 __all__ = [
     "analyze",
@@ -142,7 +142,7 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     gyration's exp(+i pi (n_x-n_y)/4), and one post-multiplier, the
     conjugate gyration phase, K_A(psi/2), K_S(chi/2) and the omega phase
     exp(-i c (omega - (psi + phi)/2)).  Between them the levels of each
-    spin are projected onto its cached J_y eigenbasis W as
+    spin are projected onto its J_y eigenbasis W, ``basis.eigenvectors``, as
     ``conj(conj(x) W)``, multiplied by the eigen-phases exp(-i theta mu)
     and projected back with ``W^T``; one ``exp`` vector over the doubled
     projections of the largest spin serves every spin as a strided slice.
@@ -177,7 +177,7 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
         top = basis.spin_groups[-1][0]
         phases = np.exp(-0.5j * theta * np.arange(-top, top + 1))
         for two_l, nx, ny in basis.spin_groups:
-            W = _jy_eigenvectors(two_l)
+            W = basis.eigenvectors[two_l]
             eig = np.conj(np.conj(out[nx, ny]) @ W)
             eig *= phases[top - two_l:top + two_l + 1:2]
             mixed = eig @ W.T

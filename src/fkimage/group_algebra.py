@@ -86,7 +86,11 @@ class FourierGroupElement:
             gap = abs(raw % TWO_PI - omega)
             # Reducing mod 2 pi rounds: an omega within a few ulps of the
             # default is the default, so equality and the wire format agree.
-            scale = max(abs(raw), abs(self.psi) + abs(self.phi), TWO_PI)
+            # The ulps are those of the angles reduced mod 4 pi, so the
+            # window stays far narrower than the circle at any magnitude.
+            scale = max(abs(math.fmod(raw, FOUR_PI)), TWO_PI,
+                        abs(math.fmod(self.psi, FOUR_PI))
+                        + abs(math.fmod(self.phi, FOUR_PI)))
             if min(gap, TWO_PI - gap) > 4.0 * math.ulp(scale):
                 omega = raw % TWO_PI
         object.__setattr__(self, "omega", omega)

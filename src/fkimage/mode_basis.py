@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .special_functions import Spin, as_spin, wigner_little_d
+from .special_functions import Spin, _ladder, as_spin
 
 __all__ = [
     "ScreenShape",
@@ -176,13 +176,19 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
 
 
 class CartesianBasis:
-    """One-dimensional Kravchuk tables and level bookkeeping of a screen.
+    """One-dimensional Kravchuk tables, J_y eigenbases and level bookkeeping
+    of a screen.
 
     ``phi_x[n, i]`` holds Psi_n^(j_x) at pixel i (q_x = i - j_x), likewise
     ``phi_y``; both tables are orthogonal, so analysis/synthesis of images
     is a pair of small matrix products.  The tables are quarter-turn
-    little-d blocks, ``Psi_n(q) = d^j_{n-j,q}(pi/2)``, taken from the
-    spectral kernel.  ``spin_groups`` holds one ``(2*lambda, n_x, n_y)``
+    little-d blocks, ``Psi_n(q) = d^j_{n-j,q}(pi/2)``, two rungs of one
+    walk of the half-spin ladder at pi/2 up to ``max(2j_x, 2j_y)``.
+    ``eigenvectors[2*lambda]`` is the complex matrix
+    ``W = diag(i^-k) d^lambda(pi/2)`` from the same walk, for every
+    ``2*lambda <= min(2j_x, 2j_y)``: its rows follow the level's mu order,
+    and its column k is an eigenvector of J_y with eigenvalue
+    ``k - lambda``.  ``spin_groups`` holds one ``(2*lambda, n_x, n_y)``
     entry per distinct spin, in ascending spin: the index arrays have shape
     (levels with that spin, 2*lambda + 1), one row per level in ascending
     n with members in the level's mu order, so a rotation, gyration or
@@ -198,8 +204,18 @@ class CartesianBasis:
 
     def __init__(self, shape: ScreenShape):
         self.shape = shape
-        self.phi_x = self._table(shape.j_x)
-        self.phi_y = self._table(shape.j_y)
+        two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j
+        top, two_jmin = max(two_jx, two_jy), min(two_jx, two_jy)
+        powers = 1j ** (-np.arange(two_jmin + 1) % 4)
+        eigenvectors = []
+        for two_l, d in enumerate(_ladder(top, math.pi / 2.0)):
+            if two_l <= two_jmin:
+                eigenvectors.append(_frozen(powers[:two_l + 1, None] * d))
+            if two_l == two_jx:
+                self.phi_x = _frozen(d[::-1, ::-1].copy())
+            if two_l == two_jy:
+                self.phi_y = _frozen(d[::-1, ::-1].copy())
+        self.eigenvectors = tuple(eigenvectors)
         levels = []
         by_spin = {}
         c = np.empty(shape.pixels, dtype=np.intp)
@@ -216,11 +232,6 @@ class CartesianBasis:
             (two_l, _frozen(np.stack([nx for nx, _ in members])),
              _frozen(np.stack([ny for _, ny in members])))
             for two_l, members in sorted(by_spin.items()))
-
-    @staticmethod
-    def _table(spin: Spin) -> np.ndarray:
-        quarter_turn = wigner_little_d(spin, math.pi / 2.0).entries
-        return _frozen(quarter_turn[::-1, ::-1].copy())
 
     @property
     def levels(self) -> tuple[LevelSpectrum, ...]:
@@ -280,8 +291,8 @@ def cartesian_mode(basis: CartesianBasis, idx) -> np.ndarray:
 def _lk_level_phase(two_lambda: int) -> complex:
     # Canonical per-level phase exp(-i pi lambda / 2).  It makes the family
     # closed under conjugation, Lambda_{n,-m} = conj(Lambda_{n,m}), and the
-    # m = 0 members real; without it the quarter-turn phase sandwich leaves
-    # a stray factor exp(i pi lambda) between the +m and -m members.
+    # m = 0 members real; without it the J_y eigenvectors leave a stray
+    # factor exp(i pi lambda) between the +m and -m members.
     return cmath.exp(-1j * math.pi * two_lambda / 4.0)
 
 
@@ -289,7 +300,10 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
     """Cartesian-basis coefficients of the Laguerre-Kravchuk mode (n, m).
 
     ``m = 2*mu`` labels the member of level n; it must have the parity of
-    2*lambda(n) and satisfy |m| <= 2*lambda(n).
+    2*lambda(n) and satisfy |m| <= 2*lambda(n).  The LK modes are the J_y
+    eigenvectors of the level: the conjugated column of
+    ``basis.eigenvectors[2*lambda]`` for m's row, times ``(-i)^row`` and
+    the canonical level phase.
     """
     lev = basis.level(n)
     if not isinstance(m, (int, np.integer)) or m not in lev.two_mu:
@@ -298,11 +312,9 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
             f"(allowed: {lev.two_mu})")
     _, nx, ny = basis.level_arrays(n)
     row = lev.two_mu.index(int(m))
-    d = wigner_little_d(lev.spin, math.pi / 2.0).entries
-    diffs = nx - ny
-    phases_in = np.exp(1j * math.pi * diffs / 4.0)
-    amp = (_lk_level_phase(lev.spin.two_j)
-           * np.conj(phases_in[row]) * d[row] * phases_in)
+    two_l = lev.spin.two_j
+    amp = (_lk_level_phase(two_l) * (-1j) ** (row % 4)
+           * np.conj(basis.eigenvectors[two_l][:, row]))
     out = np.zeros(basis.shape.pixels, dtype=complex)
     out[nx, ny] = amp
     return out

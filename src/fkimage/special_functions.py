@@ -16,15 +16,17 @@ which pins every sign and index choice in this module.
 
 Evaluation
 ----------
-One spectral kernel serves the library: the eigenvectors W of ``J_y`` are
-computed once per spin and cached on ``2*lambda``.  ``wigner_little_d``
-forms the dense block ``W diag(exp(-i beta mu)) W^H``; the mode basis
-builds its one-dimensional Kravchuk tables from it at ``beta = pi/2``.
-The transforms in ``fourier_transforms`` form no block: they project the
-coefficients onto W, multiply by the eigen-phases and project back.
-``kravchuk_polynomial`` and ``kravchuk_function`` evaluate the exact
-terminating sum instead; they are the reference the tests and ``verify``
-compare the kernel against.
+One kernel serves the library: Risbo's half-spin recursion (``_half_step``),
+which turns d^{j-1/2}(beta) into d^j(beta) by coupling a spin 1/2.  Walking
+it from d^0 = [[1]] (``_ladder``) yields every spin up to the top in one
+sweep.  ``wigner_little_d`` walks it at beta, uncached.  Each
+``CartesianBasis`` walks it once at ``beta = pi/2``: two rungs, reversed,
+are its one-dimensional Kravchuk tables, and ``diag(i^-k) d^lam(pi/2)`` is
+the eigenbasis W of ``J_y`` in which the transforms in
+``fourier_transforms`` mix each level (they form no block).  Nothing is
+cached at module level.  ``kravchuk_polynomial`` and ``kravchuk_function``
+evaluate the exact terminating sum instead; they are the reference the
+tests and ``verify`` compare the kernel against.
 
 Half-integer bookkeeping is done with doubled integers (``two_j = 2j``)
 throughout, so no floating-point values are ever used as indices.
@@ -35,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, lgamma
 
 import numpy as np
@@ -189,40 +190,59 @@ def _finite_angle(angle) -> float:
     return math.fmod(angle, 4.0 * math.pi)
 
 
-@lru_cache(maxsize=None)
-def _jy_eigenvectors(two_l: int) -> np.ndarray:
-    """Eigenvectors W of J_y for spin two_l/2, columns ordered by ascending
-    eigenvalue mu = -lam, ..., +lam.
+def _half_step(d: np.ndarray, c: float, s: float) -> np.ndarray:
+    """d^j(beta) from d^{j-1/2}(beta), with ``c, s = cos, sin(beta/2)``.
 
-    A diagonal similarity with powers of i turns J_y into a real symmetric
-    tridiagonal (Jacobi) matrix; its eigenvectors, with the powers of i put
-    back, are those of J_y.  Only the spin decides W, so the cache holds one
-    entry per distinct 2*lambda and never grows with the number of angles.
+    Risbo's recursion couples spin j - 1/2 to spin 1/2 through the
+    Clebsch-Gordan factors ``a_m = sqrt((j+m)/2j)``, ``b_m = sqrt((j-m)/2j)``:
+
+        d^j_{m,m'} = a_m a_m' c d_{m-1/2,m'-1/2} - a_m b_m' s d_{m-1/2,m'+1/2}
+                   + b_m a_m' s d_{m+1/2,m'-1/2} + b_m b_m' c d_{m+1/2,m'+1/2}
+
+    applied as one pass over the columns, which couples m' for each of the
+    two spin-1/2 rows, and one over the rows.  In the descending layout
+    index k of the new spin has ``a = sqrt((2j-k)/2j)`` and
+    ``b = sqrt(k/2j)``, and m -/+ 1/2 are old indices k and k - 1.
     """
-    dim = two_l + 1
-    lam = two_l / 2.0
-    m = lam - np.arange(dim - 1)      # descending, pairs (m, m-1)
-    off = -0.5 * np.sqrt((lam + m) * (lam - m + 1.0))
-    _, V = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
-    W = (1j ** (-np.arange(dim) % 4))[:, None] * V
-    W.flags.writeable = False
-    return W
+    two_j = d.shape[0]
+    k = np.arange(two_j + 1)
+    a = np.sqrt((two_j - k) / two_j)
+    b = np.sqrt(k / two_j)
+    left = d * a[:-1]
+    right = d * b[1:]
+    up = np.zeros((two_j, two_j + 1))
+    down = np.zeros((two_j, two_j + 1))
+    up[:, :-1] = c * left
+    up[:, 1:] -= s * right
+    down[:, :-1] = s * left
+    down[:, 1:] += c * right
+    out = np.zeros((two_j + 1, two_j + 1))
+    out[:-1] = a[:-1, None] * up
+    out[1:] += b[1:, None] * down
+    return out
+
+
+def _ladder(top: int, beta: float):
+    """Yield d^lam(beta) for 2*lam = 0, 1, ..., top, one half-step apart."""
+    c, s = math.cos(0.5 * beta), math.sin(0.5 * beta)
+    d = np.ones((1, 1))
+    yield d
+    for _ in range(top):
+        d = _half_step(d, c, s)
+        yield d
 
 
 def _little_d_entries(two_l: int, beta: float) -> np.ndarray:
-    """d^lam(beta) = Re(W diag(exp(-i beta mu)) W^H), descending-mu layout.
+    """d^lam(beta), descending-mu layout: the last rung of the ladder.
 
-    The spectrum of J_y is exactly {-lam, ..., lam}, so the eigen-phases use
-    those half-integers rather than the computed eigenvalues.  Backward-stable
-    at any spin; ``beta == 0`` gives an exact identity.
+    Uncached; ``beta == 0`` gives an exact identity.
     """
     beta = _finite_angle(beta)
     if beta == 0.0:
         return np.eye(two_l + 1)
-    W = _jy_eigenvectors(two_l)
-    mu = np.arange(-two_l / 2.0, two_l / 2.0 + 1.0)
-    block = (W * np.exp(-1j * beta * mu)) @ W.conj().T
-    return np.ascontiguousarray(block.real)
+    for d in _ladder(two_l, beta):
+        pass
+    return d
 
 
 @dataclass(frozen=True)
@@ -252,8 +272,8 @@ class LittleDMatrix:
 def wigner_little_d(lam, beta: float) -> LittleDMatrix:
     """Full Wigner little-d matrix for spin ``lam`` at angle ``beta``.
 
-    Evaluated spectrally from the cached eigenvectors of ``J_y``, which is
-    backward-stable at any spin, in the convention pinned by
+    Evaluated by the half-spin recursion from spin 0 up to ``lam``, fresh
+    on every call and independent of any basis, in the convention pinned by
     ``d^j_{n-j,q}(pi/2) == kravchuk_function(j, n, q)``.  A non-finite
     ``beta`` raises ``DomainError``.
     """

@@ -393,7 +393,8 @@ def test_transforms_form_no_dense_little_d_block(basis117, rng, monkeypatch):
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").partition(".")[0] == "fkimage":
-            for name in ("_little_d_entries", "wigner_little_d"):
+            for name in ("_little_d_entries", "wigner_little_d", "_ladder",
+                         "_half_step"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
     for op, expected in zip(ops, before):

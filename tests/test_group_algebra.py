@@ -201,6 +201,16 @@ def test_omega_within_ulps_of_default_is_default():
     assert "omega" not in json.loads(element_to_json(e))
 
 
+@pytest.mark.parametrize("psi", [1e17, -3e200])
+def test_explicit_omega_survives_huge_psi(psi):
+    # The default-omega window must stay narrow however large psi is: at
+    # |psi| = 1e17 an ulp of psi is wider than the whole circle.
+    e = FourierGroupElement(0.0, psi, 1.0, 0.5, omega=1.0)
+    assert e.omega == 1.0
+    assert e != FourierGroupElement(0.0, psi, 1.0, 0.5)
+    assert element_from_json(element_to_json(e)) == e
+
+
 # ----------------------------------------------------------------- JSON
 
 def test_json_roundtrip(rng):

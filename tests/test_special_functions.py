@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import fkimage
-from fkimage import (DomainError, Spin, analyze, build_basis, kravchuk_function,
-                     kravchuk_polynomial, rotate_coeffs, wigner_little_d)
-from fkimage.special_functions import _jy_eigenvectors
+from fkimage import (DomainError, FourierGroupElement, Spin, analyze,
+                     apply_element_coeffs, build_basis, gyrate_coeffs,
+                     kravchuk_function, kravchuk_polynomial, lk_coefficients,
+                     rotate_coeffs, wigner_little_d)
 
 from oracles import kravchuk_fraction, little_d_expm, psi_reference
 
@@ -202,7 +203,7 @@ def test_periodicity():
 
 
 def test_matches_expm_oracle():
-    for two_l in (1, 2, 3, 8, 15, 22, 30, 41):
+    for two_l in (1, 2, 3, 8, 15, 22, 30, 41, 96, 200):
         for beta in (0.21, math.pi / 2, math.pi, 2.0, 5.5, 9.0):
             got = wigner_little_d(Spin(two_l), beta).entries
             ref = little_d_expm(two_l, beta)
@@ -244,15 +245,27 @@ def test_rejects_nonfinite_angle():
         wigner_little_d(1, math.inf)
 
 
-def test_kernel_cache_does_not_grow_with_fresh_angles(rng):
-    basis = build_basis((20, 12))
-    coeffs = analyze(basis, rng.standard_normal(basis.shape.pixels))
-    angles = rng.uniform(0.0, 4 * math.pi, 20)
-    rotate_coeffs(basis, coeffs, angles[0])
-    size = _jy_eigenvectors.cache_info().currsize
-    for angle in angles[1:]:
-        rotate_coeffs(basis, coeffs, angle)
-        assert _jy_eigenvectors.cache_info().currsize == size
+def test_no_eigensolver_runs(rng, monkeypatch):
+    # Every little-d value comes from the half-spin ladder: building a
+    # basis, transforming at fresh angles, the LK modes and a dense block at
+    # a spin no other test asks for never call a numpy eigensolver.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a numpy eigensolver ran")
+
+    for name in ("eigh", "eig", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    element = FourierGroupElement(0.3, 1.9, 2.2, -0.7, 0.4)
+    for shape in ((5, 3), (2.5, 1), (3, 4.5)):
+        basis = build_basis(shape)
+        coeffs = analyze(basis, rng.standard_normal(basis.shape.pixels))
+        for angle in rng.uniform(-4 * math.pi, 4 * math.pi, 3):
+            rotate_coeffs(basis, coeffs, angle)
+            gyrate_coeffs(basis, coeffs, angle)
+        apply_element_coeffs(basis, coeffs, element)
+        for lev in basis.levels:
+            lk_coefficients(basis, lev.n, lev.two_mu[0])
+    for two_l in (5, 9, 203):
+        wigner_little_d(Spin(two_l), rng.uniform(0.1, 6.0))
 
 
 def test_import_loads_no_scipy():
