@@ -172,8 +172,9 @@ def load_image(path):
     """Load a PGM or complex-array file.
 
     Returns (shape, pixels): PGM grayscale becomes real amplitudes in
-    [0, 1]; complex arrays are loaded verbatim.  The format is detected
-    from the file's magic bytes.
+    [0, 1]; complex arrays are loaded verbatim, and rejected if any value
+    is NaN or infinite.  The format is detected from the file's magic
+    bytes.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -184,6 +185,8 @@ def load_image(path):
         pixels = _gray_to_pixels(gray, maxval)
     elif magic == COMPLEX_MAGIC:
         pixels = load_complex(path)
+        if not np.isfinite(pixels).all():
+            raise FormatError(f"{path} holds NaN or infinite values")
     else:
         raise FormatError(f"unrecognized image format in {path}")
     shape = ScreenShape.from_pixels(*pixels.shape)

@@ -168,38 +168,41 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
     two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j
     ny_lo = max(0, n - two_jx)
     ny_hi = min(two_jy, n)
+    two_l = ny_hi - ny_lo
     members = tuple(ModeIndex(n - ny, ny) for ny in range(ny_lo, ny_hi + 1))
-    diffs = [mi.m for mi in members]              # descending, step 2
-    center = (diffs[0] + diffs[-1]) // 2
-    two_mu = tuple(d - center for d in diffs)
-    return LevelSpectrum(n, Spin(ny_hi - ny_lo), members, two_mu)
+    two_mu = tuple(range(two_l, -two_l - 1, -2))
+    return LevelSpectrum(n, Spin(two_l), members, two_mu)
 
 
 class CartesianBasis:
     """One-dimensional Kravchuk tables, J_y eigenbases and level bookkeeping
     of a screen.
 
-    ``phi_x[n, i]`` holds Psi_n^(j_x) at pixel i (q_x = i - j_x), likewise
-    ``phi_y``; both tables are orthogonal, so analysis/synthesis of images
-    is a pair of small matrix products.  The tables are quarter-turn
-    little-d blocks, ``Psi_n(q) = d^j_{n-j,q}(pi/2)``, two rungs of one
-    walk of the half-spin ladder at pi/2 up to ``max(2j_x, 2j_y)``.
+    The basis stores only what the transforms read, as frozen arrays, and
+    is safe to share between threads.  ``phi_x[n, i]`` holds Psi_n^(j_x) at
+    pixel i (q_x = i - j_x), likewise ``phi_y``; both tables are
+    orthogonal, so analysis/synthesis of images is a pair of small matrix
+    products.  The tables are quarter-turn little-d blocks,
+    ``Psi_n(q) = d^j_{n-j,q}(pi/2)``, two rungs of one walk of the
+    half-spin ladder at pi/2 up to ``max(2j_x, 2j_y)``.
     ``eigenvectors[2*lambda]`` is the complex matrix
     ``W = diag(i^-k) d^lambda(pi/2)`` from the same walk, for every
     ``2*lambda <= min(2j_x, 2j_y)``: its rows follow the level's mu order,
     and its column k is an eigenvector of J_y with eigenvalue
-    ``k - lambda``.  ``spin_groups`` holds one ``(2*lambda, n_x, n_y)``
-    entry per distinct spin, in ascending spin: the index arrays have shape
-    (levels with that spin, 2*lambda + 1), one row per level in ascending
-    n with members in the level's mu order, so a rotation, gyration or
-    group element projects each spin's levels onto its J_y eigenbasis in
-    one matrix product and back in another.  ``c[n_x, n_y]`` is the integer
-    ``(n_x - n_y) - 2*mu``, constant on each level: zero on the lower
-    triangle, ``n - 2*j_min`` on the flat levels and ``2*(j_x - j_y)``
-    on the upper triangle.  It is the offset of the antisymmetric Fourier
+    ``k - lambda``.  ``spin_groups[i]`` is the ``(2*lambda, n_x, n_y)``
+    entry of spin ``2*lambda = i``, for i = 0 .. 2 j_min: the index arrays
+    have shape (levels with that spin, 2*lambda + 1), one row per level in
+    ascending n with members in the level's mu order, so a rotation,
+    gyration or group element projects each spin's levels onto its J_y
+    eigenbasis in one matrix product and back in another.  ``c[n_x, n_y]``
+    is the integer ``(n_x - n_y) - 2*mu``, constant on each level:
+    ``c = n - max(0, n - 2j_x) - min(n, 2j_y)`` with ``n = n_x + n_y``, in
+    either orientation, so zero on the lower triangle and ``2*(j_x - j_y)``
+    on the upper one.  It is the offset of the antisymmetric Fourier
     phases from the level projection, and carries the fifth parameter
-    ``omega`` of a group element.  All arrays are frozen after
-    construction and the object is safe to share between threads.
+    ``omega`` of a group element.  ``levels``, ``level(n)`` and
+    ``level_arrays(n)`` are views derived on demand from
+    ``level_spectrum``; the basis keeps no per-level objects.
     """
 
     def __init__(self, shape: ScreenShape):
@@ -216,37 +219,35 @@ class CartesianBasis:
             if two_l == two_jy:
                 self.phi_y = _frozen(d[::-1, ::-1].copy())
         self.eigenvectors = tuple(eigenvectors)
-        levels = []
-        by_spin = {}
-        c = np.empty(shape.pixels, dtype=np.intp)
-        for n in range(shape.max_total_mode + 1):
-            lev = level_spectrum(shape, n)
-            nx = np.fromiter((mi.n_x for mi in lev.members), dtype=np.intp)
-            ny = np.fromiter((mi.n_y for mi in lev.members), dtype=np.intp)
-            levels.append((lev, _frozen(nx), _frozen(ny)))
-            by_spin.setdefault(lev.spin.two_j, []).append((nx, ny))
-            c[nx, ny] = nx - ny - np.asarray(lev.two_mu)
-        self._levels = tuple(levels)
-        self.c = _frozen(c)
-        self.spin_groups = tuple(
-            (two_l, _frozen(np.stack([nx for nx, _ in members])),
-             _frozen(np.stack([ny for _, ny in members])))
-            for two_l, members in sorted(by_spin.items()))
+        # Level n holds n_y = max(0, n - 2j_x) .. min(n, 2j_y), so its spin
+        # 2*lambda is the width of that range: levels 2*lambda and
+        # n_max - 2*lambda below 2j_min, and every level 2j_min .. top at it.
+        groups = []
+        for two_l in range(two_jmin + 1):
+            ns = np.array([two_l, shape.max_total_mode - two_l]
+                          if two_l < two_jmin else range(two_jmin, top + 1),
+                          dtype=np.intp)
+            ny = (np.maximum(ns - two_jx, 0)[:, None]
+                  + np.arange(two_l + 1, dtype=np.intp))
+            groups.append((two_l, _frozen(ns[:, None] - ny), _frozen(ny)))
+        self.spin_groups = tuple(groups)
+        n = np.add.outer(np.arange(shape.n_x, dtype=np.intp),
+                         np.arange(shape.n_y, dtype=np.intp))
+        self.c = _frozen(n - np.maximum(n - two_jx, 0) - np.minimum(n, two_jy))
 
     @property
     def levels(self) -> tuple[LevelSpectrum, ...]:
-        return tuple(lev for lev, _, _ in self._levels)
+        return tuple(level_spectrum(self.shape, n)
+                     for n in range(self.shape.max_total_mode + 1))
 
     def level(self, n: int) -> LevelSpectrum:
-        if not 0 <= n <= self.shape.max_total_mode:
-            raise DomainError(
-                f"total mode n={n} outside 0..{self.shape.max_total_mode}")
-        return self._levels[n][0]
+        return level_spectrum(self.shape, n)
 
     def level_arrays(self, n: int):
         """(LevelSpectrum, n_x indices, n_y indices) for fancy indexing."""
-        lev, nx, ny = self._levels[int(n)]
-        return lev, nx, ny
+        lev = level_spectrum(self.shape, n)
+        ny = np.array([mi.n_y for mi in lev.members], dtype=np.intp)
+        return lev, _frozen(lev.n - ny), _frozen(ny)
 
     def check_mode_index(self, idx) -> ModeIndex:
         if isinstance(idx, tuple):
@@ -262,6 +263,8 @@ class CartesianBasis:
             raise DimensionError(
                 f"array shape {pixels.shape} does not match screen "
                 f"{self.shape.pixels}")
+        if not np.isfinite(pixels).all():
+            raise DomainError("array holds NaN or infinite values")
         return pixels
 
     def analyze(self, pixels: np.ndarray) -> np.ndarray:
@@ -305,12 +308,11 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
     ``basis.eigenvectors[2*lambda]`` for m's row, times ``(-i)^row`` and
     the canonical level phase.
     """
-    lev = basis.level(n)
+    lev, nx, ny = basis.level_arrays(n)
     if not isinstance(m, (int, np.integer)) or m not in lev.two_mu:
         raise DomainError(
             f"m={m} not an angular label of level n={n} "
             f"(allowed: {lev.two_mu})")
-    _, nx, ny = basis.level_arrays(n)
     row = lev.two_mu.index(int(m))
     two_l = lev.spin.two_j
     amp = (_lk_level_phase(two_l) * (-1j) ** (row % 4)

@@ -65,6 +65,20 @@ def test_shape_mismatch_raises(basis53):
         ks_coeffs(np.zeros(5), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_pixels_raise(basis53, bad):
+    # One NaN pixel would otherwise turn every output pixel into NaN.
+    image = np.ones(basis53.shape.pixels, dtype=complex)
+    image[4, 2] = bad
+    element = FourierGroupElement(0.3, 1.9, 2.2, -0.7)
+    for op in (lambda: analyze(basis53, image),
+               lambda: synthesize(basis53, image),
+               lambda: apply_element_coeffs(basis53, image, element),
+               lambda: rotate_image(basis53, image, 0.4)):
+        with pytest.raises(DomainError):
+            op()
+
+
 # ------------------------------------------------------------ rotation
 
 def test_rotate_zero_is_identity(basis53, rng):

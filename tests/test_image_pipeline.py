@@ -7,6 +7,7 @@ from fkimage import (DomainError, F_GLYPH_SHAPE, FormatError, RenderSpec,
                      ScreenShape, build_basis, cartesian_mode, f_glyph,
                      lk_mode, load_complex, load_image, read_pgm, render,
                      save_complex, write_pgm)
+from fkimage.cli import main
 from fkimage.imageio import pixels_to_gray
 from fkimage.render import scale_to_unit
 
@@ -122,6 +123,19 @@ def test_load_image_autodetects(tmp_path, rng):
     assert np.array_equal(pixels, arr)
     with pytest.raises(FileNotFoundError):
         load_image(tmp_path / "missing.fkimg")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_image_rejects_non_finite_values(tmp_path, bad):
+    arr = np.ones((5, 3), dtype=complex)
+    arr[2, 1] = bad
+    path = tmp_path / "bad.fkimg"
+    save_complex(path, arr)
+    with pytest.raises(FormatError):
+        load_image(path)
+    assert main(["rotate", "--theta", "pi", "--in", str(path),
+                 "--out", str(tmp_path / "out.fkimg")]) == 2
+    assert not (tmp_path / "out.fkimg").exists()
 
 
 def test_even_dimensions_are_half_integer_screens(tmp_path):

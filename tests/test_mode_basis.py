@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fkimage import (DomainError, ModeIndex, ScreenShape, Spin, build_basis,
-                     cartesian_mode, level_spectrum, lk_coefficients, lk_mode)
+from fkimage import (DomainError, FourierGroupElement, ModeIndex, ScreenShape,
+                     Spin, apply_element_coeffs, build_basis, cartesian_mode,
+                     gyrate_coeffs, level_spectrum, lk_coefficients, lk_mode,
+                     rotate_coeffs)
+from fkimage import mode_basis
 
 SQ2 = math.sqrt(0.5)
 
@@ -129,6 +133,54 @@ def test_basis_tables_frozen():
     basis = build_basis((2, 1))
     with pytest.raises(ValueError):
         basis.phi_x[0, 0] = 7.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(two_jx=st.integers(0, 40), two_jy=st.integers(0, 40))
+@example(two_jx=10, two_jy=6)
+@example(two_jx=6, two_jy=9)
+@example(two_jx=0, two_jy=8)
+@example(two_jx=12, two_jy=0)
+def test_closed_form_levels_match_level_spectrum(two_jx, two_jy):
+    # Both orientations, half-integer spins and zero-width axes.
+    basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
+    hits = np.zeros(basis.shape.pixels, dtype=int)
+    seen = []
+    for i, (two_l, nx, ny) in enumerate(basis.spin_groups):
+        assert two_l == i
+        ns = [int(x) + int(y) for x, y in zip(nx[:, 0], ny[:, 0])]
+        assert ns == sorted(set(ns))
+        for n, row_x, row_y in zip(ns, nx, ny):
+            lev, lev_x, lev_y = basis.level_arrays(n)
+            assert lev.spin.two_j == two_l
+            assert np.array_equal(row_x, lev_x)
+            assert np.array_equal(row_y, lev_y)
+        np.add.at(hits, (nx, ny), 1)
+        seen += ns
+    assert len(basis.spin_groups) == min(two_jx, two_jy) + 1
+    assert sorted(seen) == list(range(basis.shape.max_total_mode + 1))
+    assert np.all(hits == 1)
+    for n in range(basis.shape.max_total_mode + 1):
+        lev, nx, ny = basis.level_arrays(n)
+        assert np.array_equal(basis.c[nx, ny],
+                              nx - ny - np.asarray(lev.two_mu))
+
+
+def test_basis_and_transforms_build_no_level_objects(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-level object built")
+
+    monkeypatch.setattr(mode_basis, "level_spectrum", forbidden)
+    monkeypatch.setattr(mode_basis, "ModeIndex", forbidden)
+    element = FourierGroupElement(0.3, 1.9, 2.2, -0.7, 0.4)
+    for spins in ((5, 3), (3, 4.5), (20, 12)):
+        basis = build_basis(spins)
+        coeffs = np.ones(basis.shape.pixels)
+        for out in (rotate_coeffs(basis, coeffs, 0.9),
+                    gyrate_coeffs(basis, coeffs, -1.3),
+                    apply_element_coeffs(basis, coeffs, element)):
+            assert np.linalg.norm(out) == pytest.approx(
+                np.linalg.norm(coeffs), rel=1e-12)
 
 
 def test_half_integer_screen():
