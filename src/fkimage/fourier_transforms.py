@@ -10,9 +10,14 @@ general group element
 
 is applied by ``apply_element_coeffs``, the only code that mixes levels:
 its diagonal factors fold into one phase before and one after a mix of the
-levels in each spin's J_y eigenbasis, held by the basis.  ``c`` is the
-per-level integer ``CartesianBasis.c``; the leading phase is 1 for a plain
-element, whose omega is (psi + phi)/2.  Rotation by theta is the element
+levels in each spin's J_y eigenbasis ``diag(i^-k) d^lambda(pi/2)``.  The
+``i^-k`` fold into those two phases, as ``i^(n_y)`` before and
+``i^(-n_y)`` after, so the mix itself reads only the basis' real
+quarter-turn tables: the levels are gathered once into the basis' level
+order, each spin's block is mixed by two real matrix products, and one
+scatter restores the (n_x, n_y) layout.  ``c`` is the per-level integer
+``CartesianBasis.c``; the leading phase is 1 for a plain element, whose
+omega is (psi + phi)/2.  Rotation by theta is the element
 D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is D(0; 0, 2 gamma, 0);
 both act block-diagonally on the total-mode levels and never move
 amplitude between levels.  The fractional Fourier transforms K_S and K_A
@@ -142,49 +147,69 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     gyration's exp(+i pi (n_x-n_y)/4), and one post-multiplier, the
     conjugate gyration phase, K_A(psi/2), K_S(chi/2) and the omega phase
     exp(-i c (omega - (psi + phi)/2)).  Between them the levels of each
-    spin are projected onto its J_y eigenbasis W, ``basis.eigenvectors``, as
-    ``conj(conj(x) W)``, multiplied by the eigen-phases exp(-i theta mu)
-    and projected back with ``W^T``; one ``exp`` vector over the doubled
-    projections of the largest spin serves every spin as a strided slice.
+    spin are projected onto its J_y eigenbasis ``diag(i^-k) V``, multiplied
+    by the eigen-phases exp(-i theta mu) and projected back.  Member k of a
+    level has n_y = k + (the level's lowest n_y), so ``i^k`` differs from
+    ``i^(n_y)`` by a constant per level, which cancels between projection
+    and back-projection: ``i^(n_y)`` joins the pre-multiplier and
+    ``i^(-n_y)`` the post-multiplier, and only the real quarter-turn table
+    ``V = basis.quarter_turns[2 lambda]`` is left.  The pre-multiplied
+    coefficients are gathered once into ``basis.order``, where each spin's
+    levels form a ``(2 lambda + 1, levels)`` block; its real and imaginary
+    parts are mixed together by two real matrix products, ``V^T`` and
+    ``V``, in place, and one scatter puts the buffer back.  One ``exp``
+    vector over the doubled projections of the largest spin serves every
+    spin as a strided slice.
 
     At theta = 0 nothing is mixed and the element is one diagonal multiply,
     K_S(chi/2) K_A((psi + phi)/2) times the omega phase, so the identity
-    element gives an exact copy.  A phase that is exactly one never touches
-    the array: with both phases one, as for a rotation, real input stays
-    real.
+    element gives an exact copy; a phase that is exactly one never touches
+    the array.  Real input gives real output wherever the action is real:
+    at theta = 0 with both phases one, and for a rotation's element
+    D(0; -pi/2, theta, pi/2), where the real part of the mixed buffer is
+    returned.
     """
     coeffs = basis.check_image(coeffs)
     chi, psi, theta, phi = map(_finite_angle, (
         element.chi, element.psi, element.theta, element.phi))
+    shift = element.omega - element.default_omega
     if theta == 0.0:
-        pre = 1.0
         post = _mode_phases(coeffs.shape, 0.5 * (chi + psi + phi),
                             0.5 * (chi - psi - phi))
-    else:
-        quarter = 0.25 * math.pi
-        pre = _mode_phases(coeffs.shape, 0.5 * phi - quarter,
-                           quarter - 0.5 * phi)
-        post = _mode_phases(coeffs.shape, 0.5 * (chi + psi) + quarter,
-                            0.5 * (chi - psi) - quarter)
-    shift = element.omega - element.default_omega
+        if shift:
+            post = post * np.exp(-1j * shift * basis.c)
+        out = coeffs.astype(np.result_type(coeffs, np.float64, post))
+        if isinstance(post, np.ndarray):
+            out *= post
+        return out
+    # The gyration's quarter-turn phases with i^(n_y) folded in: the n_y
+    # angles are pi/2 past the unfolded pi/4 - phi/2 and (chi - psi)/2 - pi/4.
+    quarter = 0.25 * math.pi
+    pre = _mode_phases(coeffs.shape, 0.5 * phi - quarter,
+                       -0.5 * phi - quarter)
+    post = _mode_phases(coeffs.shape, 0.5 * (chi + psi) + quarter,
+                        0.5 * (chi - psi) + quarter)
+    # Unfolded, both phases are one exactly when the action is real.
+    real = (0.5 * phi == quarter and 0.5 * (chi + psi) == -quarter
+            and 0.5 * (chi - psi) == quarter and not shift
+            and not np.iscomplexobj(coeffs))
     if shift:
         post = post * np.exp(-1j * shift * basis.c)
-    out = coeffs.astype(np.result_type(coeffs, np.float64, pre, post))
-    if isinstance(pre, np.ndarray):
-        out *= pre
-    if theta:
-        real = not np.iscomplexobj(out)
-        top = basis.spin_groups[-1][0]
-        phases = np.exp(-0.5j * theta * np.arange(-top, top + 1))
-        for two_l, nx, ny in basis.spin_groups:
-            W = basis.eigenvectors[two_l]
-            eig = np.conj(np.conj(out[nx, ny]) @ W)
-            eig *= phases[top - two_l:top + two_l + 1:2]
-            mixed = eig @ W.T
-            out[nx, ny] = mixed.real if real else mixed
+    buf = np.multiply(coeffs, pre, dtype=np.complex128).ravel()[basis.order]
+    top = basis.spin_slices[-1][0]
+    phases = np.exp(-0.5j * theta * np.arange(-top, top + 1))
+    for two_l, start, stop, count in basis.spin_slices:
+        V = basis.quarter_turns[two_l]
+        x = buf[start:stop].view(np.float64).reshape(two_l + 1, 2 * count)
+        eig = (V.T @ x).view(np.complex128)
+        eig *= phases[top - two_l:top + two_l + 1:2, None]
+        np.matmul(V, eig.view(np.float64), out=x)
+    out = np.empty(coeffs.size, dtype=np.complex128)
+    out[basis.order] = buf
+    out = out.reshape(coeffs.shape)
     if isinstance(post, np.ndarray):
         out *= post
-    return out
+    return out.real.copy() if real else out
 
 
 def apply_element(basis: CartesianBasis, image: np.ndarray,

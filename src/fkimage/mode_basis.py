@@ -24,6 +24,7 @@ from .errors import DimensionError, DomainError
 from .special_functions import Spin, _ladder, as_spin
 
 __all__ = [
+    "MAX_PIXELS",
     "ScreenShape",
     "ModeIndex",
     "LevelSpectrum",
@@ -34,6 +35,10 @@ __all__ = [
     "lk_coefficients",
     "lk_mode",
 ]
+
+
+# The largest screen build_basis accepts, in pixels: 512x512.
+MAX_PIXELS = 1 << 18
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -175,8 +180,8 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
 
 
 class CartesianBasis:
-    """One-dimensional Kravchuk tables, J_y eigenbases and level bookkeeping
-    of a screen.
+    """One-dimensional Kravchuk tables, quarter-turn tables and level
+    bookkeeping of a screen.
 
     The basis stores only what the transforms read, as frozen arrays, and
     is safe to share between threads.  ``phi_x[n, i]`` holds Psi_n^(j_x) at
@@ -185,23 +190,27 @@ class CartesianBasis:
     products.  The tables are quarter-turn little-d blocks,
     ``Psi_n(q) = d^j_{n-j,q}(pi/2)``, two rungs of one walk of the
     half-spin ladder at pi/2 up to ``max(2j_x, 2j_y)``.
-    ``eigenvectors[2*lambda]`` is the complex matrix
-    ``W = diag(i^-k) d^lambda(pi/2)`` from the same walk, for every
-    ``2*lambda <= min(2j_x, 2j_y)``: its rows follow the level's mu order,
-    and its column k is an eigenvector of J_y with eigenvalue
-    ``k - lambda``.  ``spin_groups[i]`` is the ``(2*lambda, n_x, n_y)``
-    entry of spin ``2*lambda = i``, for i = 0 .. 2 j_min: the index arrays
-    have shape (levels with that spin, 2*lambda + 1), one row per level in
-    ascending n with members in the level's mu order, so a rotation,
-    gyration or group element projects each spin's levels onto its J_y
-    eigenbasis in one matrix product and back in another.  ``c[n_x, n_y]``
-    is the integer ``(n_x - n_y) - 2*mu``, constant on each level:
-    ``c = n - max(0, n - 2j_x) - min(n, 2j_y)`` with ``n = n_x + n_y``, in
-    either orientation, so zero on the lower triangle and ``2*(j_x - j_y)``
-    on the upper one.  It is the offset of the antisymmetric Fourier
-    phases from the level projection, and carries the fifth parameter
-    ``omega`` of a group element.  ``levels``, ``level(n)`` and
-    ``level_arrays(n)`` are views derived on demand from
+    ``quarter_turns[2*lambda]`` is the real orthogonal rung
+    ``V = d^lambda(pi/2)`` of the same walk, kept as it is yielded, for
+    every ``2*lambda <= min(2j_x, 2j_y)``: its rows follow the level's mu
+    order, and ``diag(i^-k) V`` has in column k an eigenvector of J_y with
+    eigenvalue ``k - lambda``.  The transforms fold the ``i^-k`` into
+    their mode phases, so every spin is mixed by real matrix products.
+    ``spin_groups[i]`` is the ``(2*lambda, n_x, n_y)`` entry of spin
+    ``2*lambda = i``, for i = 0 .. 2 j_min: the index arrays have shape
+    (levels with that spin, 2*lambda + 1), one row per level in ascending
+    n with members in the level's mu order.  ``order`` lays the same modes
+    out in one flat permutation of ``n_x*N_y + n_y``: spin after spin, each
+    spin's block mu-major, the transpose of its ``spin_groups`` entry, so
+    ``spin_slices[i] = (2*lambda, start, stop, levels)`` selects a
+    C-contiguous ``(2*lambda + 1, levels)`` block of a gathered buffer.
+    ``c[n_x, n_y]`` is the integer ``(n_x - n_y) - 2*mu``, constant on each
+    level: ``c = n - max(0, n - 2j_x) - min(n, 2j_y)`` with
+    ``n = n_x + n_y``, in either orientation, so zero on the lower triangle
+    and ``2*(j_x - j_y)`` on the upper one.  It is the offset of the
+    antisymmetric Fourier phases from the level projection, and carries
+    the fifth parameter ``omega`` of a group element.  ``levels``,
+    ``level(n)`` and ``level_arrays(n)`` are views derived on demand from
     ``level_spectrum``; the basis keeps no per-level objects.
     """
 
@@ -209,28 +218,33 @@ class CartesianBasis:
         self.shape = shape
         two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j
         top, two_jmin = max(two_jx, two_jy), min(two_jx, two_jy)
-        powers = 1j ** (-np.arange(two_jmin + 1) % 4)
-        eigenvectors = []
+        quarter_turns = []
         for two_l, d in enumerate(_ladder(top, math.pi / 2.0)):
             if two_l <= two_jmin:
-                eigenvectors.append(_frozen(powers[:two_l + 1, None] * d))
+                quarter_turns.append(_frozen(d))
             if two_l == two_jx:
                 self.phi_x = _frozen(d[::-1, ::-1].copy())
             if two_l == two_jy:
                 self.phi_y = _frozen(d[::-1, ::-1].copy())
-        self.eigenvectors = tuple(eigenvectors)
+        self.quarter_turns = tuple(quarter_turns)
         # Level n holds n_y = max(0, n - 2j_x) .. min(n, 2j_y), so its spin
         # 2*lambda is the width of that range: levels 2*lambda and
         # n_max - 2*lambda below 2j_min, and every level 2j_min .. top at it.
-        groups = []
+        groups, slices, flat, start = [], [], [], 0
         for two_l in range(two_jmin + 1):
             ns = np.array([two_l, shape.max_total_mode - two_l]
                           if two_l < two_jmin else range(two_jmin, top + 1),
                           dtype=np.intp)
             ny = (np.maximum(ns - two_jx, 0)[:, None]
                   + np.arange(two_l + 1, dtype=np.intp))
-            groups.append((two_l, _frozen(ns[:, None] - ny), _frozen(ny)))
+            nx = ns[:, None] - ny
+            groups.append((two_l, _frozen(nx), _frozen(ny)))
+            flat.append((nx * shape.n_y + ny).T.ravel())
+            slices.append((two_l, start, start + nx.size, len(ns)))
+            start += nx.size
         self.spin_groups = tuple(groups)
+        self.order = _frozen(np.concatenate(flat))
+        self.spin_slices = tuple(slices)
         n = np.add.outer(np.arange(shape.n_x, dtype=np.intp),
                          np.arange(shape.n_y, dtype=np.intp))
         self.c = _frozen(n - np.maximum(n - two_jx, 0) - np.minimum(n, two_jy))
@@ -279,9 +293,18 @@ class CartesianBasis:
 
 
 def build_basis(shape) -> CartesianBasis:
-    """Construct the Cartesian basis tables for a screen shape."""
+    """Construct the Cartesian basis tables for a screen shape.
+
+    Screens of more than ``MAX_PIXELS`` pixels raise ``DomainError`` before
+    anything is built: the quarter-turn tables grow as the cube of the
+    shorter side, about 360 MB at 512x512.
+    """
     if not isinstance(shape, ScreenShape):
         shape = ScreenShape.of(*shape)
+    if shape.mode_count > MAX_PIXELS:
+        raise DomainError(
+            f"screen {shape.n_x}x{shape.n_y} has {shape.mode_count} pixels, "
+            f"more than the limit of {MAX_PIXELS}")
     return CartesianBasis(shape)
 
 
@@ -304,9 +327,10 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
 
     ``m = 2*mu`` labels the member of level n; it must have the parity of
     2*lambda(n) and satisfy |m| <= 2*lambda(n).  The LK modes are the J_y
-    eigenvectors of the level: the conjugated column of
-    ``basis.eigenvectors[2*lambda]`` for m's row, times ``(-i)^row`` and
-    the canonical level phase.
+    eigenvectors of the level: column ``row`` of the real quarter-turn
+    table ``basis.quarter_turns[2*lambda]``, where ``row`` is m's index in
+    the level's mu order, times ``i^k`` on member k, ``(-i)^row`` and the
+    canonical level phase.
     """
     lev, nx, ny = basis.level_arrays(n)
     if not isinstance(m, (int, np.integer)) or m not in lev.two_mu:
@@ -316,7 +340,8 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
     row = lev.two_mu.index(int(m))
     two_l = lev.spin.two_j
     amp = (_lk_level_phase(two_l) * (-1j) ** (row % 4)
-           * np.conj(basis.eigenvectors[two_l][:, row]))
+           * (1j ** (np.arange(two_l + 1) % 4)
+              * basis.quarter_turns[two_l][:, row]))
     out = np.zeros(basis.shape.pixels, dtype=complex)
     out[nx, ny] = amp
     return out

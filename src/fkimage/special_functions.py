@@ -21,10 +21,11 @@ which turns d^{j-1/2}(beta) into d^j(beta) by coupling a spin 1/2.  Walking
 it from d^0 = [[1]] (``_ladder``) yields every spin up to the top in one
 sweep.  ``wigner_little_d`` walks it at beta, uncached.  Each
 ``CartesianBasis`` walks it once at ``beta = pi/2``: two rungs, reversed,
-are its one-dimensional Kravchuk tables, and ``diag(i^-k) d^lam(pi/2)`` is
-the eigenbasis W of ``J_y`` in which the transforms in
-``fourier_transforms`` mix each level (they form no block).  Nothing is
-cached at module level.  ``kravchuk_polynomial`` and ``kravchuk_function``
+are its one-dimensional Kravchuk tables, and the rungs up to the shorter
+side are its real quarter-turn tables V.  ``diag(i^-k) V`` is the
+eigenbasis of ``J_y`` in which the transforms in ``fourier_transforms``
+mix each level, with the ``i^-k`` folded into their phases (they form no
+block).  Nothing is cached at module level.  ``kravchuk_polynomial`` and ``kravchuk_function``
 evaluate the exact terminating sum instead; they are the reference the
 tests and ``verify`` compare the kernel against.
 

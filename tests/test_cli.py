@@ -203,3 +203,14 @@ def test_data_errors_exit_2(tmp_path):
                  "--out", str(tmp_path / "o2.fkimg")]) == 2
     assert main(["apply", "--element", "{bad json", "--in", str(corrupt),
                  "--out", "x"]) == 2
+
+
+def test_screen_above_pixel_limit_exits_2(tmp_path, capsys):
+    # A 513x512 PGM is rejected before any table is built.
+    big = tmp_path / "big.pgm"
+    big.write_bytes(b"P5\n512 513\n255\n" + bytes(513 * 512))
+    assert main(["rotate", "--theta", "pi", "--in", str(big),
+                 "--out", str(tmp_path / "o.pgm")]) == 2
+    assert main(["modes", "--shape", "400,300",
+                 "--out", str(tmp_path / "m")]) == 2
+    assert "limit" in capsys.readouterr().err

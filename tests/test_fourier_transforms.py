@@ -394,6 +394,23 @@ def test_eigenbasis_transforms_match_little_d_blocks(two_jx, two_jy, angles,
     assert np.max(np.abs(real - rotated.real)) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("spins", [(5, 3), (3, 4.5), (20, 12), (64, 48)])
+def test_real_rotation_is_real_part_of_complex_path(spins):
+    # Real coefficients take the complex path and keep its real part, so
+    # the result is float64, bit for bit the real part of the same
+    # rotation of x + 0j, whose imaginary part is rounding noise.
+    basis = build_basis(spins)
+    x = analyze(basis, np.random.default_rng(17).standard_normal(
+        basis.shape.pixels))
+    scale = np.max(np.abs(x))
+    for theta in (0.37, math.pi / 6, -2.8, 11.0):
+        real = rotate_coeffs(basis, x, theta)
+        full = rotate_coeffs(basis, x + 0j, theta)
+        assert real.dtype == np.float64
+        assert np.array_equal(real, full.real)
+        assert np.max(np.abs(full.imag)) < 1e-12 * scale
+
+
 def test_transforms_form_no_dense_little_d_block(basis117, rng, monkeypatch):
     coeffs = analyze(basis117, random_image(rng, basis117))
     element = FourierGroupElement(0.3, 1.9, 2.2, -0.7, 0.4)

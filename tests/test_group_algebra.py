@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fkimage import (FourierGroupElement, ValidationError,
-                     apply_element, build_basis, compose, element_from_json,
-                     element_to_json, from_matrix, inverse, to_matrix,
-                     wigner_little_d)
+from fkimage import (FourierGroupElement, ScreenShape, Spin, ValidationError,
+                     apply_element, apply_element_coeffs, build_basis,
+                     compose, element_from_json, element_to_json,
+                     from_matrix, inverse, to_matrix, wigner_little_d)
 
 from oracles import random_element, random_image
 
@@ -178,6 +179,34 @@ def test_inverse_and_compose_exact_for_any_angles(spins):
         lhs = apply_element(basis, img, compose(a, b))
         rhs = apply_element(basis, once, a)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+_ANGLES = st.lists(st.floats(-20, 20, exclude_min=True, exclude_max=True),
+                   min_size=5, max_size=5)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(two_jx=st.integers(0, 40), two_jy=st.integers(0, 40),
+       a=_ANGLES, b=_ANGLES, seed=st.integers(0, 2 ** 32 - 1))
+@example(two_jx=10, two_jy=6, a=[1.0, -7.5, 13.0, 19.0, -3.0],
+         b=[-19.5, 2.0, -11.0, 5.5, 17.0], seed=1)
+@example(two_jx=5, two_jy=9, a=[0.3, 1.9, 2.2, -0.7, 0.4],
+         b=[4.0, -16.0, 8.5, 12.0, -9.0], seed=2)
+def test_group_laws_on_random_screens(two_jx, two_jy, a, b, seed):
+    # Both orientations and half-integer spins, elements far outside the
+    # canonical ranges, explicit omega included: the action is unitary,
+    # inverse undoes it, and compose is an exact homomorphism.
+    basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
+    coeffs = random_image(np.random.default_rng(seed), basis)
+    a, b = FourierGroupElement(*a), FourierGroupElement(*b)
+    once = apply_element_coeffs(basis, coeffs, b)
+    assert np.linalg.norm(once) == pytest.approx(np.linalg.norm(coeffs),
+                                                 rel=1e-12)
+    back = apply_element_coeffs(basis, once, inverse(b))
+    assert np.max(np.abs(back - coeffs)) < 1e-9
+    lhs = apply_element_coeffs(basis, coeffs, compose(a, b))
+    rhs = apply_element_coeffs(basis, once, a)
+    assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_default_omega_leaves_action_unchanged(rng):

@@ -166,6 +166,61 @@ def test_closed_form_levels_match_level_spectrum(two_jx, two_jy):
                               nx - ny - np.asarray(lev.two_mu))
 
 
+def _arrays(value):
+    """Every array in a value, looking into nested tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(two_jx=st.integers(0, 40), two_jy=st.integers(0, 40))
+@example(two_jx=10, two_jy=6)
+@example(two_jx=6, two_jy=9)
+@example(two_jx=0, two_jy=8)
+@example(two_jx=12, two_jy=0)
+def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
+    # Both orientations, half-integer spins and zero-width axes.
+    basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
+    n_y = basis.shape.n_y
+    order = basis.order
+    assert not order.flags.writeable
+    assert np.array_equal(np.sort(order), np.arange(basis.shape.mode_count))
+    assert len(basis.spin_slices) == len(basis.spin_groups)
+    stop = 0
+    for (two_l, start, stop_i, count), (g_two_l, nx, ny) in zip(
+            basis.spin_slices, basis.spin_groups):
+        assert (two_l, start, count) == (g_two_l, stop, nx.shape[0])
+        stop = stop_i
+        block = order[start:stop].reshape(two_l + 1, count)
+        assert np.array_equal(block, (nx * n_y + ny).T)
+    assert stop == basis.shape.mode_count
+    assert len(basis.quarter_turns) == min(two_jx, two_jy) + 1
+    for two_l, v in enumerate(basis.quarter_turns):
+        assert v.dtype == np.float64 and v.shape == (two_l + 1, two_l + 1)
+        assert not v.flags.writeable
+        assert np.max(np.abs(v @ v.T - np.eye(two_l + 1))) < 1e-13
+    # No complex table per spin: the J_y phases live in the transforms.
+    assert not any(np.iscomplexobj(table)
+                   for value in vars(basis).values()
+                   for table in _arrays(value))
+
+
+def test_build_basis_rejects_screens_above_pixel_limit(monkeypatch):
+    assert mode_basis.MAX_PIXELS == 512 * 512
+    for spins in ((400, 300), (256, 255.5)):
+        with pytest.raises(DomainError, match="pixels"):
+            build_basis(spins)
+    assert build_basis((100, 100)).shape.mode_count == 40401
+    # The accepted boundary, 512x512, is checked without building it.
+    monkeypatch.setattr(mode_basis, "CartesianBasis", lambda shape: shape)
+    assert build_basis((255.5, 255.5)).pixels == (512, 512)
+    with pytest.raises(DomainError):
+        build_basis(ScreenShape.from_pixels(513, 512))
+
+
 def test_basis_and_transforms_build_no_level_objects(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-level object built")
