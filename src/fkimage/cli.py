@@ -10,6 +10,7 @@ fractional (``5/2``) spins per axis.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import re
 import sys
@@ -159,6 +160,8 @@ def build_parser() -> _Parser:
     p.add_argument("--images", type=int, default=20,
                    help="random images per randomized check")
     p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object instead of the table")
 
     p = subs.add_parser("figures", help="regenerate the figure galleries")
     p.add_argument("--out", default="figures_out", help="output directory")
@@ -216,16 +219,24 @@ def _run(args) -> int:
                 for s in (parse_shape(t) for t in args.shape))
         results = run_verification(shapes=shapes, images=args.images,
                                    seed=args.seed)
+        failed = [r for r in results if not r.passed]
+        unexpected = [r for r in failed if not r.known_limitation]
+        if args.json:
+            print(json.dumps({
+                "checks": [r.as_dict() for r in results],
+                "passed": len(results) - len(failed),
+                "total": len(results),
+                "unexpected_failures": len(unexpected)}, indent=1))
+            return 3 if failed else 0
         width = max(len(r.name) for r in results)
-        failed = []
+        print(f"{'check':<{width}}  {'':4}  {'seconds':>7}  {'headroom':>8}  "
+              "detail")
         for r in results:
             status = "pass" if r.passed else "FAIL"
             note = "  [known limitation]" if (not r.passed
                                               and r.known_limitation) else ""
-            print(f"{r.name:<{width}}  {status}  {r.detail}{note}")
-            if not r.passed:
-                failed.append(r)
-        unexpected = [r for r in failed if not r.known_limitation]
+            print(f"{r.name:<{width}}  {status}  {r.seconds:7.3f}  "
+                  f"{r.headroom:8.2g}  {r.detail}{note}")
         print(f"\n{len(results) - len(failed)}/{len(results)} checks passed"
               + (f"; {len(failed) - len(unexpected)} known limitation(s)"
                  if len(failed) > len(unexpected) else ""))

@@ -13,11 +13,11 @@ its diagonal factors fold into one phase before and one after a mix of the
 levels in each spin's J_y eigenbasis ``diag(i^-k) d^lambda(pi/2)``.  The
 ``i^-k`` fold into those two phases, as ``i^(n_y)`` before and
 ``i^(-n_y)`` after, so the mix itself reads only the basis' real
-quarter-turn tables: the levels are gathered once into the basis' level
-order, each spin's block is mixed by two real matrix products, and one
-scatter restores the (n_x, n_y) layout.  ``c`` is the per-level integer
-``CartesianBasis.c``; the leading phase is 1 for a plain element, whose
-omega is (psi + phi)/2.  Rotation by theta is the element
+quarter-turn tables: the levels are gathered once into the basis' batched
+layout, each batch of spins is mixed by two stacked real matrix products,
+and one scatter restores the (n_x, n_y) layout.  ``c`` is the per-level
+integer ``CartesianBasis.c``; the leading phase is 1 for a plain element,
+whose omega is (psi + phi)/2.  Rotation by theta is the element
 D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is D(0; 0, 2 gamma, 0);
 both act block-diagonally on the total-mode levels and never move
 amplitude between levels.  The fractional Fourier transforms K_S and K_A
@@ -154,12 +154,15 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     and back-projection: ``i^(n_y)`` joins the pre-multiplier and
     ``i^(-n_y)`` the post-multiplier, and only the real quarter-turn table
     ``V = basis.quarter_turns[2 lambda]`` is left.  The pre-multiplied
-    coefficients are gathered once into ``basis.order``, where each spin's
-    levels form a ``(2 lambda + 1, levels)`` block; its real and imaginary
-    parts are mixed together by two real matrix products, ``V^T`` and
-    ``V``, in place, and one scatter puts the buffer back.  One ``exp``
-    vector over the doubled projections of the largest spin serves every
-    spin as a strided slice.
+    coefficients are gathered once into the layout of ``basis.batches``:
+    each batch of spins is a ``(spins, k_max, levels)`` block beside a
+    stack of the spins' tables, zero-padded to ``k_max``.  The block's
+    real and imaginary parts are mixed together by two stacked real
+    matrix products, ``V^T`` and then ``V`` for every spin of the batch
+    at once, in place, and one scatter puts the buffer back; the zero
+    padding adds nothing to the sums.  One ``exp`` vector over the doubled
+    J_y eigenvalues of the largest spin serves every batch through an
+    index.
 
     At theta = 0 nothing is mixed and the element is one diagonal multiply,
     K_S(chi/2) K_A((psi + phi)/2) times the omega phase, so the identity
@@ -195,18 +198,19 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
             and not np.iscomplexobj(coeffs))
     if shift:
         post = post * np.exp(-1j * shift * basis.c)
-    buf = np.multiply(coeffs, pre, dtype=np.complex128).ravel()[basis.order]
-    top = basis.spin_slices[-1][0]
+    # The buffer's padding rows gather the zero kept past the last mode.
+    size = coeffs.size
+    src = np.zeros(size + 1, dtype=np.complex128)
+    np.multiply(coeffs, pre, out=src[:size].reshape(coeffs.shape))
+    buf = src[basis.gather]
+    top = len(basis.quarter_turns) - 1
     phases = np.exp(-0.5j * theta * np.arange(-top, top + 1))
-    for two_l, start, stop, count in basis.spin_slices:
-        V = basis.quarter_turns[two_l]
-        x = buf[start:stop].view(np.float64).reshape(two_l + 1, 2 * count)
-        eig = (V.T @ x).view(np.complex128)
-        eig *= phases[top - two_l:top + two_l + 1:2, None]
-        np.matmul(V, eig.view(np.float64), out=x)
-    out = np.empty(coeffs.size, dtype=np.complex128)
-    out[basis.order] = buf
-    out = out.reshape(coeffs.shape)
+    for start, stop, stack, two_mu in basis.batches:
+        x = buf[start:stop].view(np.float64).reshape(*stack.shape[:2], -1)
+        eig = np.matmul(stack.transpose(0, 2, 1), x).view(np.complex128)
+        eig *= phases[top + two_mu]
+        np.matmul(stack, eig.view(np.float64), out=x)
+    out = buf[basis.scatter].reshape(coeffs.shape)
     if isinstance(post, np.ndarray):
         out *= post
     return out.real.copy() if real else out

@@ -30,6 +30,10 @@ class RenderSpec:
     channel:
         'real', 'imag', 'abs', or 'phase'.  Phase is wrapped to [-pi, pi)
         and always mapped over that full range, regardless of scaling.
+        So that rounding noise cannot flip a phase pixel across the gray
+        scale, a pixel of at most 1e-9 times the image's largest amplitude
+        renders as phase 0, and an angle within 1e-6 of the +-pi wrap as
+        -pi.
     """
 
     scaling: str = "fixed"
@@ -49,6 +53,12 @@ class RenderSpec:
         return 255 if self.depth == 8 else 65535
 
 
+# Relative amplitude at or below which a pixel's phase renders as 0, and
+# the distance from the +-pi wrap within which an angle renders as -pi.
+_PHASE_FLOOR = 1e-9
+_WRAP_WINDOW = 1e-6
+
+
 def _select_channel(pixels: np.ndarray, channel: str) -> np.ndarray:
     if channel == "real":
         return np.real(pixels)
@@ -56,9 +66,15 @@ def _select_channel(pixels: np.ndarray, channel: str) -> np.ndarray:
         return np.imag(pixels)
     if channel == "abs":
         return np.abs(pixels)
+    amplitude = np.abs(pixels)
     angles = np.angle(pixels)
-    # np.angle returns (-pi, pi]; fold the single endpoint to keep [-pi, pi)
-    return np.where(angles == math.pi, -math.pi, angles)
+    # np.angle returns (-pi, pi]; folding the wrap's neighbourhood to -pi
+    # keeps [-pi, pi) and renders a real negative pixel black whatever the
+    # sign of its rounding-noise imaginary part.
+    angles = np.where(np.abs(angles) >= math.pi - _WRAP_WINDOW, -math.pi,
+                      angles)
+    return np.where(amplitude <= _PHASE_FLOOR * amplitude.max(initial=0.0),
+                    0.0, angles)
 
 
 def scale_to_unit(values: np.ndarray, spec: RenderSpec) -> np.ndarray:

@@ -47,11 +47,30 @@ KNOWN_LIMITATIONS = ("rotation_pi_is_pixel_inversion",)
 
 @dataclass
 class CheckResult:
+    """One check's outcome: it passes when ``deviation <= tolerance``."""
+
     name: str
     passed: bool
     detail: str
     seconds: float
+    deviation: float
+    tolerance: float
     known_limitation: bool = False
+
+    @property
+    def headroom(self) -> float:
+        """tolerance / deviation; infinite for a deviation of zero."""
+        return self.tolerance / self.deviation if self.deviation else math.inf
+
+    def as_dict(self) -> dict:
+        """The fields ``fkimage verify --json`` prints; an infinite
+        headroom becomes None."""
+        return {"name": self.name, "passed": self.passed,
+                "deviation": self.deviation, "tolerance": self.tolerance,
+                "headroom": (self.headroom if math.isfinite(self.headroom)
+                             else None),
+                "seconds": self.seconds,
+                "known_limitation": self.known_limitation}
 
 
 def _random_element(rng) -> ga.FourierGroupElement:
@@ -585,6 +604,8 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
             passed=bool(deviation <= tol),
             detail=f"{detail}: deviation {deviation:.3e} (tolerance {tol:.1e})",
             seconds=elapsed,
+            deviation=float(deviation),
+            tolerance=float(tol),
             known_limitation=name in KNOWN_LIMITATIONS,
         ))
     return results

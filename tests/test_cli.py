@@ -173,6 +173,33 @@ def test_verify_command_reports_known_limitations(capsys):
     assert "unexpected failure" not in out
 
 
+def test_verify_json_reports_each_check(capsys):
+    code = main(["verify", "--shape", "5,3", "--images", "3", "--seed", "7",
+                 "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3
+    checks = report["checks"]
+    assert report["total"] == len(checks) and report["unexpected_failures"] == 0
+    assert report["passed"] == sum(c["passed"] for c in checks)
+    assert sorted(c["name"] for c in checks if not c["passed"]) == \
+        sorted(KNOWN_LIMITATIONS)
+    for c in checks:
+        assert set(c) == {"name", "passed", "deviation", "tolerance",
+                          "headroom", "seconds", "known_limitation"}
+        assert c["passed"] == (c["deviation"] <= c["tolerance"])
+        assert c["known_limitation"] == (c["name"] in KNOWN_LIMITATIONS)
+        assert c["seconds"] >= 0.0
+        if c["deviation"]:
+            assert c["headroom"] == pytest.approx(c["tolerance"]
+                                                  / c["deviation"])
+        else:
+            assert c["headroom"] is None
+    assert main(["verify", "--shape", "5,3", "--images", "3",
+                 "--seed", "7"]) == 3
+    header = capsys.readouterr().out.splitlines()[0].split()
+    assert header[:4] == ["check", "seconds", "headroom", "detail"]
+
+
 def test_figures_command(tmp_path):
     out = tmp_path / "figs"
     assert main(["figures", "--out", str(out)]) == 0

@@ -12,6 +12,7 @@ from fkimage import (DimensionError, DomainError, FourierGroupElement,
                      gyrate_coeffs_sandwich, gyrate_image, ka_coeffs,
                      ks_coeffs, lk_coefficients, rotate_coeffs, rotate_image,
                      synthesize, wigner_little_d)
+from fkimage import mode_basis
 
 from oracles import little_d_expm, random_image
 
@@ -392,6 +393,51 @@ def test_eigenbasis_transforms_match_little_d_blocks(two_jx, two_jy, angles,
     real = rotate_coeffs(basis, coeffs.real, theta)
     assert real.dtype == np.float64
     assert np.max(np.abs(real - rotated.real)) < 1e-12 * scale
+
+
+def _batch_edge_screens():
+    """(2j_x, 2j_y) whose shorter side 2j_min sits one below, at and one
+    past a batch edge, and past two; the square ones give a top batch of
+    one level.  Both orientations and half-integer spins."""
+    w = mode_basis._BATCH_SPINS
+    return [(w - 1, w + 4), (w + 3, w), (w + 1, w + 1), (w + 6, w + 1),
+            (2 * w, 2 * w + 5), (2 * w + 1, 2 * w + 1), (2 * w + 2, 2 * w + 1)]
+
+
+@pytest.mark.parametrize("two_j", _batch_edge_screens(), ids=str)
+def test_batched_mix_matches_little_d_blocks_across_batch_edges(two_j):
+    basis = build_basis(ScreenShape(Spin(two_j[0]), Spin(two_j[1])))
+    two_jmin = min(two_j)
+    assert len(basis.batches) == -(-two_jmin // mode_basis._BATCH_SPINS) + 1
+    assert basis.batches[-1][2].shape[0] == 1
+    rng = np.random.default_rng(sum(two_j))
+    coeffs = random_image(rng, basis)
+    scale = np.max(np.abs(coeffs))
+    for angles in rng.uniform(-20, 20, (3, 5)):
+        element = FourierGroupElement(*angles)
+        rotated, gyrated, applied = _level_reference(basis, coeffs, element)
+        for got, expected in (
+                (rotate_coeffs(basis, coeffs, element.theta), rotated),
+                (gyrate_coeffs(basis, coeffs, element.theta), gyrated),
+                (apply_element_coeffs(basis, coeffs, element), applied)):
+            assert np.max(np.abs(got - expected)) < 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(two_jx=st.integers(0, 40), two_jy=st.integers(0, 40),
+       a=st.floats(-20, 20), b=st.floats(-20, 20),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rotations_and_gyrations_are_one_parameter_groups(two_jx, two_jy,
+                                                          a, b, seed):
+    # R(a) R(b) = R(a + b) and G(a) G(b) = G(a + b) on random screens with
+    # 2j <= 40, both orientations and half-integer spins included.
+    basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
+    coeffs = random_image(np.random.default_rng(seed), basis)
+    scale = np.max(np.abs(coeffs))
+    for transform in (rotate_coeffs, gyrate_coeffs):
+        twice = transform(basis, transform(basis, coeffs, b), a)
+        once = transform(basis, coeffs, a + b)
+        assert np.max(np.abs(twice - once)) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("spins", [(5, 3), (3, 4.5), (20, 12), (64, 48)])

@@ -8,8 +8,9 @@ from fkimage import (DomainError, F_GLYPH_SHAPE, FormatError, RenderSpec,
                      lk_mode, load_complex, load_image, read_pgm, render,
                      save_complex, write_pgm)
 from fkimage.cli import main
+from fkimage import figures
 from fkimage.imageio import pixels_to_gray
-from fkimage.render import scale_to_unit
+from fkimage.render import _select_channel, scale_to_unit
 
 
 # ----------------------------------------------------------------- PGM
@@ -174,6 +175,41 @@ def test_phase_channel_wraps(tmp_path):
                            RenderSpec(channel="phase"))
     assert values[0, 0] == pytest.approx(0.0)
     assert values[1, 0] == pytest.approx(0.5)
+
+
+def test_phase_images_are_stable_under_rounding_noise(tmp_path,
+                                                      monkeypatch):
+    # Each phase image of gyration_rows on (11,7), with 1e-16 complex noise
+    # added, renders within one gray level of the clean image.
+    images = []
+
+    def recording_render(pixels, spec, path, *args, **kwargs):
+        if spec.channel == "phase":
+            images.append((pixels, spec))
+        return render(pixels, spec, path, *args, **kwargs)
+
+    monkeypatch.setattr(figures, "render", recording_render)
+    figures.gyration_rows(build_basis((11, 7)), tmp_path)
+    assert len(images) == 15
+    noise_rng = np.random.default_rng(3)
+
+    def gray(pixels, spec):
+        return pixels_to_gray(scale_to_unit(
+            _select_channel(pixels, spec.channel), spec), spec.maxval)
+
+    for pixels, spec in images:
+        clean = gray(pixels, spec)
+        for _ in range(4):
+            noise = 1e-16 * (noise_rng.standard_normal(pixels.shape)
+                             + 1j * noise_rng.standard_normal(pixels.shape))
+            assert np.max(np.abs(gray(pixels + noise, spec) - clean)) <= 1
+
+
+def test_phase_floor_and_wrap():
+    pixels = np.array([[1.0, -1.0, -1.0 + 1e-9j, -1.0 - 1e-9j, 1e-12j,
+                        0.0, 1j]])
+    assert _select_channel(pixels, "phase").tolist() == [
+        [0.0, -math.pi, -math.pi, -math.pi, 0.0, 0.0, math.pi / 2]]
 
 
 def test_sixteen_bit_render(tmp_path, rng):

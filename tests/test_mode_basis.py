@@ -135,6 +135,14 @@ def test_basis_tables_frozen():
         basis.phi_x[0, 0] = 7.0
 
 
+def _gathered_slots(basis):
+    """(2*lambda, rows) for every slot of every batch, in buffer order:
+    rows is the slot's (k_max, levels) block of ``basis.gather``."""
+    blocks = (basis.gather[start:stop].reshape(*stack.shape[:2], -1)
+              for start, stop, stack, _ in basis.batches)
+    return list(enumerate(rows for block in blocks for rows in block))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(two_jx=st.integers(0, 40), two_jy=st.integers(0, 40))
 @example(two_jx=10, two_jy=6)
@@ -144,22 +152,21 @@ def test_basis_tables_frozen():
 def test_closed_form_levels_match_level_spectrum(two_jx, two_jy):
     # Both orientations, half-integer spins and zero-width axes.
     basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
-    hits = np.zeros(basis.shape.pixels, dtype=int)
+    size, n_y = basis.shape.mode_count, basis.shape.n_y
     seen = []
-    for i, (two_l, nx, ny) in enumerate(basis.spin_groups):
-        assert two_l == i
-        ns = [int(x) + int(y) for x, y in zip(nx[:, 0], ny[:, 0])]
+    slots = _gathered_slots(basis)
+    assert len(slots) == min(two_jx, two_jy) + 1
+    for two_l, rows in slots:
+        assert np.all(rows[two_l + 1:] == size)
+        modes = rows[:two_l + 1]
+        ns = [int(x) for x in (modes // n_y + modes % n_y)[0]]
         assert ns == sorted(set(ns))
-        for n, row_x, row_y in zip(ns, nx, ny):
+        for n, column in zip(ns, modes.T):
             lev, lev_x, lev_y = basis.level_arrays(n)
             assert lev.spin.two_j == two_l
-            assert np.array_equal(row_x, lev_x)
-            assert np.array_equal(row_y, lev_y)
-        np.add.at(hits, (nx, ny), 1)
+            assert np.array_equal(column, lev_x * n_y + lev_y)
         seen += ns
-    assert len(basis.spin_groups) == min(two_jx, two_jy) + 1
     assert sorted(seen) == list(range(basis.shape.max_total_mode + 1))
-    assert np.all(hits == 1)
     for n in range(basis.shape.max_total_mode + 1):
         lev, nx, ny = basis.level_arrays(n)
         assert np.array_equal(basis.c[nx, ny],
@@ -181,27 +188,55 @@ def _arrays(value):
 @example(two_jx=6, two_jy=9)
 @example(two_jx=0, two_jy=8)
 @example(two_jx=12, two_jy=0)
+@example(two_jx=17, two_jy=16)
 def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
     # Both orientations, half-integer spins and zero-width axes.
     basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
-    n_y = basis.shape.n_y
-    order = basis.order
-    assert not order.flags.writeable
-    assert np.array_equal(np.sort(order), np.arange(basis.shape.mode_count))
-    assert len(basis.spin_slices) == len(basis.spin_groups)
+    size = basis.shape.mode_count
+    two_jmin = min(two_jx, two_jy)
+    gather, scatter = basis.gather, basis.scatter
+    assert not gather.flags.writeable and not scatter.flags.writeable
+    # Every mode is gathered exactly once; the padding gathers the zero
+    # kept at index N_x*N_y, and scatter inverts the gather.
+    modes = gather[gather != size]
+    assert np.array_equal(np.sort(modes), np.arange(size))
+    assert np.array_equal(gather[scatter], np.arange(size))
+    # Runs of _BATCH_SPINS consecutive spins, then the top spin alone.
+    runs, lo = [], 0
+    while lo < two_jmin:
+        runs.append(min(mode_basis._BATCH_SPINS, two_jmin - lo))
+        lo += runs[-1]
     stop = 0
-    for (two_l, start, stop_i, count), (g_two_l, nx, ny) in zip(
-            basis.spin_slices, basis.spin_groups):
-        assert (two_l, start, count) == (g_two_l, stop, nx.shape[0])
-        stop = stop_i
-        block = order[start:stop].reshape(two_l + 1, count)
-        assert np.array_equal(block, (nx * n_y + ny).T)
-    assert stop == basis.shape.mode_count
-    assert len(basis.quarter_turns) == min(two_jx, two_jy) + 1
-    for two_l, v in enumerate(basis.quarter_turns):
-        assert v.dtype == np.float64 and v.shape == (two_l + 1, two_l + 1)
-        assert not v.flags.writeable
-        assert np.max(np.abs(v @ v.T - np.eye(two_l + 1))) < 1e-13
+    assert len(basis.quarter_turns) == two_jmin + 1
+    assert len(basis.batches) == len(runs) + 1
+    spins = iter(range(two_jmin + 1))
+    for (start, stop_b, stack, two_mu), run in zip(basis.batches, runs + [1]):
+        assert start == stop
+        stop = stop_b
+        assert stack.dtype == np.float64 and not stack.flags.writeable
+        k_max = stack.shape[1]
+        assert stack.shape == (run, k_max, k_max)
+        assert two_mu.shape == (run, k_max, 1) and not two_mu.flags.writeable
+        levels = 2 if stack is not basis.batches[-1][2] else \
+            abs(two_jx - two_jy) + 1
+        assert stop - start == run * k_max * levels
+        for slot, mu in zip(stack, two_mu[..., 0]):
+            two_l = next(spins)
+            v = basis.quarter_turns[two_l]
+            # Each slot is its rung zero-padded, and the quarter-turn table
+            # is a view of it, so every table is stored once.
+            assert v.base is stack and not v.flags.writeable
+            assert np.shares_memory(v, slot)
+            assert v.dtype == np.float64 and v.shape == (two_l + 1, two_l + 1)
+            assert np.array_equal(slot[:two_l + 1, :two_l + 1], v)
+            assert not slot[two_l + 1:].any() and not slot[:, two_l + 1:].any()
+            assert np.max(np.abs(v @ v.T - np.eye(two_l + 1))) < 1e-13
+            assert np.array_equal(
+                mu, np.r_[np.arange(-two_l, two_l + 1, 2),
+                          np.zeros(k_max - two_l - 1, dtype=int)])
+        assert k_max == two_l + 1
+    assert next(spins, None) is None
+    assert stop == gather.size
     # No complex table per spin: the J_y phases live in the transforms.
     assert not any(np.iscomplexobj(table)
                    for value in vars(basis).values()
@@ -295,6 +330,21 @@ def test_lk_conjugation_symmetry_5_3():
             a = lk_mode(basis, lev.n, m)
             b = lk_mode(basis, lev.n, -m)
             assert np.max(np.abs(b - np.conj(a))) < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(two_jx=st.integers(0, 40), two_jy=st.integers(0, 40))
+@example(two_jx=9, two_jy=16)
+@example(two_jx=17, two_jy=17)
+def test_lk_conjugation_symmetry_on_random_screens(two_jx, two_jy):
+    # Lambda_{n,-m} = conj(Lambda_{n,m}) on every level, in both
+    # orientations and for half-integer spins.
+    basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
+    for lev in basis.levels:
+        for m in lev.two_mu[:(len(lev.two_mu) + 1) // 2]:
+            a = lk_mode(basis, lev.n, m)
+            b = lk_mode(basis, lev.n, -m)
+            assert np.max(np.abs(b - np.conj(a))) < 1e-13
 
 
 def test_lk_m0_modes_are_real():
