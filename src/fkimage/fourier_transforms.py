@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError
 from .group_algebra import FourierGroupElement
@@ -62,14 +63,43 @@ def synthesize(basis: CartesianBasis, coeffs: np.ndarray) -> np.ndarray:
     return basis.synthesize(coeffs)
 
 
-def _mode_phases(shape, a: float, b: float):
-    """exp(-i a n_x) * exp(-i b n_y) on an (N_x, N_y) grid, built as the
-    outer product of two 1-D exponentials.  Both angles zero give the
-    scalar 1.0, which callers never multiply into an array."""
-    if a == 0.0 and b == 0.0:
-        return 1.0
-    return np.outer(np.exp(-1j * a * np.arange(shape[0])),
-                    np.exp(-1j * b * np.arange(shape[1])))
+def _mode_phases(coeffs: np.ndarray, a: float, b: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """``coeffs`` times exp(-i a n_x) exp(-i b n_y), written to ``out``,
+    which may be ``coeffs`` itself, or to a new array.
+
+    The phase is applied as two broadcast multiplies by 1-D exponentials
+    over n_x and n_y, so no full-grid phase array is formed.  A zero
+    angle's factor is exactly one and never touches the array, so both
+    angles zero give an exact copy (float64 for real input).
+    """
+    if out is None:
+        kind = np.float64 if a == 0.0 and b == 0.0 else np.complex128
+        out = np.empty(coeffs.shape, np.result_type(coeffs, kind))
+    if a != 0.0:
+        np.multiply(coeffs, np.exp(-1j * a * np.arange(coeffs.shape[0]))[:, None],
+                    out=out)
+    elif out is not coeffs:
+        out[...] = coeffs
+    if b != 0.0:
+        out *= np.exp(-1j * b * np.arange(coeffs.shape[1]))
+    return out
+
+
+def _level_phases(basis: CartesianBasis, out: np.ndarray,
+                  shift: float) -> np.ndarray:
+    """Multiply ``out`` in place by the omega phase exp(-i shift c).
+
+    ``c`` is constant on each level n = n_x + n_y, so one vector of phases
+    over the levels serves the whole grid: read with equal strides along
+    both axes, its (N_x, N_y) view holds the phase of level n_x + n_y at
+    [n_x, n_y], and no full-grid phase array is formed.
+    """
+    c = basis.c
+    per_level = np.exp(-1j * shift * np.concatenate((c[:, 0], c[-1, 1:])))
+    step = per_level.strides[0]
+    out *= as_strided(per_level, c.shape, (step, step), writeable=False)
+    return out
 
 
 def rotate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
@@ -102,14 +132,14 @@ def ks_coeffs(coeffs: np.ndarray, chi: float) -> np.ndarray:
     """
     coeffs = _checked_coeffs(coeffs)
     chi = _finite_angle(chi)
-    return coeffs * _mode_phases(coeffs.shape, chi, chi)
+    return _mode_phases(coeffs, chi, chi)
 
 
 def ka_coeffs(coeffs: np.ndarray, beta: float) -> np.ndarray:
     """Antisymmetric fractional Fourier transform: phases exp(-i beta (n_x-n_y))."""
     coeffs = _checked_coeffs(coeffs)
     beta = _finite_angle(beta)
-    return coeffs * _mode_phases(coeffs.shape, beta, -beta)
+    return _mode_phases(coeffs, beta, -beta)
 
 
 def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
@@ -137,23 +167,50 @@ def gyrate_coeffs_sandwich(basis: CartesianBasis, coeffs: np.ndarray,
     return ka_coeffs(step, math.pi / 4.0)
 
 
+def _mixed(basis: CartesianBasis, coeffs: np.ndarray, theta: float,
+           a: float, b: float) -> np.ndarray:
+    """``coeffs`` times the pre-phase exp(-i a n_x) exp(-i b n_y), each
+    spin's levels then mixed in its J_y eigenbasis by the eigen-phases
+    exp(-i theta mu), as a new complex array (see ``apply_element_coeffs``).
+
+    The pre-phase is written straight into the gather source, whose one
+    slot past the last mode holds the zero that the padding rows gather.
+    The source goes before the scatter allocates the output, and the
+    gathered buffer on return, so no more than two full-size arrays are
+    alive at once.
+    """
+    src = np.empty(coeffs.size + 1, dtype=np.complex128)
+    src[-1] = 0.0
+    _mode_phases(coeffs, a, b, src[:-1].reshape(coeffs.shape))
+    buf = src[basis.gather]
+    del src
+    top = len(basis.quarter_turns) - 1
+    phases = np.exp(-0.5j * theta * np.arange(-top, top + 1))
+    for start, stop, stack, two_mu in basis.batches:
+        x = buf[start:stop].view(np.float64).reshape(*stack.shape[:2], -1)
+        eig = np.matmul(stack.transpose(0, 2, 1), x).view(np.complex128)
+        eig *= phases[top + two_mu]
+        np.matmul(stack, eig.view(np.float64), out=x)
+    return buf[basis.scatter].reshape(coeffs.shape)
+
+
 def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                          element: FourierGroupElement) -> np.ndarray:
     """Coefficient-space action of D(chi; psi, theta, phi; omega) in one pass.
 
     The only code that mixes levels; rotations and gyrations are elements
     applied here.  Each angle is first reduced into (-4 pi, 4 pi).  The
-    diagonal factors fold into one pre-multiplier, K_A(phi/2) and the
-    gyration's exp(+i pi (n_x-n_y)/4), and one post-multiplier, the
-    conjugate gyration phase, K_A(psi/2), K_S(chi/2) and the omega phase
+    diagonal factors fold into one pre-phase, K_A(phi/2) and the
+    gyration's exp(+i pi (n_x-n_y)/4), and one post-phase, the conjugate
+    gyration phase, K_A(psi/2), K_S(chi/2) and the omega phase
     exp(-i c (omega - (psi + phi)/2)).  Between them the levels of each
     spin are projected onto its J_y eigenbasis ``diag(i^-k) V``, multiplied
     by the eigen-phases exp(-i theta mu) and projected back.  Member k of a
     level has n_y = k + (the level's lowest n_y), so ``i^k`` differs from
     ``i^(n_y)`` by a constant per level, which cancels between projection
-    and back-projection: ``i^(n_y)`` joins the pre-multiplier and
-    ``i^(-n_y)`` the post-multiplier, and only the real quarter-turn table
-    ``V = basis.quarter_turns[2 lambda]`` is left.  The pre-multiplied
+    and back-projection: ``i^(n_y)`` joins the pre-phase and ``i^(-n_y)``
+    the post-phase, and only the real quarter-turn table
+    ``V = basis.quarter_turns[2 lambda]`` is left.  The pre-phased
     coefficients are gathered once into the layout of ``basis.batches``:
     each batch of spins is a ``(spins, k_max, levels)`` block beside a
     stack of the spins' tables, zero-padded to ``k_max``.  The block's
@@ -163,6 +220,17 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     padding adds nothing to the sums.  One ``exp`` vector over the doubled
     J_y eigenvalues of the largest spin serves every batch through an
     index.
+
+    Every phase is separable or constant per level, so none is formed on
+    the full grid: the pre-phase is written straight into the gather
+    source, and the post-phase and the omega phase multiply the scattered
+    output in place, as 1-D vectors broadcast over the grid (see
+    ``_mode_phases`` and ``_level_phases``).  An op therefore allocates
+    three full-size arrays, the source, the gathered buffer and the
+    output, and holds at most two of them at once.  Full-size temporaries
+    cost more than their arithmetic: a complex grid on (64,48) is 200 KB,
+    above the C allocator's 128 KiB mmap threshold, so its pages can be
+    faulted in afresh on every op.
 
     At theta = 0 nothing is mixed and the element is one diagonal multiply,
     K_S(chi/2) K_A((psi + phi)/2) times the omega phase, so the identity
@@ -177,42 +245,24 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
         element.chi, element.psi, element.theta, element.phi))
     shift = element.omega - element.default_omega
     if theta == 0.0:
-        post = _mode_phases(coeffs.shape, 0.5 * (chi + psi + phi),
-                            0.5 * (chi - psi - phi))
-        if shift:
-            post = post * np.exp(-1j * shift * basis.c)
-        out = coeffs.astype(np.result_type(coeffs, np.float64, post))
-        if isinstance(post, np.ndarray):
-            out *= post
-        return out
-    # The gyration's quarter-turn phases with i^(n_y) folded in: the n_y
-    # angles are pi/2 past the unfolded pi/4 - phi/2 and (chi - psi)/2 - pi/4.
+        a, b = 0.5 * (chi + psi + phi), 0.5 * (chi - psi - phi)
+        if not shift:
+            return _mode_phases(coeffs, a, b)
+        out = np.empty(coeffs.shape, np.result_type(coeffs, np.complex128))
+        return _level_phases(basis, _mode_phases(coeffs, a, b, out), shift)
     quarter = 0.25 * math.pi
-    pre = _mode_phases(coeffs.shape, 0.5 * phi - quarter,
-                       -0.5 * phi - quarter)
-    post = _mode_phases(coeffs.shape, 0.5 * (chi + psi) + quarter,
-                        0.5 * (chi - psi) + quarter)
     # Unfolded, both phases are one exactly when the action is real.
     real = (0.5 * phi == quarter and 0.5 * (chi + psi) == -quarter
             and 0.5 * (chi - psi) == quarter and not shift
             and not np.iscomplexobj(coeffs))
+    # The gyration's quarter-turn phases with i^(n_y) folded in: the n_y
+    # angles are pi/2 past the unfolded pi/4 - phi/2 and (chi - psi)/2 - pi/4.
+    out = _mixed(basis, coeffs, theta, 0.5 * phi - quarter,
+                 -0.5 * phi - quarter)
+    _mode_phases(out, 0.5 * (chi + psi) + quarter, 0.5 * (chi - psi) + quarter,
+                 out)
     if shift:
-        post = post * np.exp(-1j * shift * basis.c)
-    # The buffer's padding rows gather the zero kept past the last mode.
-    size = coeffs.size
-    src = np.zeros(size + 1, dtype=np.complex128)
-    np.multiply(coeffs, pre, out=src[:size].reshape(coeffs.shape))
-    buf = src[basis.gather]
-    top = len(basis.quarter_turns) - 1
-    phases = np.exp(-0.5j * theta * np.arange(-top, top + 1))
-    for start, stop, stack, two_mu in basis.batches:
-        x = buf[start:stop].view(np.float64).reshape(*stack.shape[:2], -1)
-        eig = np.matmul(stack.transpose(0, 2, 1), x).view(np.complex128)
-        eig *= phases[top + two_mu]
-        np.matmul(stack, eig.view(np.float64), out=x)
-    out = buf[basis.scatter].reshape(coeffs.shape)
-    if isinstance(post, np.ndarray):
-        out *= post
+        _level_phases(basis, out, shift)
     return out.real.copy() if real else out
 
 

@@ -26,6 +26,13 @@ group.  A plain four-parameter element has omega = (psi + phi)/2 (mod
 exactly, so ``apply(compose(a, b))`` equals ``apply(a)`` after
 ``apply(b)`` and ``apply(inverse(e))`` undoes ``apply(e)`` for any real
 angles.  omega only matters mod 2 pi and is stored in [0, 2 pi).
+
+``compose``, ``inverse`` and ``from_matrix`` work on the four matrix
+entries as Python complex numbers: ``_entries`` gives the entries of an
+element and ``_from_entries`` checks and decomposes them.  ``to_matrix``
+and ``from_matrix`` are thin ``ndarray`` wrappers of the same two helpers,
+so there is one code path; at 2x2, numpy's per-call overhead would cost
+several times the arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,63 +120,56 @@ class FourierGroupElement:
         return out
 
 
-def _rz(alpha: float) -> np.ndarray:
-    return np.array([[cmath.exp(-0.5j * alpha), 0.0],
-                     [0.0, cmath.exp(0.5j * alpha)]])
+def _entries(element: FourierGroupElement):
+    """The entries (u00, u01, u10, u11) of ``to_matrix(element)`` as Python
+    complexes, with Rz(alpha) = diag(p, conj(p)), p = exp(-i alpha/2)."""
+    g = cmath.exp(-0.5j * element.chi)
+    p = cmath.exp(-0.5j * element.psi)
+    f = cmath.exp(-0.5j * element.phi)
+    c, s = math.cos(0.5 * element.theta), math.sin(0.5 * element.theta)
+    pc, fc = p.conjugate(), f.conjugate()
+    return (g * (p * c * f), g * (-p * s * fc),
+            g * (pc * s * f), g * (pc * c * fc))
 
 
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def to_matrix(element: FourierGroupElement) -> np.ndarray:
-    """2x2 unitary matrix U = e^{-i chi/2} Rz(psi) Ry(theta) Rz(phi).
-
-    omega does not enter: the matrix represents the four-parameter
-    quotient of the group."""
-    u = _rz(element.psi) @ _ry(element.theta) @ _rz(element.phi)
-    return cmath.exp(-0.5j * element.chi) * u
-
-
-def from_matrix(matrix, tol: float = 1e-10) -> FourierGroupElement:
-    """Extract canonical Euler parameters from a 2x2 unitary matrix.
-
-    The result is a plain element (default omega).  Gimbal cases
-    theta in {0, pi} are resolved by the convention phi = 0.
-    Raises ValidationError when the input is not unitary to ``tol``.
-    """
-    u = np.asarray(matrix, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValidationError(f"expected a 2x2 matrix, got shape {u.shape}")
-    defect = np.max(np.abs(u @ u.conj().T - np.eye(2)))
+def _from_entries(u00: complex, u01: complex, u10: complex, u11: complex,
+                  tol: float = 1e-10) -> FourierGroupElement:
+    """Canonical plain element of the matrix [[u00, u01], [u10, u11]]; the
+    checks and the extraction of ``from_matrix``."""
+    if not all(map(cmath.isfinite, (u00, u01, u10, u11))):
+        raise ValidationError("matrix is non-finite")
+    defect = max(abs(abs(u00) ** 2 + abs(u01) ** 2 - 1.0),
+                 abs(u00 * u10.conjugate() + u01 * u11.conjugate()),
+                 abs(abs(u10) ** 2 + abs(u11) ** 2 - 1.0))
     if defect > tol:
         raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
 
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    chi = (-cmath.phase(det)) % TWO_PI
-    su = u * cmath.exp(0.5j * chi)           # in SU(2) up to an overall sign
+    chi = (-cmath.phase(u00 * u11 - u01 * u10)) % TWO_PI
+    h = cmath.exp(0.5j * chi)               # u * h is in SU(2) up to a sign
+    s00, s10 = u00 * h, u10 * h
 
-    a00, a10 = abs(su[0, 0]), abs(su[1, 0])
+    a00, a10 = abs(s00), abs(s10)
     theta = 2.0 * math.atan2(a10, a00)
     if a10 < 1e-12:                          # theta ~ 0: only psi+phi matters
         theta, phi = 0.0, 0.0
-        psi = (-2.0 * cmath.phase(su[0, 0])) % TWO_PI
+        psi = (-2.0 * cmath.phase(s00)) % TWO_PI
     elif a00 < 1e-12:                        # theta ~ pi: only psi-phi matters
         theta, phi = math.pi, 0.0
-        psi = (2.0 * cmath.phase(su[1, 0])) % TWO_PI
+        psi = (2.0 * cmath.phase(s10)) % TWO_PI
     else:
-        half_sum = -cmath.phase(su[0, 0])
-        half_diff = cmath.phase(su[1, 0])
+        half_sum = -cmath.phase(s00)
+        half_diff = cmath.phase(s10)
         psi = (half_sum + half_diff) % TWO_PI
         phi = (half_sum - half_diff) % TWO_PI
 
+    u = (u00, u01, u10, u11)
     element = FourierGroupElement(chi, psi, theta, phi)
+    residual = max(abs(x - y) for x, y in zip(_entries(element), u))
     # Folding psi, phi into [0, 2 pi) can silently flip the SU(2) sign; the
     # flip is absorbed by the central phase, chi -> chi + 2 pi.
-    if np.max(np.abs(to_matrix(element) - u)) > 1e-8:
+    if residual > 1e-8:
         element = FourierGroupElement((chi + TWO_PI) % FOUR_PI, psi, theta, phi)
-    residual = np.max(np.abs(to_matrix(element) - u))
+        residual = max(abs(x - y) for x, y in zip(_entries(element), u))
     if residual > max(10.0 * tol, 1e-9):
         raise ValidationError(
             f"Euler extraction failed to reproduce the matrix "
@@ -177,29 +177,61 @@ def from_matrix(matrix, tol: float = 1e-10) -> FourierGroupElement:
     return element
 
 
+def to_matrix(element: FourierGroupElement) -> np.ndarray:
+    """2x2 unitary matrix U = e^{-i chi/2} Rz(psi) Ry(theta) Rz(phi).
+
+    omega does not enter: the matrix represents the four-parameter
+    quotient of the group."""
+    u00, u01, u10, u11 = _entries(element)
+    return np.array([[u00, u01], [u10, u11]])
+
+
+def from_matrix(matrix, tol: float = 1e-10) -> FourierGroupElement:
+    """Extract canonical Euler parameters from a 2x2 unitary matrix.
+
+    The result is a plain element (default omega).  Gimbal cases
+    theta in {0, pi} are resolved by the convention phi = 0.
+    Raises ValidationError when the input is not a finite 2x2 matrix
+    unitary to ``tol``.
+    """
+    u = np.asarray(matrix, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValidationError(f"expected a 2x2 matrix, got shape {u.shape}")
+    return _from_entries(*u.ravel().tolist(), tol)
+
+
 def compose(a: FourierGroupElement, b: FourierGroupElement) -> FourierGroupElement:
     """Group product a*b (b acts first on images, matching right-to-left
     operator composition).
 
-    The four matrix parameters come from the matrix product.  Its SU(2)
-    part is the product of the factors' SU(2) parts up to a sign
-    s = exp(-i (chi_ab - chi_a - chi_b)/2), which ``from_matrix`` folds
-    into chi.  Level n sees that sign as s^(2 lambda) in D^lambda but as
-    s^n in the chi phase; n - 2 lambda has the parity of c_n, so
+    The four matrix parameters come from the matrix product, formed entry
+    by entry.  Its SU(2) part is the product of the factors' SU(2) parts
+    up to a sign s = exp(-i (chi_ab - chi_a - chi_b)/2), which
+    ``from_matrix`` folds into chi.  Level n sees that sign as
+    s^(2 lambda) in D^lambda but as s^n in the chi phase; n - 2 lambda has
+    the parity of c_n, so
 
         omega_ab = omega_a + omega_b + (chi_ab - chi_a - chi_b)/2
 
     makes up the difference.
     """
-    ab = from_matrix(to_matrix(a) @ to_matrix(b))
-    return replace(ab, omega=a.omega + b.omega + 0.5 * (ab.chi - a.chi - b.chi))
+    a00, a01, a10, a11 = _entries(a)
+    b00, b01, b10, b11 = _entries(b)
+    ab = _from_entries(a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                       a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    return FourierGroupElement(
+        ab.chi, ab.psi, ab.theta, ab.phi,
+        a.omega + b.omega + 0.5 * (ab.chi - a.chi - b.chi))
 
 
 def inverse(a: FourierGroupElement) -> FourierGroupElement:
     """Group inverse: the matrix parameters from the conjugate transpose, and
     omega from ``compose(a, inverse(a)) == identity``."""
-    inv = from_matrix(to_matrix(a).conj().T)
-    return replace(inv, omega=0.5 * (a.chi + inv.chi) - a.omega)
+    u00, u01, u10, u11 = _entries(a)
+    inv = _from_entries(u00.conjugate(), u10.conjugate(),
+                        u01.conjugate(), u11.conjugate())
+    return FourierGroupElement(inv.chi, inv.psi, inv.theta, inv.phi,
+                               0.5 * (a.chi + inv.chi) - a.omega)
 
 
 def element_to_json(element: FourierGroupElement) -> str:

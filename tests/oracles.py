@@ -2,10 +2,12 @@
 the tests.
 
 Each oracle takes a different computational route from the production code:
-Kravchuk values come from exact rational Pochhammer ratios, and little-d
-matrices come from the dense matrix exponential of J_y.
+Kravchuk values come from exact rational Pochhammer ratios, little-d
+matrices come from the dense matrix exponential of J_y, and the group
+algebra's 2x2 matrices are products and decompositions of numpy arrays.
 """
 
+import cmath
 import math
 from fractions import Fraction
 from math import comb
@@ -48,6 +50,42 @@ def little_d_expm(two_l, beta):
     d = expm(-1j * beta * jy)
     assert np.max(np.abs(d.imag)) < 1e-11
     return d.real
+
+
+def element_matrix(element):
+    """e^{-i chi/2} Rz(psi) Ry(theta) Rz(phi) as a product of numpy 2x2
+    arrays, Rz(alpha) = diag(e^{-i alpha/2}, e^{+i alpha/2})."""
+    def rz(alpha):
+        return np.diag([cmath.exp(-0.5j * alpha), cmath.exp(0.5j * alpha)])
+    c, s = math.cos(element.theta / 2.0), math.sin(element.theta / 2.0)
+    ry = np.array([[c, -s], [s, c]], dtype=complex)
+    return cmath.exp(-0.5j * element.chi) * (rz(element.psi) @ ry
+                                             @ rz(element.phi))
+
+
+def euler_angles(u):
+    """Canonical (chi, psi, theta, phi) of a 2x2 unitary numpy array: chi
+    from the determinant, theta, psi and phi from the first column of the
+    SU(2) part, phi = 0 at the gimbal angles, and chi moved by 2 pi when
+    folding psi and phi into [0, 2 pi) flipped the SU(2) sign."""
+    two_pi = 2.0 * math.pi
+    chi = (-cmath.phase(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])) % two_pi
+    su = u * cmath.exp(0.5j * chi)
+    a00, a10 = np.abs(su[:, 0])
+    theta = 2.0 * math.atan2(a10, a00)
+    if a10 < 1e-12:
+        theta, phi = 0.0, 0.0
+        psi = (-2.0 * cmath.phase(su[0, 0])) % two_pi
+    elif a00 < 1e-12:
+        theta, phi = math.pi, 0.0
+        psi = (2.0 * cmath.phase(su[1, 0])) % two_pi
+    else:
+        half_sum, half_diff = -cmath.phase(su[0, 0]), cmath.phase(su[1, 0])
+        psi, phi = (half_sum + half_diff) % two_pi, (half_sum - half_diff) % two_pi
+    if np.max(np.abs(element_matrix(
+            FourierGroupElement(chi, psi, theta, phi)) - u)) > 1e-8:
+        chi = (chi + two_pi) % (2.0 * two_pi)
+    return chi, psi, theta, phi
 
 
 def random_image(rng, basis):

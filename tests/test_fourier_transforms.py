@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,6 +456,42 @@ def test_real_rotation_is_real_part_of_complex_path(spins):
         assert real.dtype == np.float64
         assert np.array_equal(real, full.real)
         assert np.max(np.abs(full.imag)) < 1e-12 * scale
+
+
+def _traced_peak(op):
+    """Peak bytes that numpy and Python allocate during ``op()``, and its
+    result."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = op()
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_action_allocates_few_full_size_arrays(real):
+    # One op on (64,48) allocates the gather source, the gathered buffer
+    # (5 % padding) and the output, and no full-grid phase: its traced
+    # peak is 2.33 complex grids, the omega phase included.  A real
+    # rotation also copies out the float64 real part, 4.66 of its float64
+    # outputs.  The bounds leave room for small temporaries only.
+    basis = build_basis((64, 48))
+    coeffs = random_image(np.random.default_rng(23), basis)
+    if real:
+        coeffs = coeffs.real.copy()
+    element = FourierGroupElement(1.0, 0.3, 0.8, 2.0, omega=0.2)
+    for op, bound in (
+            (lambda: apply_element_coeffs(basis, coeffs, element), 3.25),
+            (lambda: rotate_coeffs(basis, coeffs, 0.7), 5.0 if real else 3.25)):
+        op()        # first calls may allocate once for good
+        peak, out = _traced_peak(op)
+        assert peak <= bound * out.nbytes, (peak / out.nbytes, out.dtype)
 
 
 def test_transforms_form_no_dense_little_d_block(basis117, rng, monkeypatch):

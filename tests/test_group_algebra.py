@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fkimage import (FourierGroupElement, ScreenShape, Spin, ValidationError,
                      compose, element_from_json, element_to_json,
                      from_matrix, inverse, to_matrix, wigner_little_d)
 
-from oracles import random_element, random_image
+from oracles import element_matrix, euler_angles, random_element, random_image
 
 TWO_PI = 2 * math.pi
 FOUR_PI = 4 * math.pi
@@ -76,6 +77,66 @@ def test_rejects_nonunitary():
         from_matrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
         from_matrix(np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0, math.nan)])
+def test_rejects_nonfinite_matrix(bad):
+    # Rejected up front, with no RuntimeWarning from the unitarity check.
+    u = np.eye(2, dtype=complex)
+    u[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite"):
+            from_matrix(u)
+
+
+def _assert_angles_close(element, want):
+    # A matrix fixes theta, psi and phi mod 2 pi, and chi - psi - phi mod
+    # 4 pi: moving psi or phi by 2 pi flips the SU(2) sign, which chi
+    # absorbs, so two routes may fold an angle next to 0 to either end.
+    chi, psi, theta, phi = want
+    e = element
+    for x, y, period in ((e.theta, theta, None), (e.psi, psi, TWO_PI),
+                         (e.phi, phi, TWO_PI),
+                         (e.chi - e.psi - e.phi, chi - psi - phi, FOUR_PI)):
+        gap = abs(x - y)
+        if period is not None:
+            gap = min(gap % period, period - gap % period)
+        assert gap < 1e-12, (e, want)
+
+
+_ELEMENT = st.lists(st.floats(-20, 20, exclude_min=True, exclude_max=True),
+                    min_size=5, max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=_ELEMENT, b=_ELEMENT)
+@example(a=[1.0, 2.0, 0.0, 3.0, 0.5], b=[4.0, -1.0, math.pi, 2.5, -6.0])
+@example(a=[-3.0, 5.0, math.pi, 0.7, 1.0], b=[2.0, 9.0, 0.0, -4.0, 3.0])
+@example(a=[1.0, 7.0, 1.0, 0.5, 2.0], b=[0.5, 3.0, 2.0, -1.0, 0.0])
+def test_scalar_group_algebra_matches_numpy_oracle(a, b):
+    # compose, inverse and from_matrix against numpy 2x2 products and
+    # decompositions; theta in {0, pi} and the sign flip as examples.
+    a, b = FourierGroupElement(*a), FourierGroupElement(*b)
+    ua, ub = element_matrix(a), element_matrix(b)
+    assert np.max(np.abs(to_matrix(a) - ua)) < 1e-14
+    e = from_matrix(ua)
+    _assert_angles_close(e, euler_angles(ua))
+    assert e.omega == e.default_omega
+    ab = compose(a, b)
+    _assert_angles_close(ab, euler_angles(ua @ ub))
+    assert ab.omega == FourierGroupElement(
+        ab.chi, ab.psi, ab.theta, ab.phi,
+        a.omega + b.omega + 0.5 * (ab.chi - a.chi - b.chi)).omega
+    inv = inverse(a)
+    _assert_angles_close(inv, euler_angles(ua.conj().T))
+    assert inv.omega == FourierGroupElement(
+        inv.chi, inv.psi, inv.theta, inv.phi,
+        0.5 * (a.chi + inv.chi) - a.omega).omega
+    for bad in (1.001 * ua, ua[:1], np.kron(np.eye(2), ua)):
+        with pytest.raises(ValidationError):
+            from_matrix(bad)
 
 
 # --------------------------------------------------------- composition
