@@ -11,19 +11,16 @@ arbitrary compositions are lossless and invertible.
 
 from .errors import (DimensionError, DomainError, FkimageError, FormatError,
                      ValidationError)
-from .special_functions import (LittleDMatrix, Spin, as_spin,
-                                kravchuk_function, kravchuk_polynomial,
-                                wigner_little_d)
-from .mode_basis import (CartesianBasis, LevelSpectrum, ModeIndex,
-                         ScreenShape, build_basis, cartesian_mode,
-                         level_spectrum, lk_coefficients, lk_mode)
+from .special_functions import Spin, kravchuk_function, wigner_little_d
+from .mode_basis import (CartesianBasis, ScreenShape, build_basis,
+                         cartesian_mode, level_spectrum, lk_coefficients,
+                         lk_mode)
 from .group_algebra import (FourierGroupElement, compose, element_from_json,
                             element_to_json, from_matrix, inverse, to_matrix)
 from .fourier_transforms import (analyze, apply_element, apply_element_coeffs,
                                  fractional_fourier_image, gyrate_coeffs,
-                                 gyrate_coeffs_sandwich, gyrate_image,
-                                 ka_coeffs, ks_coeffs, rotate_coeffs,
-                                 rotate_image, synthesize)
+                                 gyrate_image, ka_coeffs, ks_coeffs,
+                                 rotate_coeffs, rotate_image, synthesize)
 from .imageio import (load_complex, load_image, read_pgm, save_complex,
                       write_pgm)
 from .render import RenderSpec, render
@@ -35,15 +32,13 @@ __version__ = "0.1.0"
 __all__ = [
     "FkimageError", "DomainError", "DimensionError", "ValidationError",
     "FormatError",
-    "Spin", "as_spin", "kravchuk_polynomial", "kravchuk_function",
-    "LittleDMatrix", "wigner_little_d",
-    "ScreenShape", "ModeIndex", "LevelSpectrum", "CartesianBasis",
-    "level_spectrum", "build_basis", "cartesian_mode", "lk_coefficients",
-    "lk_mode",
+    "Spin", "kravchuk_function", "wigner_little_d",
+    "ScreenShape", "CartesianBasis", "level_spectrum", "build_basis",
+    "cartesian_mode", "lk_coefficients", "lk_mode",
     "FourierGroupElement", "to_matrix", "from_matrix", "compose", "inverse",
     "element_to_json", "element_from_json",
     "analyze", "synthesize", "rotate_coeffs", "ks_coeffs", "ka_coeffs",
-    "gyrate_coeffs", "gyrate_coeffs_sandwich", "apply_element",
+    "gyrate_coeffs", "apply_element",
     "apply_element_coeffs", "rotate_image", "gyrate_image",
     "fractional_fourier_image",
     "read_pgm", "write_pgm", "save_complex", "load_complex", "load_image",

@@ -8,21 +8,14 @@ general group element
     D(chi; psi, theta, phi; omega) = exp(-i c (omega - (psi + phi)/2))
                                      K_S(chi/2) K_A(psi/2) G(theta/2) K_A(phi/2)
 
-is applied by ``apply_element_coeffs``, the only code that mixes levels:
-its diagonal factors fold into one phase before and one after a mix of the
-levels in each spin's J_y eigenbasis ``diag(i^-k) d^lambda(pi/2)``.  The
-``i^-k`` fold into those two phases, as ``i^(n_y)`` before and
-``i^(-n_y)`` after, so the mix itself reads only the basis' real
-quarter-turn tables: the levels are gathered once into the basis' batched
-layout, each batch of spins is mixed by two stacked real matrix products,
-and one scatter restores the (n_x, n_y) layout.  ``c`` is the per-level
-integer ``CartesianBasis.c``; the leading phase is 1 for a plain element,
-whose omega is (psi + phi)/2.  Rotation by theta is the element
-D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is D(0; 0, 2 gamma, 0);
-both act block-diagonally on the total-mode levels and never move
-amplitude between levels.  The fractional Fourier transforms K_S and K_A
-are pure mode-number phases.  Angles are reduced into (-4 pi, 4 pi)
-before use.
+is applied by ``apply_element_coeffs``, the only code that mixes levels.
+``c`` is the per-level integer ``CartesianBasis.c``; the leading phase is 1
+for a plain element, whose omega is (psi + phi)/2.  Rotation by theta is
+the element D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is
+D(0; 0, 2 gamma, 0); both act block-diagonally on the total-mode levels
+and never move amplitude between levels.  The fractional Fourier
+transforms K_S and K_A are pure mode-number phases.  Angles are reduced
+into (-4 pi, 4 pi) before use.
 """
 
 from __future__ import annotations
@@ -44,7 +37,6 @@ __all__ = [
     "ks_coeffs",
     "ka_coeffs",
     "gyrate_coeffs",
-    "gyrate_coeffs_sandwich",
     "apply_element_coeffs",
     "apply_element",
     "rotate_image",
@@ -151,20 +143,12 @@ def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
         exp(-i pi (n_x-n_y)/4) . d^{lambda(n)}(2*gamma) . exp(+i pi (n'_x-n'_y)/4)
 
     which agrees with conjugating a rotation by the antisymmetric Fourier
-    transform at +-pi/4 (see ``gyrate_coeffs_sandwich``); gamma = 0 is an
-    exact identity.
+    transform at +-pi/4, K_A(pi/4) R(gamma) K_A(-pi/4): ``fkimage verify``
+    and the tests check the two against each other.  gamma = 0 is an exact
+    identity.
     """
     return apply_element_coeffs(basis, coeffs, FourierGroupElement(
         0.0, 0.0, 2.0 * _finite_angle(gamma), 0.0))
-
-
-def gyrate_coeffs_sandwich(basis: CartesianBasis, coeffs: np.ndarray,
-                           gamma: float) -> np.ndarray:
-    """Gyration composed from its definition: K_A(pi/4) R(gamma) K_A(-pi/4),
-    rightmost factor first.  Numerically cross-checks ``gyrate_coeffs``."""
-    step = ka_coeffs(coeffs, -math.pi / 4.0)
-    step = rotate_coeffs(basis, step, float(gamma))
-    return ka_coeffs(step, math.pi / 4.0)
 
 
 def _mixed(basis: CartesianBasis, coeffs: np.ndarray, theta: float,
@@ -221,16 +205,12 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     J_y eigenvalues of the largest spin serves every batch through an
     index.
 
-    Every phase is separable or constant per level, so none is formed on
-    the full grid: the pre-phase is written straight into the gather
-    source, and the post-phase and the omega phase multiply the scattered
-    output in place, as 1-D vectors broadcast over the grid (see
-    ``_mode_phases`` and ``_level_phases``).  An op therefore allocates
-    three full-size arrays, the source, the gathered buffer and the
-    output, and holds at most two of them at once.  Full-size temporaries
-    cost more than their arithmetic: a complex grid on (64,48) is 200 KB,
-    above the C allocator's 128 KiB mmap threshold, so its pages can be
-    faulted in afresh on every op.
+    No phase is formed on the full grid (see ``_mixed``, ``_mode_phases``
+    and ``_level_phases``), so an op allocates three full-size arrays and
+    holds at most two at once.  Full-size temporaries cost more than their
+    arithmetic: a complex grid on (64,48) is 200 KB, above the C
+    allocator's 128 KiB mmap threshold, so its pages can fault afresh on
+    every op.
 
     At theta = 0 nothing is mixed and the element is one diagonal multiply,
     K_S(chi/2) K_A((psi + phi)/2) times the omega phase, so the identity

@@ -161,6 +161,8 @@ def _from_entries(u00: complex, u01: complex, u10: complex, u11: complex,
         half_diff = cmath.phase(s10)
         psi = (half_sum + half_diff) % TWO_PI
         phi = (half_sum - half_diff) % TWO_PI
+    # x % TWO_PI rounds a tiny negative x up to 2 pi itself: fold it to 0.
+    psi, phi = (0.0 if x == TWO_PI else x for x in (psi, phi))
 
     u = (u00, u01, u10, u11)
     element = FourierGroupElement(chi, psi, theta, phi)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .special_functions import Spin, _ladder, as_spin
+from .special_functions import Spin, _ladder
 
 __all__ = [
     "MAX_PIXELS",
@@ -60,12 +60,12 @@ class ScreenShape:
     j_y: Spin
 
     def __post_init__(self):
-        object.__setattr__(self, "j_x", as_spin(self.j_x))
-        object.__setattr__(self, "j_y", as_spin(self.j_y))
+        object.__setattr__(self, "j_x", Spin.from_j(self.j_x))
+        object.__setattr__(self, "j_y", Spin.from_j(self.j_y))
 
     @classmethod
     def of(cls, j_x, j_y) -> "ScreenShape":
-        return cls(as_spin(j_x), as_spin(j_y))
+        return cls(j_x, j_y)
 
     @classmethod
     def from_pixels(cls, n_x: int, n_y: int) -> "ScreenShape":
@@ -116,11 +116,6 @@ class ModeIndex:
         """Total mode number n = n_x + n_y."""
         return self.n_x + self.n_y
 
-    @property
-    def m(self) -> int:
-        """Mode-number difference n_x - n_y."""
-        return self.n_x - self.n_y
-
 
 @dataclass(frozen=True)
 class LevelSpectrum:
@@ -139,10 +134,6 @@ class LevelSpectrum:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def mu(self) -> tuple[float, ...]:
-        return tuple(t / 2.0 for t in self.two_mu)
 
     def member_for_two_mu(self, two_mu: int) -> ModeIndex:
         try:
@@ -240,7 +231,10 @@ class CartesianBasis:
     antisymmetric Fourier phases from the level projection, and carries
     the fifth parameter ``omega`` of a group element.  ``levels``,
     ``level(n)`` and ``level_arrays(n)`` are views derived on demand from
-    ``level_spectrum``; the basis keeps no per-level objects.
+    ``level_spectrum``; the basis keeps no per-level objects.  The
+    transforms never read them: they serve the Laguerre-Kravchuk modes, the
+    figures, and the level-by-level references of ``verify`` and the tests,
+    which take ``c`` from ``level_arrays`` rather than from ``c``.
     """
 
     def __init__(self, shape: ScreenShape):

@@ -25,9 +25,9 @@ are its one-dimensional Kravchuk tables, and the rungs up to the shorter
 side are its real quarter-turn tables V.  ``diag(i^-k) V`` is the
 eigenbasis of ``J_y`` in which the transforms in ``fourier_transforms``
 mix each level, with the ``i^-k`` folded into their phases (they form no
-block).  Nothing is cached at module level.  ``kravchuk_polynomial`` and ``kravchuk_function``
-evaluate the exact terminating sum instead; they are the reference the
-tests and ``verify`` compare the kernel against.
+block).  Nothing is cached at module level.  ``kravchuk_polynomial`` and
+``kravchuk_function`` evaluate the exact terminating sum instead; they are
+the reference the tests and ``verify`` compare the kernel against.
 
 Half-integer bookkeeping is done with doubled integers (``two_j = 2j``)
 throughout, so no floating-point values are ever used as indices.
@@ -46,7 +46,6 @@ from .errors import DomainError
 
 __all__ = [
     "Spin",
-    "as_spin",
     "kravchuk_polynomial",
     "kravchuk_function",
     "LittleDMatrix",
@@ -105,13 +104,6 @@ class Spin:
         return f"Spin(j={self.two_j}/2)"
 
 
-def as_spin(value) -> Spin:
-    """Coerce a Spin, integer, half-integer float, or Fraction to a Spin."""
-    if isinstance(value, Spin):
-        return value
-    return Spin.from_j(value)
-
-
 def kravchuk_polynomial(n: int, s: int, two_j: int) -> float:
     """Symmetric Kravchuk polynomial K_n(s; 1/2, 2j) = 2F1(-n, -s; -2j; 2).
 
@@ -157,7 +149,7 @@ def kravchuk_function(j, n: int, q) -> float:
     q : number
         Position, q in {-j, ..., j} in unit steps (half-integer when j is).
     """
-    spin = as_spin(j)
+    spin = Spin.from_j(j)
     two_j = spin.two_j
     if not isinstance(n, (int, np.integer)) or not 0 <= n <= two_j:
         raise DomainError(f"mode n={n} outside 0..{two_j}")
@@ -278,6 +270,6 @@ def wigner_little_d(lam, beta: float) -> LittleDMatrix:
     ``d^j_{n-j,q}(pi/2) == kravchuk_function(j, n, q)``.  A non-finite
     ``beta`` raises ``DomainError``.
     """
-    spin = as_spin(lam)
+    spin = Spin.from_j(lam)
     beta = float(beta)
     return LittleDMatrix(spin, beta, _little_d_entries(spin.two_j, beta))

@@ -1,16 +1,15 @@
 """Self-contained verification suite aggregating the numerical invariants of
 every module: special functions, basis construction, transforms, group
-algebra, and file round trips.
+algebra, and file round trips.  Its seeded draws and independent references
+come from ``fkimage._reference``, which the tests share.
 
 One check, ``rotation_pi_is_pixel_inversion``, fails on genuinely
-rectangular screens and is reported as a known limitation.  This is a
-property of the construction, not a bug: the mid-rhomboid levels carry the
-flat effective spin min(j_x, j_y) instead of n/2, so a half-turn rotation
-multiplies them by (-1)^{2 j_min} rather than the (-1)^n that an exact
-pixel inversion requires.  The check measures that deviation as it is; it
-vanishes on square screens.  ``image_action_homomorphism`` passes: the
-level-central offset of the antisymmetric Fourier phases is tracked by the
-fifth group parameter omega.  See the README for the full discussion.
+rectangular screens and is reported as a known limitation, a property of
+the construction: the mid-rhomboid levels carry the flat spin
+min(j_x, j_y) instead of n/2, so a half-turn multiplies them by
+(-1)^{2 j_min} rather than the (-1)^n of an exact pixel inversion.  The
+check measures that deviation; it vanishes on square screens (see the
+README).
 """
 
 from __future__ import annotations
@@ -25,6 +24,9 @@ import numpy as np
 
 from . import fourier_transforms as ft
 from . import group_algebra as ga
+from ._reference import (gyrate_coeffs_sandwich, interval_levels,
+                         level_action, random_element, random_image,
+                         wide_element)
 from .glyph import f_glyph
 from .imageio import load_complex, load_image, pixels_to_gray, read_pgm, \
     save_complex, write_pgm
@@ -71,48 +73,6 @@ class CheckResult:
                              else None),
                 "seconds": self.seconds,
                 "known_limitation": self.known_limitation}
-
-
-def _random_element(rng) -> ga.FourierGroupElement:
-    return ga.FourierGroupElement(
-        chi=rng.uniform(0.0, 4.0 * math.pi),
-        psi=rng.uniform(0.0, 2.0 * math.pi),
-        theta=rng.uniform(0.0, math.pi),
-        phi=rng.uniform(0.0, 2.0 * math.pi),
-    )
-
-
-def _wide_element(rng) -> ga.FourierGroupElement:
-    """All five angles from (-20, 20), far outside the canonical ranges,
-    so that a dropped or mistracked omega shows."""
-    return ga.FourierGroupElement(*rng.uniform(-20.0, 20.0, 5))
-
-
-def _random_image(rng, shape) -> np.ndarray:
-    return (rng.standard_normal(shape.pixels)
-            + 1j * rng.standard_normal(shape.pixels))
-
-
-def _triangle_mid_assignments(two_jx, two_jy, n):
-    """The interval formulas written out separately (used as an oracle for
-    every level)."""
-    lo, hi = min(two_jx, two_jy), max(two_jx, two_jy)
-    out = {}
-    if n <= lo:                      # lower triangle
-        for ny in range(0, n + 1):
-            out[(n - ny, ny)] = (n, (n - 2 * ny))
-    elif n >= hi:                    # upper triangle
-        for ny in range(n - two_jx, two_jy + 1):
-            out[(n - ny, ny)] = (two_jx + two_jy - n,
-                                 (n - 2 * ny) - two_jx + two_jy)
-    else:                            # mid rhomboid
-        if two_jx >= two_jy:
-            for ny in range(0, two_jy + 1):
-                out[(n - ny, ny)] = (two_jy, two_jy - 2 * ny)
-        else:
-            for ny in range(n - two_jx, n + 1):
-                out[(n - ny, ny)] = (two_jx, 2 * (n - ny) - two_jx)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +160,7 @@ def _check_interval_levels(ctx):
         shape = ScreenShape(Spin(two_jx), Spin(two_jy))
         for n in range(shape.max_total_mode + 1):
             lev = level_spectrum(shape, n)
-            oracle = _triangle_mid_assignments(two_jx, two_jy, n)
+            oracle = interval_levels(two_jx, two_jy, n)
             got = {(mi.n_x, mi.n_y): (lev.spin.two_j, tm)
                    for mi, tm in zip(lev.members, lev.two_mu)}
             if got != oracle:
@@ -253,18 +213,11 @@ def _check_basis_gram(ctx):
     return worst, 1e-10, "1-D Gram and completeness on all screens"
 
 
-def _lk_stack(basis):
-    mats = []
-    for lev in basis.levels:
-        for two_mu in lev.two_mu:
-            mats.append(lk_mode(basis, lev.n, two_mu).ravel())
-    return np.array(mats)
-
-
 def _check_lk_basis(ctx):
     worst = 0.0
     for key, basis in ctx["basis"].items():
-        stack = _lk_stack(basis)
+        stack = np.array([lk_mode(basis, lev.n, two_mu).ravel()
+                          for lev in basis.levels for two_mu in lev.two_mu])
         gram = stack.conj() @ stack.T
         worst = max(worst, float(np.max(np.abs(gram - np.eye(len(stack))))))
         comp = stack.T @ stack.conj()        # resolution of identity over pixels
@@ -288,7 +241,7 @@ def _check_unitarity(ctx):
     worst = 0.0
     for key, basis in ctx["basis"].items():
         for _ in range(ctx["images"]):
-            img = _random_image(rng, basis.shape)
+            img = random_image(rng, basis)
             norm = np.linalg.norm(img)
             coeffs = ft.analyze(basis, img)
             outs = [
@@ -296,7 +249,7 @@ def _check_unitarity(ctx):
                 ft.synthesize(basis, ft.ks_coeffs(coeffs, rng.uniform(0, 7))),
                 ft.synthesize(basis, ft.ka_coeffs(coeffs, rng.uniform(0, 7))),
                 ft.synthesize(basis, ft.gyrate_coeffs(basis, coeffs, rng.uniform(0, 7))),
-                ft.apply_element(basis, img, _random_element(rng)),
+                ft.apply_element(basis, img, random_element(rng)),
             ]
             for out in outs:
                 worst = max(worst, abs(np.linalg.norm(out) / norm - 1.0))
@@ -307,7 +260,7 @@ def _check_rotation_group_law(ctx):
     rng = ctx["rng"]
     worst = 0.0
     for key, basis in ctx["basis"].items():
-        coeffs = ft.analyze(basis, _random_image(rng, basis.shape))
+        coeffs = ft.analyze(basis, random_image(rng, basis))
         t1, t2 = rng.uniform(-3, 3, size=2)
         a = ft.rotate_coeffs(basis, ft.rotate_coeffs(basis, coeffs, t1), t2)
         b = ft.rotate_coeffs(basis, coeffs, t1 + t2)
@@ -332,7 +285,7 @@ def _check_six_sixths(ctx):
 def _check_rotation_pi_parity(ctx):
     worst = 0.0
     for key, basis in ctx["basis"].items():
-        img = _random_image(ctx["rng"], basis.shape)
+        img = random_image(ctx["rng"], basis)
         rot = ft.rotate_image(basis, img, math.pi)
         worst = max(worst, float(np.max(np.abs(rot - img[::-1, ::-1]))))
     return worst, 1e-9, "rotate(pi) vs pixel map (q_x,q_y) -> (-q_x,-q_y)"
@@ -342,7 +295,7 @@ def _check_gyration_group_law(ctx):
     rng = ctx["rng"]
     worst = 0.0
     for key, basis in ctx["basis"].items():
-        coeffs = ft.analyze(basis, _random_image(rng, basis.shape))
+        coeffs = ft.analyze(basis, random_image(rng, basis))
         g1, g2 = rng.uniform(-3, 3, size=2)
         a = ft.gyrate_coeffs(basis, ft.gyrate_coeffs(basis, coeffs, g1), g2)
         b = ft.gyrate_coeffs(basis, coeffs, g1 + g2)
@@ -380,7 +333,7 @@ def _check_rotation_realness(ctx):
 def _check_fourier_phases(ctx):
     rng = ctx["rng"]
     basis = ctx["get_basis"]((5, 3))
-    coeffs = ft.analyze(basis, _random_image(rng, basis.shape))
+    coeffs = ft.analyze(basis, random_image(rng, basis))
     worst = 0.0
     # identity and 2 pi periodicity (integer mode numbers)
     worst = max(worst, float(np.max(np.abs(ft.ks_coeffs(coeffs, 0.0) - coeffs))))
@@ -402,29 +355,16 @@ def _check_fourier_phases(ctx):
     return worst, 1e-12, "fractional Fourier phase laws"
 
 
-def _level_mix(basis, coeffs, beta, quarter=0.0):
-    """Each level mixed by its dense ``wigner_little_d(beta)`` block between
-    the phases exp(+-i quarter (n_x - n_y)): rotation (quarter = 0) and
-    gyration (quarter = pi/4) assembled level by level, without the J_y
-    eigenbasis of the transforms."""
-    out = np.empty(coeffs.shape, dtype=complex)
-    for n in range(basis.shape.max_total_mode + 1):
-        lev, nx, ny = basis.level_arrays(n)
-        ph = np.exp(1j * quarter * (nx - ny))
-        block = wigner_little_d(lev.spin, beta).entries
-        out[nx, ny] = np.conj(ph) * (block @ (ph * coeffs[nx, ny]))
-    return out
-
-
 def _check_gyration_sandwich(ctx):
     rng = ctx["rng"]
     basis = ctx["get_basis"]((11, 7))
-    coeffs = ft.analyze(basis, _random_image(rng, basis.shape))
+    coeffs = ft.analyze(basis, random_image(rng, basis))
     worst = 0.0
     for gamma in (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4):
-        ref = _level_mix(basis, coeffs, 2 * gamma, math.pi / 4)
+        ref = level_action(basis, coeffs,
+                           ga.FourierGroupElement(0, 0, 2 * gamma, 0))
         for out in (ft.gyrate_coeffs(basis, coeffs, gamma),
-                    ft.gyrate_coeffs_sandwich(basis, coeffs, gamma)):
+                    gyrate_coeffs_sandwich(basis, coeffs, gamma)):
             worst = max(worst, float(np.max(np.abs(out - ref))))
     return worst, 1e-10, ("direct gyration and K_A(pi/4) R K_A(-pi/4) vs "
                           "per-level little-d blocks")
@@ -433,17 +373,16 @@ def _check_gyration_sandwich(ctx):
 def _check_apply_reductions(ctx):
     rng = ctx["rng"]
     basis = ctx["get_basis"]((5, 3))
-    img = _random_image(rng, basis.shape)
+    img = random_image(rng, basis)
     coeffs = ft.analyze(basis, img)
     worst = 0.0
     out = ft.apply_element(basis, img, ga.FourierGroupElement.identity())
     worst = max(worst, float(np.max(np.abs(out - img))))
     theta = rng.uniform(0, 2)
-    for element, quarter in (
-            (ga.FourierGroupElement(0, 0, 2 * theta, 0), math.pi / 4),
-            (ga.FourierGroupElement(0, -math.pi / 2, 2 * theta, math.pi / 2),
-             0.0)):
-        ref = _level_mix(basis, coeffs, 2 * theta, quarter)
+    for element in (ga.FourierGroupElement(0, 0, 2 * theta, 0),
+                    ga.FourierGroupElement(0, -math.pi / 2, 2 * theta,
+                                           math.pi / 2)):
+        ref = level_action(basis, coeffs, element)
         got = ft.apply_element_coeffs(basis, coeffs, element)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     chi, psi, phi = rng.uniform(0, 4, size=3)
@@ -451,15 +390,28 @@ def _check_apply_reductions(ctx):
     c = ft.synthesize(basis, ft.ks_coeffs(
         ft.ka_coeffs(coeffs, (psi + phi) / 2), chi / 2))
     worst = max(worst, float(np.max(np.abs(b - c))))
-    return worst, 1e-12, ("Euler element reduces to its factors; gyration and "
-                          "rotation elements vs per-level little-d blocks")
+    # Elements with an explicit omega, in both orientations.  They have a
+    # generator of their own, so the later checks draw what they drew
+    # before.
+    child = np.random.default_rng([ctx["seed"], 1])
+    for key in ((5, 3), (3, 4.5)):
+        screen = ctx["get_basis"](key)
+        for _ in range(_PAIRS):
+            element = wide_element(child)
+            x = random_image(child, screen)
+            got = ft.apply_element_coeffs(screen, x, element)
+            worst = max(worst, float(np.max(np.abs(
+                got - level_action(screen, x, element)))))
+    return worst, 1e-12, ("Euler element reduces to its factors; gyration, "
+                          "rotation and omega-carrying elements vs per-level "
+                          "little-d blocks on (5,3) and (3,4.5)")
 
 
 def _check_matrix_homomorphism(ctx):
     rng = ctx["rng"]
     worst = 0.0
     for _ in range(50):
-        a, b = _random_element(rng), _random_element(rng)
+        a, b = random_element(rng), random_element(rng)
         lhs = ga.to_matrix(ga.compose(a, b))
         rhs = ga.to_matrix(a) @ ga.to_matrix(b)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -470,16 +422,20 @@ def _check_from_matrix_roundtrip(ctx):
     rng = ctx["rng"]
     worst = 0.0
     bad_range = 0
-    for _ in range(200):
-        e = _random_element(rng)
-        u = ga.to_matrix(e)
+    # Random elements, then the scalar matrices exp(-i chi/2) I, whose
+    # Euler angles fold next to 0 and 2 pi.
+    matrices = [ga.to_matrix(random_element(rng)) for _ in range(200)]
+    matrices += [np.exp(-0.5j * chi) * np.eye(2)
+                 for chi in np.linspace(-20.0, 20.0, 4001)]
+    for u in matrices:
         r = ga.from_matrix(u)
         worst = max(worst, float(np.max(np.abs(ga.to_matrix(r) - u))))
         if not (0 <= r.chi < 4 * math.pi and 0 <= r.psi < 2 * math.pi
                 and 0 <= r.theta <= math.pi and 0 <= r.phi < 2 * math.pi):
             bad_range += 1
     worst = max(worst, float(bad_range))
-    return worst, 1e-10, "to_matrix(from_matrix(U)) = U, canonical ranges"
+    return worst, 1e-10, ("to_matrix(from_matrix(U)) = U, canonical ranges; "
+                          "random and scalar U")
 
 
 def _check_image_homomorphism(ctx):
@@ -487,8 +443,8 @@ def _check_image_homomorphism(ctx):
     basis = ctx["get_basis"]((5, 3))
     worst = 0.0
     for _ in range(_PAIRS):
-        a, b = _wide_element(rng), _wide_element(rng)
-        img = _random_image(rng, basis.shape)
+        a, b = wide_element(rng), wide_element(rng)
+        img = random_image(rng, basis)
         lhs = ft.apply_element(basis, img, ga.compose(a, b))
         rhs = ft.apply_element(basis, ft.apply_element(basis, img, b), a)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -501,8 +457,8 @@ def _check_inverse_roundtrip(ctx):
     basis = ctx["get_basis"]((5, 3))
     worst = 0.0
     for _ in range(_PAIRS):
-        e = _wide_element(rng)
-        img = _random_image(rng, basis.shape)
+        e = wide_element(rng)
+        img = random_image(rng, basis)
         back = ft.apply_element(basis, ft.apply_element(basis, img, e),
                                 ga.inverse(e))
         worst = max(worst, float(np.max(np.abs(back - img))))
@@ -583,16 +539,15 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     list of CheckResult.  ``images`` sets the sample count of the
     randomized per-screen checks."""
     rng = np.random.default_rng(seed)
-    bases = {tuple(k): build_basis(ScreenShape.of(*k)) for k in shapes}
+    bases = {tuple(k): build_basis(k) for k in shapes}
     cache = dict(bases)
 
     def get_basis(key):
-        key = tuple(key)
         if key not in cache:
-            cache[key] = build_basis(ScreenShape.of(*key))
+            cache[key] = build_basis(key)
         return cache[key]
 
-    ctx = {"rng": rng, "basis": bases, "images": images,
+    ctx = {"rng": rng, "seed": seed, "basis": bases, "images": images,
            "get_basis": get_basis}
     results = []
     for name, fn in _CHECKS:

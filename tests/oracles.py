@@ -1,5 +1,6 @@
-"""Independent reference implementations and random inputs used only by
-the tests.
+"""Independent reference implementations used only by the tests; the
+seeded draws and the references that ``fkimage verify`` shares live in
+``fkimage._reference``.
 
 Each oracle takes a different computational route from the production code:
 Kravchuk values come from exact rational Pochhammer ratios, little-d
@@ -86,17 +87,3 @@ def euler_angles(u):
             FourierGroupElement(chi, psi, theta, phi)) - u)) > 1e-8:
         chi = (chi + two_pi) % (2.0 * two_pi)
     return chi, psi, theta, phi
-
-
-def random_image(rng, basis):
-    """Complex Gaussian image on the basis' screen."""
-    return (rng.standard_normal(basis.shape.pixels)
-            + 1j * rng.standard_normal(basis.shape.pixels))
-
-
-def random_element(rng):
-    """Plain group element with angles drawn from the canonical ranges."""
-    return FourierGroupElement(chi=rng.uniform(0, 4 * math.pi),
-                               psi=rng.uniform(0, 2 * math.pi),
-                               theta=rng.uniform(0, math.pi),
-                               phi=rng.uniform(0, 2 * math.pi))

@@ -10,12 +10,12 @@ from fkimage import (DimensionError, DomainError, FourierGroupElement,
                      ScreenShape, Spin, analyze, apply_element,
                      apply_element_coeffs, build_basis, cartesian_mode,
                      f_glyph, fractional_fourier_image, gyrate_coeffs,
-                     gyrate_coeffs_sandwich, gyrate_image, ka_coeffs,
-                     ks_coeffs, lk_coefficients, rotate_coeffs, rotate_image,
-                     synthesize, wigner_little_d)
+                     gyrate_image, ka_coeffs, ks_coeffs, lk_coefficients,
+                     rotate_coeffs, rotate_image, synthesize)
 from fkimage import mode_basis
+from fkimage._reference import interval_levels, level_action, random_image
 
-from oracles import little_d_expm, random_image
+from oracles import little_d_expm
 
 
 @pytest.fixture(scope="module")
@@ -180,14 +180,6 @@ def test_gyrate_zero_is_identity(basis53, rng):
     assert np.max(np.abs(gyrate_coeffs(basis53, coeffs, 0.0) - coeffs)) < 1e-15
 
 
-def test_gyration_direct_equals_sandwich(basis117, rng):
-    coeffs = analyze(basis117, random_image(rng, basis117))
-    for gamma in (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4):
-        a = gyrate_coeffs(basis117, coeffs, gamma)
-        b = gyrate_coeffs_sandwich(basis117, coeffs, gamma)
-        assert np.max(np.abs(a - b)) < 1e-10
-
-
 def test_gyrations_compose(basis53, rng):
     coeffs = analyze(basis53, random_image(rng, basis53))
     a = gyrate_coeffs(basis53, gyrate_coeffs(basis53, coeffs, 0.4), 0.25)
@@ -269,30 +261,19 @@ def test_fractional_fourier_image_wrapper(basis53, rng):
 
 def _dense_block_operator(two_jx, two_jy, angle, gyration):
     """Rotation/gyration operator on coefficient vectors, assembled from the
-    literal three-interval bookkeeping (j_x >= j_y) and the matrix
-    exponential of J_y; completely independent of the library's routines."""
-    assert two_jx >= two_jy
-    n_x, n_y = two_jx + 1, two_jy + 1
-    dim = n_x * n_y
+    interval formulas of the level structure and the matrix exponential of
+    J_y; independent of the library's level bookkeeping and kernel."""
+    n_y = two_jy + 1
+    dim = (two_jx + 1) * n_y
     flat = lambda nx, ny: nx * n_y + ny
     op = np.zeros((dim, dim), dtype=complex)
     for n in range(two_jx + two_jy + 1):
-        if n <= two_jy:
-            members = [(n - ny, ny) for ny in range(0, n + 1)]
-            two_mu = [n - 2 * ny for _, ny in members]
-            two_lam = n
-        elif n < two_jx:
-            members = [(n - ny, ny) for ny in range(0, two_jy + 1)]
-            two_mu = [two_jy - 2 * ny for _, ny in members]
-            two_lam = two_jy
-        else:
-            members = [(n - ny, ny) for ny in range(n - two_jx, two_jy + 1)]
-            two_mu = [(n - 2 * ny) - two_jx + two_jy for _, ny in members]
-            two_lam = two_jx + two_jy - n
+        members = interval_levels(two_jx, two_jy, n)
+        two_lam = next(iter(members.values()))[0]
         d = little_d_expm(two_lam, angle)
-        for (nx1, ny1), tm1 in zip(members, two_mu):
+        for (nx1, ny1), (_, tm1) in members.items():
             row = (two_lam - tm1) // 2
-            for (nx2, ny2), tm2 in zip(members, two_mu):
+            for (nx2, ny2), (_, tm2) in members.items():
                 col = (two_lam - tm2) // 2
                 entry = d[row, col]
                 if gyration:
@@ -305,8 +286,10 @@ def _dense_block_operator(two_jx, two_jy, angle, gyration):
 
 @pytest.mark.parametrize(
     "screen,gyration",
-    [((5, 3), False), ((5, 3), True), ((2.5, 1), False), ((2.5, 1), True)],
-    ids=["False", "True", "2.5x1-False", "2.5x1-True"])
+    [((5, 3), False), ((5, 3), True), ((2.5, 1), False), ((2.5, 1), True),
+     ((3, 4.5), False), ((3, 4.5), True)],
+    ids=["False", "True", "2.5x1-False", "2.5x1-True", "3x4.5-False",
+         "3x4.5-True"])
 def test_block_transforms_match_dense_oracle(rng, screen, gyration):
     basis = build_basis(screen)
     coeffs = analyze(basis, random_image(rng, basis))
@@ -321,55 +304,15 @@ def test_block_transforms_match_dense_oracle(rng, screen, gyration):
         assert np.max(np.abs(got - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("gyration", [False, True])
-def test_block_transforms_match_level_reference_when_j_x_below_j_y(rng,
-                                                                   gyration):
-    # The dense oracle above assumes j_x >= j_y; here each level is mixed on
-    # its own by the expm little-d, in the library's level bookkeeping.
-    basis = build_basis((3, 4.5))
-    coeffs = analyze(basis, random_image(rng, basis))
-    for angle in (0.37, math.pi / 6, 2.8):
-        expected = np.zeros_like(coeffs)
-        for n in range(basis.shape.max_total_mode + 1):
-            lev, nx, ny = basis.level_arrays(n)
-            d = little_d_expm(lev.spin.two_j, 2 * angle)
-            ph = np.exp(1j * math.pi * (nx - ny) / 4) if gyration else 1.0
-            expected[nx, ny] = np.conj(ph) * (d @ (ph * coeffs[nx, ny]))
-        if gyration:
-            got = gyrate_coeffs(basis, coeffs, angle)
-        else:
-            got = rotate_coeffs(basis, coeffs, angle)
-        assert np.max(np.abs(got - expected)) < 1e-12
-
-
 # ------------------------------------------- eigenbasis vs little-d blocks
 
 def _level_reference(basis, coeffs, element):
-    """Rotation, gyration and element action assembled level by level from
-    dense ``wigner_little_d`` blocks and full-grid phases."""
-    levels = [basis.level_arrays(n)
-              for n in range(basis.shape.max_total_mode + 1)]
-    n_x, n_y = np.indices(coeffs.shape)
-    c = np.empty(coeffs.shape)
-    for lev, nx, ny in levels:
-        c[nx, ny] = nx - ny - np.asarray(lev.two_mu)
-
-    def mix(x, beta):
-        out = np.empty_like(x)
-        for lev, nx, ny in levels:
-            out[nx, ny] = wigner_little_d(lev.spin, beta).entries @ x[nx, ny]
-        return out
-
-    def gyrate(x, gamma):
-        ph = np.exp(1j * math.pi * (n_x - n_y) / 4)
-        return np.conj(ph) * mix(ph * x, 2 * gamma)
-
-    e = element
-    act = np.exp(-0.5j * e.phi * (n_x - n_y)) * coeffs
-    act = gyrate(act, e.theta / 2)
-    act *= np.exp(-0.5j * e.psi * (n_x - n_y) - 0.5j * e.chi * (n_x + n_y))
-    act *= np.exp(-1j * (e.omega - e.default_omega) * c)
-    return mix(coeffs, 2 * e.theta), gyrate(coeffs, e.theta), act
+    """Rotation and gyration by ``element.theta``, and the element itself,
+    assembled level by level from dense little-d blocks."""
+    theta = element.theta
+    return [level_action(basis, coeffs, e) for e in (
+        FourierGroupElement(0, -math.pi / 2, 2 * theta, math.pi / 2),
+        FourierGroupElement(0, 0, 2 * theta, 0), element)]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

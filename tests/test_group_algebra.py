@@ -10,8 +10,9 @@ from fkimage import (FourierGroupElement, ScreenShape, Spin, ValidationError,
                      apply_element, apply_element_coeffs, build_basis,
                      compose, element_from_json, element_to_json,
                      from_matrix, inverse, to_matrix, wigner_little_d)
+from fkimage._reference import random_element, random_image
 
-from oracles import element_matrix, euler_angles, random_element, random_image
+from oracles import element_matrix, euler_angles
 
 TWO_PI = 2 * math.pi
 FOUR_PI = 4 * math.pi
@@ -89,6 +90,21 @@ def test_rejects_nonfinite_matrix(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="non-finite"):
             from_matrix(u)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(chi=st.floats(-20, 20, exclude_min=True, exclude_max=True))
+@example(chi=16.77)
+def test_scalar_matrices_extract_into_the_documented_ranges(chi):
+    # Each angle is taken mod 2 pi, which rounds a tiny negative angle up
+    # to 2 pi itself; from_matrix must return 0 there.
+    u = np.exp(-0.5j * chi) * np.eye(2)
+    e = from_matrix(u)
+    assert 0 <= e.chi < FOUR_PI and 0 <= e.psi < TWO_PI
+    assert e.theta == 0.0 and e.phi == 0.0
+    assert np.max(np.abs(to_matrix(e) - u)) < 1e-14
+    assert json.loads(element_to_json(e)) == {
+        "chi": e.chi, "psi": e.psi, "theta": 0.0, "phi": 0.0}
 
 
 def _assert_angles_close(element, want):

@@ -4,31 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fkimage import (DomainError, FourierGroupElement, ModeIndex, ScreenShape,
-                     Spin, apply_element_coeffs, build_basis, cartesian_mode,
+from fkimage import (DomainError, FourierGroupElement, ScreenShape, Spin,
+                     apply_element_coeffs, build_basis, cartesian_mode,
                      gyrate_coeffs, level_spectrum, lk_coefficients, lk_mode,
                      rotate_coeffs)
 from fkimage import mode_basis
+from fkimage._reference import interval_levels
+from fkimage.mode_basis import ModeIndex
 
 SQ2 = math.sqrt(0.5)
-
-
-def interval_formulas(two_jx, two_jy, n):
-    """Literal three-interval assignment for j_x >= j_y (test oracle):
-    lower triangle lambda = n/2, mid rhomboid lambda = j_y with
-    mu = j_y - n_y, upper triangle lambda = j_x + j_y - n/2."""
-    assert two_jx >= two_jy
-    out = {}
-    if n <= two_jy:
-        for ny in range(0, n + 1):
-            out[(n - ny, ny)] = (n, n - 2 * ny)
-    elif n >= two_jx:
-        for ny in range(n - two_jx, two_jy + 1):
-            out[(n - ny, ny)] = (two_jx + two_jy - n, (n - 2 * ny) - two_jx + two_jy)
-    else:
-        for ny in range(0, two_jy + 1):
-            out[(n - ny, ny)] = (two_jy, two_jy - 2 * ny)
-    return out
 
 
 # ------------------------------------------------------------- levels
@@ -41,30 +25,16 @@ def test_level_values_on_11_7(n, lam, size):
 
 
 def test_levels_match_interval_formulas(rng):
+    # Both orientations, half-integer spins included.
     for _ in range(30):
-        two_jy = int(rng.integers(0, 30))
-        two_jx = int(rng.integers(two_jy, 41))
+        two_jx, two_jy = (int(k) for k in rng.integers(0, 41, size=2))
         shape = ScreenShape(Spin(two_jx), Spin(two_jy))
         for n in range(two_jx + two_jy + 1):
             lev = level_spectrum(shape, n)
-            oracle = interval_formulas(two_jx, two_jy, n)
+            oracle = interval_levels(two_jx, two_jy, n)
             got = {(mi.n_x, mi.n_y): (lev.spin.two_j, tm)
                    for mi, tm in zip(lev.members, lev.two_mu)}
             assert got == oracle, (two_jx, two_jy, n)
-
-
-def test_boundary_levels_agree_between_formulas():
-    # at n = 2 j_y the lower-triangle and mid-rhomboid formulas coincide,
-    # at n = 2 j_x the mid-rhomboid and upper-triangle formulas coincide
-    for (two_jx, two_jy) in ((10, 6), (22, 14), (9, 4), (7, 7)):
-        shape = ScreenShape(Spin(two_jx), Spin(two_jy))
-        for n, mid_mu in ((two_jy, lambda nx, ny: two_jy - 2 * ny),
-                          (two_jx, lambda nx, ny: two_jy - 2 * ny)):
-            lev = level_spectrum(shape, n)
-            for mi, tm in zip(lev.members, lev.two_mu):
-                assert tm == mid_mu(mi.n_x, mi.n_y)
-            assert lev.spin.two_j == min(two_jy, 2 * (two_jx + two_jy) - 2 * n,
-                                         n, two_jx)
 
 
 def test_mode_count_identity(rng):

@@ -1,0 +1,71 @@
+"""The package's public names, and every name the benchmark under bench/
+reaches into; bench/tracing.py skips a missing boundary without a word."""
+
+import ast
+import importlib
+from pathlib import Path
+from types import ModuleType
+
+import fkimage
+from fkimage import mode_basis, special_functions
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# The names bench/ binds to parts of the package.
+ALIASES = {alias: importlib.import_module("fkimage" + module) for alias, module
+           in (("fkimage", ""), ("cli", ".cli"), ("imageio", ".imageio"),
+               ("ft", ".fourier_transforms"), ("ga", ".group_algebra"),
+               ("mode_basis", ".mode_basis"), ("render", ".render"),
+               ("special_functions", ".special_functions"))}
+# Boundaries that bench/tracing.py wraps but the program no longer has.
+STALE = {("ft", "_little_d_entries"), ("mode_basis", "kravchuk_function")}
+
+
+def test_all_lists_exactly_the_exported_names():
+    exported = {name for name, value in vars(fkimage).items()
+                if not name.startswith("_")
+                and not isinstance(value, ModuleType)}
+    assert sorted(fkimage.__all__) == sorted(exported | {"__version__"})
+    assert all(hasattr(fkimage, name) for name in fkimage.__all__)
+    for name in ("as_spin", "LittleDMatrix", "LevelSpectrum", "ModeIndex",
+                 "kravchuk_polynomial", "gyrate_coeffs_sandwich"):
+        assert not hasattr(fkimage, name), name
+    assert not hasattr(special_functions, "as_spin")
+
+
+def _chain(node):
+    """('alias', 'attr', ...) of a dotted name rooted at an alias."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.insert(0, node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in ALIASES:
+        return (node.id, *parts)
+    return None
+
+
+def test_every_name_bench_calls_resolves():
+    names = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names.add(_chain(node))
+            if (isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", "") == "BOUNDARIES"):
+                names |= {_chain(t.elts[0]) + (t.elts[1].value,)
+                          for t in node.value.elts}
+    names.discard(None)
+    assert {("mode_basis", "ScreenShape", "of"), ("ga", "inverse"),
+            ("cli", "render")} <= names
+    for chain in names - STALE:
+        value = ALIASES[chain[0]]
+        for attr in chain[1:]:
+            assert hasattr(value, attr), ".".join(chain)
+            value = getattr(value, attr)
+    # What the bench reads off the level structure.
+    screen = fkimage.ScreenShape.of(5, 3.5)
+    basis = mode_basis.build_basis((5, 3.5))
+    spins = [fkimage.level_spectrum(screen, n).spin.two_j
+             for n in range(screen.max_total_mode + 1)]
+    assert [lev.spin.two_j for lev in basis.levels] == spins
+    assert [lev.size for lev in basis.levels] == [s + 1 for s in spins]
+    assert basis.shape.pixels == screen.pixels == (11, 8)
+    assert special_functions.kravchuk_function(48, 0, -48) > 0.0

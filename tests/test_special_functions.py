@@ -10,8 +10,9 @@ import pytest
 import fkimage
 from fkimage import (DomainError, FourierGroupElement, Spin, analyze,
                      apply_element_coeffs, build_basis, gyrate_coeffs,
-                     kravchuk_function, kravchuk_polynomial, lk_coefficients,
-                     rotate_coeffs, wigner_little_d)
+                     kravchuk_function, lk_coefficients, rotate_coeffs,
+                     wigner_little_d)
+from fkimage.special_functions import kravchuk_polynomial
 
 from oracles import kravchuk_fraction, little_d_expm, psi_reference
 
