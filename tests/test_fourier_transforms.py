@@ -13,7 +13,8 @@ from fkimage import (DimensionError, DomainError, FourierGroupElement,
                      gyrate_image, ka_coeffs, ks_coeffs, lk_coefficients,
                      rotate_coeffs, rotate_image, synthesize)
 from fkimage import mode_basis
-from fkimage._reference import interval_levels, level_action, random_image
+from fkimage._reference import (gyrate_coeffs_sandwich, interval_levels,
+                                level_action, random_image)
 
 from oracles import little_d_expm
 
@@ -178,6 +179,14 @@ def test_ka_additivity(basis53, rng):
 def test_gyrate_zero_is_identity(basis53, rng):
     coeffs = analyze(basis53, random_image(rng, basis53))
     assert np.max(np.abs(gyrate_coeffs(basis53, coeffs, 0.0) - coeffs)) < 1e-15
+
+
+def test_gyration_direct_equals_sandwich(basis117, rng):
+    coeffs = analyze(basis117, random_image(rng, basis117))
+    for gamma in (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4):
+        a = gyrate_coeffs(basis117, coeffs, gamma)
+        b = gyrate_coeffs_sandwich(basis117, coeffs, gamma)
+        assert np.max(np.abs(a - b)) < 1e-10
 
 
 def test_gyrations_compose(basis53, rng):

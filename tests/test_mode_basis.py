@@ -37,6 +37,20 @@ def test_levels_match_interval_formulas(rng):
             assert got == oracle, (two_jx, two_jy, n)
 
 
+def test_boundary_levels_agree_between_formulas():
+    # at n = 2 j_y the lower-triangle and mid-rhomboid formulas coincide,
+    # at n = 2 j_x the mid-rhomboid and upper-triangle formulas coincide
+    for (two_jx, two_jy) in ((10, 6), (22, 14), (9, 4), (7, 7)):
+        shape = ScreenShape(Spin(two_jx), Spin(two_jy))
+        for n, mid_mu in ((two_jy, lambda nx, ny: two_jy - 2 * ny),
+                          (two_jx, lambda nx, ny: two_jy - 2 * ny)):
+            lev = level_spectrum(shape, n)
+            for mi, tm in zip(lev.members, lev.two_mu):
+                assert tm == mid_mu(mi.n_x, mi.n_y)
+            assert lev.spin.two_j == min(two_jy, 2 * (two_jx + two_jy) - 2 * n,
+                                         n, two_jx)
+
+
 def test_mode_count_identity(rng):
     shapes = [(0, 0), (1, 0), (0, 3), (4, 4), (3, 5)]
     shapes += [(int(rng.integers(0, 41)), int(rng.integers(0, 41)))
