@@ -25,9 +25,21 @@ from .imageio import (load_complex, load_image, read_pgm, save_complex,
                       write_pgm)
 from .render import RenderSpec, render
 from .glyph import F_GLYPH_SHAPE, f_glyph
-from .verify import CheckResult, run_verification
 
 __version__ = "0.1.0"
+
+# Served on first use (PEP 562), so that importing the package, and every
+# CLI command but ``verify``, does not load the verification suite.
+_FROM_VERIFY = ("CheckResult", "run_verification")
+
+
+def __getattr__(name):
+    if name in _FROM_VERIFY:
+        from . import verify
+        value = getattr(verify, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "FkimageError", "DomainError", "DimensionError", "ValidationError",

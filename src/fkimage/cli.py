@@ -19,13 +19,11 @@ from fractions import Fraction
 from . import __version__
 from . import fourier_transforms as ft
 from .errors import FkimageError, FormatError
-from .figures import mode_gallery, regenerate_all
 from .group_algebra import (FourierGroupElement, compose, element_from_json,
                             element_to_json, inverse)
 from .imageio import load_image, save_complex
 from .mode_basis import ScreenShape, build_basis
 from .render import RenderSpec, render
-from .verify import DEFAULT_SHAPES, run_verification
 
 _ANGLE_RE = re.compile(
     r"^\s*(?P<sign>[+-]?)\s*(?P<coef>\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*"
@@ -156,7 +154,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--shape", action="append", default=None,
                    help="screen shape 'JX,JY' (repeatable; default "
-                        "5,3 / 11,7 / 20,12)")
+                        "5,3 / 11,7 / 20,12 / 2.5,1 / 3,4.5 / 9,8.5)")
     p.add_argument("--images", type=int, default=20,
                    help="random images per randomized check")
     p.add_argument("--seed", type=int, default=2024)
@@ -170,7 +168,10 @@ def build_parser() -> _Parser:
 
 
 def _run(args) -> int:
+    # The figures and the verification suite load only for the commands
+    # that run them, so the other commands do not pay for their imports.
     if args.command == "modes":
+        from .figures import mode_gallery
         shape = parse_shape(args.shape)
         basis = build_basis(shape)
         manifest = mode_gallery(basis, args.out,
@@ -212,6 +213,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
+        from .verify import DEFAULT_SHAPES, run_verification
         shapes = DEFAULT_SHAPES
         if args.shape:
             shapes = tuple(
@@ -245,6 +247,7 @@ def _run(args) -> int:
         return 3 if failed else 0
 
     if args.command == "figures":
+        from .figures import regenerate_all
         manifest = regenerate_all(args.out)
         total = sum(m.get("count", len(m.get("files", [])))
                     for m in manifest.values())

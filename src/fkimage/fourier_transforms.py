@@ -8,9 +8,10 @@ general group element
     D(chi; psi, theta, phi; omega) = exp(-i c (omega - (psi + phi)/2))
                                      K_S(chi/2) K_A(psi/2) G(theta/2) K_A(phi/2)
 
-is applied by ``apply_element_coeffs``, the only code that mixes levels.
-``c`` is the per-level integer ``CartesianBasis.c``; the leading phase is 1
-for a plain element, whose omega is (psi + phi)/2.  Rotation by theta is
+is applied by ``apply_element_coeffs``; it, ``rotate_coeffs`` and
+``gyrate_coeffs`` share one private action, the only code that mixes
+levels.  ``c`` is the per-level integer ``CartesianBasis.c``; the leading
+phase is 1 for a plain element, whose omega is (psi + phi)/2.  Rotation by theta is
 the element D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is
 D(0; 0, 2 gamma, 0); both act block-diagonally on the total-mode levels
 and never move amplitude between levels.  The fractional Fourier
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError
 from .group_algebra import FourierGroupElement
@@ -44,6 +44,9 @@ __all__ = [
     "fractional_fourier_image",
 ]
 
+# psi and phi of a rotation's element D(0; -pi/2, 2 theta, pi/2).
+_HALF_PI = 0.5 * math.pi
+
 
 def analyze(basis: CartesianBasis, image: np.ndarray) -> np.ndarray:
     """Mode coefficients F_{n_x,n_y} = sum_q F(q) Psi_{n_x,n_y}(q)."""
@@ -55,42 +58,58 @@ def synthesize(basis: CartesianBasis, coeffs: np.ndarray) -> np.ndarray:
     return basis.synthesize(coeffs)
 
 
-def _mode_phases(coeffs: np.ndarray, a: float, b: float,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """``coeffs`` times exp(-i a n_x) exp(-i b n_y), written to ``out``,
-    which may be ``coeffs`` itself, or to a new array.
+def _level_phases(shape: tuple[int, int], angle: float,
+                  basis: CartesianBasis | None = None,
+                  shift: float = 0.0) -> np.ndarray:
+    """Read-only (N_x, N_y) view of the level phases exp(-i angle n), times
+    the omega phase exp(-i shift c) when ``shift`` is nonzero.
 
-    The phase is applied as two broadcast multiplies by 1-D exponentials
-    over n_x and n_y, so no full-grid phase array is formed.  A zero
-    angle's factor is exactly one and never touches the array, so both
-    angles zero give an exact copy (float64 for real input).
+    Both are constant on each level n = n_x + n_y (``c`` is the basis'
+    per-level integer), so one vector of phases over the levels serves the
+    whole grid: read with equal strides along both axes, it holds the phase
+    of level n_x + n_y at [n_x, n_y], and no full-grid phase array is
+    formed.
+    """
+    n = np.arange(shape[0] + shape[1] - 1)
+    if shift:
+        c = basis.c
+        per_level = np.exp(-1j * (angle * n + shift * np.concatenate(
+            (c[:, 0], c[-1, 1:]))))
+    else:
+        per_level = np.exp(-1j * angle * n)
+    step = per_level.strides[0]
+    view = np.ndarray(shape, per_level.dtype, per_level, 0, (step, step))
+    view.flags.writeable = False
+    return view
+
+
+def _mode_phases(coeffs: np.ndarray, level: float, ny: float,
+                 out: np.ndarray | None = None,
+                 basis: CartesianBasis | None = None,
+                 shift: float = 0.0) -> np.ndarray:
+    """``coeffs`` times exp(i ny n_y) and the level phases of
+    ``_level_phases(coeffs.shape, level, basis, shift)``, written to
+    ``out``, which may be ``coeffs`` itself, or to a new array.
+
+    Every diagonal factor of a group element is one of the two: with
+    n_x = n - n_y, an n_x phase is a level phase times an n_y phase.  Each
+    factor is one multiply by a 1-D vector broadcast over the grid, and a
+    factor that is exactly one never touches the array, so all angles zero
+    give an exact copy (float64 for real input).
     """
     if out is None:
-        kind = np.float64 if a == 0.0 and b == 0.0 else np.complex128
+        kind = np.float64 if not (level or ny or shift) else np.complex128
         out = np.empty(coeffs.shape, np.result_type(coeffs, kind))
-    if a != 0.0:
-        np.multiply(coeffs, np.exp(-1j * a * np.arange(coeffs.shape[0]))[:, None],
+    src = coeffs
+    if ny:
+        np.multiply(src, np.exp(1j * ny * np.arange(coeffs.shape[1])), out=out)
+        src = out
+    if level or shift:
+        np.multiply(src, _level_phases(coeffs.shape, level, basis, shift),
                     out=out)
-    elif out is not coeffs:
+        src = out
+    if src is not out:
         out[...] = coeffs
-    if b != 0.0:
-        out *= np.exp(-1j * b * np.arange(coeffs.shape[1]))
-    return out
-
-
-def _level_phases(basis: CartesianBasis, out: np.ndarray,
-                  shift: float) -> np.ndarray:
-    """Multiply ``out`` in place by the omega phase exp(-i shift c).
-
-    ``c`` is constant on each level n = n_x + n_y, so one vector of phases
-    over the levels serves the whole grid: read with equal strides along
-    both axes, its (N_x, N_y) view holds the phase of level n_x + n_y at
-    [n_x, n_y], and no full-grid phase array is formed.
-    """
-    c = basis.c
-    per_level = np.exp(-1j * shift * np.concatenate((c[:, 0], c[-1, 1:])))
-    step = per_level.strides[0]
-    out *= as_strided(per_level, c.shape, (step, step), writeable=False)
     return out
 
 
@@ -99,14 +118,13 @@ def rotate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     """Rotation by theta, the group element D(0; -pi/2, 2 theta, pi/2).
 
     Each level-n block is mixed by the real orthogonal little-d matrix
-    d^{lambda(n)}(2*theta) in the level's mu ordering: the quarter-turn
-    phases of psi and phi cancel those of the gyration, so both diagonal
-    phases of ``apply_element_coeffs`` are exactly one.  Real input stays
-    exactly real, the Euclidean norm is preserved, levels do not mix, and
-    theta = 0 is an exact identity.
+    d^{lambda(n)}(2*theta) in the level's mu ordering: its only diagonal
+    phases are the i^(n_y) and i^(-n_y) around the J_y eigenbasis, and it
+    has no level phase.  Real input stays exactly real, the Euclidean norm
+    is preserved, levels do not mix, and theta = 0 is an exact identity.
     """
-    return apply_element_coeffs(basis, coeffs, FourierGroupElement(
-        0.0, -0.5 * math.pi, 2.0 * _finite_angle(theta), 0.5 * math.pi))
+    return _act(basis, coeffs, 0.0, -_HALF_PI,
+                _finite_angle(2.0 * _finite_angle(theta)), _HALF_PI, 0.0)
 
 
 def _checked_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -119,19 +137,20 @@ def _checked_coeffs(coeffs: np.ndarray) -> np.ndarray:
 def ks_coeffs(coeffs: np.ndarray, chi: float) -> np.ndarray:
     """Symmetric fractional Fourier transform: phases exp(-i chi (n_x+n_y)).
 
-    Diagonal in the mode basis, hence it commutes with every transform in
-    the group.
+    A level phase, one multiply by a vector over the levels n = n_x + n_y
+    that needs only the coefficients' shape.  Diagonal in the mode basis,
+    hence it commutes with every transform in the group.
     """
     coeffs = _checked_coeffs(coeffs)
-    chi = _finite_angle(chi)
-    return _mode_phases(coeffs, chi, chi)
+    return _mode_phases(coeffs, _finite_angle(chi), 0.0)
 
 
 def ka_coeffs(coeffs: np.ndarray, beta: float) -> np.ndarray:
-    """Antisymmetric fractional Fourier transform: phases exp(-i beta (n_x-n_y))."""
+    """Antisymmetric fractional Fourier transform: phases exp(-i beta (n_x-n_y)),
+    the level phase exp(-i beta n) times exp(2 i beta n_y)."""
     coeffs = _checked_coeffs(coeffs)
     beta = _finite_angle(beta)
-    return _mode_phases(coeffs, beta, -beta)
+    return _mode_phases(coeffs, beta, 2.0 * beta)
 
 
 def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
@@ -144,56 +163,86 @@ def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
 
     which agrees with conjugating a rotation by the antisymmetric Fourier
     transform at +-pi/4, K_A(pi/4) R(gamma) K_A(-pi/4): ``fkimage verify``
-    and the tests check the two against each other.  gamma = 0 is an exact
+    and the tests check the two against each other.  Written with the
+    J_y eigenbasis it has no diagonal phase at all.  gamma = 0 is an exact
     identity.
     """
-    return apply_element_coeffs(basis, coeffs, FourierGroupElement(
-        0.0, 0.0, 2.0 * _finite_angle(gamma), 0.0))
+    return _act(basis, coeffs, 0.0, 0.0,
+                _finite_angle(2.0 * _finite_angle(gamma)), 0.0, 0.0)
 
 
 def _mixed(basis: CartesianBasis, coeffs: np.ndarray, theta: float,
-           a: float, b: float) -> np.ndarray:
-    """``coeffs`` times the pre-phase exp(-i a n_x) exp(-i b n_y), each
-    spin's levels then mixed in its J_y eigenbasis by the eigen-phases
+           phi: float) -> np.ndarray:
+    """``coeffs`` times the pre-phase exp(i phi n_y), each spin's levels
+    then mixed in its J_y eigenbasis by the eigen-phases
     exp(-i theta mu), as a new complex array (see ``apply_element_coeffs``).
 
     The pre-phase is written straight into the gather source, whose one
     slot past the last mode holds the zero that the padding rows gather.
     The source goes before the scatter allocates the output, and the
     gathered buffer on return, so no more than two full-size arrays are
-    alive at once.
+    alive at once.  One ``exp`` vector over the doubled J_y eigenvalues
+    -top .. top serves every batch: each batch's frozen index holds
+    ``top + 2 mu`` for every entry of its block, ``top`` on the padding,
+    so one ``take`` yields the block's eigen-phases contiguously and one
+    multiply applies them.
     """
     src = np.empty(coeffs.size + 1, dtype=np.complex128)
     src[-1] = 0.0
-    _mode_phases(coeffs, a, b, src[:-1].reshape(coeffs.shape))
+    _mode_phases(coeffs, 0.0, phi, src[:-1].reshape(coeffs.shape))
     buf = src[basis.gather]
     del src
     top = len(basis.quarter_turns) - 1
     phases = np.exp(-0.5j * theta * np.arange(-top, top + 1))
-    for start, stop, stack, two_mu in basis.batches:
+    for start, stop, stack, index in basis.batches:
         x = buf[start:stop].view(np.float64).reshape(*stack.shape[:2], -1)
         eig = np.matmul(stack.transpose(0, 2, 1), x).view(np.complex128)
-        eig *= phases[top + two_mu]
+        eig *= phases.take(index)
         np.matmul(stack, eig.view(np.float64), out=x)
     return buf[basis.scatter].reshape(coeffs.shape)
+
+
+def _act(basis: CartesianBasis, coeffs: np.ndarray, chi: float, psi: float,
+         theta: float, phi: float, shift: float) -> np.ndarray:
+    """D(chi; psi, theta, phi; omega) on coefficients, the angles already
+    reduced and ``shift = omega - (psi + phi)/2``; see
+    ``apply_element_coeffs``."""
+    coeffs = basis.check_image(coeffs)
+    level = 0.5 * (chi + psi + phi)
+    if theta == 0.0:
+        return _mode_phases(coeffs, level, psi + phi, None, basis, shift)
+    real = (psi == -_HALF_PI and phi == _HALF_PI and level == 0.0
+            and not shift and not np.iscomplexobj(coeffs))
+    out = _mixed(basis, coeffs, theta, phi)
+    _mode_phases(out, level, psi, out, basis, shift)
+    return out.real.copy() if real else out
 
 
 def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                          element: FourierGroupElement) -> np.ndarray:
     """Coefficient-space action of D(chi; psi, theta, phi; omega) in one pass.
 
-    The only code that mixes levels; rotations and gyrations are elements
-    applied here.  Each angle is first reduced into (-4 pi, 4 pi).  The
-    diagonal factors fold into one pre-phase, K_A(phi/2) and the
-    gyration's exp(+i pi (n_x-n_y)/4), and one post-phase, the conjugate
-    gyration phase, K_A(psi/2), K_S(chi/2) and the omega phase
-    exp(-i c (omega - (psi + phi)/2)).  Between them the levels of each
+    The only code that mixes levels: rotations and gyrations go through
+    the same private action with their angles.  Each angle is first
+    reduced into (-4 pi, 4 pi).  On level n the element is the Wigner
+    D^lambda(psi, theta, phi) between constant phases, and since
+    n_x = n - n_y every diagonal factor is an n_y phase times a constant
+    on the level, which commutes with the level's mix.  So the action is
+
+        L(n) . exp(i psi n_y) . Mix(theta) . exp(i phi n_y),
+        L(n) = exp(-i n (chi + psi + phi)/2) exp(-i c (omega - (psi + phi)/2)),
+
+    with ``c`` the per-level integer ``CartesianBasis.c``: one n_y multiply
+    before the mix, and one n_y multiply and one level multiply after it
+    (see ``_mode_phases`` and ``_level_phases``); a multiply whose phase is
+    exactly one is skipped, so a gyration has no diagonal phase at all and
+    a rotation only its two i^(+-n_y).  In Mix(theta) the levels of each
     spin are projected onto its J_y eigenbasis ``diag(i^-k) V``, multiplied
     by the eigen-phases exp(-i theta mu) and projected back.  Member k of a
     level has n_y = k + (the level's lowest n_y), so ``i^k`` differs from
     ``i^(n_y)`` by a constant per level, which cancels between projection
-    and back-projection: ``i^(n_y)`` joins the pre-phase and ``i^(-n_y)``
-    the post-phase, and only the real quarter-turn table
+    and back-projection; the quarter-turn phases of the gyration's sandwich
+    cancel in the same way, so only the real quarter-turn table
     ``V = basis.quarter_turns[2 lambda]`` is left.  The pre-phased
     coefficients are gathered once into the layout of ``basis.batches``:
     each batch of spins is a ``(spins, k_max, levels)`` block beside a
@@ -201,49 +250,25 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     real and imaginary parts are mixed together by two stacked real
     matrix products, ``V^T`` and then ``V`` for every spin of the batch
     at once, in place, and one scatter puts the buffer back; the zero
-    padding adds nothing to the sums.  One ``exp`` vector over the doubled
-    J_y eigenvalues of the largest spin serves every batch through an
-    index.
+    padding adds nothing to the sums.
 
-    No phase is formed on the full grid (see ``_mixed``, ``_mode_phases``
-    and ``_level_phases``), so an op allocates three full-size arrays and
-    holds at most two at once.  Full-size temporaries cost more than their
-    arithmetic: a complex grid on (64,48) is 200 KB, above the C
-    allocator's 128 KiB mmap threshold, so its pages can fault afresh on
-    every op.
+    No phase is formed on the full grid (see ``_mixed``), so an op
+    allocates three full-size arrays and holds at most two at once.
+    Full-size temporaries cost more than their arithmetic: a complex grid
+    on (64,48) is 200 KB, above the C allocator's 128 KiB mmap threshold,
+    so its pages can fault afresh on every op.
 
-    At theta = 0 nothing is mixed and the element is one diagonal multiply,
-    K_S(chi/2) K_A((psi + phi)/2) times the omega phase, so the identity
-    element gives an exact copy; a phase that is exactly one never touches
-    the array.  Real input gives real output wherever the action is real:
-    at theta = 0 with both phases one, and for a rotation's element
-    D(0; -pi/2, theta, pi/2), where the real part of the mixed buffer is
-    returned.
+    At theta = 0 nothing is mixed and the element is the n_y phase
+    exp(i (psi + phi) n_y) and the level phase on the same path, so the
+    identity element gives an exact copy.  Real input gives real output
+    wherever the action is real: at theta = 0 with every phase one, and
+    for a rotation's element D(0; -pi/2, theta, pi/2), where the real part
+    of the mixed buffer is returned.
     """
-    coeffs = basis.check_image(coeffs)
     chi, psi, theta, phi = map(_finite_angle, (
         element.chi, element.psi, element.theta, element.phi))
-    shift = element.omega - element.default_omega
-    if theta == 0.0:
-        a, b = 0.5 * (chi + psi + phi), 0.5 * (chi - psi - phi)
-        if not shift:
-            return _mode_phases(coeffs, a, b)
-        out = np.empty(coeffs.shape, np.result_type(coeffs, np.complex128))
-        return _level_phases(basis, _mode_phases(coeffs, a, b, out), shift)
-    quarter = 0.25 * math.pi
-    # Unfolded, both phases are one exactly when the action is real.
-    real = (0.5 * phi == quarter and 0.5 * (chi + psi) == -quarter
-            and 0.5 * (chi - psi) == quarter and not shift
-            and not np.iscomplexobj(coeffs))
-    # The gyration's quarter-turn phases with i^(n_y) folded in: the n_y
-    # angles are pi/2 past the unfolded pi/4 - phi/2 and (chi - psi)/2 - pi/4.
-    out = _mixed(basis, coeffs, theta, 0.5 * phi - quarter,
-                 -0.5 * phi - quarter)
-    _mode_phases(out, 0.5 * (chi + psi) + quarter, 0.5 * (chi - psi) + quarter,
-                 out)
-    if shift:
-        _level_phases(basis, out, shift)
-    return out.real.copy() if real else out
+    return _act(basis, coeffs, chi, psi, theta, phi,
+                element.omega - element.default_omega)
 
 
 def apply_element(basis: CartesianBasis, image: np.ndarray,

@@ -206,16 +206,19 @@ class CartesianBasis:
     padding grows with the spread of its sizes, not with the sizes: about
     11 % of the tables' bytes on (64,48) and 5 % on (100,100).  The top
     spin ``2j_min``, which holds every level 2j_min .. 2j_max, is a batch
-    of its own.  ``batches[b] = (start, stop, stack, two_mu)``:
+    of its own.  ``batches[b] = (start, stop, stack, phase_index)``:
 
     * ``stack`` has shape ``(spins, k_max, k_max)``; slot i holds the rung
       of the batch's i-th spin, zero-padded, written as the walk yields
       it.  ``quarter_turns[2*lambda]`` is the read-only view
       ``stack[i, :2*lambda + 1, :2*lambda + 1]``, so each table is stored
       once.
-    * ``two_mu`` has shape ``(spins, k_max, 1)`` and holds twice the J_y
-      eigenvalue ``k - lambda`` of column k of each slot, zero on the
-      padding.
+    * ``phase_index`` has shape ``(spins, k_max, levels)``, dtype intp,
+      and holds ``2j_min + 2*mu`` at every entry of the batch's gathered
+      block, with ``2*mu = 2k - 2*lambda`` twice the J_y eigenvalue of
+      column k of the slot's table, and ``2j_min`` on the padding rows.
+      It indexes one vector of eigen-phases over ``2*mu = -2j_min ..
+      2j_min``, so the transforms read each block's phases contiguously.
     * ``gather[start:stop]``, read as shape ``(spins, k_max, levels)``,
       holds the flat mode indices ``n_x*N_y + n_y`` of each slot: member
       k of every level in row k, the levels in ascending n.  Padding rows
@@ -274,8 +277,9 @@ class CartesianBasis:
             padding = row > two_l
             index = np.where(padding, size, (ns - ny) * shape.n_y + ny)
             gather.append(index.ravel())
-            batches.append((start, start + index.size, stack,
-                            _frozen(np.where(padding, 0, 2 * row - two_l))))
+            two_mu = np.where(padding, 0, 2 * row - two_l)
+            batches.append((start, start + index.size, stack, _frozen(
+                np.repeat(two_jmin + two_mu, ns.shape[-1], axis=2))))
             start += index.size
         self.batches = tuple(batches)
         self.gather = _frozen(np.concatenate(gather))

@@ -7,9 +7,11 @@ One check, ``rotation_pi_is_pixel_inversion``, fails on genuinely
 rectangular screens and is reported as a known limitation, a property of
 the construction: the mid-rhomboid levels carry the flat spin
 min(j_x, j_y) instead of n/2, so a half-turn multiplies them by
-(-1)^{2 j_min} rather than the (-1)^n of an exact pixel inversion.  The
+(-1)^{2 j_min} rather than the (-1)^n of an exact pixel inversion, and
+when 2 j_x + 2 j_y is odd the upper-triangle levels disagree too.  The
 check measures that deviation; it vanishes on square screens (see the
-README).
+README).  ``rotation_pi_half_turn_law`` checks the exact law the
+construction gives instead, and passes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ from .special_functions import Spin, kravchuk_function, wigner_little_d
 
 __all__ = ["CheckResult", "run_verification", "DEFAULT_SHAPES", "KNOWN_LIMITATIONS"]
 
-DEFAULT_SHAPES = ((5, 3), (11, 7), (20, 12))
+# Integer spins with j_x > j_y, then half-integer spins, the j_x < j_y
+# orientation, and a shorter side 2 j_min = 17 that spans three batches of
+# spins below the top one.
+DEFAULT_SHAPES = ((5, 3), (11, 7), (20, 12), (2.5, 1), (3, 4.5), (9, 8.5))
 
 # Element pairs drawn by the randomized group-action checks.
 _PAIRS = 25
@@ -291,6 +296,33 @@ def _check_rotation_pi_parity(ctx):
     return worst, 1e-9, "rotate(pi) vs pixel map (q_x,q_y) -> (-q_x,-q_y)"
 
 
+def _check_rotation_pi_half_turn_law(ctx):
+    # A half-turn multiplies level n by (-1)^(2 lambda(n)) and the pixel
+    # inversion by (-1)^n.  On the levels where the two parities differ
+    # (flat levels whose n has the other parity from 2 j_min, and every
+    # upper-triangle level when 2 j_x + 2 j_y is odd) rotate(pi) adds twice
+    # the level's content times (-1)^(2 lambda); the rest of the image is
+    # inverted exactly.
+    worst = 0.0
+    for key, basis in ctx["basis"].items():
+        img = random_image(ctx["rng"], basis)
+        sign = np.zeros(basis.shape.pixels)
+        for n in range(basis.shape.max_total_mode + 1):
+            lev, nx, ny = basis.level_arrays(n)
+            if (lev.spin.two_j - n) % 2:
+                sign[nx, ny] = (-1.0) ** lev.spin.two_j
+        coeffs = ft.analyze(basis, img)
+        content = ft.synthesize(basis, sign * coeffs)
+        rot = ft.rotate_image(basis, img, math.pi)
+        worst = max(worst, float(np.max(np.abs(
+            rot - img[::-1, ::-1] - 2.0 * content))))
+        rest = ft.synthesize(basis, np.where(sign == 0.0, coeffs, 0.0))
+        worst = max(worst, float(np.max(np.abs(
+            ft.rotate_image(basis, rest, math.pi) - rest[::-1, ::-1]))))
+    return worst, 1e-9, ("rotate(pi) = pixel inversion + 2 (-1)^(2 lambda) "
+                         "x the mismatched-parity levels; the rest inverted")
+
+
 def _check_gyration_group_law(ctx):
     rng = ctx["rng"]
     worst = 0.0
@@ -519,6 +551,7 @@ _CHECKS = [
     ("rotation_group_law", _check_rotation_group_law),
     ("rotation_six_sixths", _check_six_sixths),
     ("rotation_pi_is_pixel_inversion", _check_rotation_pi_parity),
+    ("rotation_pi_half_turn_law", _check_rotation_pi_half_turn_law),
     ("gyration_group_law", _check_gyration_group_law),
     ("level_invariance", _check_level_invariance),
     ("rotation_realness", _check_rotation_realness),

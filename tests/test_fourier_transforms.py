@@ -363,6 +363,9 @@ def test_batched_mix_matches_little_d_blocks_across_batch_edges(two_j):
     two_jmin = min(two_j)
     assert len(basis.batches) == -(-two_jmin // mode_basis._BATCH_SPINS) + 1
     assert basis.batches[-1][2].shape[0] == 1
+    for _, _, stack, index in basis.batches:
+        assert index.shape[:2] == stack.shape[:2]
+        assert index.min() >= 0 and index.max() <= 2 * two_jmin
     rng = np.random.default_rng(sum(two_j))
     coeffs = random_image(rng, basis)
     scale = np.max(np.abs(coeffs))

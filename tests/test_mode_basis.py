@@ -122,8 +122,8 @@ def test_basis_tables_frozen():
 def _gathered_slots(basis):
     """(2*lambda, rows) for every slot of every batch, in buffer order:
     rows is the slot's (k_max, levels) block of ``basis.gather``."""
-    blocks = (basis.gather[start:stop].reshape(*stack.shape[:2], -1)
-              for start, stop, stack, _ in basis.batches)
+    blocks = (basis.gather[start:stop].reshape(index.shape)
+              for start, stop, _, index in basis.batches)
     return list(enumerate(rows for block in blocks for rows in block))
 
 
@@ -194,17 +194,18 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
     assert len(basis.quarter_turns) == two_jmin + 1
     assert len(basis.batches) == len(runs) + 1
     spins = iter(range(two_jmin + 1))
-    for (start, stop_b, stack, two_mu), run in zip(basis.batches, runs + [1]):
+    for (start, stop_b, stack, index), run in zip(basis.batches, runs + [1]):
         assert start == stop
         stop = stop_b
         assert stack.dtype == np.float64 and not stack.flags.writeable
         k_max = stack.shape[1]
         assert stack.shape == (run, k_max, k_max)
-        assert two_mu.shape == (run, k_max, 1) and not two_mu.flags.writeable
         levels = 2 if stack is not basis.batches[-1][2] else \
             abs(two_jx - two_jy) + 1
+        assert index.shape == (run, k_max, levels)
+        assert index.dtype == np.intp and not index.flags.writeable
         assert stop - start == run * k_max * levels
-        for slot, mu in zip(stack, two_mu[..., 0]):
+        for slot, rows in zip(stack, index):
             two_l = next(spins)
             v = basis.quarter_turns[two_l]
             # Each slot is its rung zero-padded, and the quarter-turn table
@@ -215,9 +216,12 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
             assert np.array_equal(slot[:two_l + 1, :two_l + 1], v)
             assert not slot[two_l + 1:].any() and not slot[:, two_l + 1:].any()
             assert np.max(np.abs(v @ v.T - np.eye(two_l + 1))) < 1e-13
-            assert np.array_equal(
-                mu, np.r_[np.arange(-two_l, two_l + 1, 2),
-                          np.zeros(k_max - two_l - 1, dtype=int)])
+            # Every level column indexes the eigen-phase of 2*mu = 2k -
+            # 2*lambda, offset by 2j_min, and the padding rows phase one.
+            two_mu = np.r_[np.arange(-two_l, two_l + 1, 2),
+                           np.zeros(k_max - two_l - 1, dtype=int)]
+            assert np.array_equal(rows, np.repeat(
+                two_jmin + two_mu[:, None], levels, axis=1))
         assert k_max == two_l + 1
     assert next(spins, None) is None
     assert stop == gather.size

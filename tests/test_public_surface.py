@@ -3,6 +3,8 @@ reaches into; bench/tracing.py skips a missing boundary without a word."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -21,6 +23,9 @@ STALE = {("ft", "_little_d_entries"), ("mode_basis", "kravchuk_function")}
 
 
 def test_all_lists_exactly_the_exported_names():
+    # Names served on first use join the namespace once resolved.
+    for name in fkimage.__all__:
+        getattr(fkimage, name)
     exported = {name for name, value in vars(fkimage).items()
                 if not name.startswith("_")
                 and not isinstance(value, ModuleType)}
@@ -30,6 +35,19 @@ def test_all_lists_exactly_the_exported_names():
                  "kravchuk_polynomial", "gyrate_coeffs_sandwich"):
         assert not hasattr(fkimage, name), name
     assert not hasattr(special_functions, "as_spin")
+
+
+def test_cli_import_leaves_verification_and_figures_unloaded():
+    code = ("import sys, fkimage.cli\n"
+            "print(sorted(m for m in ('fkimage.verify', 'fkimage._reference',"
+            " 'fkimage.figures') if m in sys.modules))\n"
+            "import fkimage\n"
+            "print(fkimage.run_verification.__module__,"
+            " fkimage.CheckResult.__module__)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         cwd=Path(fkimage.__file__).parents[1]).stdout
+    assert out.split("\n")[:2] == ["[]", "fkimage.verify fkimage.verify"]
 
 
 def _chain(node):
