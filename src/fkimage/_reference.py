@@ -9,6 +9,7 @@ import numpy as np
 
 from .fourier_transforms import ka_coeffs, rotate_coeffs
 from .group_algebra import FourierGroupElement
+from .mode_basis import _half_blocks
 from .special_functions import wigner_little_d
 
 
@@ -75,6 +76,19 @@ def level_action(basis, coeffs, element: FourierGroupElement) -> np.ndarray:
     act *= np.conj(quarter) * np.exp(-0.5j * e.psi * (n_x - n_y)
                                      - 0.5j * e.chi * (n_x + n_y))
     return act * np.exp(-1j * (e.omega - e.default_omega) * c)
+
+
+def quarter_turn(basis, two_l: int) -> np.ndarray:
+    """The quarter-turn table ``V = d^lambda(pi/2)`` of a spin
+    ``2*lambda <= 2j_min``, rebuilt from the basis' half blocks ``E`` and
+    ``O`` by the reflection law ``V[2*lambda - r, c] = (-1)^c V[r, c]``."""
+    e, o = _half_blocks(basis, two_l)
+    even, odd = (two_l + 2) // 2, (two_l + 1) // 2
+    v = np.empty((two_l + 1, two_l + 1))
+    v[:even, 0::2] = e[:even, :even]
+    v[:even, 1::2] = o[:even, :odd]
+    v[even:] = (v[:odd] * (-1.0) ** np.arange(two_l + 1))[::-1]
+    return v
 
 
 def gyrate_coeffs_sandwich(basis, coeffs: np.ndarray,

@@ -154,7 +154,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--shape", action="append", default=None,
                    help="screen shape 'JX,JY' (repeatable; default "
-                        "5,3 / 11,7 / 20,12 / 2.5,1 / 3,4.5 / 9,8.5)")
+                        "5,3 / 11,7 / 20,12 / 2.5,1 / 3,4.5 / 13,12.5)")
     p.add_argument("--images", type=int, default=20,
                    help="random images per randomized check")
     p.add_argument("--seed", type=int, default=2024)

@@ -171,7 +171,7 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
 
 
 # Spins below the top are mixed in runs of this many consecutive spins.
-_BATCH_SPINS = 8
+_BATCH_SPINS = 24
 
 
 def _spin_batches(two_jmin: int) -> list[tuple[int, int]]:
@@ -184,7 +184,7 @@ def _spin_batches(two_jmin: int) -> list[tuple[int, int]]:
 
 
 class CartesianBasis:
-    """One-dimensional Kravchuk tables, quarter-turn tables and level
+    """One-dimensional Kravchuk tables, halved quarter-turn tables and level
     bookkeeping of a screen.
 
     The basis stores only what the transforms read, as frozen arrays, and
@@ -193,37 +193,33 @@ class CartesianBasis:
     orthogonal, so analysis/synthesis of images is a pair of small matrix
     products.  The tables are quarter-turn little-d blocks,
     ``Psi_n(q) = d^j_{n-j,q}(pi/2)``, two rungs of one walk of the
-    half-spin ladder at pi/2 up to ``max(2j_x, 2j_y)``.
-    ``quarter_turns[2*lambda]`` is the real orthogonal rung
-    ``V = d^lambda(pi/2)`` of the same walk for every
-    ``2*lambda <= min(2j_x, 2j_y)``: its rows follow the level's mu order,
-    and ``diag(i^-k) V`` has in column k an eigenvector of J_y with
-    eigenvalue ``k - lambda``.  The transforms fold the ``i^-k`` into
-    their mode phases, so every spin is mixed by real matrix products.
-    The transforms mix the spins in a few batches.  Every spin below
-    ``2j_min`` holds two levels, n = 2*lambda and n_max - 2*lambda, and
-    these spins go in runs of eight consecutive spins, so a batch's zero
-    padding grows with the spread of its sizes, not with the sizes: about
-    11 % of the tables' bytes on (64,48) and 5 % on (100,100).  The top
-    spin ``2j_min``, which holds every level 2j_min .. 2j_max, is a batch
-    of its own.  ``batches[b] = (start, stop, stack, phase_index)``:
+    half-spin ladder at pi/2 up to ``max(2j_x, 2j_y)``.  The rungs
+    ``V = d^lambda(pi/2)`` of the same walk for ``2*lambda <= 2j_min`` are
+    the quarter-turn tables: rows in the level's mu order, and column k of
+    ``diag(i^-k) V`` an eigenvector of J_y with eigenvalue ``k - lambda``
+    (the transforms fold the ``i^-k`` into their mode phases).  By the
+    reflection law ``V[2*lambda - r, c] = (-1)^c V[r, c]`` the basis keeps
+    only the half blocks ``E = V[:ceil(k/2), 0::2]`` and
+    ``O = V[:floor(k/2), 1::2]``, k = 2*lambda + 1.  Each spin below
+    ``2j_min`` holds the levels 2*lambda and n_max - 2*lambda and goes in
+    a run of 24 consecutive spins; the top spin ``2j_min`` holds every
+    level 2j_min .. 2j_max and is a batch of its own (2 batches on
+    (20,12), 5 on (64,48)).  ``batches[b] = (start, stop, stack,
+    phase_index)``:
 
-    * ``stack`` has shape ``(spins, k_max, k_max)``; slot i holds the rung
-      of the batch's i-th spin, zero-padded, written as the walk yields
-      it.  ``quarter_turns[2*lambda]`` is the read-only view
-      ``stack[i, :2*lambda + 1, :2*lambda + 1]``, so each table is stored
-      once.
-    * ``phase_index`` has shape ``(spins, k_max, levels)``, dtype intp,
-      and holds ``2j_min + 2*mu`` at every entry of the batch's gathered
-      block, with ``2*mu = 2k - 2*lambda`` twice the J_y eigenvalue of
-      column k of the slot's table, and ``2j_min`` on the padding rows.
-      It indexes one vector of eigen-phases over ``2*mu = -2j_min ..
-      2j_min``, so the transforms read each block's phases contiguously.
-    * ``gather[start:stop]``, read as shape ``(spins, k_max, levels)``,
-      holds the flat mode indices ``n_x*N_y + n_y`` of each slot: member
-      k of every level in row k, the levels in ascending n.  Padding rows
-      hold ``N_x*N_y``, one past the last mode, where the transforms keep
-      a zero.
+    * ``stack``, shape ``(2, spins, h, h)`` with h = ceil(k/2) of the
+      batch's widest spin: ``E`` and ``O`` of each spin, zero-padded.
+    * ``phase_index``, shape ``(2, spins, h, levels)``: ``2j_min + 2*mu``
+      of row r, with ``2*mu = 4r - 2*lambda`` for ``E`` and
+      ``4r + 2 - 2*lambda`` for ``O`` (the eigenvalues of columns 2r and
+      2r + 1), ``2j_min`` on the padding; it indexes one vector of
+      eigen-phases over ``2*mu = -2j_min .. 2j_min``.
+    * ``gather`` has two halves of equal length; ``[start:stop]`` of the
+      first, read as ``(spins, h, levels)``, holds the flat mode index
+      ``n_x*N_y + n_y`` of member r of each level (ascending n) in row r,
+      and of the second, member ``2*lambda - r``.  Padding rows, and the
+      second half's row at the middle of an odd level, hold ``N_x*N_y``,
+      where the transforms keep a zero.
 
     ``scatter[n_x*N_y + n_y]`` is the position of that mode in the
     gathered buffer.
@@ -245,21 +241,23 @@ class CartesianBasis:
         two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j
         top, two_jmin = max(two_jx, two_jy), min(two_jx, two_jy)
         spans = _spin_batches(two_jmin)
-        stacks = [np.zeros((hi - lo, hi, hi)) for lo, hi in spans]
+        # Spins up to 2*lambda = hi - 1 have at most ceil(hi/2) even columns.
+        stacks = [np.zeros((2, hi - lo, (hi + 1) // 2, (hi + 1) // 2))
+                  for lo, hi in spans]
         slots = [(stack, i) for (lo, hi), stack in zip(spans, stacks)
                  for i in range(hi - lo)]
         for two_l, d in enumerate(_ladder(top, math.pi / 2.0)):
             if two_l <= two_jmin:
                 stack, i = slots[two_l]
-                stack[i, :two_l + 1, :two_l + 1] = d
+                even, odd = (two_l + 2) // 2, (two_l + 1) // 2
+                stack[0, i, :even, :even] = d[:even, 0::2]
+                stack[1, i, :odd, :odd] = d[:odd, 1::2]
             if two_l == two_jx:
                 self.phi_x = _frozen(d[::-1, ::-1].copy())
             if two_l == two_jy:
                 self.phi_y = _frozen(d[::-1, ::-1].copy())
         for stack in stacks:
             _frozen(stack)
-        self.quarter_turns = tuple(stack[i, :two_l + 1, :two_l + 1]
-                                   for two_l, (stack, i) in enumerate(slots))
         # Level n holds n_y = max(0, n - 2j_x) .. min(n, 2j_y), so its spin
         # 2*lambda is the width of that range: levels 2*lambda and
         # n_max - 2*lambda below 2j_min, and every level 2j_min .. top at it.
@@ -270,19 +268,22 @@ class CartesianBasis:
             ns = (np.arange(two_jmin, top + 1, dtype=np.intp)[None]
                   if lo == two_jmin else
                   np.stack([two_l, shape.max_total_mode - two_l], axis=1))
-            # Axes (slot, row k, level): row k holds member k of each level.
+            # Axes (half, slot, row r, level): half 0 holds member r of each
+            # level while r <= 2*lambda - r, half 1 its mirror 2*lambda - r
+            # while r < 2*lambda - r.
             two_l, ns = two_l[:, None, None], ns[:, None, :]
-            row = np.arange(hi, dtype=np.intp)[:, None]
-            ny = np.maximum(ns - two_jx, 0) + row
-            padding = row > two_l
+            row = np.arange(stack.shape[2], dtype=np.intp)[:, None]
+            half = np.arange(2, dtype=np.intp)[:, None, None, None]
+            ny = np.maximum(ns - two_jx, 0) + np.where(half, two_l - row, row)
+            padding = 2 * row + half > two_l
             index = np.where(padding, size, (ns - ny) * shape.n_y + ny)
-            gather.append(index.ravel())
-            two_mu = np.where(padding, 0, 2 * row - two_l)
-            batches.append((start, start + index.size, stack, _frozen(
-                np.repeat(two_jmin + two_mu, ns.shape[-1], axis=2))))
-            start += index.size
+            gather.append(index.reshape(2, -1))
+            two_mu = np.where(padding, 0, 4 * row + 2 * half - two_l)
+            batches.append((start, start + index.size // 2, stack, _frozen(
+                np.repeat(two_jmin + two_mu, ns.shape[-1], axis=3))))
+            start += index.size // 2
         self.batches = tuple(batches)
-        self.gather = _frozen(np.concatenate(gather))
+        self.gather = _frozen(np.concatenate(gather, axis=1).ravel())
         scatter = np.empty(size + 1, dtype=np.intp)
         scatter[self.gather] = np.arange(self.gather.size, dtype=np.intp)
         self.scatter = _frozen(scatter[:size])
@@ -355,6 +356,15 @@ def cartesian_mode(basis: CartesianBasis, idx) -> np.ndarray:
     return np.outer(basis.phi_x[idx.n_x], basis.phi_y[idx.n_y])
 
 
+def _half_blocks(basis: CartesianBasis, two_l: int) -> np.ndarray:
+    """The zero-padded half blocks ``E`` and ``O`` of spin 2*lambda, as the
+    ``(2, h, h)`` slot of its batch's stack."""
+    spans = _spin_batches(min(basis.shape.j_x.two_j, basis.shape.j_y.two_j))
+    for (lo, hi), (_, _, stack, _) in zip(spans, basis.batches):
+        if two_l < hi:
+            return stack[:, two_l - lo]
+
+
 def _lk_level_phase(two_lambda: int) -> complex:
     # Canonical per-level phase exp(-i pi lambda / 2).  It makes the family
     # closed under conjugation, Lambda_{n,-m} = conj(Lambda_{n,m}), and the
@@ -369,9 +379,11 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
     ``m = 2*mu`` labels the member of level n; it must have the parity of
     2*lambda(n) and satisfy |m| <= 2*lambda(n).  The LK modes are the J_y
     eigenvectors of the level: column ``row`` of the real quarter-turn
-    table ``basis.quarter_turns[2*lambda]``, where ``row`` is m's index in
-    the level's mu order, times ``i^k`` on member k, ``(-i)^row`` and the
-    canonical level phase.
+    table ``V = d^lambda(pi/2)``, where ``row`` is m's index in the level's
+    mu order, times ``i^k`` on member k, ``(-i)^row`` and the canonical
+    level phase.  The column's top rows come from the basis' half block
+    of its parity, and its bottom rows are their mirror times
+    ``(-1)^row``.
     """
     lev, nx, ny = basis.level_arrays(n)
     if not isinstance(m, (int, np.integer)) or m not in lev.two_mu:
@@ -380,9 +392,11 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
             f"(allowed: {lev.two_mu})")
     row = lev.two_mu.index(int(m))
     two_l = lev.spin.two_j
+    top = _half_blocks(basis, two_l)[row % 2, :, row // 2]
+    column = np.concatenate((top[:(two_l + 2) // 2],
+                             (-1) ** row * top[:(two_l + 1) // 2][::-1]))
     amp = (_lk_level_phase(two_l) * (-1j) ** (row % 4)
-           * (1j ** (np.arange(two_l + 1) % 4)
-              * basis.quarter_turns[two_l][:, row]))
+           * (1j ** (np.arange(two_l + 1) % 4) * column))
     out = np.zeros(basis.shape.pixels, dtype=complex)
     out[nx, ny] = amp
     return out

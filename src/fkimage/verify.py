@@ -27,8 +27,8 @@ import numpy as np
 from . import fourier_transforms as ft
 from . import group_algebra as ga
 from ._reference import (gyrate_coeffs_sandwich, interval_levels,
-                         level_action, random_element, random_image,
-                         wide_element)
+                         level_action, quarter_turn, random_element,
+                         random_image, wide_element)
 from .glyph import f_glyph
 from .imageio import load_complex, load_image, pixels_to_gray, read_pgm, \
     save_complex, write_pgm
@@ -40,9 +40,10 @@ from .special_functions import Spin, kravchuk_function, wigner_little_d
 __all__ = ["CheckResult", "run_verification", "DEFAULT_SHAPES", "KNOWN_LIMITATIONS"]
 
 # Integer spins with j_x > j_y, then half-integer spins, the j_x < j_y
-# orientation, and a shorter side 2 j_min = 17 that spans three batches of
+# orientation, and a shorter side 2 j_min = 25 that spans two batches of
 # spins below the top one.
-DEFAULT_SHAPES = ((5, 3), (11, 7), (20, 12), (2.5, 1), (3, 4.5), (9, 8.5))
+DEFAULT_SHAPES = ((5, 3), (11, 7), (20, 12), (2.5, 1), (3, 4.5),
+                  (13, 12.5))
 
 # Element pairs drawn by the randomized group-action checks.
 _PAIRS = 25
@@ -216,6 +217,22 @@ def _check_basis_gram(ctx):
             worst = max(worst, float(np.max(np.abs(phi @ phi.T - eye))))
             worst = max(worst, float(np.max(np.abs(phi.T @ phi - eye))))
     return worst, 1e-10, "1-D Gram and completeness on all screens"
+
+
+def _check_quarter_turn_reflection(ctx):
+    # A basis keeps only the top rows of each quarter-turn rung's even and
+    # odd columns, and the mix takes the bottom rows from the reflection
+    # law V[2 lambda - r, c] = (-1)^c V[r, c]; the rung rebuilt that way is
+    # measured against the whole rung.
+    worst = 0.0
+    for key, basis in ctx["basis"].items():
+        two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
+        for two_l in range(two_jmin + 1):
+            d = wigner_little_d(Spin(two_l), math.pi / 2).entries
+            worst = max(worst, float(np.max(np.abs(
+                quarter_turn(basis, two_l) - d))))
+    return worst, 1e-14, ("max |V from its even/odd half blocks by "
+                          "V[2 lambda - r, c] = (-1)^c V[r, c] - d(pi/2)|")
 
 
 def _check_lk_basis(ctx):
@@ -545,6 +562,7 @@ _CHECKS = [
     ("level_mu_coverage", _check_mu_coverage),
     ("checkerboard_relation", _check_checkerboard),
     ("cartesian_basis_gram", _check_basis_gram),
+    ("quarter_turn_reflection", _check_quarter_turn_reflection),
     ("lk_basis_gram", _check_lk_basis),
     ("lk_conjugation_symmetry", _check_lk_conjugation),
     ("transform_unitarity", _check_unitarity),

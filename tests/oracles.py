@@ -6,6 +6,8 @@ Each oracle takes a different computational route from the production code:
 Kravchuk values come from exact rational Pochhammer ratios, little-d
 matrices come from the dense matrix exponential of J_y, and the group
 algebra's 2x2 matrices are products and decompositions of numpy arrays.
+``check_split_quarter_turns`` reads a basis' mixing tables against the
+little-d ladder itself.
 """
 
 import cmath
@@ -17,6 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from fkimage import FourierGroupElement
+from fkimage.special_functions import _ladder
 
 
 def kravchuk_fraction(n, s, two_j):
@@ -51,6 +54,46 @@ def little_d_expm(two_l, beta):
     d = expm(-1j * beta * jy)
     assert np.max(np.abs(d.imag)) < 1e-11
     return d.real
+
+
+def check_split_quarter_turns(basis):
+    """Assert that every batch of ``basis`` stacks the even-column and
+    odd-column halves ``d[:ceil(k/2), 0::2]`` and ``d[:floor(k/2), 1::2]``
+    of its spins' quarter-turn rungs ``d = d^lambda(pi/2)`` bit for bit,
+    zero-padded, and that its phase index holds ``2j_min + 2 mu`` of each
+    half's columns and ``2j_min`` on the padding.  Returns the spins'
+    counts per batch."""
+    two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
+    rungs = list(_ladder(two_jmin, math.pi / 2))
+    spins, counts, stop = iter(range(two_jmin + 1)), [], 0
+    for start, stop_b, stack, index in basis.batches:
+        assert start == stop
+        stop = stop_b
+        assert stack.dtype == np.float64 and not stack.flags.writeable
+        assert index.dtype == np.intp and not index.flags.writeable
+        count, rows = stack.shape[1:3]
+        assert stack.shape == (2, count, rows, rows)
+        assert index.shape[:3] == (2, count, rows)
+        assert stop - start == index.size // 2
+        for i in range(count):
+            two_l = next(spins)
+            d = rungs[two_l]
+            for half in (0, 1):
+                valid = (two_l + 2 - half) // 2
+                block = stack[half, i]
+                assert np.array_equal(block[:valid, :valid],
+                                      d[:valid, half::2])
+                assert not block[valid:].any() and not block[:, valid:].any()
+                two_mu = np.zeros(rows, dtype=int)
+                two_mu[:valid] = 4 * np.arange(valid) + 2 * half - two_l
+                assert np.array_equal(index[half, i], np.repeat(
+                    two_jmin + two_mu[:, None], index.shape[3], axis=1))
+        # The widest spin of a batch sets its rows.
+        assert rows == (two_l + 2) // 2
+        counts.append(count)
+    assert next(spins, None) is None
+    assert 2 * stop == basis.gather.size
+    return counts
 
 
 def element_matrix(element):

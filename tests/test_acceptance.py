@@ -4,14 +4,19 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 Two clauses meet the rectangular screen's level structure:
 
 * 4b: a half-turn multiplies level n by (-1)^(2 lambda(n)), while the
-  pixel inversion (q_x, q_y) -> (-q_x, -q_y) multiplies it by (-1)^n.
-  The flat levels between 2*j_min and 2*j_max all carry spin j_min, so
-  the odd ones disagree, and no level-preserving real rotation can fix
-  that: the flat levels are odd-dimensional when 2*j_min is even.  The
-  test asserts the exact law the construction gives instead: the half-turn
-  differs from the inversion by exactly twice the image's content on the
-  levels where 2 lambda(n) and n differ in parity, inverts the rest of the
-  image exactly, and is the exact inversion on a square screen.
+  pixel inversion (q_x, q_y) -> (-q_x, -q_y) multiplies it by (-1)^n, so
+  the two disagree on every level where 2 lambda(n) and n differ in
+  parity.  The flat levels between 2*j_min and 2*j_max all carry spin
+  j_min: the odd ones disagree when 2*j_min is even, as on this suite's
+  screens, and the even ones when 2*j_min is odd.  On the upper triangle
+  2 lambda(n) = 2*j_x + 2*j_y - n, so when 2*j_x + 2*j_y is odd every
+  upper-triangle level disagrees too.  No level-preserving real rotation
+  can fix that: the flat levels are odd-dimensional when 2*j_min is
+  even.  The test asserts the exact law the construction gives instead:
+  the half-turn differs from the inversion by exactly twice the image's
+  content on the levels where 2 lambda(n) and n differ in parity, inverts
+  the rest of the image exactly, and is the exact inversion on a square
+  screen.
 * 8a: applying the composition of two elements equals applying them in
   sequence.  The antisymmetric Fourier phases carry a level-central offset
   on the flat levels (n_x - n_y is not twice the level projection there),

@@ -16,7 +16,7 @@ from fkimage import mode_basis
 from fkimage._reference import (gyrate_coeffs_sandwich, interval_levels,
                                 level_action, random_image)
 
-from oracles import little_d_expm
+from oracles import check_split_quarter_turns, little_d_expm
 
 
 @pytest.fixture(scope="module")
@@ -350,21 +350,23 @@ def test_eigenbasis_transforms_match_little_d_blocks(two_jx, two_jy, angles,
 
 def _batch_edge_screens():
     """(2j_x, 2j_y) whose shorter side 2j_min sits one below, at and one
-    past a batch edge, and past two; the square ones give a top batch of
-    one level.  Both orientations and half-integer spins."""
-    w = mode_basis._BATCH_SPINS
-    return [(w - 1, w + 4), (w + 3, w), (w + 1, w + 1), (w + 6, w + 1),
-            (2 * w, 2 * w + 5), (2 * w + 1, 2 * w + 1), (2 * w + 2, 2 * w + 1)]
+    past an edge of the runs of w spins, and past two; the square ones give
+    a top batch of one level.  Both orientations and half-integer spins,
+    for runs of w = _BATCH_SPINS and of 8, whose edges fall inside the
+    first run."""
+    return [pair for w in (8, mode_basis._BATCH_SPINS) for pair in (
+        (w - 1, w + 4), (w + 3, w), (w + 1, w + 1), (w + 6, w + 1),
+        (2 * w, 2 * w + 5), (2 * w + 1, 2 * w + 1), (2 * w + 2, 2 * w + 1))]
 
 
 @pytest.mark.parametrize("two_j", _batch_edge_screens(), ids=str)
 def test_batched_mix_matches_little_d_blocks_across_batch_edges(two_j):
     basis = build_basis(ScreenShape(Spin(two_j[0]), Spin(two_j[1])))
     two_jmin = min(two_j)
-    assert len(basis.batches) == -(-two_jmin // mode_basis._BATCH_SPINS) + 1
-    assert basis.batches[-1][2].shape[0] == 1
-    for _, _, stack, index in basis.batches:
-        assert index.shape[:2] == stack.shape[:2]
+    counts = check_split_quarter_turns(basis)
+    assert len(counts) == -(-two_jmin // mode_basis._BATCH_SPINS) + 1
+    assert counts[-1] == 1
+    for _, _, _, index in basis.batches:
         assert index.min() >= 0 and index.max() <= 2 * two_jmin
     rng = np.random.default_rng(sum(two_j))
     coeffs = random_image(rng, basis)

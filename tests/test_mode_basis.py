@@ -9,8 +9,11 @@ from fkimage import (DomainError, FourierGroupElement, ScreenShape, Spin,
                      gyrate_coeffs, level_spectrum, lk_coefficients, lk_mode,
                      rotate_coeffs)
 from fkimage import mode_basis
-from fkimage._reference import interval_levels
+from fkimage._reference import interval_levels, quarter_turn
 from fkimage.mode_basis import ModeIndex
+from fkimage.special_functions import _ladder
+
+from oracles import check_split_quarter_turns
 
 SQ2 = math.sqrt(0.5)
 
@@ -121,10 +124,19 @@ def test_basis_tables_frozen():
 
 def _gathered_slots(basis):
     """(2*lambda, rows) for every slot of every batch, in buffer order:
-    rows is the slot's (k_max, levels) block of ``basis.gather``."""
-    blocks = (basis.gather[start:stop].reshape(index.shape)
-              for start, stop, _, index in basis.batches)
-    return list(enumerate(rows for block in blocks for rows in block))
+    rows holds the slot's gathered mode indices with member k of each level
+    in row k, its top rows from the first half of ``basis.gather`` and its
+    mirrored bottom rows from the second, then every padding row."""
+    halves = basis.gather.reshape(2, -1)
+    slots = []
+    for start, stop, _, index in basis.batches:
+        top, bottom = halves[:, start:stop].reshape(index.shape)
+        for t, b in zip(top, bottom):
+            two_l = len(slots)
+            even, odd = (two_l + 2) // 2, (two_l + 1) // 2
+            slots.append((two_l, np.concatenate(
+                (t[:even], b[:odd][::-1], t[even:], b[odd:]))))
+    return slots
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -185,46 +197,26 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
     modes = gather[gather != size]
     assert np.array_equal(np.sort(modes), np.arange(size))
     assert np.array_equal(gather[scatter], np.arange(size))
-    # Runs of _BATCH_SPINS consecutive spins, then the top spin alone.
+    # Runs of _BATCH_SPINS consecutive spins, then the top spin alone; each
+    # batch holds the even and odd halves of its spins' quarter-turn rungs.
     runs, lo = [], 0
     while lo < two_jmin:
         runs.append(min(mode_basis._BATCH_SPINS, two_jmin - lo))
         lo += runs[-1]
-    stop = 0
-    assert len(basis.quarter_turns) == two_jmin + 1
-    assert len(basis.batches) == len(runs) + 1
-    spins = iter(range(two_jmin + 1))
-    for (start, stop_b, stack, index), run in zip(basis.batches, runs + [1]):
-        assert start == stop
-        stop = stop_b
-        assert stack.dtype == np.float64 and not stack.flags.writeable
-        k_max = stack.shape[1]
-        assert stack.shape == (run, k_max, k_max)
-        levels = 2 if stack is not basis.batches[-1][2] else \
-            abs(two_jx - two_jy) + 1
-        assert index.shape == (run, k_max, levels)
-        assert index.dtype == np.intp and not index.flags.writeable
-        assert stop - start == run * k_max * levels
-        for slot, rows in zip(stack, index):
-            two_l = next(spins)
-            v = basis.quarter_turns[two_l]
-            # Each slot is its rung zero-padded, and the quarter-turn table
-            # is a view of it, so every table is stored once.
-            assert v.base is stack and not v.flags.writeable
-            assert np.shares_memory(v, slot)
-            assert v.dtype == np.float64 and v.shape == (two_l + 1, two_l + 1)
-            assert np.array_equal(slot[:two_l + 1, :two_l + 1], v)
-            assert not slot[two_l + 1:].any() and not slot[:, two_l + 1:].any()
-            assert np.max(np.abs(v @ v.T - np.eye(two_l + 1))) < 1e-13
-            # Every level column indexes the eigen-phase of 2*mu = 2k -
-            # 2*lambda, offset by 2j_min, and the padding rows phase one.
-            two_mu = np.r_[np.arange(-two_l, two_l + 1, 2),
-                           np.zeros(k_max - two_l - 1, dtype=int)]
-            assert np.array_equal(rows, np.repeat(
-                two_jmin + two_mu[:, None], levels, axis=1))
-        assert k_max == two_l + 1
-    assert next(spins, None) is None
-    assert stop == gather.size
+    assert check_split_quarter_turns(basis) == runs + [1]
+    for (_, _, stack, index), levels in zip(
+            basis.batches, [2] * len(runs) + [abs(two_jx - two_jy) + 1]):
+        assert index.shape == stack.shape[:3] + (levels,)
+    # Each table is stored once, as its halves: V rebuilt from them by the
+    # reflection law has the rung's top rows bit for bit (the odd columns
+    # of a middle row are the law's exact zeros) and is orthogonal.
+    for two_l, d in enumerate(_ladder(two_jmin, math.pi / 2)):
+        v = quarter_turn(basis, two_l)
+        even, odd = (two_l + 2) // 2, (two_l + 1) // 2
+        assert np.array_equal(v[:odd], d[:odd])
+        assert np.array_equal(v[:even, 0::2], d[:even, 0::2])
+        assert np.max(np.abs(v - d)) <= 1e-14
+        assert np.max(np.abs(v @ v.T - np.eye(two_l + 1))) < 1e-13
     # No complex table per spin: the J_y phases live in the transforms.
     assert not any(np.iscomplexobj(table)
                    for value in vars(basis).values()

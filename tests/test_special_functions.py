@@ -12,7 +12,7 @@ from fkimage import (DomainError, FourierGroupElement, Spin, analyze,
                      apply_element_coeffs, build_basis, gyrate_coeffs,
                      kravchuk_function, lk_coefficients, rotate_coeffs,
                      wigner_little_d)
-from fkimage.special_functions import kravchuk_polynomial
+from fkimage.special_functions import _ladder, kravchuk_polynomial
 
 from oracles import kravchuk_fraction, little_d_expm, psi_reference
 
@@ -229,6 +229,16 @@ def test_quarter_turn_reproduces_kravchuk():
                 q = (two_j - 2 * col) / 2.0
                 assert d.entries[two_j - n, col] == pytest.approx(
                     kravchuk_function(Spin(two_j), n, q), abs=1e-10)
+
+
+def test_quarter_turn_reflection_law():
+    # V[2 lambda - r, c] = (-1)^c V[r, c] on every rung of the ladder at
+    # pi/2, so a basis keeps only the top rows of the even and odd columns.
+    worst = 0.0
+    for two_l, d in enumerate(_ladder(200, math.pi / 2)):
+        sign = (-1.0) ** np.arange(two_l + 1)
+        worst = max(worst, float(np.max(np.abs(d[::-1] - sign * d))))
+    assert worst <= 1e-14
 
 
 def test_value_accessor():
