@@ -170,17 +170,32 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
     return LevelSpectrum(n, Spin(two_l), members, two_mu)
 
 
-# Spins below the top are mixed in runs of this many consecutive spins.
+# Spins from 2*_BATCH_SPINS up to the top one are mixed in runs of this
+# many consecutive spins; the spins below are folded two to a slot.
 _BATCH_SPINS = 24
 
 
-def _spin_batches(two_jmin: int) -> list[tuple[int, int]]:
-    """Ranges ``[lo, hi)`` of the spins 2*lambda mixed as one batch: runs
-    of ``_BATCH_SPINS`` below ``2j_min``, the last one possibly shorter,
-    and the top spin ``2j_min`` on its own."""
-    spans = [(lo, min(lo + _BATCH_SPINS, two_jmin))
-             for lo in range(0, two_jmin, _BATCH_SPINS)]
-    return spans + [(two_jmin, two_jmin + 1)]
+def _batch_slots(two_jmin: int) -> list[list[tuple[tuple[int, int], ...]]]:
+    """The slots of each batch, each slot a tuple of ``(2*lambda, offset)``
+    of the spins it holds, ``offset`` being the row and column of the
+    spin's half blocks in the slot.
+
+    Below ``F = min(2j_min, 2*_BATCH_SPINS)`` spin s shares a slot with
+    spin ``F - 1 - s``, whose half blocks sit at offset ``s//2 + 1``, just
+    past the even-column half of s; when F is odd, the middle spin
+    ``(F - 1)/2`` has a slot of its own.  So every pair of this first
+    batch is ``F/2 + 1`` rows high for an even F, and ``(F + 1)/2`` or
+    ``(F + 3)/2`` for an odd one.  Spins ``F .. 2j_min - 1`` follow in runs
+    of ``_BATCH_SPINS``, one to a slot, and the top spin ``2j_min`` is a
+    batch of its own.
+    """
+    fold = min(two_jmin, 2 * _BATCH_SPINS)
+    folded = [((s, 0), (fold - 1 - s, s // 2 + 1)) for s in range(fold // 2)]
+    if fold % 2:
+        folded.append((((fold - 1) // 2, 0),))
+    runs = [[((s, 0),) for s in range(lo, min(lo + _BATCH_SPINS, two_jmin))]
+            for lo in range(fold, two_jmin, _BATCH_SPINS)]
+    return ([folded] if folded else []) + runs + [[((two_jmin, 0),)]]
 
 
 class CartesianBasis:
@@ -201,25 +216,28 @@ class CartesianBasis:
     reflection law ``V[2*lambda - r, c] = (-1)^c V[r, c]`` the basis keeps
     only the half blocks ``E = V[:ceil(k/2), 0::2]`` and
     ``O = V[:floor(k/2), 1::2]``, k = 2*lambda + 1.  Each spin below
-    ``2j_min`` holds the levels 2*lambda and n_max - 2*lambda and goes in
-    a run of 24 consecutive spins; the top spin ``2j_min`` holds every
-    level 2j_min .. 2j_max and is a batch of its own (2 batches on
-    (20,12), 5 on (64,48)).  ``batches[b] = (start, stop, stack,
+    ``2j_min`` holds the levels 2*lambda and n_max - 2*lambda; the top spin
+    ``2j_min`` holds every level 2j_min .. 2j_max.  ``_batch_slots`` lays
+    the spins out in batches of slots: the low spins folded two to a
+    slot, the next ones in runs of 24, the top spin alone (2 batches on
+    (20,12), 4 on (64,48)).  ``batches[b] = (start, stop, stack,
     phase_index)``:
 
-    * ``stack``, shape ``(2, spins, h, h)`` with h = ceil(k/2) of the
-      batch's widest spin: ``E`` and ``O`` of each spin, zero-padded.
-    * ``phase_index``, shape ``(2, spins, h, levels)``: ``2j_min + 2*mu``
-      of row r, with ``2*mu = 4r - 2*lambda`` for ``E`` and
-      ``4r + 2 - 2*lambda`` for ``O`` (the eigenvalues of columns 2r and
-      2r + 1), ``2j_min`` on the padding; it indexes one vector of
+    * ``stack``, shape ``(2, slots, h, h)`` with h the rows of the batch's
+      highest slot: the ``E`` and the ``O`` of each spin of a slot at its
+      offset, block-diagonal, zero elsewhere.
+    * ``phase_index``, shape ``(2, slots, h, levels)``: ``2j_min + 2*mu``
+      of row r of a spin's blocks, with ``2*mu = 4r - 2*lambda`` for ``E``
+      and ``4r + 2 - 2*lambda`` for ``O`` (the eigenvalues of columns 2r
+      and 2r + 1), ``2j_min`` on the padding; it indexes one vector of
       eigen-phases over ``2*mu = -2j_min .. 2j_min``.
     * ``gather`` has two halves of equal length; ``[start:stop]`` of the
-      first, read as ``(spins, h, levels)``, holds the flat mode index
-      ``n_x*N_y + n_y`` of member r of each level (ascending n) in row r,
-      and of the second, member ``2*lambda - r``.  Padding rows, and the
-      second half's row at the middle of an odd level, hold ``N_x*N_y``,
-      where the transforms keep a zero.
+      first, read as ``(slots, h, levels)``, holds the flat mode index
+      ``n_x*N_y + n_y`` of member r of each of a spin's levels (ascending
+      n) in row r past the spin's offset, and of the second, member
+      ``2*lambda - r``.  Padding rows, and the second half's row at the
+      middle of an odd level, hold ``N_x*N_y``, where the transforms keep
+      a zero.
 
     ``scatter[n_x*N_y + n_y]`` is the position of that mode in the
     gathered buffer.
@@ -240,18 +258,20 @@ class CartesianBasis:
         self.shape = shape
         two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j
         top, two_jmin = max(two_jx, two_jy), min(two_jx, two_jy)
-        spans = _spin_batches(two_jmin)
-        # Spins up to 2*lambda = hi - 1 have at most ceil(hi/2) even columns.
-        stacks = [np.zeros((2, hi - lo, (hi + 1) // 2, (hi + 1) // 2))
-                  for lo, hi in spans]
-        slots = [(stack, i) for (lo, hi), stack in zip(spans, stacks)
-                 for i in range(hi - lo)]
+        layout = _batch_slots(two_jmin)
+        # A slot's rows end with the even-column half of its last spin.
+        stacks = [np.zeros((2, len(slots)) + (max(
+            slot[-1][1] + slot[-1][0] // 2 + 1 for slot in slots),) * 2)
+            for slots in layout]
+        places = {two_l: (stack, i, offset)
+                  for slots, stack in zip(layout, stacks)
+                  for i, slot in enumerate(slots) for two_l, offset in slot}
         for two_l, d in enumerate(_ladder(top, math.pi / 2.0)):
             if two_l <= two_jmin:
-                stack, i = slots[two_l]
-                even, odd = (two_l + 2) // 2, (two_l + 1) // 2
-                stack[0, i, :even, :even] = d[:even, 0::2]
-                stack[1, i, :odd, :odd] = d[:odd, 1::2]
+                stack, i, at = places[two_l]
+                even, odd = two_l // 2 + 1, (two_l + 1) // 2
+                stack[0, i, at:at + even, at:at + even] = d[:even, 0::2]
+                stack[1, i, at:at + odd, at:at + odd] = d[:odd, 1::2]
             if two_l == two_jx:
                 self.phi_x = _frozen(d[::-1, ::-1].copy())
             if two_l == two_jy:
@@ -263,24 +283,33 @@ class CartesianBasis:
         # n_max - 2*lambda below 2j_min, and every level 2j_min .. top at it.
         size = shape.mode_count
         batches, gather, start = [], [], 0
-        for (lo, hi), stack in zip(spans, stacks):
-            two_l = np.arange(lo, hi, dtype=np.intp)
-            ns = (np.arange(two_jmin, top + 1, dtype=np.intp)[None]
-                  if lo == two_jmin else
-                  np.stack([two_l, shape.max_total_mode - two_l], axis=1))
-            # Axes (half, slot, row r, level): half 0 holds member r of each
-            # level while r <= 2*lambda - r, half 1 its mirror 2*lambda - r
-            # while r < 2*lambda - r.
-            two_l, ns = two_l[:, None, None], ns[:, None, :]
+        half = np.arange(2, dtype=np.intp)[:, None, None, None]
+        for slots, stack in zip(layout, stacks):
+            # Axes (slot, row, level): the spin 2*lambda of each row, the row
+            # r of that spin's blocks, and the levels of the spin.  A slot's
+            # last spin starts at its offset, and a lone spin at 0.
+            first, _, last, offset = np.array(
+                [slot[0] + slot[-1] for slot in slots], dtype=np.intp
+            ).T[:, :, None, None]
             row = np.arange(stack.shape[2], dtype=np.intp)[:, None]
-            half = np.arange(2, dtype=np.intp)[:, None, None, None]
-            ny = np.maximum(ns - two_jx, 0) + np.where(half, two_l - row, row)
-            padding = 2 * row + half > two_l
+            later = row >= offset
+            two_l = np.where(later, last, first)
+            r = np.where(later, row - offset, row)
+            ns = (np.arange(two_jmin, top + 1, dtype=np.intp)
+                  if first[0, 0, 0] == two_jmin else np.concatenate(
+                      (two_l, shape.max_total_mode - two_l), axis=2))
+            # Axes (half, slot, row, level): half 0 holds member r of each
+            # level, its column k = 2r of V, while r <= 2*lambda - r; half 1
+            # holds the mirror 2*lambda - r, column k = 2r + 1, while
+            # r < 2*lambda - r.
+            k = 2 * r + half
+            padding = k > two_l
+            ny = np.maximum(ns - two_jx, 0) + np.where(half, two_l - r, r)
             index = np.where(padding, size, (ns - ny) * shape.n_y + ny)
             gather.append(index.reshape(2, -1))
-            two_mu = np.where(padding, 0, 4 * row + 2 * half - two_l)
+            two_mu = np.where(padding, 0, 2 * k - two_l)
             batches.append((start, start + index.size // 2, stack, _frozen(
-                np.repeat(two_jmin + two_mu, ns.shape[-1], axis=3))))
+                (two_jmin + two_mu).repeat(ns.shape[-1], axis=3))))
             start += index.size // 2
         self.batches = tuple(batches)
         self.gather = _frozen(np.concatenate(gather, axis=1).ravel())
@@ -357,12 +386,15 @@ def cartesian_mode(basis: CartesianBasis, idx) -> np.ndarray:
 
 
 def _half_blocks(basis: CartesianBasis, two_l: int) -> np.ndarray:
-    """The zero-padded half blocks ``E`` and ``O`` of spin 2*lambda, as the
-    ``(2, h, h)`` slot of its batch's stack."""
-    spans = _spin_batches(min(basis.shape.j_x.two_j, basis.shape.j_y.two_j))
-    for (lo, hi), (_, _, stack, _) in zip(spans, basis.batches):
-        if two_l < hi:
-            return stack[:, two_l - lo]
+    """The half blocks ``E`` and ``O`` of spin 2*lambda, ``O`` zero-padded
+    to the shape of ``E``, as a ``(2, h, h)`` view of its batch's stack."""
+    two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
+    b, i, at = next((b, i, offset)
+                    for b, slots in enumerate(_batch_slots(two_jmin))
+                    for i, slot in enumerate(slots)
+                    for spin, offset in slot if spin == two_l)
+    even = two_l // 2 + 1
+    return basis.batches[b][2][:, i, at:at + even, at:at + even]
 
 
 def _lk_level_phase(two_lambda: int) -> complex:

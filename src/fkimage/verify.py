@@ -39,9 +39,11 @@ from .special_functions import Spin, kravchuk_function, wigner_little_d
 
 __all__ = ["CheckResult", "run_verification", "DEFAULT_SHAPES", "KNOWN_LIMITATIONS"]
 
-# Integer spins with j_x > j_y, then half-integer spins, the j_x < j_y
-# orientation, and a shorter side 2 j_min = 25 that spans two batches of
-# spins below the top one.
+# (5,3), (11,7) and (20,12): integer spins with j_x > j_y, their low spins
+# folded two to a slot, (20,12) at the even fold 2 j_min = 24.  (2.5,1) and
+# (3,4.5): half-integer spins, the latter in the j_x < j_y orientation.
+# (13,12.5): the odd fold 2 j_min = 25, whose middle spin has a slot of
+# its own.
 DEFAULT_SHAPES = ((5, 3), (11, 7), (20, 12), (2.5, 1), (3, 4.5),
                   (13, 12.5))
 

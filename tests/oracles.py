@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from fkimage import FourierGroupElement
+from fkimage.mode_basis import _batch_slots
 from fkimage.special_functions import _ladder
 
 
@@ -56,44 +57,65 @@ def little_d_expm(two_l, beta):
     return d.real
 
 
+def fold_layout(two_jmin, width):
+    """The spins of each slot of each batch by the fold rule, written out
+    without ``mode_basis``: below F = min(2j_min, 2 width) spin s shares a
+    slot with F - 1 - s, and the middle spin of an odd F has its own; then
+    runs of ``width`` spins, one to a slot; then the top spin alone."""
+    fold = min(two_jmin, 2 * width)
+    batches = [[tuple(sorted({s, fold - 1 - s}))
+                for s in range((fold + 1) // 2)]] if fold else []
+    for lo in range(fold, two_jmin, width):
+        batches.append([(s,) for s in range(lo, min(lo + width, two_jmin))])
+    return batches + [[(two_jmin,)]]
+
+
 def check_split_quarter_turns(basis):
-    """Assert that every batch of ``basis`` stacks the even-column and
+    """Assert that every slot of every batch of ``basis``, as
+    ``mode_basis._batch_slots`` lists them, holds the even-column and
     odd-column halves ``d[:ceil(k/2), 0::2]`` and ``d[:floor(k/2), 1::2]``
-    of its spins' quarter-turn rungs ``d = d^lambda(pi/2)`` bit for bit,
-    zero-padded, and that its phase index holds ``2j_min + 2 mu`` of each
-    half's columns and ``2j_min`` on the padding.  Returns the spins'
-    counts per batch."""
+    of its spins' quarter-turn rungs ``d = d^lambda(pi/2)`` bit for bit, the
+    first spin at row and column 0 and a second one just past the first's
+    even half, with exact zeros off those blocks and on the padding; and
+    that its phase index holds ``2j_min + 2 mu`` of each half's columns and
+    ``2j_min`` elsewhere.  Returns the spins of each slot of each batch."""
     two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
     rungs = list(_ladder(two_jmin, math.pi / 2))
-    spins, counts, stop = iter(range(two_jmin + 1)), [], 0
-    for start, stop_b, stack, index in basis.batches:
+    layout = _batch_slots(two_jmin)
+    assert len(layout) == len(basis.batches)
+    stop = 0
+    for (start, stop_b, stack, index), slots in zip(basis.batches, layout):
         assert start == stop
         stop = stop_b
         assert stack.dtype == np.float64 and not stack.flags.writeable
         assert index.dtype == np.intp and not index.flags.writeable
-        count, rows = stack.shape[1:3]
-        assert stack.shape == (2, count, rows, rows)
-        assert index.shape[:3] == (2, count, rows)
+        rows = stack.shape[2]
+        assert stack.shape == (2, len(slots), rows, rows)
+        assert index.shape[:3] == (2, len(slots), rows)
         assert stop - start == index.size // 2
-        for i in range(count):
-            two_l = next(spins)
-            d = rungs[two_l]
+        for i, slot in enumerate(slots):
+            offsets = [0, slot[0][0] // 2 + 1][:len(slot)]
+            assert [at for _, at in slot] == offsets
             for half in (0, 1):
-                valid = (two_l + 2 - half) // 2
-                block = stack[half, i]
-                assert np.array_equal(block[:valid, :valid],
-                                      d[:valid, half::2])
-                assert not block[valid:].any() and not block[:, valid:].any()
+                block = np.zeros((rows, rows))
                 two_mu = np.zeros(rows, dtype=int)
-                two_mu[:valid] = 4 * np.arange(valid) + 2 * half - two_l
+                for two_l, at in slot:
+                    valid = (two_l + 2 - half) // 2
+                    block[at:at + valid, at:at + valid] = \
+                        rungs[two_l][:valid, half::2]
+                    two_mu[at:at + valid] = (4 * np.arange(valid) + 2 * half
+                                             - two_l)
+                assert np.array_equal(stack[half, i], block)
                 assert np.array_equal(index[half, i], np.repeat(
                     two_jmin + two_mu[:, None], index.shape[3], axis=1))
-        # The widest spin of a batch sets its rows.
-        assert rows == (two_l + 2) // 2
-        counts.append(count)
-    assert next(spins, None) is None
+        # The highest slot sets the batch's rows.
+        assert rows == max(at + two_l // 2 + 1
+                           for slot in slots for two_l, at in slot)
+    assert sorted(two_l for slots in layout for slot in slots
+                  for two_l, _ in slot) == list(range(two_jmin + 1))
     assert 2 * stop == basis.gather.size
-    return counts
+    return [[tuple(two_l for two_l, _ in slot) for slot in slots]
+            for slots in layout]
 
 
 def element_matrix(element):

@@ -16,7 +16,7 @@ from fkimage import mode_basis
 from fkimage._reference import (gyrate_coeffs_sandwich, interval_levels,
                                 level_action, random_image)
 
-from oracles import check_split_quarter_turns, little_d_expm
+from oracles import check_split_quarter_turns, fold_layout, little_d_expm
 
 
 @pytest.fixture(scope="module")
@@ -353,19 +353,28 @@ def _batch_edge_screens():
     past an edge of the runs of w spins, and past two; the square ones give
     a top batch of one level.  Both orientations and half-integer spins,
     for runs of w = _BATCH_SPINS and of 8, whose edges fall inside the
-    first run."""
-    return [pair for w in (8, mode_basis._BATCH_SPINS) for pair in (
+    folded spins.  Then the fold's own edges: 2j_min = 2 _BATCH_SPINS - 1,
+    an odd fold whose middle spin has a slot of its own, and
+    3 _BATCH_SPINS + 1, one past the first run after the fold."""
+    width = mode_basis._BATCH_SPINS
+    runs = [pair for w in (8, width) for pair in (
         (w - 1, w + 4), (w + 3, w), (w + 1, w + 1), (w + 6, w + 1),
         (2 * w, 2 * w + 5), (2 * w + 1, 2 * w + 1), (2 * w + 2, 2 * w + 1))]
+    return runs + [(2 * width + 2, 2 * width - 1),
+                   (3 * width + 1, 3 * width + 4)]
 
 
 @pytest.mark.parametrize("two_j", _batch_edge_screens(), ids=str)
 def test_batched_mix_matches_little_d_blocks_across_batch_edges(two_j):
     basis = build_basis(ScreenShape(Spin(two_j[0]), Spin(two_j[1])))
-    two_jmin = min(two_j)
-    counts = check_split_quarter_turns(basis)
-    assert len(counts) == -(-two_jmin // mode_basis._BATCH_SPINS) + 1
-    assert counts[-1] == 1
+    two_jmin, width = min(two_j), mode_basis._BATCH_SPINS
+    layout = check_split_quarter_turns(basis)
+    assert layout == fold_layout(two_jmin, width)
+    # One folded batch below F = min(2j_min, 2 width), runs of width spins
+    # up to 2j_min, then the top spin alone.
+    fold = min(two_jmin, 2 * width)
+    assert len(layout) == (fold > 0) + -(-(two_jmin - fold) // width) + 1
+    assert layout[-1] == [(two_jmin,)]
     for _, _, _, index in basis.batches:
         assert index.min() >= 0 and index.max() <= 2 * two_jmin
     rng = np.random.default_rng(sum(two_j))
@@ -433,22 +442,27 @@ def _traced_peak(op):
 
 @pytest.mark.parametrize("real", [False, True])
 def test_action_allocates_few_full_size_arrays(real):
-    # One op on (64,48) allocates the gather source, the gathered buffer
-    # (5 % padding) and the output, and no full-grid phase: its traced
-    # peak is 2.33 complex grids, the omega phase included.  A real
-    # rotation also copies out the float64 real part, 4.66 of its float64
-    # outputs.  The bounds leave room for small temporaries only.
-    basis = build_basis((64, 48))
-    coeffs = random_image(np.random.default_rng(23), basis)
-    if real:
-        coeffs = coeffs.real.copy()
+    # One op allocates the gather source, the gathered buffer and the
+    # output, and no full-grid phase: its traced peak is 2.37 complex grids
+    # on (64,48), whose buffer is 9 % padding, and 2.66 on (20,12), where
+    # the small temporaries weigh more; the omega phase is included.  A
+    # real rotation on (64,48) also copies out the float64 real part, 4.75
+    # of its float64 outputs.  The bounds leave room for small temporaries
+    # only.
     element = FourierGroupElement(1.0, 0.3, 0.8, 2.0, omega=0.2)
-    for op, bound in (
-            (lambda: apply_element_coeffs(basis, coeffs, element), 3.25),
-            (lambda: rotate_coeffs(basis, coeffs, 0.7), 5.0 if real else 3.25)):
-        op()        # first calls may allocate once for good
-        peak, out = _traced_peak(op)
-        assert peak <= bound * out.nbytes, (peak / out.nbytes, out.dtype)
+    for spins in ((64, 48),) if real else ((64, 48), (20, 12)):
+        basis = build_basis(spins)
+        coeffs = random_image(np.random.default_rng(23), basis)
+        if real:
+            coeffs = coeffs.real.copy()
+        for op, bound in (
+                (lambda: apply_element_coeffs(basis, coeffs, element), 3.25),
+                (lambda: rotate_coeffs(basis, coeffs, 0.7),
+                 5.0 if real else 3.25)):
+            op()        # first calls may allocate once for good
+            peak, out = _traced_peak(op)
+            assert peak <= bound * out.nbytes, (spins, peak / out.nbytes,
+                                                out.dtype)
 
 
 def test_transforms_form_no_dense_little_d_block(basis117, rng, monkeypatch):

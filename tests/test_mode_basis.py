@@ -13,7 +13,7 @@ from fkimage._reference import interval_levels, quarter_turn
 from fkimage.mode_basis import ModeIndex
 from fkimage.special_functions import _ladder
 
-from oracles import check_split_quarter_turns
+from oracles import check_split_quarter_turns, fold_layout
 
 SQ2 = math.sqrt(0.5)
 
@@ -123,20 +123,27 @@ def test_basis_tables_frozen():
 
 
 def _gathered_slots(basis):
-    """(2*lambda, rows) for every slot of every batch, in buffer order:
-    rows holds the slot's gathered mode indices with member k of each level
-    in row k, its top rows from the first half of ``basis.gather`` and its
-    mirrored bottom rows from the second, then every padding row."""
+    """(2*lambda, members) for every spin of every slot, in buffer order,
+    and every padding entry: members holds the spin's gathered mode indices
+    with member k of each level in row k, its top rows from the first half
+    of ``basis.gather`` and its mirrored bottom rows from the second, both
+    read from the spin's row offset in its slot."""
+    two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
     halves = basis.gather.reshape(2, -1)
-    slots = []
-    for start, stop, _, index in basis.batches:
-        top, bottom = halves[:, start:stop].reshape(index.shape)
-        for t, b in zip(top, bottom):
-            two_l = len(slots)
-            even, odd = (two_l + 2) // 2, (two_l + 1) // 2
-            slots.append((two_l, np.concatenate(
-                (t[:even], b[:odd][::-1], t[even:], b[odd:]))))
-    return slots
+    spins, padding = [], []
+    for (start, stop, _, index), slots in zip(
+            basis.batches, mode_basis._batch_slots(two_jmin)):
+        gathered = halves[:, start:stop].reshape(index.shape)
+        for i, slot in enumerate(slots):
+            t, b = gathered[:, i]
+            used = np.zeros((2, gathered.shape[2]), dtype=bool)
+            for two_l, at in slot:
+                even, odd = (two_l + 2) // 2, (two_l + 1) // 2
+                spins.append((two_l, np.concatenate(
+                    (t[at:at + even], b[at:at + odd][::-1]))))
+                used[0, at:at + even] = used[1, at:at + odd] = True
+            padding.append(gathered[:, i][~used].ravel())
+    return spins, np.concatenate(padding)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -150,11 +157,11 @@ def test_closed_form_levels_match_level_spectrum(two_jx, two_jy):
     basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
     size, n_y = basis.shape.mode_count, basis.shape.n_y
     seen = []
-    slots = _gathered_slots(basis)
-    assert len(slots) == min(two_jx, two_jy) + 1
-    for two_l, rows in slots:
-        assert np.all(rows[two_l + 1:] == size)
-        modes = rows[:two_l + 1]
+    spins, padding = _gathered_slots(basis)
+    assert sorted(two_l for two_l, _ in spins) == list(
+        range(min(two_jx, two_jy) + 1))
+    assert np.all(padding == size)
+    for two_l, modes in spins:
         ns = [int(x) for x in (modes // n_y + modes % n_y)[0]]
         assert ns == sorted(set(ns))
         for n, column in zip(ns, modes.T):
@@ -197,15 +204,14 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
     modes = gather[gather != size]
     assert np.array_equal(np.sort(modes), np.arange(size))
     assert np.array_equal(gather[scatter], np.arange(size))
-    # Runs of _BATCH_SPINS consecutive spins, then the top spin alone; each
-    # batch holds the even and odd halves of its spins' quarter-turn rungs.
-    runs, lo = [], 0
-    while lo < two_jmin:
-        runs.append(min(mode_basis._BATCH_SPINS, two_jmin - lo))
-        lo += runs[-1]
-    assert check_split_quarter_turns(basis) == runs + [1]
+    # The low spins folded two to a slot, runs of _BATCH_SPINS consecutive
+    # spins, then the top spin alone; each slot holds the even and odd
+    # halves of its spins' quarter-turn rungs.
+    layout = fold_layout(two_jmin, mode_basis._BATCH_SPINS)
+    assert check_split_quarter_turns(basis) == layout
+    top_levels = abs(two_jx - two_jy) + 1
     for (_, _, stack, index), levels in zip(
-            basis.batches, [2] * len(runs) + [abs(two_jx - two_jy) + 1]):
+            basis.batches, [2] * (len(layout) - 1) + [top_levels]):
         assert index.shape == stack.shape[:3] + (levels,)
     # Each table is stored once, as its halves: V rebuilt from them by the
     # reflection law has the rung's top rows bit for bit (the odd columns
