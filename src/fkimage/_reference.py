@@ -60,8 +60,12 @@ def interval_levels(two_jx, two_jy, n):
 def level_action(basis, coeffs, element: FourierGroupElement) -> np.ndarray:
     """D(chi; psi, theta, phi; omega) on coefficients, assembled level by
     level from dense ``wigner_little_d`` blocks and full-grid phases, with
-    ``c`` from ``level_arrays``, not ``CartesianBasis.c``.  Rotation by
-    theta is D(0; -pi/2, 2 theta, pi/2); gyration is D(0; 0, 2 gamma, 0).
+    ``c`` from each level's members and projections (``level_arrays``).
+    Rotation by theta is D(0; -pi/2, 2 theta, pi/2); gyration is
+    D(0; 0, 2 gamma, 0).  ``level_arrays`` and ``CartesianBasis.c`` read
+    the same n_y range (``mode_basis._ny_bounds``), so this reference checks
+    the mix and the phases, not the layout: ``interval_levels`` is the
+    independent oracle for the layout.
     """
     e = element
     n_x, n_y = np.indices(coeffs.shape)

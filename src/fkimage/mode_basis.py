@@ -26,7 +26,6 @@ from .special_functions import Spin, _ladder
 __all__ = [
     "MAX_PIXELS",
     "ScreenShape",
-    "ModeIndex",
     "LevelSpectrum",
     "CartesianBasis",
     "level_spectrum",
@@ -105,43 +104,41 @@ class ScreenShape:
 
 
 @dataclass(frozen=True)
-class ModeIndex:
-    """Cartesian mode label (n_x, n_y)."""
-
-    n_x: int
-    n_y: int
-
-    @property
-    def total(self) -> int:
-        """Total mode number n = n_x + n_y."""
-        return self.n_x + self.n_y
-
-
-@dataclass(frozen=True)
 class LevelSpectrum:
-    """One total-mode level: its effective spin and ordered members.
+    """One total-mode level: its effective spin and its members.
 
-    Members are sorted by descending projection mu (ascending n_y); the
-    doubled projections ``two_mu`` run from +2*lambda down to -2*lambda in
-    steps of 2.
+    The members are the modes ``(n - n_y, n_y)`` for ``n_y`` in the range
+    ``n_y``, ascending, so by descending projection mu; the doubled
+    projections ``two_mu`` run from +2*lambda down to -2*lambda in steps
+    of 2.
     """
 
     n: int
     spin: Spin
-    members: tuple[ModeIndex, ...]
+    n_y: range
     two_mu: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.n_y)
 
-    def member_for_two_mu(self, two_mu: int) -> ModeIndex:
-        try:
-            return self.members[self.two_mu.index(two_mu)]
-        except ValueError:
-            raise DomainError(
-                f"2*mu={two_mu} not in level n={self.n} "
-                f"(allowed: {self.two_mu})") from None
+
+def _label(value, what: str) -> int:
+    """An integer label as an int; bool and non-integers raise DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _ny_bounds(shape: ScreenShape, n):
+    """Lowest and highest n_y of level n, an int or an array of levels.
+
+    Level n holds the modes ``(n - n_y, n_y)`` with
+    ``n_y = max(0, n - 2j_x) .. min(n, 2j_y)``, and its spin 2*lambda is the
+    width of that range.  This is the one statement of the level layout:
+    ``level_spectrum``, the basis build and ``CartesianBasis.c`` read it.
+    """
+    return np.maximum(n - shape.j_x.two_j, 0), np.minimum(n, shape.j_y.two_j)
 
 
 def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
@@ -155,19 +152,13 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
     in one formula (recentring (n_x-n_y)/2 on the level), which also covers
     j_x < j_y and the boundary levels, where adjacent formulas agree.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise DomainError(f"total mode must be an integer, got {n!r}")
-    n = int(n)
+    n = _label(n, "total mode")
     if not 0 <= n <= shape.max_total_mode:
         raise DomainError(
             f"total mode n={n} outside 0..{shape.max_total_mode} for {shape}")
-    two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j
-    ny_lo = max(0, n - two_jx)
-    ny_hi = min(two_jy, n)
-    two_l = ny_hi - ny_lo
-    members = tuple(ModeIndex(n - ny, ny) for ny in range(ny_lo, ny_hi + 1))
-    two_mu = tuple(range(two_l, -two_l - 1, -2))
-    return LevelSpectrum(n, Spin(two_l), members, two_mu)
+    lo, hi = map(int, _ny_bounds(shape, n))
+    return LevelSpectrum(n, Spin(hi - lo), range(lo, hi + 1),
+                         tuple(range(hi - lo, lo - hi - 1, -2)))
 
 
 # Spins from 2*_BATCH_SPINS up to the top one are mixed in runs of this
@@ -242,16 +233,19 @@ class CartesianBasis:
     ``scatter[n_x*N_y + n_y]`` is the position of that mode in the
     gathered buffer.
     ``c[n_x, n_y]`` is the integer ``(n_x - n_y) - 2*mu``, constant on each
-    level: ``c = n - max(0, n - 2j_x) - min(n, 2j_y)`` with
-    ``n = n_x + n_y``, in either orientation, so zero on the lower triangle
+    level: ``c = n - lo - hi`` with ``n = n_x + n_y`` and ``lo .. hi`` the
+    level's n_y range, in either orientation, so zero on the lower triangle
     and ``2*(j_x - j_y)`` on the upper one.  It is the offset of the
     antisymmetric Fourier phases from the level projection, and carries
-    the fifth parameter ``omega`` of a group element.  ``levels``,
-    ``level(n)`` and ``level_arrays(n)`` are views derived on demand from
-    ``level_spectrum``; the basis keeps no per-level objects.  The
-    transforms never read them: they serve the Laguerre-Kravchuk modes, the
-    figures, and the level-by-level references of ``verify`` and the tests,
-    which take ``c`` from ``level_arrays`` rather than from ``c``.
+    the fifth parameter ``omega`` of a group element.  The build, ``c`` and
+    ``level_spectrum`` all read the n_y range from ``_ny_bounds``, the one
+    statement of the layout.  ``levels`` and ``level_arrays(n)`` (the
+    level, its n_x and its n_y) are built on demand through
+    ``level_spectrum``; the basis keeps no per-level objects, and the
+    transforms never read them.  They serve the Laguerre-Kravchuk modes,
+    the figures and the level-by-level references of ``verify`` and the
+    tests, which check the layout against the interval formulas written
+    out separately in ``_reference.interval_levels``.
     """
 
     def __init__(self, shape: ScreenShape):
@@ -278,9 +272,9 @@ class CartesianBasis:
                 self.phi_y = _frozen(d[::-1, ::-1].copy())
         for stack in stacks:
             _frozen(stack)
-        # Level n holds n_y = max(0, n - 2j_x) .. min(n, 2j_y), so its spin
-        # 2*lambda is the width of that range: levels 2*lambda and
-        # n_max - 2*lambda below 2j_min, and every level 2j_min .. top at it.
+        # A level's spin 2*lambda is the width of its n_y range (_ny_bounds):
+        # levels 2*lambda and n_max - 2*lambda below 2j_min, and every level
+        # 2j_min .. top at it.
         size = shape.mode_count
         batches, gather, start = [], [], 0
         half = np.arange(2, dtype=np.intp)[:, None, None, None]
@@ -304,7 +298,7 @@ class CartesianBasis:
             # r < 2*lambda - r.
             k = 2 * r + half
             padding = k > two_l
-            ny = np.maximum(ns - two_jx, 0) + np.where(half, two_l - r, r)
+            ny = _ny_bounds(shape, ns)[0] + np.where(half, two_l - r, r)
             index = np.where(padding, size, (ns - ny) * shape.n_y + ny)
             gather.append(index.reshape(2, -1))
             two_mu = np.where(padding, 0, 2 * k - two_l)
@@ -318,29 +312,19 @@ class CartesianBasis:
         self.scatter = _frozen(scatter[:size])
         n = np.add.outer(np.arange(shape.n_x, dtype=np.intp),
                          np.arange(shape.n_y, dtype=np.intp))
-        self.c = _frozen(n - np.maximum(n - two_jx, 0) - np.minimum(n, two_jy))
+        lo, hi = _ny_bounds(shape, n)
+        self.c = _frozen(n - lo - hi)
 
     @property
     def levels(self) -> tuple[LevelSpectrum, ...]:
         return tuple(level_spectrum(self.shape, n)
                      for n in range(self.shape.max_total_mode + 1))
 
-    def level(self, n: int) -> LevelSpectrum:
-        return level_spectrum(self.shape, n)
-
     def level_arrays(self, n: int):
         """(LevelSpectrum, n_x indices, n_y indices) for fancy indexing."""
         lev = level_spectrum(self.shape, n)
-        ny = np.array([mi.n_y for mi in lev.members], dtype=np.intp)
+        ny = np.arange(lev.n_y.start, lev.n_y.stop, dtype=np.intp)
         return lev, _frozen(lev.n - ny), _frozen(ny)
-
-    def check_mode_index(self, idx) -> ModeIndex:
-        if isinstance(idx, tuple):
-            idx = ModeIndex(*idx)
-        if not (0 <= idx.n_x <= self.shape.j_x.two_j
-                and 0 <= idx.n_y <= self.shape.j_y.two_j):
-            raise DomainError(f"mode index {idx} invalid for {self.shape}")
-        return idx
 
     def check_image(self, pixels: np.ndarray) -> np.ndarray:
         pixels = np.asarray(pixels)
@@ -368,7 +352,9 @@ def build_basis(shape) -> CartesianBasis:
 
     Screens of more than ``MAX_PIXELS`` pixels raise ``DomainError`` before
     anything is built: the quarter-turn tables grow as the cube of the
-    shorter side, about 360 MB at 512x512.
+    shorter side.  At 512x512 the basis' arrays hold 182.6 MiB of batch
+    stacks, 8.2 MiB of index arrays and 4.0 MiB of ``phi_x``/``phi_y``
+    (their ``nbytes``), and the build peaks at 236 MiB RSS.
     """
     if not isinstance(shape, ScreenShape):
         shape = ScreenShape.of(*shape)
@@ -380,9 +366,17 @@ def build_basis(shape) -> CartesianBasis:
 
 
 def cartesian_mode(basis: CartesianBasis, idx) -> np.ndarray:
-    """Real image of the Cartesian mode Psi_{n_x} (x) Psi_{n_y}."""
-    idx = basis.check_mode_index(idx)
-    return np.outer(basis.phi_x[idx.n_x], basis.phi_y[idx.n_y])
+    """Real image of the Cartesian mode Psi_{n_x} (x) Psi_{n_y}, idx being
+    the pair (n_x, n_y)."""
+    try:
+        n_x, n_y = idx
+    except (TypeError, ValueError):
+        raise DomainError(f"mode index {idx!r} is not a pair") from None
+    n_x, n_y = _label(n_x, "n_x"), _label(n_y, "n_y")
+    if not (0 <= n_x <= basis.shape.j_x.two_j
+            and 0 <= n_y <= basis.shape.j_y.two_j):
+        raise DomainError(f"mode index {idx} invalid for {basis.shape}")
+    return np.outer(basis.phi_x[n_x], basis.phi_y[n_y])
 
 
 def _half_blocks(basis: CartesianBasis, two_l: int) -> np.ndarray:
@@ -411,19 +405,19 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
     ``m = 2*mu`` labels the member of level n; it must have the parity of
     2*lambda(n) and satisfy |m| <= 2*lambda(n).  The LK modes are the J_y
     eigenvectors of the level: column ``row`` of the real quarter-turn
-    table ``V = d^lambda(pi/2)``, where ``row`` is m's index in the level's
-    mu order, times ``i^k`` on member k, ``(-i)^row`` and the canonical
-    level phase.  The column's top rows come from the basis' half block
+    table ``V = d^lambda(pi/2)``, where ``row = (2*lambda - m)/2`` is m's
+    index in the level's mu order, times ``i^k`` on member k, ``(-i)^row``
+    and the canonical level phase.  The column's top rows come from the basis' half block
     of its parity, and its bottom rows are their mirror times
     ``(-1)^row``.
     """
     lev, nx, ny = basis.level_arrays(n)
-    if not isinstance(m, (int, np.integer)) or m not in lev.two_mu:
+    two_l, m = lev.spin.two_j, _label(m, "m")
+    if abs(m) > two_l or (two_l - m) % 2:
         raise DomainError(
             f"m={m} not an angular label of level n={n} "
             f"(allowed: {lev.two_mu})")
-    row = lev.two_mu.index(int(m))
-    two_l = lev.spin.two_j
+    row = (two_l - m) // 2
     top = _half_blocks(basis, two_l)[row % 2, :, row // 2]
     column = np.concatenate((top[:(two_l + 2) // 2],
                              (-1) ** row * top[:(two_l + 1) // 2][::-1]))

@@ -209,13 +209,10 @@ def test_criterion_7_level_bookkeeping():
             lev = fk.level_spectrum(shape, n)
             # mid-rhomboid formula evaluated at the boundary level
             if two_jx >= two_jy:
-                mid = {(mi.n_x, mi.n_y): two_jy - 2 * mi.n_y
-                       for mi in lev.members}
+                mid = {(n - ny, ny): two_jy - 2 * ny for ny in lev.n_y}
             else:
-                mid = {(mi.n_x, mi.n_y): 2 * mi.n_x - two_jx
-                       for mi in lev.members}
-            got = {(mi.n_x, mi.n_y): tm
-                   for mi, tm in zip(lev.members, lev.two_mu)}
+                mid = {(n - ny, ny): 2 * (n - ny) - two_jx for ny in lev.n_y}
+            got = {(n - ny, ny): tm for ny, tm in zip(lev.n_y, lev.two_mu)}
             expected_two_lambda = min(n, two_jx, two_jy, two_jx + two_jy - n)
             if got != mid or lev.spin.two_j != expected_two_lambda:
                 boundary_bad += 1

@@ -200,10 +200,10 @@ def test_quarter_gyration_of_delta_matches_lk_up_to_level_phase(basis53):
     # of the same (n, m) label, up to the constant exp(i pi lambda/2) that
     # normalizes the LK family to be conjugation-symmetric
     for n, m in ((2, 2), (8, 4), (12, -2)):
-        lev = basis53.level(n)
-        mi = lev.member_for_two_mu(m)
+        lev, nx, ny = basis53.level_arrays(n)
+        k = lev.two_mu.index(m)
         delta = np.zeros(basis53.shape.pixels, dtype=complex)
-        delta[mi.n_x, mi.n_y] = 1.0
+        delta[nx[k], ny[k]] = 1.0
         gyr = gyrate_coeffs(basis53, delta, math.pi / 4)
         phase = np.exp(1j * math.pi * lev.spin.two_j / 4.0)
         assert np.max(np.abs(gyr - phase * lk_coefficients(basis53, n, m))) < 1e-12

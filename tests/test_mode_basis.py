@@ -10,7 +10,6 @@ from fkimage import (DomainError, FourierGroupElement, ScreenShape, Spin,
                      rotate_coeffs)
 from fkimage import mode_basis
 from fkimage._reference import interval_levels, quarter_turn
-from fkimage.mode_basis import ModeIndex
 from fkimage.special_functions import _ladder
 
 from oracles import check_split_quarter_turns, fold_layout
@@ -35,8 +34,8 @@ def test_levels_match_interval_formulas(rng):
         for n in range(two_jx + two_jy + 1):
             lev = level_spectrum(shape, n)
             oracle = interval_levels(two_jx, two_jy, n)
-            got = {(mi.n_x, mi.n_y): (lev.spin.two_j, tm)
-                   for mi, tm in zip(lev.members, lev.two_mu)}
+            got = {(n - ny, ny): (lev.spin.two_j, tm)
+                   for ny, tm in zip(lev.n_y, lev.two_mu)}
             assert got == oracle, (two_jx, two_jy, n)
 
 
@@ -48,8 +47,8 @@ def test_boundary_levels_agree_between_formulas():
         for n, mid_mu in ((two_jy, lambda nx, ny: two_jy - 2 * ny),
                           (two_jx, lambda nx, ny: two_jy - 2 * ny)):
             lev = level_spectrum(shape, n)
-            for mi, tm in zip(lev.members, lev.two_mu):
-                assert tm == mid_mu(mi.n_x, mi.n_y)
+            for ny, tm in zip(lev.n_y, lev.two_mu):
+                assert tm == mid_mu(n - ny, ny)
             assert lev.spin.two_j == min(two_jy, 2 * (two_jx + two_jy) - 2 * n,
                                          n, two_jx)
 
@@ -73,9 +72,10 @@ def test_mu_coverage_and_ordering(rng):
             lev = level_spectrum(shape, n)
             assert lev.two_mu == tuple(
                 range(lev.spin.two_j, -lev.spin.two_j - 1, -2))
-            n_ys = [mi.n_y for mi in lev.members]
+            n_ys = list(lev.n_y)
             assert n_ys == sorted(n_ys)
-            assert all(mi.total == n for mi in lev.members)
+            assert all(0 <= n - ny <= shape.j_x.two_j
+                       and 0 <= ny <= shape.j_y.two_j for ny in lev.n_y)
 
 
 def test_level_domain_errors():
@@ -88,11 +88,18 @@ def test_level_domain_errors():
         level_spectrum(shape, 4.5)
 
 
-def test_member_lookup():
-    lev = level_spectrum(ScreenShape.of(5, 3), 8)
-    assert lev.member_for_two_mu(6) == ModeIndex(8, 0)
-    with pytest.raises(DomainError):
-        lev.member_for_two_mu(7)
+@pytest.mark.parametrize("label", [True, False, 1.5, np.float64(1.0), "1",
+                                   None])
+def test_integer_labels_reject_bool_and_non_integers(label):
+    basis = build_basis((5, 3))
+    calls = (lambda: level_spectrum(basis.shape, label),
+             lambda: lk_coefficients(basis, label, 0),
+             lambda: lk_coefficients(basis, 1, label),
+             lambda: cartesian_mode(basis, (label, 0)),
+             lambda: cartesian_mode(basis, (0, label)))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 # -------------------------------------------------------------- basis
@@ -247,7 +254,6 @@ def test_basis_and_transforms_build_no_level_objects(monkeypatch):
         raise AssertionError("per-level object built")
 
     monkeypatch.setattr(mode_basis, "level_spectrum", forbidden)
-    monkeypatch.setattr(mode_basis, "ModeIndex", forbidden)
     element = FourierGroupElement(0.3, 1.9, 2.2, -0.7, 0.4)
     for spins in ((5, 3), (3, 4.5), (20, 12)):
         basis = build_basis(spins)
@@ -299,6 +305,11 @@ def test_cartesian_mode_rejects_bad_index():
         cartesian_mode(basis, (11, 0))
     with pytest.raises(DomainError):
         cartesian_mode(basis, (0, -1))
+    for idx in (3, (1, 0, 0), (1,)):
+        with pytest.raises(DomainError):
+            cartesian_mode(basis, idx)
+    assert np.array_equal(cartesian_mode(basis, [4, np.int64(2)]),
+                          cartesian_mode(basis, (4, 2)))
 
 
 # ----------------------------------------------------------- LK modes
@@ -354,7 +365,7 @@ def test_lk_coefficients_support():
     basis = build_basis((5, 3))
     coeffs = lk_coefficients(basis, 8, 4)
     lev, = [l for l in basis.levels if l.n == 8]
-    support = {(mi.n_x, mi.n_y) for mi in lev.members}
+    support = {(8 - ny, ny) for ny in lev.n_y}
     nz = {tuple(idx) for idx in np.argwhere(np.abs(coeffs) > 0)}
     assert nz <= support
     assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-12)

@@ -3,6 +3,7 @@ reaches into; bench/tracing.py skips a missing boundary without a word."""
 
 import ast
 import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,15 @@ def test_all_lists_exactly_the_exported_names():
                  "kravchuk_polynomial", "gyrate_coeffs_sandwich"):
         assert not hasattr(fkimage, name), name
     assert not hasattr(special_functions, "as_spin")
+    assert not hasattr(mode_basis, "ModeIndex")
+
+
+def test_every_submodule_all_resolves():
+    # A stale entry would break ``from fkimage.<module> import *``.
+    for info in pkgutil.iter_modules(fkimage.__path__):
+        module = importlib.import_module(f"fkimage.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.{name}"
 
 
 def test_cli_import_leaves_verification_and_figures_unloaded():
