@@ -228,7 +228,9 @@ def _run(args) -> int:
                 "checks": [r.as_dict() for r in results],
                 "passed": len(results) - len(failed),
                 "total": len(results),
-                "unexpected_failures": len(unexpected)}, indent=1))
+                "unexpected_failures": len(unexpected),
+                "errors": {r.name: r.error for r in results if r.error}},
+                indent=1))
             return 3 if failed else 0
         width = max(len(r.name) for r in results)
         print(f"{'check':<{width}}  {'':4}  {'seconds':>7}  {'headroom':>8}  "

@@ -21,13 +21,11 @@ into (-4 pi, 4 pi) before use.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionError
 from .group_algebra import FourierGroupElement
-from .mode_basis import CartesianBasis
+from .mode_basis import _HALF_PI, CartesianBasis, _finite
 from .special_functions import _finite_angle
 
 __all__ = [
@@ -43,10 +41,6 @@ __all__ = [
     "gyrate_image",
     "fractional_fourier_image",
 ]
-
-# psi and phi of a rotation's element D(0; -pi/2, 2 theta, pi/2).
-_HALF_PI = 0.5 * math.pi
-
 
 def analyze(basis: CartesianBasis, image: np.ndarray) -> np.ndarray:
     """Mode coefficients F_{n_x,n_y} = sum_q F(q) Psi_{n_x,n_y}(q)."""
@@ -68,13 +62,12 @@ def _level_phases(shape: tuple[int, int], angle: float,
     per-level integer), so one vector of phases over the levels serves the
     whole grid: read with equal strides along both axes, it holds the phase
     of level n_x + n_y at [n_x, n_y], and no full-grid phase array is
-    formed.
+    formed.  Without a basis the levels are counted from ``shape``.
     """
-    n = np.arange(shape[0] + shape[1] - 1)
+    n = (np.arange(shape[0] + shape[1] - 1) if basis is None
+         else basis.level_ramp)
     if shift:
-        c = basis.c
-        per_level = np.exp(-1j * (angle * n + shift * np.concatenate(
-            (c[:, 0], c[-1, 1:]))))
+        per_level = np.exp(-1j * (angle * n + shift * basis.level_c))
     else:
         per_level = np.exp(-1j * angle * n)
     step = per_level.strides[0]
@@ -83,8 +76,8 @@ def _level_phases(shape: tuple[int, int], angle: float,
     return view
 
 
-def _mode_phases(coeffs: np.ndarray, level: float, ny: float,
-                 out: np.ndarray | None = None,
+def _mode_phases(coeffs: np.ndarray, level: float,
+                 ny: float | np.ndarray, out: np.ndarray | None = None,
                  basis: CartesianBasis | None = None,
                  shift: float = 0.0) -> np.ndarray:
     """``coeffs`` times exp(i ny n_y) and the level phases of
@@ -95,14 +88,23 @@ def _mode_phases(coeffs: np.ndarray, level: float, ny: float,
     n_x = n - n_y, an n_x phase is a level phase times an n_y phase.  Each
     factor is one multiply by a 1-D vector broadcast over the grid, and a
     factor that is exactly one never touches the array, so all angles zero
-    give an exact copy (float64 for real input).
+    give an exact copy (float64 for real input).  ``ny`` is the angle or
+    the vector exp(i ny n_y) itself.
     """
+    if isinstance(ny, np.ndarray):
+        turn = ny
+    elif ny:
+        ramp = np.arange(coeffs.shape[1]) if basis is None else basis.ny_ramp
+        turn = np.exp(1j * ny * ramp)
+    else:
+        turn = None
     if out is None:
-        kind = np.float64 if not (level or ny or shift) else np.complex128
+        kind = (np.float64 if turn is None and not (level or shift)
+                else np.complex128)
         out = np.empty(coeffs.shape, np.result_type(coeffs, kind))
     src = coeffs
-    if ny:
-        np.multiply(src, np.exp(1j * ny * np.arange(coeffs.shape[1])), out=out)
+    if turn is not None:
+        np.multiply(src, turn, out=out)
         src = out
     if level or shift:
         np.multiply(src, _level_phases(coeffs.shape, level, basis, shift),
@@ -124,14 +126,16 @@ def rotate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     is preserved, levels do not mix, and theta = 0 is an exact identity.
     """
     return _act(basis, coeffs, 0.0, -_HALF_PI,
-                _finite_angle(2.0 * _finite_angle(theta)), _HALF_PI, 0.0)
+                _finite_angle(2.0 * _finite_angle(theta)), _HALF_PI, 0.0,
+                basis.quarter_turns)
 
 
 def _checked_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """``coeffs`` as a 2-D array, finite as ``check_image`` requires."""
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 2:
         raise DimensionError(f"coefficients must be 2-D, got shape {coeffs.shape}")
-    return coeffs
+    return _finite(coeffs)
 
 
 def ks_coeffs(coeffs: np.ndarray, chi: float) -> np.ndarray:
@@ -179,10 +183,11 @@ def _butterfly(t: np.ndarray, b: np.ndarray) -> None:
 
 
 def _mixed(basis: CartesianBasis, coeffs: np.ndarray, theta: float,
-           phi: float) -> np.ndarray:
-    """``coeffs`` times the pre-phase exp(i phi n_y), each spin's levels
-    then mixed in its J_y eigenbasis by the eigen-phases
-    exp(-i theta mu), as a new complex array (see ``apply_element_coeffs``).
+           phi: float | np.ndarray) -> np.ndarray:
+    """``coeffs`` times the pre-phase exp(i phi n_y) (see ``_mode_phases``),
+    each spin's levels then mixed in its J_y eigenbasis by the
+    eigen-phases exp(-i theta mu), as a new complex array (see
+    ``apply_element_coeffs``).
 
     The pre-phase is written straight into the gather source, whose one
     slot past the last mode holds the zero that the padding rows gather.
@@ -203,20 +208,20 @@ def _mixed(basis: CartesianBasis, coeffs: np.ndarray, theta: float,
     between a slot's spins add exact zeros.  Each
     batch's frozen index holds ``top + 2 mu`` (``top`` on the padding) into
     one ``exp`` vector over -top .. top, so one ``take`` yields the
-    block's eigen-phases contiguously.
+    block's eigen-phases contiguously.  The ramp, each batch's columns and
+    shape and its transposed stack are frozen on the basis.
     """
     src = np.empty(coeffs.size + 1, dtype=np.complex128)
     src[-1] = 0.0
-    _mode_phases(coeffs, 0.0, phi, src[:-1].reshape(coeffs.shape))
+    _mode_phases(coeffs, 0.0, phi, src[:-1].reshape(coeffs.shape), basis)
     buf = src[basis.gather]
     del src
-    top = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
-    phases = np.exp(-0.5j * theta * np.arange(-top, top + 1))
+    phases = np.exp(-0.5j * theta * basis.two_mu_ramp)
     halves = buf.view(np.float64).reshape(2, -1)
     _butterfly(*halves)
-    for start, stop, stack, index in basis.batches:
-        x = halves[:, 2 * start:2 * stop].reshape(*index.shape[:3], -1)
-        eig = np.matmul(stack.transpose(0, 1, 3, 2), x).view(np.complex128)
+    for lo, hi, shape, stack_t, stack, index in basis.mix_batches:
+        x = halves[:, lo:hi].reshape(shape)
+        eig = np.matmul(stack_t, x).view(np.complex128)
         eig *= phases.take(index)
         np.matmul(stack, eig.view(np.float64), out=x)
     _butterfly(*halves)
@@ -224,18 +229,22 @@ def _mixed(basis: CartesianBasis, coeffs: np.ndarray, theta: float,
 
 
 def _act(basis: CartesianBasis, coeffs: np.ndarray, chi: float, psi: float,
-         theta: float, phi: float, shift: float) -> np.ndarray:
+         theta: float, phi: float, shift: float,
+         turns: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """D(chi; psi, theta, phi; omega) on coefficients, the angles already
     reduced and ``shift = omega - (psi + phi)/2``; see
-    ``apply_element_coeffs``."""
+    ``apply_element_coeffs``.  A rotation passes its n_y phase vectors
+    exp(i phi n_y), exp(i psi n_y) as ``turns``, the basis'
+    ``quarter_turns``."""
     coeffs = basis.check_image(coeffs)
     level = 0.5 * (chi + psi + phi)
     if theta == 0.0:
         return _mode_phases(coeffs, level, psi + phi, None, basis, shift)
     real = (psi == -_HALF_PI and phi == _HALF_PI and level == 0.0
             and not shift and not np.iscomplexobj(coeffs))
-    out = _mixed(basis, coeffs, theta, phi)
-    _mode_phases(out, level, psi, out, basis, shift)
+    pre, post = (phi, psi) if turns is None else turns
+    out = _mixed(basis, coeffs, theta, pre)
+    _mode_phases(out, level, post, out, basis, shift)
     return out.real.copy() if real else out
 
 

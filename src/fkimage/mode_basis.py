@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .special_functions import Spin, _ladder
+from .special_functions import Spin, _is_integer, _ladder
 
 __all__ = [
     "MAX_PIXELS",
@@ -39,10 +39,44 @@ __all__ = [
 # The largest screen build_basis accepts, in pixels: 512x512.
 MAX_PIXELS = 1 << 18
 
+# psi and phi of a rotation's element D(0; -pi/2, 2 theta, pi/2).
+_HALF_PI = 0.5 * math.pi
+
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _finite(array: np.ndarray) -> np.ndarray:
+    """``array``; DomainError if it holds NaN or inf.  One sum of squares
+    ``vdot(x, x)`` settles it; the entrywise test runs only when that sum
+    is not finite, so huge finite entries, whose sum overflows, pass."""
+    if (not cmath.isfinite(np.vdot(array, array))
+            and not np.isfinite(array).all()):
+        raise DomainError("array holds NaN or infinite values")
+    return array
+
+
+def _real_products(left: np.ndarray, pixels: np.ndarray,
+                   right: np.ndarray) -> np.ndarray:
+    """``left @ pixels @ right.T`` for complex128 ``pixels``, as two real
+    products over float views, with no complex copy of a table.
+
+    The first product, on the transposed float view, fills the output's
+    memory with rows ``(k, re/im)``; read as rows k, it gives the second
+    product both planes at once, stacked, and one pass interleaves them.
+    So a call allocates two arrays of the output's size, not three.
+    """
+    n_x, n_y = pixels.shape
+    out = np.empty(pixels.shape, np.complex128)
+    rows = out.view(np.float64).reshape(2 * n_y, n_x)
+    np.matmul(np.ascontiguousarray(pixels).view(np.float64).T, left.T,
+              out=rows)
+    planes = np.matmul(rows.reshape(n_y, 2 * n_x).T, right.T)
+    out.real = planes[:n_x]
+    out.imag = planes[n_x:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,8 +102,9 @@ class ScreenShape:
 
     @classmethod
     def from_pixels(cls, n_x: int, n_y: int) -> "ScreenShape":
-        if n_x < 1 or n_y < 1:
-            raise DomainError(f"pixel counts must be positive, got {n_x}x{n_y}")
+        if not (_is_integer(n_x) and _is_integer(n_y)) or n_x < 1 or n_y < 1:
+            raise DomainError(
+                f"pixel counts must be positive integers, got {n_x!r}x{n_y!r}")
         return cls(Spin(n_x - 1), Spin(n_y - 1))
 
     @property
@@ -125,7 +160,7 @@ class LevelSpectrum:
 
 def _label(value, what: str) -> int:
     """An integer label as an int; bool and non-integers raise DomainError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -239,7 +274,17 @@ class CartesianBasis:
     antisymmetric Fourier phases from the level projection, and carries
     the fifth parameter ``omega`` of a group element.  The build, ``c`` and
     ``level_spectrum`` all read the n_y range from ``_ny_bounds``, the one
-    statement of the layout.  ``levels`` and ``level_arrays(n)`` (the
+    statement of the layout.
+
+    The constants of every transform call are built once, frozen:
+    ``pixels``; ``ny_ramp`` (n_y); ``quarter_turns``, a rotation's
+    ``exp(+-i pi/2 n_y)``, the basis' only complex arrays; ``level_ramp``
+    and ``level_c`` (each level n and its c); ``two_mu_ramp``
+    (-2j_min .. 2j_min); and per batch, ``mix_batches``: its float columns
+    ``2*start:2*stop`` of each buffer half, their shape as the stack's
+    operand, the transposed stack view, the stack and its phase index.
+
+    ``levels`` and ``level_arrays(n)`` (the
     level, its n_x and its n_y) are built on demand through
     ``level_spectrum``; the basis keeps no per-level objects, and the
     transforms never read them.  They serve the Laguerre-Kravchuk modes,
@@ -250,6 +295,7 @@ class CartesianBasis:
 
     def __init__(self, shape: ScreenShape):
         self.shape = shape
+        self.pixels = shape.pixels
         two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j
         top, two_jmin = max(two_jx, two_jy), min(two_jx, two_jy)
         layout = _batch_slots(two_jmin)
@@ -314,6 +360,17 @@ class CartesianBasis:
                          np.arange(shape.n_y, dtype=np.intp))
         lo, hi = _ny_bounds(shape, n)
         self.c = _frozen(n - lo - hi)
+        # The constants of every transform call (see the class docstring).
+        self.ny_ramp = _frozen(np.arange(shape.n_y))
+        self.quarter_turns = tuple(_frozen(np.exp(1j * angle * self.ny_ramp))
+                                   for angle in (_HALF_PI, -_HALF_PI))
+        self.level_ramp = _frozen(np.arange(shape.max_total_mode + 1))
+        self.level_c = _frozen(np.concatenate((self.c[:, 0], self.c[-1, 1:])))
+        self.two_mu_ramp = _frozen(np.arange(-two_jmin, two_jmin + 1))
+        self.mix_batches = tuple(
+            (2 * start, 2 * stop, index.shape[:3] + (2 * index.shape[3],),
+             stack.transpose(0, 1, 3, 2), stack, index)
+            for start, stop, stack, index in self.batches)
 
     @property
     def levels(self) -> tuple[LevelSpectrum, ...]:
@@ -327,23 +384,27 @@ class CartesianBasis:
         return lev, _frozen(lev.n - ny), _frozen(ny)
 
     def check_image(self, pixels: np.ndarray) -> np.ndarray:
+        """``pixels`` as an array of the screen's shape and finite (see
+        ``_finite``)."""
         pixels = np.asarray(pixels)
-        if pixels.shape != self.shape.pixels:
+        if pixels.shape != self.pixels:
             raise DimensionError(
                 f"array shape {pixels.shape} does not match screen "
-                f"{self.shape.pixels}")
-        if not np.isfinite(pixels).all():
-            raise DomainError("array holds NaN or infinite values")
-        return pixels
+                f"{self.pixels}")
+        return _finite(pixels)
 
     def analyze(self, pixels: np.ndarray) -> np.ndarray:
         """Expand an image over the Cartesian modes."""
         pixels = self.check_image(pixels)
+        if pixels.dtype == np.complex128:
+            return _real_products(self.phi_x, pixels, self.phi_y)
         return self.phi_x @ pixels @ self.phi_y.T
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Rebuild an image from its mode coefficients."""
         coeffs = self.check_image(coeffs)
+        if coeffs.dtype == np.complex128:
+            return _real_products(self.phi_x.T, coeffs, self.phi_y.T)
         return self.phi_x.T @ coeffs @ self.phi_y
 
 

@@ -52,11 +52,18 @@ __all__ = [
     "wigner_little_d",
 ]
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a NumPy integer; a bool is not."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 def _as_two(value, what="value"):
-    """Coerce an integer or half-integer to its doubled-integer form."""
+    """Coerce an integer or half-integer to its doubled-integer form; a bool
+    raises DomainError."""
     if isinstance(value, Spin):
         return value.two_j
-    if isinstance(value, (int, np.integer)):
+    if _is_integer(value):
         return 2 * int(value)
     if isinstance(value, Fraction):
         doubled = 2 * value
@@ -78,7 +85,7 @@ class Spin:
     two_j: int
 
     def __post_init__(self):
-        if not isinstance(self.two_j, (int, np.integer)) or self.two_j < 0:
+        if not _is_integer(self.two_j) or self.two_j < 0:
             raise DomainError(f"2j must be a non-negative integer, got {self.two_j}")
         object.__setattr__(self, "two_j", int(self.two_j))
 
@@ -112,7 +119,7 @@ def kravchuk_polynomial(n: int, s: int, two_j: int) -> float:
     correctly rounded.  The polynomial is symmetric under n <-> s.
     """
     for name, value in (("n", n), ("s", s), ("two_j", two_j)):
-        if not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise DomainError(f"{name} must be an integer, got {value!r}")
     n, s, two_j = int(n), int(s), int(two_j)
     if two_j < 0:
@@ -151,8 +158,8 @@ def kravchuk_function(j, n: int, q) -> float:
     """
     spin = Spin.from_j(j)
     two_j = spin.two_j
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= two_j:
-        raise DomainError(f"mode n={n} outside 0..{two_j}")
+    if not _is_integer(n) or not 0 <= n <= two_j:
+        raise DomainError(f"mode n={n!r} outside 0..{two_j}")
     two_q = _as_two(q, "position q")
     if abs(two_q) > two_j or (two_q - two_j) % 2 != 0:
         raise DomainError(f"position q={q} not in the spin-{spin.j} lattice")

@@ -66,6 +66,7 @@ class CheckResult:
     deviation: float
     tolerance: float
     known_limitation: bool = False
+    error: str = ""     # "Type: message" of the exception, if it raised
 
     @property
     def headroom(self) -> float:
@@ -73,12 +74,16 @@ class CheckResult:
         return self.tolerance / self.deviation if self.deviation else math.inf
 
     def as_dict(self) -> dict:
-        """The fields ``fkimage verify --json`` prints; an infinite
-        headroom becomes None."""
+        """The fields ``fkimage verify --json`` prints for each check; an
+        infinite or NaN deviation, tolerance or headroom becomes None, so
+        the output stays valid JSON."""
+        def number(value):
+            return value if math.isfinite(value) else None
+
         return {"name": self.name, "passed": self.passed,
-                "deviation": self.deviation, "tolerance": self.tolerance,
-                "headroom": (self.headroom if math.isfinite(self.headroom)
-                             else None),
+                "deviation": number(self.deviation),
+                "tolerance": number(self.tolerance),
+                "headroom": number(self.headroom),
                 "seconds": self.seconds,
                 "known_limitation": self.known_limitation}
 
@@ -213,7 +218,7 @@ def _check_checkerboard(ctx):
 
 def _check_basis_gram(ctx):
     worst = 0.0
-    for key, basis in ctx["basis"].items():
+    for key, basis in ctx["screens"]():
         for phi in (basis.phi_x, basis.phi_y):
             eye = np.eye(phi.shape[0])
             worst = max(worst, float(np.max(np.abs(phi @ phi.T - eye))))
@@ -227,7 +232,7 @@ def _check_quarter_turn_reflection(ctx):
     # law V[2 lambda - r, c] = (-1)^c V[r, c]; the rung rebuilt that way is
     # measured against the whole rung.
     worst = 0.0
-    for key, basis in ctx["basis"].items():
+    for key, basis in ctx["screens"]():
         two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
         for two_l in range(two_jmin + 1):
             d = wigner_little_d(Spin(two_l), math.pi / 2).entries
@@ -239,7 +244,7 @@ def _check_quarter_turn_reflection(ctx):
 
 def _check_lk_basis(ctx):
     worst = 0.0
-    for key, basis in ctx["basis"].items():
+    for key, basis in ctx["screens"]():
         stack = np.array([lk_mode(basis, lev.n, two_mu).ravel()
                           for lev in basis.levels for two_mu in lev.two_mu])
         gram = stack.conj() @ stack.T
@@ -263,7 +268,7 @@ def _check_lk_conjugation(ctx):
 def _check_unitarity(ctx):
     rng = ctx["rng"]
     worst = 0.0
-    for key, basis in ctx["basis"].items():
+    for key, basis in ctx["screens"]():
         for _ in range(ctx["images"]):
             img = random_image(rng, basis)
             norm = np.linalg.norm(img)
@@ -283,7 +288,7 @@ def _check_unitarity(ctx):
 def _check_rotation_group_law(ctx):
     rng = ctx["rng"]
     worst = 0.0
-    for key, basis in ctx["basis"].items():
+    for key, basis in ctx["screens"]():
         coeffs = ft.analyze(basis, random_image(rng, basis))
         t1, t2 = rng.uniform(-3, 3, size=2)
         a = ft.rotate_coeffs(basis, ft.rotate_coeffs(basis, coeffs, t1), t2)
@@ -308,7 +313,7 @@ def _check_six_sixths(ctx):
 
 def _check_rotation_pi_parity(ctx):
     worst = 0.0
-    for key, basis in ctx["basis"].items():
+    for key, basis in ctx["screens"]():
         img = random_image(ctx["rng"], basis)
         rot = ft.rotate_image(basis, img, math.pi)
         worst = max(worst, float(np.max(np.abs(rot - img[::-1, ::-1]))))
@@ -323,7 +328,7 @@ def _check_rotation_pi_half_turn_law(ctx):
     # the level's content times (-1)^(2 lambda); the rest of the image is
     # inverted exactly.
     worst = 0.0
-    for key, basis in ctx["basis"].items():
+    for key, basis in ctx["screens"]():
         img = random_image(ctx["rng"], basis)
         sign = np.zeros(basis.shape.pixels)
         for n in range(basis.shape.max_total_mode + 1):
@@ -345,7 +350,7 @@ def _check_rotation_pi_half_turn_law(ctx):
 def _check_gyration_group_law(ctx):
     rng = ctx["rng"]
     worst = 0.0
-    for key, basis in ctx["basis"].items():
+    for key, basis in ctx["screens"]():
         coeffs = ft.analyze(basis, random_image(rng, basis))
         g1, g2 = rng.uniform(-3, 3, size=2)
         a = ft.gyrate_coeffs(basis, ft.gyrate_coeffs(basis, coeffs, g1), g2)
@@ -374,7 +379,7 @@ def _check_level_invariance(ctx):
 def _check_rotation_realness(ctx):
     rng = ctx["rng"]
     worst = 0.0
-    for key, basis in ctx["basis"].items():
+    for key, basis in ctx["screens"]():
         img = rng.standard_normal(basis.shape.pixels)
         out = ft.rotate_image(basis, img, rng.uniform(0, 7))
         worst = max(worst, float(np.max(np.abs(np.imag(out)))))
@@ -590,30 +595,48 @@ _CHECKS = [
 def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     """Run every invariant check, each at its own tolerance, and return a
     list of CheckResult.  ``images`` sets the sample count of the
-    randomized per-screen checks."""
+    randomized per-screen checks.
+
+    The bases are built on first use, inside the checks.  A check that
+    raises, in its own code or in a basis build, fails: its ``error`` and
+    detail hold the exception's type and message, its deviation is
+    infinite and its tolerance NaN, and the other checks still run.
+    """
     rng = np.random.default_rng(seed)
-    bases = {tuple(k): build_basis(k) for k in shapes}
-    cache = dict(bases)
+    cache = {}
 
     def get_basis(key):
         if key not in cache:
             cache[key] = build_basis(key)
         return cache[key]
 
-    ctx = {"rng": rng, "seed": seed, "basis": bases, "images": images,
+    def screens():
+        return ((key, get_basis(key)) for key in map(tuple, shapes))
+
+    ctx = {"rng": rng, "seed": seed, "screens": screens, "images": images,
            "get_basis": get_basis}
     results = []
     for name, fn in _CHECKS:
         t0 = time.monotonic()
-        deviation, tol, detail = fn(ctx)
+        error = ""
+        try:
+            deviation, tol, detail = fn(ctx)
+        except Exception as exc:        # reported as this check's failure
+            deviation, tol = math.inf, math.nan
+            error = f"{type(exc).__name__}: {exc}"
+            detail = f"raised {error}"
+        else:
+            detail = (f"{detail}: deviation {deviation:.3e} "
+                      f"(tolerance {tol:.1e})")
         elapsed = time.monotonic() - t0
         results.append(CheckResult(
             name=name,
             passed=bool(deviation <= tol),
-            detail=f"{detail}: deviation {deviation:.3e} (tolerance {tol:.1e})",
+            detail=detail,
             seconds=elapsed,
             deviation=float(deviation),
             tolerance=float(tol),
-            known_limitation=name in KNOWN_LIMITATIONS,
+            known_limitation=name in KNOWN_LIMITATIONS and not error,
+            error=error,
         ))
     return results

@@ -200,6 +200,57 @@ def test_verify_json_reports_each_check(capsys):
     assert header[:4] == ["check", "seconds", "headroom", "detail"]
 
 
+def _strict_json(text):
+    """JSON that parses without NaN or Infinity, which JSON lacks."""
+    def reject(constant):
+        raise AssertionError(f"{constant} in JSON output")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_reports_a_raising_check_and_runs_the_others(monkeypatch,
+                                                             capsys):
+    from fkimage import verify
+
+    def raising(ctx):
+        raise ValueError("a check that raises")
+
+    checks = dict(verify._CHECKS)
+    monkeypatch.setattr(verify, "_CHECKS", [
+        ("cartesian_basis_gram", checks["cartesian_basis_gram"]),
+        ("raising_check", raising),
+        ("littled_periodicity", checks["littled_periodicity"])])
+    argv = ["verify", "--shape", "5,3", "--images", "2"]
+    assert main(argv + ["--json"]) == 3
+    report = _strict_json(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"]] == [
+        "cartesian_basis_gram", "raising_check", "littled_periodicity"]
+    assert [c["passed"] for c in report["checks"]] == [True, False, True]
+    raised = report["checks"][1]
+    assert raised["deviation"] is None and raised["tolerance"] is None
+    assert not raised["known_limitation"]
+    assert report["errors"] == {"raising_check":
+                                "ValueError: a check that raises"}
+    assert report["unexpected_failures"] == 1
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    line = next(line for line in out.splitlines()
+                if line.startswith("raising_check"))
+    assert "  FAIL  " in line
+    assert "raised ValueError: a check that raises" in line
+    assert "2/3 checks passed" in out and "1 unexpected failure" in out
+
+    # A basis build that raises fails the checks that need the basis.
+    def broken_build(key):
+        raise IndexError("a broken basis build")
+
+    monkeypatch.setattr(verify, "build_basis", broken_build)
+    assert main(argv + ["--json"]) == 3
+    report = _strict_json(capsys.readouterr().out)
+    assert [c["passed"] for c in report["checks"]] == [False, False, True]
+    assert report["errors"]["cartesian_basis_gram"] == \
+        "IndexError: a broken basis build"
+
+
 def test_figures_command(tmp_path):
     out = tmp_path / "figs"
     assert main(["figures", "--out", str(out)]) == 0

@@ -77,9 +77,48 @@ def test_non_finite_pixels_raise(basis53, bad):
     for op in (lambda: analyze(basis53, image),
                lambda: synthesize(basis53, image),
                lambda: apply_element_coeffs(basis53, image, element),
-               lambda: rotate_image(basis53, image, 0.4)):
+               lambda: rotate_image(basis53, image, 0.4),
+               lambda: ks_coeffs(image, 0.3),
+               lambda: ka_coeffs(image, 0.3)):
         with pytest.raises(DomainError):
             op()
+
+
+@pytest.mark.parametrize("huge", [1e200, 1e300 + 1e300j])
+def test_huge_finite_entries_pass(basis53, huge):
+    # Their sum of squares overflows, so the finiteness check falls back
+    # to the entrywise test, which passes them.
+    coeffs = np.ones(basis53.shape.pixels, dtype=type(huge))
+    coeffs[4, 2] = huge
+    element = FourierGroupElement(0.3, 1.9, 2.2, -0.7)
+    for op in (lambda: analyze(basis53, coeffs),
+               lambda: synthesize(basis53, coeffs),
+               lambda: rotate_coeffs(basis53, coeffs, 0.4),
+               lambda: apply_element_coeffs(basis53, coeffs, element),
+               lambda: ks_coeffs(coeffs, 0.3),
+               lambda: ka_coeffs(coeffs, 0.3)):
+        assert np.isfinite(op()).all()
+
+
+def test_complex_analysis_is_the_map_of_each_plane(basis117, rng):
+    # Complex input runs on real tables as two real products; real input
+    # keeps the plain product, bit for bit.
+    a = random_image(rng, basis117).real
+    b = random_image(rng, basis117).real
+    for f in (analyze, synthesize):
+        assert np.max(np.abs(f(basis117, a + 1j * b)
+                             - (f(basis117, a) + 1j * f(basis117, b)))) < 1e-13
+    px, py = basis117.phi_x, basis117.phi_y
+    assert np.array_equal(analyze(basis117, a), px @ a @ py.T)
+    assert np.array_equal(synthesize(basis117, a), px.T @ a @ py)
+    # A transposed view and single precision take the same results.
+    image = np.ascontiguousarray((a + 1j * b).T).T
+    assert not image.flags.c_contiguous
+    assert np.max(np.abs(analyze(basis117, image)
+                         - px @ image @ py.T)) < 1e-13
+    single = (a + 1j * b).astype(np.complex64)
+    assert np.max(np.abs(synthesize(basis117, single)
+                         - px.T @ single @ py)) < 1e-5
 
 
 # ------------------------------------------------------------ rotation

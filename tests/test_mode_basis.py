@@ -129,6 +129,29 @@ def test_basis_tables_frozen():
         basis.phi_x[0, 0] = 7.0
 
 
+def test_phase_constants_held_on_basis_are_read_only():
+    basis = build_basis((3, 4.5))
+    n_y, levels = basis.shape.n_y, basis.shape.max_total_mode + 1
+    constants = {"ny_ramp": (n_y,), "level_ramp": (levels,),
+                 "level_c": (levels,), "two_mu_ramp": (2 * 6 + 1,)}
+    for name, shape in constants.items():
+        array = getattr(basis, name)
+        assert array.shape == shape and not array.flags.writeable, name
+    assert np.array_equal(basis.level_c[basis.shape.n_x - 1:],
+                          basis.c[-1])
+    assert np.array_equal(basis.level_c[:basis.shape.n_x], basis.c[:, 0])
+    turns = basis.quarter_turns
+    assert np.max(np.abs(turns[0] - 1j ** basis.ny_ramp)) < 1e-15
+    assert np.array_equal(turns[1], np.conj(turns[0]))
+    for lo, hi, shape, stack_t, stack, index in basis.mix_batches:
+        assert hi - lo == np.prod(shape[1:])
+        assert np.array_equal(stack_t, stack.transpose(0, 1, 3, 2))
+        for array in (turns[0], turns[1], stack_t, stack, index):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+
 def _gathered_slots(basis):
     """(2*lambda, members) for every spin of every slot, in buffer order,
     and every padding entry: members holds the spin's gathered mode indices
@@ -231,9 +254,12 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
         assert np.max(np.abs(v - d)) <= 1e-14
         assert np.max(np.abs(v @ v.T - np.eye(two_l + 1))) < 1e-13
     # No complex table per spin: the J_y phases live in the transforms.
+    # The one complex constant is a rotation's pair of n_y phase vectors.
     assert not any(np.iscomplexobj(table)
-                   for value in vars(basis).values()
+                   for name, value in vars(basis).items()
+                   if name != "quarter_turns"
                    for table in _arrays(value))
+    assert [turn.shape for turn in basis.quarter_turns] == [(two_jy + 1,)] * 2
 
 
 def test_build_basis_rejects_screens_above_pixel_limit(monkeypatch):

@@ -35,6 +35,24 @@ def test_spin_rejects_bad_values(bad):
         Spin.from_j(bad)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_bool_is_not_an_integer_label(flag):
+    # A bool is an int to Python, but no spin, mode or position.
+    calls = (lambda: Spin(flag), lambda: Spin.from_j(flag),
+             lambda: fkimage.ScreenShape.of(flag, 1),
+             lambda: fkimage.ScreenShape.of(1, flag),
+             lambda: fkimage.ScreenShape.from_pixels(flag, 3),
+             lambda: kravchuk_function(2, flag, 0),
+             lambda: kravchuk_function(flag, 0, 0),
+             lambda: kravchuk_function(2, 0, flag),
+             lambda: kravchuk_polynomial(flag, 0, 2))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    assert Spin(np.int64(3)).two_j == 3
+    assert kravchuk_function(2, np.int64(1), 0) == kravchuk_function(2, 1, 0)
+
+
 # ------------------------------------------------- Kravchuk polynomial
 
 def test_degree_zero_is_one():
