@@ -9,7 +9,7 @@ import numpy as np
 
 from .fourier_transforms import ka_coeffs, rotate_coeffs
 from .group_algebra import FourierGroupElement
-from .mode_basis import _half_blocks
+from .mode_basis import _quarter_turn as quarter_turn
 from .special_functions import wigner_little_d
 
 
@@ -62,10 +62,10 @@ def level_action(basis, coeffs, element: FourierGroupElement) -> np.ndarray:
     level from dense ``wigner_little_d`` blocks and full-grid phases, with
     ``c`` from each level's members and projections (``level_arrays``).
     Rotation by theta is D(0; -pi/2, 2 theta, pi/2); gyration is
-    D(0; 0, 2 gamma, 0).  ``level_arrays`` and ``CartesianBasis.c`` read
-    the same n_y range (``mode_basis._ny_bounds``), so this reference checks
-    the mix and the phases, not the layout: ``interval_levels`` is the
-    independent oracle for the layout.
+    D(0; 0, 2 gamma, 0).  ``level_arrays`` and ``CartesianBasis.level_c``
+    read the same n_y range (``mode_basis._ny_bounds``), so this reference
+    checks the mix and the phases, not the layout: ``interval_levels`` is
+    the independent oracle for the layout.
     """
     e = element
     n_x, n_y = np.indices(coeffs.shape)
@@ -80,19 +80,6 @@ def level_action(basis, coeffs, element: FourierGroupElement) -> np.ndarray:
     act *= np.conj(quarter) * np.exp(-0.5j * e.psi * (n_x - n_y)
                                      - 0.5j * e.chi * (n_x + n_y))
     return act * np.exp(-1j * (e.omega - e.default_omega) * c)
-
-
-def quarter_turn(basis, two_l: int) -> np.ndarray:
-    """The quarter-turn table ``V = d^lambda(pi/2)`` of a spin
-    ``2*lambda <= 2j_min``, rebuilt from the basis' half blocks ``E`` and
-    ``O`` by the reflection law ``V[2*lambda - r, c] = (-1)^c V[r, c]``."""
-    e, o = _half_blocks(basis, two_l)
-    even, odd = (two_l + 2) // 2, (two_l + 1) // 2
-    v = np.empty((two_l + 1, two_l + 1))
-    v[:even, 0::2] = e[:even, :even]
-    v[:even, 1::2] = o[:even, :odd]
-    v[even:] = (v[:odd] * (-1.0) ** np.arange(two_l + 1))[::-1]
-    return v
 
 
 def gyrate_coeffs_sandwich(basis, coeffs: np.ndarray,

@@ -60,6 +60,13 @@ def parse_shape(text: str) -> ScreenShape:
         raise UsageError(f"bad shape {text!r}: {exc}") from None
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _element_arg(text: str) -> FourierGroupElement:
     if text.startswith("@"):
         try:
@@ -155,7 +162,7 @@ def build_parser() -> _Parser:
     p.add_argument("--shape", action="append", default=None,
                    help="screen shape 'JX,JY' (repeatable; default "
                         "5,3 / 11,7 / 20,12 / 2.5,1 / 3,4.5 / 13,12.5)")
-    p.add_argument("--images", type=int, default=20,
+    p.add_argument("--images", type=_positive_int, default=20,
                    help="random images per randomized check")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--json", action="store_true",

@@ -91,6 +91,10 @@ def mode_gallery(basis: CartesianBasis, out_dir, kind="cartesian",
             "sheet": sheet_path}
 
 
+# The levels whose members rotation_rows and gyration_rows show.
+_ROW_LEVELS = (4, 18, 32)
+
+
 def _pick_five(lev):
     """Five evenly spread members of a level (all of them when size <= 5)."""
     if lev.size <= 5:
@@ -99,21 +103,20 @@ def _pick_five(lev):
     return sorted({int(round(p)) for p in picks})
 
 
-def rotation_rows(basis: CartesianBasis, out_dir,
-                  levels=(4, 18, 32),
-                  angles=(0.0, math.pi / 4, math.pi / 2)) -> dict:
-    """Rotate selected multiplet members and render each stage (real gray)."""
+def rotation_rows(basis: CartesianBasis, out_dir) -> dict:
+    """Rotate five members of levels 4, 18 and 32 by 0, pi/4 and pi/2 and
+    render each stage (real gray)."""
     os.makedirs(out_dir, exist_ok=True)
     spec = RenderSpec(scaling="fixed", channel="real")
     manifest = {"levels": {}, "files": []}
-    for n in levels:
+    for n in _ROW_LEVELS:
         lev, nx, ny = basis.level_arrays(n)
         manifest["levels"][int(n)] = {"two_lambda": lev.spin.two_j,
                                       "size": lev.size}
         for k in _pick_five(lev):
             coeffs = np.zeros(basis.shape.pixels)
             coeffs[nx[k], ny[k]] = 1.0
-            for theta in angles:
+            for theta in (0.0, math.pi / 4, math.pi / 2):
                 img = ft.synthesize(basis, ft.rotate_coeffs(basis, coeffs, theta))
                 name = os.path.join(
                     out_dir,
@@ -122,37 +125,35 @@ def rotation_rows(basis: CartesianBasis, out_dir,
     return manifest
 
 
-def gyration_rows(basis: CartesianBasis, out_dir,
-                  levels=(4, 18, 32),
-                  angles=(0.0, math.pi / 16, math.pi / 8,
-                          3 * math.pi / 16, math.pi / 4)) -> dict:
-    """Gyrate selected multiplet members; render |.| per stage and the phase
-    of the quarter-turn stage."""
+def gyration_rows(basis: CartesianBasis, out_dir) -> dict:
+    """Gyrate five members of levels 4, 18 and 32 by 0 .. pi/4 in steps of
+    pi/16; render |.| per stage and the phase of the pi/4 stage."""
     os.makedirs(out_dir, exist_ok=True)
     abs_spec = RenderSpec(scaling="adaptive", channel="abs")
     phase_spec = RenderSpec(scaling="adaptive", channel="phase")
     manifest = {"levels": {}, "files": []}
-    for n in levels:
+    for n in _ROW_LEVELS:
         lev, nx, ny = basis.level_arrays(n)
         manifest["levels"][int(n)] = {"two_lambda": lev.spin.two_j,
                                       "size": lev.size}
         for k in _pick_five(lev):
             coeffs = np.zeros(basis.shape.pixels, dtype=complex)
             coeffs[nx[k], ny[k]] = 1.0
-            for gamma in angles:
+            for gamma in (0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16,
+                          math.pi / 4):
                 img = ft.synthesize(basis, ft.gyrate_coeffs(basis, coeffs, gamma))
                 stem = f"gyr_n{n:02d}_m{lev.two_mu[k]:+03d}_g{gamma:.4f}"
                 manifest["files"].append(render(
                     img, abs_spec, os.path.join(out_dir, stem + "_abs.pgm")))
-                if gamma == angles[-1]:
+                if gamma == math.pi / 4:
                     manifest["files"].append(render(
                         img, phase_spec,
                         os.path.join(out_dir, stem + "_phase.pgm")))
     return manifest
 
 
-def glyph_rotation_sequence(out_dir, steps=6) -> dict:
-    """Successive rotations of the F glyph by pi/6 on the 41x25 screen,
+def glyph_rotation_sequence(out_dir) -> dict:
+    """Six successive rotations of the F glyph by pi/6 on the 41x25 screen,
     rendered with adaptive gray scaling at each stage."""
     os.makedirs(out_dir, exist_ok=True)
     basis = build_basis(F_GLYPH_SHAPE)
@@ -160,7 +161,7 @@ def glyph_rotation_sequence(out_dir, steps=6) -> dict:
     img = f_glyph()
     coeffs = ft.analyze(basis, img)
     manifest = {"files": [render(img, spec, os.path.join(out_dir, "rot_0of6.pgm"))]}
-    for k in range(1, steps + 1):
+    for k in range(1, 7):
         coeffs = ft.rotate_coeffs(basis, coeffs, math.pi / 6.0)
         stage = ft.synthesize(basis, coeffs)
         manifest["files"].append(render(

@@ -9,12 +9,13 @@ general group element
                                      K_S(chi/2) K_A(psi/2) G(theta/2) K_A(phi/2)
 
 is applied by ``apply_element_coeffs``; it, ``rotate_coeffs`` and
-``gyrate_coeffs`` share one private action, the only code that mixes
-levels.  ``c`` is the per-level integer ``CartesianBasis.c``; the leading
-phase is 1 for a plain element, whose omega is (psi + phi)/2.  Rotation by theta is
-the element D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is
-D(0; 0, 2 gamma, 0); both act block-diagonally on the total-mode levels
-and never move amplitude between levels.  The fractional Fourier
+``gyrate_coeffs`` share one private action, which mixes levels only
+through ``CartesianBasis._mix``.  ``c`` is the per-level integer
+``CartesianBasis.level_c``; the leading phase is 1 for a plain element,
+whose omega is (psi + phi)/2.  Rotation by theta is the element
+D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is D(0; 0, 2 gamma, 0);
+both act block-diagonally on the total-mode levels and never move
+amplitude between levels.  The fractional Fourier
 transforms K_S and K_A are pure mode-number phases.  Angles are reduced
 into (-4 pi, 4 pi) before use.
 """
@@ -59,7 +60,7 @@ def _level_phases(shape: tuple[int, int], angle: float,
     the omega phase exp(-i shift c) when ``shift`` is nonzero.
 
     Both are constant on each level n = n_x + n_y (``c`` is the basis'
-    per-level integer), so one vector of phases over the levels serves the
+    ``level_c``), so one vector of phases over the levels serves the
     whole grid: read with equal strides along both axes, it holds the phase
     of level n_x + n_y at [n_x, n_y], and no full-grid phase array is
     formed.  Without a basis the levels are counted from ``shape``.
@@ -76,28 +77,26 @@ def _level_phases(shape: tuple[int, int], angle: float,
     return view
 
 
-def _mode_phases(coeffs: np.ndarray, level: float,
-                 ny: float | np.ndarray, out: np.ndarray | None = None,
+def _ny_phase(ramp: np.ndarray, angle: float) -> np.ndarray | None:
+    """The n_y phases exp(i angle n_y) over ``ramp``, or None when the
+    angle is zero."""
+    return np.exp(1j * angle * ramp) if angle else None
+
+
+def _mode_phases(coeffs: np.ndarray, level: float, turn: np.ndarray | None,
+                 out: np.ndarray | None = None,
                  basis: CartesianBasis | None = None,
                  shift: float = 0.0) -> np.ndarray:
-    """``coeffs`` times exp(i ny n_y) and the level phases of
-    ``_level_phases(coeffs.shape, level, basis, shift)``, written to
-    ``out``, which may be ``coeffs`` itself, or to a new array.
+    """``coeffs`` times the n_y phases ``turn`` (see ``_ny_phase``) and the
+    level phases of ``_level_phases(coeffs.shape, level, basis, shift)``,
+    written to ``out``, which may be ``coeffs`` itself, or to a new array.
 
     Every diagonal factor of a group element is one of the two: with
     n_x = n - n_y, an n_x phase is a level phase times an n_y phase.  Each
     factor is one multiply by a 1-D vector broadcast over the grid, and a
-    factor that is exactly one never touches the array, so all angles zero
-    give an exact copy (float64 for real input).  ``ny`` is the angle or
-    the vector exp(i ny n_y) itself.
+    factor that is exactly one (``turn`` None) never touches the array, so
+    all angles zero give an exact copy (float64 for real input).
     """
-    if isinstance(ny, np.ndarray):
-        turn = ny
-    elif ny:
-        ramp = np.arange(coeffs.shape[1]) if basis is None else basis.ny_ramp
-        turn = np.exp(1j * ny * ramp)
-    else:
-        turn = None
     if out is None:
         kind = (np.float64 if turn is None and not (level or shift)
                 else np.complex128)
@@ -126,8 +125,7 @@ def rotate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     is preserved, levels do not mix, and theta = 0 is an exact identity.
     """
     return _act(basis, coeffs, 0.0, -_HALF_PI,
-                _finite_angle(2.0 * _finite_angle(theta)), _HALF_PI, 0.0,
-                basis.quarter_turns)
+                _finite_angle(2.0 * _finite_angle(theta)), _HALF_PI, 0.0)
 
 
 def _checked_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -146,7 +144,7 @@ def ks_coeffs(coeffs: np.ndarray, chi: float) -> np.ndarray:
     hence it commutes with every transform in the group.
     """
     coeffs = _checked_coeffs(coeffs)
-    return _mode_phases(coeffs, _finite_angle(chi), 0.0)
+    return _mode_phases(coeffs, _finite_angle(chi), None)
 
 
 def ka_coeffs(coeffs: np.ndarray, beta: float) -> np.ndarray:
@@ -154,7 +152,8 @@ def ka_coeffs(coeffs: np.ndarray, beta: float) -> np.ndarray:
     the level phase exp(-i beta n) times exp(2 i beta n_y)."""
     coeffs = _checked_coeffs(coeffs)
     beta = _finite_angle(beta)
-    return _mode_phases(coeffs, beta, 2.0 * beta)
+    return _mode_phases(coeffs, beta,
+                        _ny_phase(np.arange(coeffs.shape[1]), 2.0 * beta))
 
 
 def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
@@ -175,85 +174,35 @@ def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                 _finite_angle(2.0 * _finite_angle(gamma)), 0.0, 0.0)
 
 
-def _butterfly(t: np.ndarray, b: np.ndarray) -> None:
-    """(t, b) <- (t + b, t - b), in place."""
-    t += b
-    b *= -2.0
-    b += t
-
-
-def _mixed(basis: CartesianBasis, coeffs: np.ndarray, theta: float,
-           phi: float | np.ndarray) -> np.ndarray:
-    """``coeffs`` times the pre-phase exp(i phi n_y) (see ``_mode_phases``),
-    each spin's levels then mixed in its J_y eigenbasis by the
-    eigen-phases exp(-i theta mu), as a new complex array (see
-    ``apply_element_coeffs``).
-
-    The pre-phase is written straight into the gather source, whose one
-    slot past the last mode holds the zero that the padding rows gather.
-    The source goes before the scatter allocates the output, and the
-    gathered buffer on return, so no more than two full-size arrays are
-    alive at once.  The gathered buffer's first half holds each level's
-    top rows t and its second half the mirrored bottom rows b.  By the
-    reflection law of ``V``, ``V^T x`` is ``E^T (t + b)`` on the even
-    columns and ``O^T (t - b)`` on the odd ones, and ``V y`` is ``a + c``
-    on the top rows and ``a - c`` on the bottom ones, with
-    ``a = E y_even`` and ``c = O y_odd``.  So one in-place butterfly
-    ``(t, b) <- (t + b, t - b)`` over the whole buffer goes before the
-    batches and one after them, and each batch applies ``E^T`` and
-    ``O^T``, its eigen-phases, and ``E`` and ``O`` as two stacked real
-    products on the real and imaginary parts together: half the table
-    bytes and flops of whole rungs.  The low spins share their slots two
-    by two, so the tables take 1.58 MiB on (64,48), and the zero blocks
-    between a slot's spins add exact zeros.  Each
-    batch's frozen index holds ``top + 2 mu`` (``top`` on the padding) into
-    one ``exp`` vector over -top .. top, so one ``take`` yields the
-    block's eigen-phases contiguously.  The ramp, each batch's columns and
-    shape and its transposed stack are frozen on the basis.
-    """
-    src = np.empty(coeffs.size + 1, dtype=np.complex128)
-    src[-1] = 0.0
-    _mode_phases(coeffs, 0.0, phi, src[:-1].reshape(coeffs.shape), basis)
-    buf = src[basis.gather]
-    del src
-    phases = np.exp(-0.5j * theta * basis.two_mu_ramp)
-    halves = buf.view(np.float64).reshape(2, -1)
-    _butterfly(*halves)
-    for lo, hi, shape, stack_t, stack, index in basis.mix_batches:
-        x = halves[:, lo:hi].reshape(shape)
-        eig = np.matmul(stack_t, x).view(np.complex128)
-        eig *= phases.take(index)
-        np.matmul(stack, eig.view(np.float64), out=x)
-    _butterfly(*halves)
-    return buf[basis.scatter].reshape(coeffs.shape)
-
-
 def _act(basis: CartesianBasis, coeffs: np.ndarray, chi: float, psi: float,
-         theta: float, phi: float, shift: float,
-         turns: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+         theta: float, phi: float, shift: float) -> np.ndarray:
     """D(chi; psi, theta, phi; omega) on coefficients, the angles already
     reduced and ``shift = omega - (psi + phi)/2``; see
-    ``apply_element_coeffs``.  A rotation passes its n_y phase vectors
-    exp(i phi n_y), exp(i psi n_y) as ``turns``, the basis'
-    ``quarter_turns``."""
+    ``apply_element_coeffs``.  A rotation's element, psi = -pi/2 and
+    phi = pi/2, takes its n_y phases from the basis' ``quarter_turns``."""
     coeffs = basis.check_image(coeffs)
+    ramp = basis.ny_ramp
     level = 0.5 * (chi + psi + phi)
     if theta == 0.0:
-        return _mode_phases(coeffs, level, psi + phi, None, basis, shift)
-    real = (psi == -_HALF_PI and phi == _HALF_PI and level == 0.0
-            and not shift and not np.iscomplexobj(coeffs))
-    pre, post = (phi, psi) if turns is None else turns
-    out = _mixed(basis, coeffs, theta, pre)
+        return _mode_phases(coeffs, level, _ny_phase(ramp, psi + phi), None,
+                            basis, shift)
+    rotation = psi == -_HALF_PI and phi == _HALF_PI
+    pre, post = (basis.quarter_turns if rotation
+                 else (_ny_phase(ramp, phi), _ny_phase(ramp, psi)))
+    out = basis._mix(coeffs, theta, pre)
     _mode_phases(out, level, post, out, basis, shift)
-    return out.real.copy() if real else out
+    if (rotation and level == 0.0 and not shift
+            and not np.iscomplexobj(coeffs)):
+        return out.real.copy()
+    return out
 
 
 def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                          element: FourierGroupElement) -> np.ndarray:
     """Coefficient-space action of D(chi; psi, theta, phi; omega) in one pass.
 
-    The only code that mixes levels: rotations and gyrations go through
-    the same private action with their angles.  Each angle is first
+    Rotations and gyrations go through the same private action with their
+    angles.  Each angle is first
     reduced into (-4 pi, 4 pi).  On level n the element is the Wigner
     D^lambda(psi, theta, phi) between constant phases, and since
     n_x = n - n_y every diagonal factor is an n_y phase times a constant
@@ -262,30 +211,18 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
         L(n) . exp(i psi n_y) . Mix(theta) . exp(i phi n_y),
         L(n) = exp(-i n (chi + psi + phi)/2) exp(-i c (omega - (psi + phi)/2)),
 
-    with ``c`` the per-level integer ``CartesianBasis.c``: one n_y multiply
-    before the mix, and one n_y multiply and one level multiply after it
-    (see ``_mode_phases`` and ``_level_phases``); a multiply whose phase is
-    exactly one is skipped, so a gyration has no diagonal phase at all and
-    a rotation only its two i^(+-n_y).  In Mix(theta) the levels of each
-    spin are projected onto its J_y eigenbasis ``diag(i^-k) V``, multiplied
-    by the eigen-phases exp(-i theta mu) and projected back.  Member k of a
-    level has n_y = k + (the level's lowest n_y), so ``i^k`` differs from
+    with ``c`` the per-level integer ``CartesianBasis.level_c``: one n_y
+    multiply before the mix, and one n_y multiply and one level multiply
+    after it (see ``_mode_phases``); a multiply whose phase is exactly one
+    is skipped, so a gyration has no diagonal phase at all and a rotation
+    only its two i^(+-n_y).  In Mix(theta) the levels of each spin are
+    projected onto its J_y eigenbasis ``diag(i^-k) V``, multiplied by the
+    eigen-phases exp(-i theta mu) and projected back.  Member k of a level
+    has n_y = k + (the level's lowest n_y), so ``i^k`` differs from
     ``i^(n_y)`` by a constant per level, which cancels between projection
     and back-projection; the quarter-turn phases of the gyration's sandwich
     cancel in the same way, so only the real quarter-turn table
-    ``V = d^lambda(pi/2)`` is left.  The pre-phased coefficients are
-    gathered once into the layout of ``basis.batches``, each batch of
-    spins is mixed by two stacked real products over the even-column and
-    odd-column half blocks of its spins' tables between two butterflies
-    (see ``_mixed``), and one scatter puts the buffer back; the zero
-    padding, and the zero blocks between two spins that share a slot, add
-    nothing to the sums.
-
-    No phase is formed on the full grid (see ``_mixed``), so an op
-    allocates three full-size arrays and holds at most two at once.
-    Full-size temporaries cost more than their arithmetic: a complex grid
-    on (64,48) is 200 KB, above the C allocator's 128 KiB mmap threshold,
-    so its pages can fault afresh on every op.
+    ``V = d^lambda(pi/2)`` is left (``CartesianBasis._mix``).
 
     At theta = 0 nothing is mixed and the element is the n_y phase
     exp(i (psi + phi) n_y) and the level phase on the same path, so the

@@ -18,8 +18,8 @@ On level n of a rectangular screen the image action is
     exp(-i chi n/2) * exp(-i c_n omega) * D^lambda(psi, theta, phi)
 
 where ``c_n = (n_x - n_y) - 2 mu`` is a per-level integer (see
-``CartesianBasis.c``), nonzero on the flat levels and the upper triangle
-of a rectangular screen.  The action is therefore
+``CartesianBasis.level_c``), nonzero on the flat levels and the upper
+triangle of a rectangular screen.  The action is therefore
 a representation of a five-parameter central extension of the matrix
 group.  A plain four-parameter element has omega = (psi + phi)/2 (mod
 2 pi), which is the default; ``compose`` and ``inverse`` track omega
@@ -61,7 +61,11 @@ FOUR_PI = 4.0 * math.pi
 
 
 def _finite(name: str, value) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"angle {name} must be a real number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValidationError(f"angle {name} must be finite")
     return value
@@ -196,7 +200,10 @@ def from_matrix(matrix, tol: float = 1e-10) -> FourierGroupElement:
     Raises ValidationError when the input is not a finite 2x2 matrix
     unitary to ``tol``.
     """
-    u = np.asarray(matrix, dtype=complex)
+    try:
+        u = np.asarray(matrix, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix is not numeric: {exc}") from None
     if u.shape != (2, 2):
         raise ValidationError(f"expected a 2x2 matrix, got shape {u.shape}")
     return _from_entries(*u.ravel().tolist(), tol)

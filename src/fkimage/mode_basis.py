@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .special_functions import Spin, _is_integer, _ladder
+from .special_functions import MAX_PIXELS, Spin, _is_integer, _ladder
 
 __all__ = [
     "MAX_PIXELS",
@@ -36,9 +36,6 @@ __all__ = [
 ]
 
 
-# The largest screen build_basis accepts, in pixels: 512x512.
-MAX_PIXELS = 1 << 18
-
 # psi and phi of a rotation's element D(0; -pi/2, 2 theta, pi/2).
 _HALF_PI = 0.5 * math.pi
 
@@ -49,9 +46,12 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 def _finite(array: np.ndarray) -> np.ndarray:
-    """``array``; DomainError if it holds NaN or inf.  One sum of squares
-    ``vdot(x, x)`` settles it; the entrywise test runs only when that sum
-    is not finite, so huge finite entries, whose sum overflows, pass."""
+    """``array``; DomainError unless it holds numbers, none NaN or inf.
+    One sum of squares ``vdot(x, x)`` settles finiteness; the entrywise
+    test runs only when that sum is not finite, so huge finite entries,
+    whose sum overflows, pass."""
+    if array.dtype.kind not in "biufc":
+        raise DomainError(f"array must hold numbers, not {array.dtype}")
     if (not cmath.isfinite(np.vdot(array, array))
             and not np.isfinite(array).all()):
         raise DomainError("array holds NaN or infinite values")
@@ -171,7 +171,8 @@ def _ny_bounds(shape: ScreenShape, n):
     Level n holds the modes ``(n - n_y, n_y)`` with
     ``n_y = max(0, n - 2j_x) .. min(n, 2j_y)``, and its spin 2*lambda is the
     width of that range.  This is the one statement of the level layout:
-    ``level_spectrum``, the basis build and ``CartesianBasis.c`` read it.
+    ``level_spectrum``, the basis build and ``CartesianBasis.level_c``
+    read it.
     """
     return np.maximum(n - shape.j_x.two_j, 0), np.minimum(n, shape.j_y.two_j)
 
@@ -224,73 +225,83 @@ def _batch_slots(two_jmin: int) -> list[list[tuple[tuple[int, int], ...]]]:
     return ([folded] if folded else []) + runs + [[((two_jmin, 0),)]]
 
 
+def _butterfly(t: np.ndarray, b: np.ndarray) -> None:
+    """(t, b) <- (t + b, t - b), in place."""
+    t += b
+    b *= -2.0
+    b += t
+
+
 class CartesianBasis:
     """One-dimensional Kravchuk tables, halved quarter-turn tables and level
-    bookkeeping of a screen.
+    bookkeeping of a screen, and the level mix that reads them.
 
-    The basis stores only what the transforms read, as frozen arrays, and
-    is safe to share between threads.  ``phi_x[n, i]`` holds Psi_n^(j_x) at
-    pixel i (q_x = i - j_x), likewise ``phi_y``; both tables are
-    orthogonal, so analysis/synthesis of images is a pair of small matrix
-    products.  The tables are quarter-turn little-d blocks,
-    ``Psi_n(q) = d^j_{n-j,q}(pi/2)``, two rungs of one walk of the
-    half-spin ladder at pi/2 up to ``max(2j_x, 2j_y)``.  The rungs
-    ``V = d^lambda(pi/2)`` of the same walk for ``2*lambda <= 2j_min`` are
-    the quarter-turn tables: rows in the level's mu order, and column k of
-    ``diag(i^-k) V`` an eigenvector of J_y with eigenvalue ``k - lambda``
-    (the transforms fold the ``i^-k`` into their mode phases).  By the
-    reflection law ``V[2*lambda - r, c] = (-1)^c V[r, c]`` the basis keeps
-    only the half blocks ``E = V[:ceil(k/2), 0::2]`` and
-    ``O = V[:floor(k/2), 1::2]``, k = 2*lambda + 1.  Each spin below
-    ``2j_min`` holds the levels 2*lambda and n_max - 2*lambda; the top spin
-    ``2j_min`` holds every level 2j_min .. 2j_max.  ``_batch_slots`` lays
-    the spins out in batches of slots: the low spins folded two to a
-    slot, the next ones in runs of 24, the top spin alone (2 batches on
-    (20,12), 4 on (64,48)).  ``batches[b] = (start, stop, stack,
-    phase_index)``:
+    The basis holds only what the transforms read, as frozen arrays, and
+    is safe to share between threads.  ``phi_x[n, i]`` is Psi_n^(j_x) at
+    pixel i (q_x = i - j_x), likewise ``phi_y``; both are orthogonal, so
+    analysis/synthesis is a pair of small matrix products.  They are two
+    rungs, reversed, of one walk of the half-spin ladder at pi/2 up to
+    ``max(2j_x, 2j_y)``: ``Psi_n(q) = d^j_{n-j,q}(pi/2)``.  The rungs
+    ``V = d^lambda(pi/2)``, ``2*lambda <= 2j_min``, are the quarter-turn
+    tables: rows in the level's mu order, and column k of ``diag(i^-k) V``
+    an eigenvector of J_y with eigenvalue ``k - lambda``.  By the reflection
+    law ``V[2*lambda - r, c] = (-1)^c V[r, c]`` only the half blocks
+    ``E = V[:ceil(k/2), 0::2]`` and ``O = V[:floor(k/2), 1::2]`` are kept,
+    k = 2*lambda + 1; ``_quarter_turn`` rebuilds V.  A spin below 2j_min
+    holds the levels 2*lambda and n_max - 2*lambda, the top spin 2j_min
+    every level 2j_min .. 2j_max.
 
-    * ``stack``, shape ``(2, slots, h, h)`` with h the rows of the batch's
-      highest slot: the ``E`` and the ``O`` of each spin of a slot at its
-      offset, block-diagonal, zero elsewhere.
-    * ``phase_index``, shape ``(2, slots, h, levels)``: ``2j_min + 2*mu``
-      of row r of a spin's blocks, with ``2*mu = 4r - 2*lambda`` for ``E``
-      and ``4r + 2 - 2*lambda`` for ``O`` (the eigenvalues of columns 2r
-      and 2r + 1), ``2j_min`` on the padding; it indexes one vector of
-      eigen-phases over ``2*mu = -2j_min .. 2j_min``.
-    * ``gather`` has two halves of equal length; ``[start:stop]`` of the
-      first, read as ``(slots, h, levels)``, holds the flat mode index
-      ``n_x*N_y + n_y`` of member r of each of a spin's levels (ascending
-      n) in row r past the spin's offset, and of the second, member
-      ``2*lambda - r``.  Padding rows, and the second half's row at the
-      middle of an odd level, hold ``N_x*N_y``, where the transforms keep
-      a zero.
+    ``_batch_slots`` lays the spins out in batches of slots (2 batches on
+    (20,12), 4 on (64,48)); ``places[2*lambda]`` is a spin's
+    ``(batch, slot, offset)``, and ``batches[b]`` is
+    ``(lo, hi, shape, stack_t, stack, index)``:
 
-    ``scatter[n_x*N_y + n_y]`` is the position of that mode in the
-    gathered buffer.
-    ``c[n_x, n_y]`` is the integer ``(n_x - n_y) - 2*mu``, constant on each
-    level: ``c = n - lo - hi`` with ``n = n_x + n_y`` and ``lo .. hi`` the
-    level's n_y range, in either orientation, so zero on the lower triangle
-    and ``2*(j_x - j_y)`` on the upper one.  It is the offset of the
-    antisymmetric Fourier phases from the level projection, and carries
-    the fifth parameter ``omega`` of a group element.  The build, ``c`` and
-    ``level_spectrum`` all read the n_y range from ``_ny_bounds``, the one
-    statement of the layout.
+    * ``stack``, shape ``(2, slots, h, h)``, h the rows of the highest
+      slot: each spin's ``E`` and ``O`` at its offset, zero elsewhere;
+      ``stack_t`` is its transposed view.
+    * ``index``, shape ``(2, slots, h, levels)``: ``2j_min + 2*mu`` of row r
+      of a spin's blocks, ``2*mu = 4r - 2*lambda`` for ``E`` and
+      ``4r + 2 - 2*lambda`` for ``O`` (columns 2r and 2r + 1), ``2j_min`` on
+      the padding; it indexes the eigen-phases over ``two_mu_ramp``,
+      ``2*mu = -2j_min .. 2j_min``.
+    * ``lo:hi``: the batch's float columns of each half of the gathered
+      buffer, read as ``shape``, ``(2, slots, h, 2*levels)``.
 
-    The constants of every transform call are built once, frozen:
-    ``pixels``; ``ny_ramp`` (n_y); ``quarter_turns``, a rotation's
-    ``exp(+-i pi/2 n_y)``, the basis' only complex arrays; ``level_ramp``
-    and ``level_c`` (each level n and its c); ``two_mu_ramp``
-    (-2j_min .. 2j_min); and per batch, ``mix_batches``: its float columns
-    ``2*start:2*stop`` of each buffer half, their shape as the stack's
-    operand, the transposed stack view, the stack and its phase index.
+    Entries ``lo/2 .. hi/2`` of the first half of ``gather``, read as
+    ``(slots, h, levels)``, hold the flat mode index ``n_x*N_y + n_y`` of
+    member r of each of a spin's levels (ascending n) in row r past its
+    offset, and of the second half, member ``2*lambda - r``.  Padding
+    rows, and the second half's row at the middle of an odd level, hold
+    ``N_x*N_y``, where ``_mix`` keeps a zero.  ``scatter`` is the gathered
+    position of each mode.
 
-    ``levels`` and ``level_arrays(n)`` (the
-    level, its n_x and its n_y) are built on demand through
-    ``level_spectrum``; the basis keeps no per-level objects, and the
-    transforms never read them.  They serve the Laguerre-Kravchuk modes,
-    the figures and the level-by-level references of ``verify`` and the
-    tests, which check the layout against the interval formulas written
-    out separately in ``_reference.interval_levels``.
+    ``_mix`` writes the pre-phased coefficients straight into the gather
+    source and frees it before the scatter allocates the output: at most
+    two full-size arrays are alive at once.  The gathered buffer holds
+    each level's top rows t in its first half and its mirrored bottom rows
+    b in the second.  By the reflection law, ``V^T x`` is ``E^T (t + b)``
+    on the even columns and ``O^T (t - b)`` on the odd ones, and ``V y`` is
+    ``a + c`` on the top rows and ``a - c`` on the bottom ones, with
+    ``a = E y_even`` and ``c = O y_odd``.  So one in-place butterfly
+    ``(t, b) <- (t + b, t - b)`` goes before the batches and one after, and
+    each batch applies ``E^T`` and ``O^T``, its eigen-phases (one ``take``)
+    and ``E`` and ``O`` as two stacked real products on both parts at once:
+    half the bytes and flops of whole rungs.  Padding adds exact zeros.
+
+    The other call constants: ``pixels``; ``ny_ramp`` (n_y);
+    ``quarter_turns``, a rotation's ``exp(+-i pi/2 n_y)``, the only complex
+    arrays; ``level_ramp`` (each level n); ``level_c``, the integer
+    ``(n_x - n_y) - 2*mu`` of each level, ``n - lo - hi`` with ``lo .. hi``
+    its n_y range (``_ny_bounds``), so zero on the lower triangle and
+    ``2*(j_x - j_y)`` on the upper one: the offset of the antisymmetric
+    Fourier phases from the level projection, which carries a group
+    element's fifth parameter ``omega``.
+
+    ``levels`` and ``level_arrays(n)`` (the level, its n_x and its n_y) are
+    built on demand by ``level_spectrum``; the transforms never read them.
+    They serve the Laguerre-Kravchuk modes, the figures and the references
+    of ``verify`` and the tests, which check the layout against the
+    interval formulas of ``_reference.interval_levels``.
     """
 
     def __init__(self, shape: ScreenShape):
@@ -303,28 +314,26 @@ class CartesianBasis:
         stacks = [np.zeros((2, len(slots)) + (max(
             slot[-1][1] + slot[-1][0] // 2 + 1 for slot in slots),) * 2)
             for slots in layout]
-        places = {two_l: (stack, i, offset)
-                  for slots, stack in zip(layout, stacks)
+        places = {two_l: (b, i, offset) for b, slots in enumerate(layout)
                   for i, slot in enumerate(slots) for two_l, offset in slot}
+        self.places = tuple(places[two_l] for two_l in range(two_jmin + 1))
         for two_l, d in enumerate(_ladder(top, math.pi / 2.0)):
             if two_l <= two_jmin:
-                stack, i, at = places[two_l]
+                b, i, at = self.places[two_l]
                 even, odd = two_l // 2 + 1, (two_l + 1) // 2
-                stack[0, i, at:at + even, at:at + even] = d[:even, 0::2]
-                stack[1, i, at:at + odd, at:at + odd] = d[:odd, 1::2]
+                stacks[b][0, i, at:at + even, at:at + even] = d[:even, 0::2]
+                stacks[b][1, i, at:at + odd, at:at + odd] = d[:odd, 1::2]
             if two_l == two_jx:
                 self.phi_x = _frozen(d[::-1, ::-1].copy())
             if two_l == two_jy:
                 self.phi_y = _frozen(d[::-1, ::-1].copy())
-        for stack in stacks:
-            _frozen(stack)
         # A level's spin 2*lambda is the width of its n_y range (_ny_bounds):
         # levels 2*lambda and n_max - 2*lambda below 2j_min, and every level
         # 2j_min .. top at it.
         size = shape.mode_count
-        batches, gather, start = [], [], 0
+        batches, gather, lo = [], [], 0
         half = np.arange(2, dtype=np.intp)[:, None, None, None]
-        for slots, stack in zip(layout, stacks):
+        for slots, stack in zip(layout, map(_frozen, stacks)):
             # Axes (slot, row, level): the spin 2*lambda of each row, the row
             # r of that spin's blocks, and the levels of the spin.  A slot's
             # last spin starts at its offset, and a lone spin at 0.
@@ -348,29 +357,50 @@ class CartesianBasis:
             index = np.where(padding, size, (ns - ny) * shape.n_y + ny)
             gather.append(index.reshape(2, -1))
             two_mu = np.where(padding, 0, 2 * k - two_l)
-            batches.append((start, start + index.size // 2, stack, _frozen(
-                (two_jmin + two_mu).repeat(ns.shape[-1], axis=3))))
-            start += index.size // 2
+            batches.append((lo, lo + index.size, index.shape[:3] + (
+                2 * index.shape[3],), stack.transpose(0, 1, 3, 2), stack,
+                _frozen((two_jmin + two_mu).repeat(ns.shape[-1], axis=3))))
+            lo += index.size
         self.batches = tuple(batches)
         self.gather = _frozen(np.concatenate(gather, axis=1).ravel())
         scatter = np.empty(size + 1, dtype=np.intp)
         scatter[self.gather] = np.arange(self.gather.size, dtype=np.intp)
         self.scatter = _frozen(scatter[:size])
-        n = np.add.outer(np.arange(shape.n_x, dtype=np.intp),
-                         np.arange(shape.n_y, dtype=np.intp))
-        lo, hi = _ny_bounds(shape, n)
-        self.c = _frozen(n - lo - hi)
         # The constants of every transform call (see the class docstring).
         self.ny_ramp = _frozen(np.arange(shape.n_y))
         self.quarter_turns = tuple(_frozen(np.exp(1j * angle * self.ny_ramp))
                                    for angle in (_HALF_PI, -_HALF_PI))
         self.level_ramp = _frozen(np.arange(shape.max_total_mode + 1))
-        self.level_c = _frozen(np.concatenate((self.c[:, 0], self.c[-1, 1:])))
+        lo, hi = _ny_bounds(shape, self.level_ramp)
+        self.level_c = _frozen(self.level_ramp - lo - hi)
         self.two_mu_ramp = _frozen(np.arange(-two_jmin, two_jmin + 1))
-        self.mix_batches = tuple(
-            (2 * start, 2 * stop, index.shape[:3] + (2 * index.shape[3],),
-             stack.transpose(0, 1, 3, 2), stack, index)
-            for start, stop, stack, index in self.batches)
+
+    def _mix(self, coeffs: np.ndarray, theta: float,
+             turn: np.ndarray | None) -> np.ndarray:
+        """``coeffs`` times the n_y pre-phase ``turn``, if any, each spin's
+        levels then mixed in its J_y eigenbasis by the eigen-phases
+        exp(-i theta mu), as a new complex array; see the class
+        docstring."""
+        # One slot past the last mode holds the zero the padding gathers.
+        src = np.empty(coeffs.size + 1, dtype=np.complex128)
+        src[-1] = 0.0
+        grid = src[:-1].reshape(coeffs.shape)
+        if turn is None:
+            grid[...] = coeffs
+        else:
+            np.multiply(coeffs, turn, out=grid)
+        buf = src[self.gather]
+        del src, grid
+        phases = np.exp(-0.5j * theta * self.two_mu_ramp)
+        halves = buf.view(np.float64).reshape(2, -1)
+        _butterfly(*halves)
+        for lo, hi, shape, stack_t, stack, index in self.batches:
+            x = halves[:, lo:hi].reshape(shape)
+            eig = np.matmul(stack_t, x).view(np.complex128)
+            eig *= phases.take(index)
+            np.matmul(stack, eig.view(np.float64), out=x)
+        _butterfly(*halves)
+        return buf[self.scatter].reshape(coeffs.shape)
 
     @property
     def levels(self) -> tuple[LevelSpectrum, ...]:
@@ -418,7 +448,12 @@ def build_basis(shape) -> CartesianBasis:
     (their ``nbytes``), and the build peaks at 236 MiB RSS.
     """
     if not isinstance(shape, ScreenShape):
-        shape = ScreenShape.of(*shape)
+        try:
+            j_x, j_y = shape
+        except (TypeError, ValueError):
+            raise DomainError(f"screen shape must be a pair of spins, "
+                              f"got {shape!r}") from None
+        shape = ScreenShape.of(j_x, j_y)
     if shape.mode_count > MAX_PIXELS:
         raise DomainError(
             f"screen {shape.n_x}x{shape.n_y} has {shape.mode_count} pixels, "
@@ -440,16 +475,18 @@ def cartesian_mode(basis: CartesianBasis, idx) -> np.ndarray:
     return np.outer(basis.phi_x[n_x], basis.phi_y[n_y])
 
 
-def _half_blocks(basis: CartesianBasis, two_l: int) -> np.ndarray:
-    """The half blocks ``E`` and ``O`` of spin 2*lambda, ``O`` zero-padded
-    to the shape of ``E``, as a ``(2, h, h)`` view of its batch's stack."""
-    two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
-    b, i, at = next((b, i, offset)
-                    for b, slots in enumerate(_batch_slots(two_jmin))
-                    for i, slot in enumerate(slots)
-                    for spin, offset in slot if spin == two_l)
-    even = two_l // 2 + 1
-    return basis.batches[b][2][:, i, at:at + even, at:at + even]
+def _quarter_turn(basis: CartesianBasis, two_l: int) -> np.ndarray:
+    """The quarter-turn table ``V = d^lambda(pi/2)`` of a spin
+    ``2*lambda <= 2j_min``, rebuilt from its half blocks ``E`` and ``O`` by
+    the reflection law ``V[2*lambda - r, c] = (-1)^c V[r, c]``."""
+    b, i, at = basis.places[two_l]
+    even, odd = (two_l + 2) // 2, (two_l + 1) // 2
+    e, o = basis.batches[b][4][:, i, at:at + even, at:at + even]
+    v = np.empty((two_l + 1, two_l + 1))
+    v[:even, 0::2] = e
+    v[:even, 1::2] = o[:, :odd]
+    v[even:] = (v[:odd] * (-1.0) ** np.arange(two_l + 1))[::-1]
+    return v
 
 
 def _lk_level_phase(two_lambda: int) -> complex:
@@ -468,9 +505,7 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
     eigenvectors of the level: column ``row`` of the real quarter-turn
     table ``V = d^lambda(pi/2)``, where ``row = (2*lambda - m)/2`` is m's
     index in the level's mu order, times ``i^k`` on member k, ``(-i)^row``
-    and the canonical level phase.  The column's top rows come from the basis' half block
-    of its parity, and its bottom rows are their mirror times
-    ``(-1)^row``.
+    and the canonical level phase.
     """
     lev, nx, ny = basis.level_arrays(n)
     two_l, m = lev.spin.two_j, _label(m, "m")
@@ -479,11 +514,9 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
             f"m={m} not an angular label of level n={n} "
             f"(allowed: {lev.two_mu})")
     row = (two_l - m) // 2
-    top = _half_blocks(basis, two_l)[row % 2, :, row // 2]
-    column = np.concatenate((top[:(two_l + 2) // 2],
-                             (-1) ** row * top[:(two_l + 1) // 2][::-1]))
     amp = (_lk_level_phase(two_l) * (-1j) ** (row % 4)
-           * (1j ** (np.arange(two_l + 1) % 4) * column))
+           * (1j ** (np.arange(two_l + 1) % 4)
+              * _quarter_turn(basis, two_l)[:, row]))
     out = np.zeros(basis.shape.pixels, dtype=complex)
     out[nx, ny] = amp
     return out

@@ -89,8 +89,8 @@ def scale_to_unit(values: np.ndarray, spec: RenderSpec) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def render(pixels: np.ndarray, spec: RenderSpec, path, ascii_format: bool = False):
-    """Render a pixel array to a PGM file and return the path."""
+def render(pixels: np.ndarray, spec: RenderSpec, path):
+    """Render a pixel array to a binary PGM file and return the path."""
     values = _select_channel(np.asarray(pixels), spec.channel)
     gray = pixels_to_gray(scale_to_unit(values, spec), spec.maxval)
-    return write_pgm(path, gray, spec.maxval, binary=not ascii_format)
+    return write_pgm(path, gray, spec.maxval)

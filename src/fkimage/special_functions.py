@@ -52,6 +52,11 @@ __all__ = [
     "wigner_little_d",
 ]
 
+# The largest screen build_basis accepts, in pixels: 512x512; and the most
+# entries a little-d block of wigner_little_d may hold.
+MAX_PIXELS = 1 << 18
+
+
 def _is_integer(value) -> bool:
     """Whether ``value`` is an int or a NumPy integer; a bool is not."""
     return (isinstance(value, (int, np.integer))
@@ -72,7 +77,7 @@ def _as_two(value, what="value"):
         return int(doubled)
     if isinstance(value, float):
         doubled = 2.0 * value
-        if doubled != round(doubled):
+        if not math.isfinite(doubled) or doubled != round(doubled):
             raise DomainError(f"{what} must be an integer or half-integer, got {value}")
         return int(round(doubled))
     raise DomainError(f"cannot interpret {value!r} as a half-integer {what}")
@@ -184,7 +189,11 @@ def _finite_angle(angle) -> float:
     from overflowing the phases; an angle already inside the interval is
     returned bit for bit.
     """
-    angle = float(angle)
+    try:
+        angle = float(angle)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"angle must be a real number, got {angle!r}") from None
     if not math.isfinite(angle):
         raise DomainError(f"angle must be finite, got {angle}")
     return math.fmod(angle, 4.0 * math.pi)
@@ -275,8 +284,12 @@ def wigner_little_d(lam, beta: float) -> LittleDMatrix:
     Evaluated by the half-spin recursion from spin 0 up to ``lam``, fresh
     on every call and independent of any basis, in the convention pinned by
     ``d^j_{n-j,q}(pi/2) == kravchuk_function(j, n, q)``.  A non-finite
-    ``beta`` raises ``DomainError``.
+    ``beta``, or a block of more than ``MAX_PIXELS`` entries, raises
+    ``DomainError``.
     """
     spin = Spin.from_j(lam)
+    if spin.dimension ** 2 > MAX_PIXELS:
+        raise DomainError(f"spin {spin.j:g} has a {spin.dimension}-row "
+                          f"block, more than {MAX_PIXELS} entries")
     beta = float(beta)
     return LittleDMatrix(spin, beta, _little_d_entries(spin.two_j, beta))

@@ -29,13 +29,15 @@ from . import group_algebra as ga
 from ._reference import (gyrate_coeffs_sandwich, interval_levels,
                          level_action, quarter_turn, random_element,
                          random_image, wide_element)
+from .errors import DomainError
 from .glyph import f_glyph
 from .imageio import load_complex, load_image, pixels_to_gray, read_pgm, \
     save_complex, write_pgm
 from .mode_basis import ScreenShape, build_basis, cartesian_mode, \
     level_spectrum, lk_mode
 from .render import RenderSpec, scale_to_unit
-from .special_functions import Spin, kravchuk_function, wigner_little_d
+from .special_functions import Spin, _is_integer, kravchuk_function, \
+    wigner_little_d
 
 __all__ = ["CheckResult", "run_verification", "DEFAULT_SHAPES", "KNOWN_LIMITATIONS"]
 
@@ -594,14 +596,17 @@ _CHECKS = [
 
 def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     """Run every invariant check, each at its own tolerance, and return a
-    list of CheckResult.  ``images`` sets the sample count of the
-    randomized per-screen checks.
+    list of CheckResult.  ``images``, a positive integer (else
+    ``DomainError``), sets the sample count of the randomized per-screen
+    checks.
 
     The bases are built on first use, inside the checks.  A check that
     raises, in its own code or in a basis build, fails: its ``error`` and
     detail hold the exception's type and message, its deviation is
     infinite and its tolerance NaN, and the other checks still run.
     """
+    if not _is_integer(images) or images < 1:
+        raise DomainError(f"images must be a positive integer, got {images!r}")
     rng = np.random.default_rng(seed)
     cache = {}
 

@@ -76,24 +76,30 @@ def check_split_quarter_turns(basis):
     odd-column halves ``d[:ceil(k/2), 0::2]`` and ``d[:floor(k/2), 1::2]``
     of its spins' quarter-turn rungs ``d = d^lambda(pi/2)`` bit for bit, the
     first spin at row and column 0 and a second one just past the first's
-    even half, with exact zeros off those blocks and on the padding; and
-    that its phase index holds ``2j_min + 2 mu`` of each half's columns and
+    even half, with exact zeros off those blocks and on the padding; that
+    ``basis.places`` records each spin's batch, slot and offset; and that
+    its phase index holds ``2j_min + 2 mu`` of each half's columns and
     ``2j_min`` elsewhere.  Returns the spins of each slot of each batch."""
     two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
     rungs = list(_ladder(two_jmin, math.pi / 2))
     layout = _batch_slots(two_jmin)
     assert len(layout) == len(basis.batches)
     stop = 0
-    for (start, stop_b, stack, index), slots in zip(basis.batches, layout):
-        assert start == stop
-        stop = stop_b
+    for b, ((lo, hi, shape, stack_t, stack, index), slots) in enumerate(
+            zip(basis.batches, layout)):
+        assert lo == stop
+        stop = hi
         assert stack.dtype == np.float64 and not stack.flags.writeable
         assert index.dtype == np.intp and not index.flags.writeable
+        assert np.array_equal(stack_t, stack.transpose(0, 1, 3, 2))
         rows = stack.shape[2]
         assert stack.shape == (2, len(slots), rows, rows)
         assert index.shape[:3] == (2, len(slots), rows)
-        assert stop - start == index.size // 2
+        assert shape == index.shape[:3] + (2 * index.shape[3],)
+        assert hi - lo == index.size
         for i, slot in enumerate(slots):
+            for two_l, at in slot:
+                assert basis.places[two_l] == (b, i, at)
             offsets = [0, slot[0][0] // 2 + 1][:len(slot)]
             assert [at for _, at in slot] == offsets
             for half in (0, 1):
@@ -113,7 +119,8 @@ def check_split_quarter_turns(basis):
                            for slot in slots for two_l, at in slot)
     assert sorted(two_l for slots in layout for slot in slots
                   for two_l, _ in slot) == list(range(two_jmin + 1))
-    assert 2 * stop == basis.gather.size
+    assert stop == basis.gather.size
+    assert len(basis.places) == two_jmin + 1
     return [[tuple(two_l for two_l, _ in slot) for slot in slots]
             for slots in layout]
 

@@ -207,6 +207,20 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def test_verify_rejects_image_counts_below_one(monkeypatch):
+    # No randomized check may pass on zero samples: the option and
+    # run_verification take only a positive integer.
+    from fkimage import DomainError, verify
+    monkeypatch.setattr(verify, "_CHECKS", [
+        ("samples", lambda ctx: (0.0, 1.0, f"{ctx['images']} images"))])
+    for count in ("0", "-3", "two"):
+        assert main(["verify", "--shape", "5,3", "--images", count]) == 1
+    assert main(["verify", "--shape", "5,3", "--images", "1"]) == 0
+    for images in (0, -3, True, 2.0):
+        with pytest.raises(DomainError):
+            verify.run_verification(shapes=((5, 3),), images=images)
+
+
 def test_verify_reports_a_raising_check_and_runs_the_others(monkeypatch,
                                                              capsys):
     from fkimage import verify

@@ -1,6 +1,8 @@
+import ast
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from fkimage import (DimensionError, DomainError, FourierGroupElement,
                      f_glyph, fractional_fourier_image, gyrate_coeffs,
                      gyrate_image, ka_coeffs, ks_coeffs, lk_coefficients,
                      rotate_coeffs, rotate_image, synthesize)
-from fkimage import mode_basis
+from fkimage import fourier_transforms, mode_basis
 from fkimage._reference import (gyrate_coeffs_sandwich, interval_levels,
                                 level_action, random_image)
 
@@ -414,7 +416,7 @@ def test_batched_mix_matches_little_d_blocks_across_batch_edges(two_j):
     fold = min(two_jmin, 2 * width)
     assert len(layout) == (fold > 0) + -(-(two_jmin - fold) // width) + 1
     assert layout[-1] == [(two_jmin,)]
-    for _, _, _, index in basis.batches:
+    for *_, index in basis.batches:
         assert index.min() >= 0 and index.max() <= 2 * two_jmin
     rng = np.random.default_rng(sum(two_j))
     coeffs = random_image(rng, basis)
@@ -502,6 +504,18 @@ def test_action_allocates_few_full_size_arrays(real):
             peak, out = _traced_peak(op)
             assert peak <= bound * out.nbytes, (spins, peak / out.nbytes,
                                                 out.dtype)
+
+
+def test_transforms_leave_the_mix_layout_to_the_basis():
+    # CartesianBasis owns the batched layout of the level mix, so the
+    # transforms name none of its parts.
+    tree = ast.parse(Path(fourier_transforms.__file__).read_text())
+    names = {getattr(node, field) for node in ast.walk(tree)
+             for field in ("id", "attr", "arg", "name")
+             if isinstance(getattr(node, field, None), str)}
+    assert "_mix" in names
+    assert not names & {"gather", "scatter", "batches", "two_mu_ramp",
+                        "places"}
 
 
 def test_transforms_form_no_dense_little_d_block(basis117, rng, monkeypatch):

@@ -137,13 +137,11 @@ def test_phase_constants_held_on_basis_are_read_only():
     for name, shape in constants.items():
         array = getattr(basis, name)
         assert array.shape == shape and not array.flags.writeable, name
-    assert np.array_equal(basis.level_c[basis.shape.n_x - 1:],
-                          basis.c[-1])
-    assert np.array_equal(basis.level_c[:basis.shape.n_x], basis.c[:, 0])
+    assert not hasattr(basis, "c") and not hasattr(basis, "mix_batches")
     turns = basis.quarter_turns
     assert np.max(np.abs(turns[0] - 1j ** basis.ny_ramp)) < 1e-15
     assert np.array_equal(turns[1], np.conj(turns[0]))
-    for lo, hi, shape, stack_t, stack, index in basis.mix_batches:
+    for lo, hi, shape, stack_t, stack, index in basis.batches:
         assert hi - lo == np.prod(shape[1:])
         assert np.array_equal(stack_t, stack.transpose(0, 1, 3, 2))
         for array in (turns[0], turns[1], stack_t, stack, index):
@@ -161,9 +159,9 @@ def _gathered_slots(basis):
     two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
     halves = basis.gather.reshape(2, -1)
     spins, padding = [], []
-    for (start, stop, _, index), slots in zip(
+    for (lo, hi, _, _, _, index), slots in zip(
             basis.batches, mode_basis._batch_slots(two_jmin)):
-        gathered = halves[:, start:stop].reshape(index.shape)
+        gathered = halves[:, lo // 2:hi // 2].reshape(index.shape)
         for i, slot in enumerate(slots):
             t, b = gathered[:, i]
             used = np.zeros((2, gathered.shape[2]), dtype=bool)
@@ -202,8 +200,7 @@ def test_closed_form_levels_match_level_spectrum(two_jx, two_jy):
     assert sorted(seen) == list(range(basis.shape.max_total_mode + 1))
     for n in range(basis.shape.max_total_mode + 1):
         lev, nx, ny = basis.level_arrays(n)
-        assert np.array_equal(basis.c[nx, ny],
-                              nx - ny - np.asarray(lev.two_mu))
+        assert np.all(basis.level_c[n] == nx - ny - np.asarray(lev.two_mu))
 
 
 def _arrays(value):
@@ -240,7 +237,7 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
     layout = fold_layout(two_jmin, mode_basis._BATCH_SPINS)
     assert check_split_quarter_turns(basis) == layout
     top_levels = abs(two_jx - two_jy) + 1
-    for (_, _, stack, index), levels in zip(
+    for (_, _, _, _, stack, index), levels in zip(
             basis.batches, [2] * (len(layout) - 1) + [top_levels]):
         assert index.shape == stack.shape[:3] + (levels,)
     # Each table is stored once, as its halves: V rebuilt from them by the

@@ -9,8 +9,13 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
+import pytest
+
 import fkimage
-from fkimage import mode_basis, special_functions
+from fkimage import (DomainError, FourierGroupElement, ValidationError,
+                     analyze, build_basis, from_matrix, ks_coeffs,
+                     mode_basis, rotate_coeffs, special_functions)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # The names bench/ binds to parts of the package.
@@ -97,3 +102,39 @@ def test_every_name_bench_calls_resolves():
     assert [lev.size for lev in basis.levels] == [s + 1 for s in spins]
     assert basis.shape.pixels == screen.pixels == (11, 8)
     assert special_functions.kravchuk_function(48, 0, -48) > 0.0
+
+
+# Bad input at each public entry point, and the package error it raises at
+# the one place that converts it.
+_BAD_INPUT = {
+    "angle str": (lambda b, x: rotate_coeffs(b, x, "x"), DomainError),
+    "angle None": (lambda b, x: rotate_coeffs(b, x, None), DomainError),
+    "angle complex": (lambda b, x: rotate_coeffs(b, x, 1j), DomainError),
+    "element angle str": (lambda b, x: FourierGroupElement("a"),
+                          ValidationError),
+    "matrix str": (lambda b, x: from_matrix("ab"), ValidationError),
+    "shape of one spin": (lambda b, x: build_basis((1,)), DomainError),
+    "shape of three spins": (lambda b, x: build_basis((1, 2, 3)),
+                             DomainError),
+    "shape None": (lambda b, x: build_basis(None), DomainError),
+    "shape nan": (lambda b, x: build_basis((float("nan"), 1)), DomainError),
+    "shape inf": (lambda b, x: build_basis((1, float("inf"))), DomainError),
+    "analyze str": (lambda b, x: analyze(b, x.astype(str)), DomainError),
+    "analyze object": (lambda b, x: analyze(b, x.astype(object)),
+                       DomainError),
+    "rotate str": (lambda b, x: rotate_coeffs(b, x.astype(str), 0.3),
+                   DomainError),
+    "rotate object": (lambda b, x: rotate_coeffs(b, x.astype(object), 0.3),
+                      DomainError),
+    "ks str": (lambda b, x: ks_coeffs(x.astype(str), 0.3), DomainError),
+    "ks object": (lambda b, x: ks_coeffs(x.astype(object), 0.3),
+                  DomainError),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUT))
+def test_bad_input_raises_a_package_error(case):
+    call, error = _BAD_INPUT[case]
+    basis = build_basis((2, 1))
+    with pytest.raises(error):
+        call(basis, np.ones(basis.pixels))

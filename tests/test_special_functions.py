@@ -274,6 +274,23 @@ def test_rejects_nonfinite_angle():
         wigner_little_d(1, math.inf)
 
 
+def test_rejects_blocks_above_the_pixel_limit(monkeypatch):
+    # The size check comes before the ladder walk, so a huge spin fails at
+    # once; 512 x 512 entries, the largest screen's, still reach the walk.
+    from fkimage import special_functions
+
+    def walk(*args):
+        raise AssertionError("the ladder ran")
+
+    monkeypatch.setattr(special_functions, "_ladder", walk)
+    assert special_functions.MAX_PIXELS == 512 * 512
+    for lam, beta in ((1e9, 0.3), (256, 0.3), (256, 0.0)):
+        with pytest.raises(DomainError, match="entries"):
+            wigner_little_d(lam, beta)
+    with pytest.raises(AssertionError, match="ladder"):
+        wigner_little_d(255.5, 0.3)
+
+
 def test_no_eigensolver_runs(rng, monkeypatch):
     # Every little-d value comes from the half-spin ladder: building a
     # basis, transforming at fresh angles, the LK modes and a dense block at
