@@ -10,14 +10,14 @@ general group element
 
 is applied by ``apply_element_coeffs``; it, ``rotate_coeffs`` and
 ``gyrate_coeffs`` share one private action, which mixes levels only
-through ``CartesianBasis._mix``.  ``c`` is the per-level integer
+through ``CartesianBasis._mix`` and takes all its phases from one ``exp``,
+``CartesianBasis._phases``.  ``c`` is the per-level integer
 ``CartesianBasis.level_c``; the leading phase is 1 for a plain element,
 whose omega is (psi + phi)/2.  Rotation by theta is the element
 D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is D(0; 0, 2 gamma, 0);
-both act block-diagonally on the total-mode levels and never move
-amplitude between levels.  The fractional Fourier
-transforms K_S and K_A are pure mode-number phases.  Angles are reduced
-into (-4 pi, 4 pi) before use.
+both act block-diagonally on the total-mode levels and never mix them.
+The fractional Fourier transforms K_S and K_A are pure mode-number phases.
+Angles are reduced into (-4 pi, 4 pi) before use.
 """
 
 from __future__ import annotations
@@ -53,61 +53,37 @@ def synthesize(basis: CartesianBasis, coeffs: np.ndarray) -> np.ndarray:
     return basis.synthesize(coeffs)
 
 
-def _level_phases(shape: tuple[int, int], angle: float,
-                  basis: CartesianBasis | None = None,
-                  shift: float = 0.0) -> np.ndarray:
-    """Read-only (N_x, N_y) view of the level phases exp(-i angle n), times
-    the omega phase exp(-i shift c) when ``shift`` is nonzero.
-
-    Both are constant on each level n = n_x + n_y (``c`` is the basis'
-    ``level_c``), so one vector of phases over the levels serves the
-    whole grid: read with equal strides along both axes, it holds the phase
-    of level n_x + n_y at [n_x, n_y], and no full-grid phase array is
-    formed.  Without a basis the levels are counted from ``shape``.
-    """
-    n = (np.arange(shape[0] + shape[1] - 1) if basis is None
-         else basis.level_ramp)
-    if shift:
-        per_level = np.exp(-1j * (angle * n + shift * basis.level_c))
-    else:
-        per_level = np.exp(-1j * angle * n)
-    step = per_level.strides[0]
-    view = np.ndarray(shape, per_level.dtype, per_level, 0, (step, step))
-    view.flags.writeable = False
-    return view
-
-
-def _ny_phase(ramp: np.ndarray, angle: float) -> np.ndarray | None:
-    """The n_y phases exp(i angle n_y) over ``ramp``, or None when the
-    angle is zero."""
+def _phase(angle: float, ramp: np.ndarray) -> np.ndarray | None:
+    """The phases exp(i angle ramp), or None when the angle is zero."""
     return np.exp(1j * angle * ramp) if angle else None
 
 
-def _mode_phases(coeffs: np.ndarray, level: float, turn: np.ndarray | None,
-                 out: np.ndarray | None = None,
-                 basis: CartesianBasis | None = None,
-                 shift: float = 0.0) -> np.ndarray:
-    """``coeffs`` times the n_y phases ``turn`` (see ``_ny_phase``) and the
-    level phases of ``_level_phases(coeffs.shape, level, basis, shift)``,
-    written to ``out``, which may be ``coeffs`` itself, or to a new array.
+def _mode_phases(coeffs: np.ndarray, level: np.ndarray | None,
+                 turn: np.ndarray | None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """``coeffs`` times the n_y phases ``turn`` and the phases ``level`` of
+    the levels n = n_x + n_y, into ``out``, which may be ``coeffs``, or a
+    new array.
 
-    Every diagonal factor of a group element is one of the two: with
-    n_x = n - n_y, an n_x phase is a level phase times an n_y phase.  Each
-    factor is one multiply by a 1-D vector broadcast over the grid, and a
-    factor that is exactly one (``turn`` None) never touches the array, so
-    all angles zero give an exact copy (float64 for real input).
+    Every diagonal factor of a group element is one of the two, as an n_x
+    phase is a level phase times an n_y phase.  Read with equal strides
+    along both axes, ``level`` holds the phase of level n_x + n_y at
+    [n_x, n_y], so no full-grid phase is formed.  A factor exactly one
+    (None) is skipped: with both None the result is an exact copy (float64
+    for real input).
     """
     if out is None:
-        kind = (np.float64 if turn is None and not (level or shift)
+        kind = (np.float64 if turn is None and level is None
                 else np.complex128)
         out = np.empty(coeffs.shape, np.result_type(coeffs, kind))
     src = coeffs
     if turn is not None:
         np.multiply(src, turn, out=out)
         src = out
-    if level or shift:
-        np.multiply(src, _level_phases(coeffs.shape, level, basis, shift),
-                    out=out)
+    if level is not None:
+        step = level.strides[0]
+        np.multiply(src, np.ndarray(coeffs.shape, level.dtype, level, 0,
+                                    (step, step)), out=out)
         src = out
     if src is not out:
         out[...] = coeffs
@@ -144,7 +120,8 @@ def ks_coeffs(coeffs: np.ndarray, chi: float) -> np.ndarray:
     hence it commutes with every transform in the group.
     """
     coeffs = _checked_coeffs(coeffs)
-    return _mode_phases(coeffs, _finite_angle(chi), None)
+    return _mode_phases(coeffs, _phase(-_finite_angle(chi),
+                                       np.arange(sum(coeffs.shape) - 1)), None)
 
 
 def ka_coeffs(coeffs: np.ndarray, beta: float) -> np.ndarray:
@@ -152,8 +129,9 @@ def ka_coeffs(coeffs: np.ndarray, beta: float) -> np.ndarray:
     the level phase exp(-i beta n) times exp(2 i beta n_y)."""
     coeffs = _checked_coeffs(coeffs)
     beta = _finite_angle(beta)
-    return _mode_phases(coeffs, beta,
-                        _ny_phase(np.arange(coeffs.shape[1]), 2.0 * beta))
+    levels = np.arange(sum(coeffs.shape) - 1)
+    return _mode_phases(coeffs, _phase(-beta, levels),
+                        _phase(2.0 * beta, np.arange(coeffs.shape[1])))
 
 
 def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
@@ -179,20 +157,20 @@ def _act(basis: CartesianBasis, coeffs: np.ndarray, chi: float, psi: float,
     """D(chi; psi, theta, phi; omega) on coefficients, the angles already
     reduced and ``shift = omega - (psi + phi)/2``; see
     ``apply_element_coeffs``.  A rotation's element, psi = -pi/2 and
-    phi = pi/2, takes its n_y phases from the basis' ``quarter_turns``."""
+    phi = pi/2, takes its n_y phases from ``quarter_turns``."""
     coeffs = basis.check_image(coeffs)
-    ramp = basis.ny_ramp
     level = 0.5 * (chi + psi + phi)
     if theta == 0.0:
-        return _mode_phases(coeffs, level, _ny_phase(ramp, psi + phi), None,
-                            basis, shift)
+        turn, _, levels, _ = basis._phases(0.0, level, shift, psi + phi)
+        return _mode_phases(coeffs, levels, turn)
     rotation = psi == -_HALF_PI and phi == _HALF_PI
-    pre, post = (basis.quarter_turns if rotation
-                 else (_ny_phase(ramp, phi), _ny_phase(ramp, psi)))
-    out = basis._mix(coeffs, theta, pre)
-    _mode_phases(out, level, post, out, basis, shift)
-    if (rotation and level == 0.0 and not shift
-            and not np.iscomplexobj(coeffs)):
+    pre, post, levels, eigen = basis._phases(
+        theta, level, shift, *((0.0, 0.0) if rotation else (phi, psi)))
+    if rotation:
+        pre, post = basis.quarter_turns
+    out = basis._mix(coeffs, eigen, pre)
+    _mode_phases(out, levels, post, out)
+    if rotation and levels is None and not np.iscomplexobj(coeffs):
         return out.real.copy()
     return out
 
@@ -201,35 +179,31 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                          element: FourierGroupElement) -> np.ndarray:
     """Coefficient-space action of D(chi; psi, theta, phi; omega) in one pass.
 
-    Rotations and gyrations go through the same private action with their
-    angles.  Each angle is first
-    reduced into (-4 pi, 4 pi).  On level n the element is the Wigner
+    Each angle is first reduced into (-4 pi, 4 pi); rotations and gyrations
+    take the same private action.  On level n the element is the Wigner
     D^lambda(psi, theta, phi) between constant phases, and since
-    n_x = n - n_y every diagonal factor is an n_y phase times a constant
-    on the level, which commutes with the level's mix.  So the action is
+    n_x = n - n_y every diagonal factor is an n_y phase times a constant on
+    the level, which commutes with the level's mix:
 
         L(n) . exp(i psi n_y) . Mix(theta) . exp(i phi n_y),
         L(n) = exp(-i n (chi + psi + phi)/2) exp(-i c (omega - (psi + phi)/2)),
 
-    with ``c`` the per-level integer ``CartesianBasis.level_c``: one n_y
-    multiply before the mix, and one n_y multiply and one level multiply
-    after it (see ``_mode_phases``); a multiply whose phase is exactly one
-    is skipped, so a gyration has no diagonal phase at all and a rotation
-    only its two i^(+-n_y).  In Mix(theta) the levels of each spin are
-    projected onto its J_y eigenbasis ``diag(i^-k) V``, multiplied by the
-    eigen-phases exp(-i theta mu) and projected back.  Member k of a level
-    has n_y = k + (the level's lowest n_y), so ``i^k`` differs from
-    ``i^(n_y)`` by a constant per level, which cancels between projection
-    and back-projection; the quarter-turn phases of the gyration's sandwich
-    cancel in the same way, so only the real quarter-turn table
-    ``V = d^lambda(pi/2)`` is left (``CartesianBasis._mix``).
+    with ``c`` = ``CartesianBasis.level_c``.  These phases and the
+    eigen-phases of the mix are slices of one ``exp`` (``_phases``); a
+    phase exactly one is not multiplied, so a gyration has only its
+    eigen-phases and a rotation adds its frozen ``quarter_turns``,
+    i^(+-n_y).  Mix(theta) projects each
+    spin's levels onto its J_y eigenbasis ``diag(i^-k) V``, multiplies by
+    exp(-i theta mu) and projects back.  Member k of a level has
+    n_y = k + (its lowest n_y), so ``i^k`` and ``i^(n_y)`` differ by a
+    constant per level, which cancels, as do the quarter-turn phases of the
+    gyration's sandwich: only the real table ``V = d^lambda(pi/2)`` is left.
 
     At theta = 0 nothing is mixed and the element is the n_y phase
-    exp(i (psi + phi) n_y) and the level phase on the same path, so the
-    identity element gives an exact copy.  Real input gives real output
-    wherever the action is real: at theta = 0 with every phase one, and
-    for a rotation's element D(0; -pi/2, theta, pi/2), where the real part
-    of the mixed buffer is returned.
+    exp(i (psi + phi) n_y) and the level phase, so the identity gives an
+    exact copy.  Real input gives real output where the action is real: at
+    theta = 0 with every phase one, and for a rotation's element
+    D(0; -pi/2, theta, pi/2), which returns the real part of its buffer.
     """
     chi, psi, theta, phi = map(_finite_angle, (
         element.chi, element.psi, element.theta, element.phi))

@@ -28,11 +28,11 @@ exactly, so ``apply(compose(a, b))`` equals ``apply(a)`` after
 angles.  omega only matters mod 2 pi and is stored in [0, 2 pi).
 
 ``compose``, ``inverse`` and ``from_matrix`` work on the four matrix
-entries as Python complex numbers: ``_entries`` gives the entries of an
-element and ``_from_entries`` checks and decomposes them.  ``to_matrix``
-and ``from_matrix`` are thin ``ndarray`` wrappers of the same two helpers,
-so there is one code path; at 2x2, numpy's per-call overhead would cost
-several times the arithmetic.
+entries as Python complex numbers: ``_entries`` gives the entries of four
+angles and ``_from_entries`` checks entries and returns their angles, so
+each builds one element.  ``to_matrix`` and ``from_matrix`` are thin
+``ndarray`` wrappers of the same two helpers; at 2x2, numpy's per-call
+overhead would cost several times the arithmetic.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -124,22 +125,26 @@ class FourierGroupElement:
         return out
 
 
-def _entries(element: FourierGroupElement):
-    """The entries (u00, u01, u10, u11) of ``to_matrix(element)`` as Python
-    complexes, with Rz(alpha) = diag(p, conj(p)), p = exp(-i alpha/2)."""
-    g = cmath.exp(-0.5j * element.chi)
-    p = cmath.exp(-0.5j * element.psi)
-    f = cmath.exp(-0.5j * element.phi)
-    c, s = math.cos(0.5 * element.theta), math.sin(0.5 * element.theta)
+_angles = attrgetter("chi", "psi", "theta", "phi")
+
+
+def _entries(chi: float, psi: float, theta: float, phi: float):
+    """The entries (u00, u01, u10, u11) of ``to_matrix`` of an element with
+    these angles as Python complexes, with Rz(alpha) = diag(p, conj(p)),
+    p = exp(-i alpha/2)."""
+    g = cmath.exp(-0.5j * chi)
+    p = cmath.exp(-0.5j * psi)
+    f = cmath.exp(-0.5j * phi)
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
     pc, fc = p.conjugate(), f.conjugate()
     return (g * (p * c * f), g * (-p * s * fc),
             g * (pc * s * f), g * (pc * c * fc))
 
 
 def _from_entries(u00: complex, u01: complex, u10: complex, u11: complex,
-                  tol: float = 1e-10) -> FourierGroupElement:
-    """Canonical plain element of the matrix [[u00, u01], [u10, u11]]; the
-    checks and the extraction of ``from_matrix``."""
+                  tol: float = 1e-10) -> tuple[float, float, float, float]:
+    """Canonical (chi, psi, theta, phi) of the matrix [[u00, u01],
+    [u10, u11]]; the checks and the extraction of ``from_matrix``."""
     if not all(map(cmath.isfinite, (u00, u01, u10, u11))):
         raise ValidationError("matrix is non-finite")
     defect = max(abs(abs(u00) ** 2 + abs(u01) ** 2 - 1.0),
@@ -169,18 +174,18 @@ def _from_entries(u00: complex, u01: complex, u10: complex, u11: complex,
     psi, phi = (0.0 if x == TWO_PI else x for x in (psi, phi))
 
     u = (u00, u01, u10, u11)
-    element = FourierGroupElement(chi, psi, theta, phi)
-    residual = max(abs(x - y) for x, y in zip(_entries(element), u))
     # Folding psi, phi into [0, 2 pi) can silently flip the SU(2) sign; the
     # flip is absorbed by the central phase, chi -> chi + 2 pi.
-    if residual > 1e-8:
-        element = FourierGroupElement((chi + TWO_PI) % FOUR_PI, psi, theta, phi)
-        residual = max(abs(x - y) for x, y in zip(_entries(element), u))
+    for chi in (chi, (chi + TWO_PI) % FOUR_PI):
+        residual = max(abs(x - y)
+                       for x, y in zip(_entries(chi, psi, theta, phi), u))
+        if residual <= 1e-8:
+            break
     if residual > max(10.0 * tol, 1e-9):
         raise ValidationError(
             f"Euler extraction failed to reproduce the matrix "
             f"(residual {residual:.2e})")
-    return element
+    return chi, psi, theta, phi
 
 
 def to_matrix(element: FourierGroupElement) -> np.ndarray:
@@ -188,7 +193,7 @@ def to_matrix(element: FourierGroupElement) -> np.ndarray:
 
     omega does not enter: the matrix represents the four-parameter
     quotient of the group."""
-    u00, u01, u10, u11 = _entries(element)
+    u00, u01, u10, u11 = _entries(*_angles(element))
     return np.array([[u00, u01], [u10, u11]])
 
 
@@ -206,7 +211,7 @@ def from_matrix(matrix, tol: float = 1e-10) -> FourierGroupElement:
         raise ValidationError(f"matrix is not numeric: {exc}") from None
     if u.shape != (2, 2):
         raise ValidationError(f"expected a 2x2 matrix, got shape {u.shape}")
-    return _from_entries(*u.ravel().tolist(), tol)
+    return FourierGroupElement(*_from_entries(*u.ravel().tolist(), tol))
 
 
 def compose(a: FourierGroupElement, b: FourierGroupElement) -> FourierGroupElement:
@@ -224,23 +229,23 @@ def compose(a: FourierGroupElement, b: FourierGroupElement) -> FourierGroupEleme
 
     makes up the difference.
     """
-    a00, a01, a10, a11 = _entries(a)
-    b00, b01, b10, b11 = _entries(b)
-    ab = _from_entries(a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-                       a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-    return FourierGroupElement(
-        ab.chi, ab.psi, ab.theta, ab.phi,
-        a.omega + b.omega + 0.5 * (ab.chi - a.chi - b.chi))
+    a00, a01, a10, a11 = _entries(*_angles(a))
+    b00, b01, b10, b11 = _entries(*_angles(b))
+    chi, psi, theta, phi = _from_entries(
+        a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+        a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    return FourierGroupElement(chi, psi, theta, phi,
+                               a.omega + b.omega + 0.5 * (chi - a.chi - b.chi))
 
 
 def inverse(a: FourierGroupElement) -> FourierGroupElement:
     """Group inverse: the matrix parameters from the conjugate transpose, and
     omega from ``compose(a, inverse(a)) == identity``."""
-    u00, u01, u10, u11 = _entries(a)
-    inv = _from_entries(u00.conjugate(), u10.conjugate(),
-                        u01.conjugate(), u11.conjugate())
-    return FourierGroupElement(inv.chi, inv.psi, inv.theta, inv.phi,
-                               0.5 * (a.chi + inv.chi) - a.omega)
+    u00, u01, u10, u11 = _entries(*_angles(a))
+    chi, psi, theta, phi = _from_entries(u00.conjugate(), u10.conjugate(),
+                                         u01.conjugate(), u11.conjugate())
+    return FourierGroupElement(chi, psi, theta, phi,
+                               0.5 * (a.chi + chi) - a.omega)
 
 
 def element_to_json(element: FourierGroupElement) -> str:

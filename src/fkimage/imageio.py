@@ -135,10 +135,15 @@ def pixels_to_gray(pixels01: np.ndarray, maxval: int) -> np.ndarray:
 
 
 def save_complex(path, pixels: np.ndarray):
-    """Write a complex pixel array losslessly (bit-exact round trip)."""
+    """Write a complex pixel array losslessly (bit-exact round trip).
+
+    Any numeric array is stored, NaN and inf included; a non-numeric one
+    (str, object) raises ``FormatError`` and nothing is written."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 2:
         raise FormatError(f"complex image must be 2-D, got shape {pixels.shape}")
+    if pixels.dtype.kind not in "biufc":
+        raise FormatError(f"complex image must hold numbers, not {pixels.dtype}")
     n_x, n_y = pixels.shape
     payload = np.ascontiguousarray(pixels.astype("<c16", copy=False)).tobytes()
     with open(path, "wb") as fh:

@@ -63,10 +63,10 @@ def _real_products(left: np.ndarray, pixels: np.ndarray,
     """``left @ pixels @ right.T`` for complex128 ``pixels``, as two real
     products over float views, with no complex copy of a table.
 
-    The first product, on the transposed float view, fills the output's
-    memory with rows ``(k, re/im)``; read as rows k, it gives the second
-    product both planes at once, stacked, and one pass interleaves them.
-    So a call allocates two arrays of the output's size, not three.
+    The first product, on the transposed float view, fills the output with
+    rows ``(k, re/im)``; read as rows k, they give the second product both
+    planes at once, and one pass interleaves them: two arrays of the
+    output's size, not three.
     """
     n_x, n_y = pixels.shape
     out = np.empty(pixels.shape, np.complex128)
@@ -262,7 +262,7 @@ class CartesianBasis:
     * ``index``, shape ``(2, slots, h, levels)``: ``2j_min + 2*mu`` of row r
       of a spin's blocks, ``2*mu = 4r - 2*lambda`` for ``E`` and
       ``4r + 2 - 2*lambda`` for ``O`` (columns 2r and 2r + 1), ``2j_min`` on
-      the padding; it indexes the eigen-phases over ``two_mu_ramp``,
+      the padding; it indexes the eigen-phases over
       ``2*mu = -2j_min .. 2j_min``.
     * ``lo:hi``: the batch's float columns of each half of the gathered
       buffer, read as ``shape``, ``(2, slots, h, 2*levels)``.
@@ -284,24 +284,25 @@ class CartesianBasis:
     ``a + c`` on the top rows and ``a - c`` on the bottom ones, with
     ``a = E y_even`` and ``c = O y_odd``.  So one in-place butterfly
     ``(t, b) <- (t + b, t - b)`` goes before the batches and one after, and
-    each batch applies ``E^T`` and ``O^T``, its eigen-phases (one ``take``)
+    each batch applies ``E^T`` and ``O^T``, its eigen-phases (one gather)
     and ``E`` and ``O`` as two stacked real products on both parts at once:
     half the bytes and flops of whole rungs.  Padding adds exact zeros.
 
-    The other call constants: ``pixels``; ``ny_ramp`` (n_y);
-    ``quarter_turns``, a rotation's ``exp(+-i pi/2 n_y)``, the only complex
-    arrays; ``level_ramp`` (each level n); ``level_c``, the integer
+    The other call constants: ``pixels``; ``quarter_turns``, a rotation's
+    ``exp(+-i pi/2 n_y)``, the only complex arrays; and ``ramps``, whose odd
+    rows hold the ramps of every phase of an action for ``_phases``, in
+    five columns: n_y (pre-phase), n_y (post-phase), the levels n and
+    their ``level_c``, and 2*mu (eigen-phases).  ``level_c`` is the integer
     ``(n_x - n_y) - 2*mu`` of each level, ``n - lo - hi`` with ``lo .. hi``
     its n_y range (``_ny_bounds``), so zero on the lower triangle and
     ``2*(j_x - j_y)`` on the upper one: the offset of the antisymmetric
     Fourier phases from the level projection, which carries a group
     element's fifth parameter ``omega``.
 
-    ``levels`` and ``level_arrays(n)`` (the level, its n_x and its n_y) are
-    built on demand by ``level_spectrum``; the transforms never read them.
-    They serve the Laguerre-Kravchuk modes, the figures and the references
-    of ``verify`` and the tests, which check the layout against the
-    interval formulas of ``_reference.interval_levels``.
+    ``levels`` and ``level_arrays(n)`` (the level, its n_x and its n_y)
+    come on demand from ``level_spectrum`` for the Laguerre-Kravchuk modes,
+    the figures and the references of ``verify`` and the tests, which check
+    the layout against ``_reference.interval_levels``.
     """
 
     def __init__(self, shape: ScreenShape):
@@ -367,20 +368,41 @@ class CartesianBasis:
         scatter[self.gather] = np.arange(self.gather.size, dtype=np.intp)
         self.scatter = _frozen(scatter[:size])
         # The constants of every transform call (see the class docstring).
-        self.ny_ramp = _frozen(np.arange(shape.n_y))
-        self.quarter_turns = tuple(_frozen(np.exp(1j * angle * self.ny_ramp))
+        ny = np.arange(shape.n_y)
+        self.quarter_turns = tuple(_frozen(np.exp(1j * angle * ny))
                                    for angle in (_HALF_PI, -_HALF_PI))
-        self.level_ramp = _frozen(np.arange(shape.max_total_mode + 1))
-        lo, hi = _ny_bounds(shape, self.level_ramp)
-        self.level_c = _frozen(self.level_ramp - lo - hi)
-        self.two_mu_ramp = _frozen(np.arange(-two_jmin, two_jmin + 1))
+        n = np.arange(shape.max_total_mode + 1)
+        lo, hi = _ny_bounds(shape, n)
+        p, q = ny.size, 2 * ny.size
+        r = q + n.size
+        ramps = np.zeros((r + 2 * two_jmin + 1, 2, 5))
+        ramps[:p, 1, 0] = ramps[p:q, 1, 1] = ny
+        ramps[q:r, 1, 2:4] = np.stack((n, n - lo - hi), axis=1)
+        ramps[r:, 1, 4] = np.arange(-two_jmin, two_jmin + 1)
+        self.ramps, self._ends = _frozen(ramps.reshape(-1, 5)), (p, q, r)
+        self.level_c = self.ramps[2 * q + 1:2 * r:2, 3]
 
-    def _mix(self, coeffs: np.ndarray, theta: float,
+    def _phases(self, theta: float, level: float = 0.0, shift: float = 0.0,
+                pre: float = 0.0, post: float = 0.0):
+        """The phases ``(pre, post, level, eigen)`` of an action, slices of
+        one ``exp`` of ``ramps @ (pre, post, -level, -shift, -theta/2)``,
+        which read as complex is i times their angles; a block whose angles
+        are zero is None, and with theta alone nonzero only ``eigen`` is
+        evaluated."""
+        p, q, r = self._ends
+        if not (level or shift or pre or post):
+            return None, None, None, np.exp(
+                (self.ramps[2 * r:, 4] * (-0.5 * theta)).view(np.complex128))
+        v = np.exp(self.ramps.dot((pre, post, -level, -shift, -0.5 * theta))
+                   .view(np.complex128))
+        return (v[:p] if pre else None, v[p:q] if post else None,
+                v[q:r] if level or shift else None, v[r:])
+
+    def _mix(self, coeffs: np.ndarray, phases: np.ndarray,
              turn: np.ndarray | None) -> np.ndarray:
         """``coeffs`` times the n_y pre-phase ``turn``, if any, each spin's
         levels then mixed in its J_y eigenbasis by the eigen-phases
-        exp(-i theta mu), as a new complex array; see the class
-        docstring."""
+        ``phases``, as a new complex array; see the class docstring."""
         # One slot past the last mode holds the zero the padding gathers.
         src = np.empty(coeffs.size + 1, dtype=np.complex128)
         src[-1] = 0.0
@@ -391,13 +413,12 @@ class CartesianBasis:
             np.multiply(coeffs, turn, out=grid)
         buf = src[self.gather]
         del src, grid
-        phases = np.exp(-0.5j * theta * self.two_mu_ramp)
         halves = buf.view(np.float64).reshape(2, -1)
         _butterfly(*halves)
         for lo, hi, shape, stack_t, stack, index in self.batches:
             x = halves[:, lo:hi].reshape(shape)
             eig = np.matmul(stack_t, x).view(np.complex128)
-            eig *= phases.take(index)
+            eig *= phases[index]
             np.matmul(stack, eig.view(np.float64), out=x)
         _butterfly(*halves)
         return buf[self.scatter].reshape(coeffs.shape)

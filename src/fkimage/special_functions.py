@@ -291,5 +291,5 @@ def wigner_little_d(lam, beta: float) -> LittleDMatrix:
     if spin.dimension ** 2 > MAX_PIXELS:
         raise DomainError(f"spin {spin.j:g} has a {spin.dimension}-row "
                           f"block, more than {MAX_PIXELS} entries")
-    beta = float(beta)
+    beta = _finite_angle(beta)
     return LittleDMatrix(spin, beta, _little_d_entries(spin.two_j, beta))

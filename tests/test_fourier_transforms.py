@@ -389,6 +389,61 @@ def test_eigenbasis_transforms_match_little_d_blocks(two_jx, two_jy, angles,
     assert np.max(np.abs(real - rotated.real)) < 1e-12 * scale
 
 
+# Elements on the edges of the action's branches, which random angles
+# never draw: a rotation's psi and phi (frozen quarter turns) with a level
+# phase or an omega phase, a gyration's with a level phase, one of psi and
+# phi zero, and theta = 0 with an omega phase.
+_EDGE_ELEMENTS = [
+    FourierGroupElement(0.7, -math.pi / 2, 1.3, math.pi / 2),
+    FourierGroupElement(0.0, -math.pi / 2, 1.3, math.pi / 2, omega=0.9),
+    FourierGroupElement(-2.1, -math.pi / 2, 4.0, math.pi / 2, omega=5.0),
+    FourierGroupElement(0.7, 0.0, 1.3, 0.0),
+    FourierGroupElement(0.0, 0.0, 2.6, 0.0, omega=1.1),
+    FourierGroupElement(0.0, 1.9, 1.3, 0.0),
+    FourierGroupElement(0.4, 0.0, 1.3, -0.8),
+    FourierGroupElement(0.0, 0.0, 0.0, 0.0, omega=1.1),
+    FourierGroupElement(0.3, 0.9, 0.0, -0.4, omega=2.0),
+]
+
+
+@pytest.mark.parametrize("screen", [(5, 3), (3, 4.5), (2.5, 1)], ids=str)
+def test_action_branch_edges_match_little_d_blocks(rng, screen):
+    basis = build_basis(screen)
+    coeffs = analyze(basis, random_image(rng, basis))
+    scale = np.max(np.abs(coeffs))
+    for element in _EDGE_ELEMENTS:
+        for x in (coeffs, coeffs.real.copy()):
+            got = apply_element_coeffs(basis, x, element)
+            expected = level_action(basis, x, element)
+            assert np.max(np.abs(got - expected)) < 1e-12 * scale, element
+
+
+def test_an_action_evaluates_at_most_one_exp(basis117, rng, monkeypatch):
+    # Every diagonal phase of an action, its eigen-phases included, comes
+    # from one exp over the basis' ramps; a rotation's n_y phases are
+    # frozen on the basis.
+    coeffs = analyze(basis117, random_image(rng, basis117))
+    ops = [lambda: rotate_coeffs(basis117, coeffs, 0.9),
+           lambda: gyrate_coeffs(basis117, coeffs, -1.3)]
+    elements = _EDGE_ELEMENTS + [FourierGroupElement(0.3, 1.9, 2.2, -0.7)]
+    ops += [lambda e=e: apply_element_coeffs(basis117, coeffs, e)
+            for e in elements]
+    before = [op() for op in ops]
+    calls = []
+    exp = np.exp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    for op, expected in zip(ops, before):
+        calls.clear()
+        assert np.array_equal(op(), expected)
+        assert len(calls) <= 1
+    assert len(calls) == 1
+
+
 def _batch_edge_screens():
     """(2j_x, 2j_y) whose shorter side 2j_min sits one below, at and one
     past an edge of the runs of w spins, and past two; the square ones give

@@ -115,6 +115,18 @@ def test_complex_malformed(tmp_path):
         load_complex(path)
 
 
+@pytest.mark.parametrize("dtype", [str, object])
+def test_save_complex_rejects_non_numeric_arrays(tmp_path, dtype):
+    path = tmp_path / "bad.fkimg"
+    with pytest.raises(FormatError, match="numbers"):
+        save_complex(path, np.zeros((2, 2), dtype=dtype))
+    assert not path.exists()
+    # The format is lossless, so NaN and inf are stored as they are.
+    arr = np.array([[np.nan, np.inf], [1.0, -2.5j]])
+    save_complex(path, arr)
+    assert np.array_equal(load_complex(path), arr, equal_nan=True)
+
+
 def test_load_image_autodetects(tmp_path, rng):
     arr = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     path = tmp_path / "auto.fkimg"

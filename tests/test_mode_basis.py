@@ -132,14 +132,25 @@ def test_basis_tables_frozen():
 def test_phase_constants_held_on_basis_are_read_only():
     basis = build_basis((3, 4.5))
     n_y, levels = basis.shape.n_y, basis.shape.max_total_mode + 1
-    constants = {"ny_ramp": (n_y,), "level_ramp": (levels,),
-                 "level_c": (levels,), "two_mu_ramp": (2 * 6 + 1,)}
+    rows = 2 * n_y + levels + 2 * 6 + 1
+    constants = {"ramps": (2 * rows, 5), "level_c": (levels,)}
     for name, shape in constants.items():
         array = getattr(basis, name)
         assert array.shape == shape and not array.flags.writeable, name
     assert not hasattr(basis, "c") and not hasattr(basis, "mix_batches")
+    # The ramps' row blocks, each in its own column and each row after a
+    # zero row: n_y (pre-phase), n_y (post-phase), the levels n with their
+    # c, and 2 mu.
+    ny, n = np.arange(n_y), np.arange(levels)
+    expected = np.zeros((rows, 5))
+    expected[:n_y, 0] = expected[n_y:2 * n_y, 1] = ny
+    expected[2 * n_y:2 * n_y + levels, 2] = n
+    expected[2 * n_y:2 * n_y + levels, 3] = basis.level_c
+    expected[2 * n_y + levels:, 4] = np.arange(-6, 7)
+    assert np.array_equal(basis.ramps[1::2], expected)
+    assert not basis.ramps[0::2].any()
     turns = basis.quarter_turns
-    assert np.max(np.abs(turns[0] - 1j ** basis.ny_ramp)) < 1e-15
+    assert np.max(np.abs(turns[0] - 1j ** ny)) < 1e-15
     assert np.array_equal(turns[1], np.conj(turns[0]))
     for lo, hi, shape, stack_t, stack, index in basis.batches:
         assert hi - lo == np.prod(shape[1:])

@@ -274,6 +274,14 @@ def test_rejects_nonfinite_angle():
         wigner_little_d(1, math.inf)
 
 
+@pytest.mark.parametrize("beta", ["x", None, [0.3], 1j])
+def test_rejects_non_numeric_angle(beta):
+    # The angle goes through the same check as a non-finite one, so a
+    # string or None is a package error, not a raw ValueError or TypeError.
+    with pytest.raises(DomainError, match="real number"):
+        wigner_little_d(1, beta)
+
+
 def test_rejects_blocks_above_the_pixel_limit(monkeypatch):
     # The size check comes before the ladder walk, so a huge spin fails at
     # once; 512 x 512 entries, the largest screen's, still reach the walk.
