@@ -10,7 +10,6 @@ fractional (``5/2``) spins per axis.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -60,11 +59,13 @@ def parse_shape(text: str) -> ScreenShape:
         raise UsageError(f"bad shape {text!r}: {exc}") from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _element_arg(text: str) -> FourierGroupElement:
@@ -162,9 +163,9 @@ def build_parser() -> _Parser:
     p.add_argument("--shape", action="append", default=None,
                    help="screen shape 'JX,JY' (repeatable; default "
                         "5,3 / 11,7 / 20,12 / 2.5,1 / 3,4.5 / 13,12.5)")
-    p.add_argument("--images", type=_positive_int, default=20,
+    p.add_argument("--images", type=_int_at_least(1), default=20,
                    help="random images per randomized check")
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=_int_at_least(0), default=2024)
     p.add_argument("--json", action="store_true",
                    help="print one JSON object instead of the table")
 
@@ -220,40 +221,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
-        from .verify import DEFAULT_SHAPES, run_verification
-        shapes = DEFAULT_SHAPES
-        if args.shape:
-            shapes = tuple(
-                (s.j_x.j, s.j_y.j)
-                for s in (parse_shape(t) for t in args.shape))
-        results = run_verification(shapes=shapes, images=args.images,
-                                   seed=args.seed)
-        failed = [r for r in results if not r.passed]
-        unexpected = [r for r in failed if not r.known_limitation]
-        if args.json:
-            print(json.dumps({
-                "checks": [r.as_dict() for r in results],
-                "passed": len(results) - len(failed),
-                "total": len(results),
-                "unexpected_failures": len(unexpected),
-                "errors": {r.name: r.error for r in results if r.error}},
-                indent=1))
-            return 3 if failed else 0
-        width = max(len(r.name) for r in results)
-        print(f"{'check':<{width}}  {'':4}  {'seconds':>7}  {'headroom':>8}  "
-              "detail")
-        for r in results:
-            status = "pass" if r.passed else "FAIL"
-            note = "  [known limitation]" if (not r.passed
-                                              and r.known_limitation) else ""
-            print(f"{r.name:<{width}}  {status}  {r.seconds:7.3f}  "
-                  f"{r.headroom:8.2g}  {r.detail}{note}")
-        print(f"\n{len(results) - len(failed)}/{len(results)} checks passed"
-              + (f"; {len(failed) - len(unexpected)} known limitation(s)"
-                 if len(failed) > len(unexpected) else ""))
-        if unexpected:
-            print(f"{len(unexpected)} unexpected failure(s)")
-        return 3 if failed else 0
+        from .verify import DEFAULT_SHAPES, verify
+        shapes = [(s.j_x.j, s.j_y.j) for s in map(parse_shape, args.shape or ())]
+        text, code = verify(shapes or DEFAULT_SHAPES, args.images, args.seed, args.json)
+        print(text)
+        return code
 
     if args.command == "figures":
         from .figures import regenerate_all

@@ -173,14 +173,15 @@ def _from_entries(u00: complex, u01: complex, u10: complex, u11: complex,
     # x % TWO_PI rounds a tiny negative x up to 2 pi itself: fold it to 0.
     psi, phi = (0.0 if x == TWO_PI else x for x in (psi, phi))
 
-    u = (u00, u01, u10, u11)
     # Folding psi, phi into [0, 2 pi) can silently flip the SU(2) sign; the
-    # flip is absorbed by the central phase, chi -> chi + 2 pi.
-    for chi in (chi, (chi + TWO_PI) % FOUR_PI):
-        residual = max(abs(x - y)
-                       for x, y in zip(_entries(chi, psi, theta, phi), u))
-        if residual <= 1e-8:
-            break
+    # flip is absorbed by the central phase, chi -> chi + 2 pi, whose
+    # entries are the negated ones, so one rebuild serves both signs.
+    e = _entries(chi, psi, theta, phi)
+    u = (u00, u01, u10, u11)
+    residual = max(abs(x - y) for x, y in zip(e, u))
+    if residual > 1e-8:
+        chi = (chi + TWO_PI) % FOUR_PI
+        residual = max(abs(x + y) for x, y in zip(e, u))
     if residual > max(10.0 * tol, 1e-9):
         raise ValidationError(
             f"Euler extraction failed to reproduce the matrix "

@@ -241,19 +241,6 @@ def _ladder(top: int, beta: float):
         yield d
 
 
-def _little_d_entries(two_l: int, beta: float) -> np.ndarray:
-    """d^lam(beta), descending-mu layout: the last rung of the ladder.
-
-    Uncached; ``beta == 0`` gives an exact identity.
-    """
-    beta = _finite_angle(beta)
-    if beta == 0.0:
-        return np.eye(two_l + 1)
-    for d in _ladder(two_l, beta):
-        pass
-    return d
-
-
 @dataclass(frozen=True)
 class LittleDMatrix:
     """Real orthogonal rotation matrix d^lam(beta) in the spin-lam irrep.
@@ -285,11 +272,15 @@ def wigner_little_d(lam, beta: float) -> LittleDMatrix:
     on every call and independent of any basis, in the convention pinned by
     ``d^j_{n-j,q}(pi/2) == kravchuk_function(j, n, q)``.  A non-finite
     ``beta``, or a block of more than ``MAX_PIXELS`` entries, raises
-    ``DomainError``.
+    ``DomainError``; ``beta == 0`` gives an exact identity.
     """
     spin = Spin.from_j(lam)
     if spin.dimension ** 2 > MAX_PIXELS:
         raise DomainError(f"spin {spin.j:g} has a {spin.dimension}-row "
                           f"block, more than {MAX_PIXELS} entries")
     beta = _finite_angle(beta)
-    return LittleDMatrix(spin, beta, _little_d_entries(spin.two_j, beta))
+    if beta == 0.0:
+        return LittleDMatrix(spin, beta, np.eye(spin.dimension))
+    for d in _ladder(spin.two_j, beta):     # keeps the last rung
+        pass
+    return LittleDMatrix(spin, beta, d)

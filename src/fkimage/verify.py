@@ -3,6 +3,14 @@ every module: special functions, basis construction, transforms, group
 algebra, and file round trips.  Its seeded draws and independent references
 come from ``fkimage._reference``, which the tests share.
 
+Each check is a generator, registered in run order by ``@_check(name,
+tolerance, detail)``, that yields its differences as arrays or numbers; a
+counting check yields its count.  ``run_verification`` measures them by
+one rule: the deviation is the largest absolute value yielded, NaN if any
+is NaN, and a check passes when its deviation is at most its tolerance,
+so a NaN fails.  ``verify`` renders the results as the text table or
+JSON object of ``fkimage verify``, with its exit code.
+
 One check, ``rotation_pi_is_pixel_inversion``, fails on genuinely
 rectangular screens and is reported as a known limitation, a property of
 the construction: the mid-rhomboid levels carry the flat spin
@@ -16,6 +24,7 @@ construction gives instead, and passes.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -91,68 +100,80 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each returns (max_deviation, tolerance, detail)
+# individual checks: generators of differences, registered in run order
 # ---------------------------------------------------------------------------
 
+# (name, tolerance, detail, check) in the order the suite runs them.
+_CHECKS = []
+
+
+def _check(name, tolerance, detail):
+    """Register the decorated generator as the check ``name``."""
+    def register(fn):
+        _CHECKS.append((name, tolerance, detail, fn))
+        return fn
+    return register
+
+
+def _kravchuk_table(two_j):
+    """Psi_n(q) of spin two_j/2: row n, column q ascending."""
+    return np.array([[kravchuk_function(Spin(two_j), n, (2 * i - two_j) / 2.0)
+                      for i in range(two_j + 1)] for n in range(two_j + 1)])
+
+
+@_check("littled_orthogonality", 1e-9, "max |d d^T - I| over 2*lambda <= 80")
 def _check_littled_orthogonality(ctx):
-    worst = 0.0
     betas = [0.21, math.pi / 2, 1.0, math.pi, 2.5, 4.0, 5.9, 7.3, 11.0]
     for two_l in list(range(0, 21)) + [25, 31, 40, 61, 80]:
         eye = np.eye(two_l + 1)
         for beta in betas:
             d = wigner_little_d(Spin(two_l), beta).entries
-            worst = max(worst, float(np.max(np.abs(d @ d.T - eye))))
-    return worst, 1e-9, "max |d d^T - I| over 2*lambda <= 80"
+            yield d @ d.T - eye
 
 
+@_check("littled_addition_law", 1e-9, "max |d(b1) d(b2) - d(b1+b2)|")
 def _check_littled_addition(ctx):
     rng = ctx["rng"]
-    worst = 0.0
     for two_l in (1, 2, 5, 14, 24, 31, 40):
         for _ in range(4):
             b1, b2 = rng.uniform(-7, 7, size=2)
             d1 = wigner_little_d(Spin(two_l), b1).entries
             d2 = wigner_little_d(Spin(two_l), b2).entries
             d12 = wigner_little_d(Spin(two_l), b1 + b2).entries
-            worst = max(worst, float(np.max(np.abs(d1 @ d2 - d12))))
-    return worst, 1e-9, "max |d(b1) d(b2) - d(b1+b2)|"
+            yield d1 @ d2 - d12
 
 
+@_check("littled_periodicity", 1e-10,
+        "period 4*pi, anti-period 2*pi for half-integer spin")
 def _check_littled_periodicity(ctx):
-    worst = 0.0
     for two_l in (1, 2, 7, 24, 33):
         for beta in (0.4, 2.2, 5.0):
             d = wigner_little_d(Spin(two_l), beta).entries
             d2pi = wigner_little_d(Spin(two_l), beta + 2 * math.pi).entries
             d4pi = wigner_little_d(Spin(two_l), beta + 4 * math.pi).entries
             sign = -1.0 if two_l % 2 else 1.0
-            worst = max(worst, float(np.max(np.abs(d2pi - sign * d))))
-            worst = max(worst, float(np.max(np.abs(d4pi - d))))
-    return worst, 1e-10, "period 4*pi, anti-period 2*pi for half-integer spin"
+            yield d2pi - sign * d
+            yield d4pi - d
 
 
+@_check("littled_kravchuk_crosscheck", 1e-10,
+        "d^j_{n-j,q}(pi/2) vs Kravchuk function, 2j <= 40")
 def _check_littled_kravchuk(ctx):
-    worst = 0.0
+    # Row n of the reversed block is mu = n - j, column q ascending.
     for two_j in range(0, 41):
         d = wigner_little_d(Spin(two_j), math.pi / 2).entries
-        for n in range(two_j + 1):
-            for col in range(two_j + 1):
-                q = (two_j - 2 * col) / 2.0
-                worst = max(worst, abs(d[two_j - n, col]
-                                       - kravchuk_function(Spin(two_j), n, q)))
-    return worst, 1e-10, "d^j_{n-j,q}(pi/2) vs Kravchuk function, 2j <= 40"
+        yield d[::-1, ::-1] - _kravchuk_table(two_j)
 
 
+@_check("kravchuk_orthonormality", 1e-10, "sum_q Psi_n Psi_n' = delta")
 def _check_kravchuk_orthonormality(ctx):
-    worst = 0.0
     for two_j in (1, 2, 3, 8, 21, 40):
-        dim = two_j + 1
-        table = np.array([[kravchuk_function(Spin(two_j), n, (2 * i - two_j) / 2.0)
-                           for i in range(dim)] for n in range(dim)])
-        worst = max(worst, float(np.max(np.abs(table @ table.T - np.eye(dim)))))
-    return worst, 1e-10, "sum_q Psi_n Psi_n' = delta"
+        table = _kravchuk_table(two_j)
+        yield table @ table.T - np.eye(two_j + 1)
 
 
+@_check("level_mode_count", 0.5,
+        "sum over levels of (2 lambda + 1) = N_x N_y, 50 shapes")
 def _check_mode_count(ctx):
     rng = ctx["rng"]
     bad = 0
@@ -161,11 +182,12 @@ def _check_mode_count(ctx):
                             Spin(int(rng.integers(0, 41))))
         total = sum(level_spectrum(shape, n).size
                     for n in range(shape.max_total_mode + 1))
-        if total != shape.mode_count:
-            bad += 1
-    return float(bad), 0.5, "sum over levels of (2 lambda + 1) = N_x N_y, 50 shapes"
+        bad += total != shape.mode_count
+    yield bad
 
 
+@_check("level_boundary_consistency", 0.5,
+        "triangle and mid-rhomboid formulas at every level")
 def _check_interval_levels(ctx):
     rng = ctx["rng"]
     bad = 0
@@ -178,11 +200,11 @@ def _check_interval_levels(ctx):
             oracle = interval_levels(two_jx, two_jy, n)
             got = {(n - ny, ny): (lev.spin.two_j, tm)
                    for ny, tm in zip(lev.n_y, lev.two_mu)}
-            if got != oracle:
-                bad += 1
-    return float(bad), 0.5, "triangle and mid-rhomboid formulas at every level"
+            bad += got != oracle
+    yield bad
 
 
+@_check("level_mu_coverage", 0.5, "mu runs +lambda..-lambda step 1, n_y ascending")
 def _check_mu_coverage(ctx):
     rng = ctx["rng"]
     bad = 0
@@ -192,17 +214,16 @@ def _check_mu_coverage(ctx):
         for n in range(shape.max_total_mode + 1):
             lev = level_spectrum(shape, n)
             expect = tuple(range(lev.spin.two_j, -lev.spin.two_j - 1, -2))
-            if lev.two_mu != expect:
-                bad += 1
-            if list(lev.n_y) != sorted(lev.n_y):
-                bad += 1
-    return float(bad), 0.5, "mu runs +lambda..-lambda step 1, n_y ascending"
+            bad += lev.two_mu != expect
+            bad += list(lev.n_y) != sorted(lev.n_y)
+    yield bad
 
 
+@_check("checkerboard_relation", 1e-12,
+        "antipodal-mode checkerboard relation (integer spins)")
 def _check_checkerboard(ctx):
     # mode (2jx-nx, 2jy-ny) = (-1)^(jx+jy) * (-1)^(qx+qy) * mode (nx, ny)
     # for integer spins; the constant drops out when jx+jy is even.
-    worst = 0.0
     for (jx, jy) in ((5, 3), (4, 4), (6, 2), (2, 1)):
         basis = ctx["get_basis"]((jx, jy))
         qx = basis.shape.q_x()[:, None]
@@ -214,114 +235,105 @@ def _check_checkerboard(ctx):
             a = cartesian_mode(basis, (basis.shape.j_x.two_j - nx,
                                        basis.shape.j_y.two_j - ny))
             b = cartesian_mode(basis, (nx, ny))
-            worst = max(worst, float(np.max(np.abs(a - checker * b))))
-    return worst, 1e-12, "antipodal-mode checkerboard relation (integer spins)"
+            yield a - checker * b
 
 
+@_check("cartesian_basis_gram", 1e-10, "1-D Gram and completeness on all screens")
 def _check_basis_gram(ctx):
-    worst = 0.0
     for key, basis in ctx["screens"]():
         for phi in (basis.phi_x, basis.phi_y):
             eye = np.eye(phi.shape[0])
-            worst = max(worst, float(np.max(np.abs(phi @ phi.T - eye))))
-            worst = max(worst, float(np.max(np.abs(phi.T @ phi - eye))))
-    return worst, 1e-10, "1-D Gram and completeness on all screens"
+            yield phi @ phi.T - eye
+            yield phi.T @ phi - eye
 
 
+@_check("quarter_turn_reflection", 1e-14,
+        "max |V from its even/odd half blocks by "
+        "V[2 lambda - r, c] = (-1)^c V[r, c] - d(pi/2)|")
 def _check_quarter_turn_reflection(ctx):
     # A basis keeps only the top rows of each quarter-turn rung's even and
     # odd columns, and the mix takes the bottom rows from the reflection
     # law V[2 lambda - r, c] = (-1)^c V[r, c]; the rung rebuilt that way is
     # measured against the whole rung.
-    worst = 0.0
     for key, basis in ctx["screens"]():
         two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
         for two_l in range(two_jmin + 1):
             d = wigner_little_d(Spin(two_l), math.pi / 2).entries
-            worst = max(worst, float(np.max(np.abs(
-                quarter_turn(basis, two_l) - d))))
-    return worst, 1e-14, ("max |V from its even/odd half blocks by "
-                          "V[2 lambda - r, c] = (-1)^c V[r, c] - d(pi/2)|")
+            yield quarter_turn(basis, two_l) - d
 
 
+@_check("lk_basis_gram", 1e-10, "LK modes orthonormal and complete")
 def _check_lk_basis(ctx):
-    worst = 0.0
     for key, basis in ctx["screens"]():
         stack = np.array([lk_mode(basis, lev.n, two_mu).ravel()
                           for lev in basis.levels for two_mu in lev.two_mu])
-        gram = stack.conj() @ stack.T
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(len(stack))))))
-        comp = stack.T @ stack.conj()        # resolution of identity over pixels
-        worst = max(worst, float(np.max(np.abs(comp - np.eye(stack.shape[1])))))
-    return worst, 1e-10, "LK modes orthonormal and complete"
+        yield stack.conj() @ stack.T - np.eye(len(stack))
+        # resolution of identity over pixels
+        yield stack.T @ stack.conj() - np.eye(stack.shape[1])
 
 
+@_check("lk_conjugation_symmetry", 1e-12, "Lambda_{n,-m} = conj(Lambda_{n,m}) on (5,3)")
 def _check_lk_conjugation(ctx):
-    worst = 0.0
     basis = ctx["get_basis"]((5, 3))
     for lev in basis.levels:
         for two_mu in lev.two_mu:
             a = lk_mode(basis, lev.n, two_mu)
             b = lk_mode(basis, lev.n, -two_mu)
-            worst = max(worst, float(np.max(np.abs(b - np.conj(a)))))
-    return worst, 1e-12, "Lambda_{n,-m} = conj(Lambda_{n,m}) on (5,3)"
+            yield b - np.conj(a)
 
 
+@_check("transform_unitarity", 1e-10, "relative norm change of R, K_S, K_A, G, D")
 def _check_unitarity(ctx):
     rng = ctx["rng"]
-    worst = 0.0
     for key, basis in ctx["screens"]():
         for _ in range(ctx["images"]):
             img = random_image(rng, basis)
             norm = np.linalg.norm(img)
             coeffs = ft.analyze(basis, img)
-            outs = [
+            for out in [
                 ft.synthesize(basis, ft.rotate_coeffs(basis, coeffs, rng.uniform(0, 7))),
                 ft.synthesize(basis, ft.ks_coeffs(coeffs, rng.uniform(0, 7))),
                 ft.synthesize(basis, ft.ka_coeffs(coeffs, rng.uniform(0, 7))),
                 ft.synthesize(basis, ft.gyrate_coeffs(basis, coeffs, rng.uniform(0, 7))),
                 ft.apply_element(basis, img, random_element(rng)),
-            ]
-            for out in outs:
-                worst = max(worst, abs(np.linalg.norm(out) / norm - 1.0))
-    return worst, 1e-10, "relative norm change of R, K_S, K_A, G, D"
+            ]:
+                yield np.linalg.norm(out) / norm - 1.0
 
 
+@_check("rotation_group_law", 1e-9, "rotations add; rotate(2 pi) = identity")
 def _check_rotation_group_law(ctx):
     rng = ctx["rng"]
-    worst = 0.0
     for key, basis in ctx["screens"]():
         coeffs = ft.analyze(basis, random_image(rng, basis))
         t1, t2 = rng.uniform(-3, 3, size=2)
         a = ft.rotate_coeffs(basis, ft.rotate_coeffs(basis, coeffs, t1), t2)
         b = ft.rotate_coeffs(basis, coeffs, t1 + t2)
-        worst = max(worst, float(np.max(np.abs(a - b))))
-        full = ft.rotate_coeffs(basis, coeffs, 2.0 * math.pi)
-        worst = max(worst, float(np.max(np.abs(full - coeffs))))
-    return worst, 1e-9, "rotations add; rotate(2 pi) = identity"
+        yield a - b
+        yield ft.rotate_coeffs(basis, coeffs, 2.0 * math.pi) - coeffs
 
 
+@_check("rotation_six_sixths", 1e-8, "six pi/6 rotations equal one pi rotation (glyph)")
 def _check_six_sixths(ctx):
     basis = ctx["get_basis"]((20, 12))
-    img = f_glyph().astype(complex)
-    coeffs = ft.analyze(basis, img)
+    coeffs = ft.analyze(basis, f_glyph().astype(complex))
     six = coeffs.copy()
     for _ in range(6):
         six = ft.rotate_coeffs(basis, six, math.pi / 6.0)
     one = ft.rotate_coeffs(basis, coeffs, math.pi)
-    worst = float(np.max(np.abs(ft.synthesize(basis, six - one))))
-    return worst, 1e-8, "six pi/6 rotations equal one pi rotation (glyph)"
+    yield ft.synthesize(basis, six - one)
 
 
+@_check("rotation_pi_is_pixel_inversion", 1e-9,
+        "rotate(pi) vs pixel map (q_x,q_y) -> (-q_x,-q_y)")
 def _check_rotation_pi_parity(ctx):
-    worst = 0.0
     for key, basis in ctx["screens"]():
         img = random_image(ctx["rng"], basis)
-        rot = ft.rotate_image(basis, img, math.pi)
-        worst = max(worst, float(np.max(np.abs(rot - img[::-1, ::-1]))))
-    return worst, 1e-9, "rotate(pi) vs pixel map (q_x,q_y) -> (-q_x,-q_y)"
+        yield ft.rotate_image(basis, img, math.pi) - img[::-1, ::-1]
 
 
+@_check("rotation_pi_half_turn_law", 1e-9,
+        "rotate(pi) = pixel inversion + 2 (-1)^(2 lambda) "
+        "x the mismatched-parity levels; the rest inverted")
 def _check_rotation_pi_half_turn_law(ctx):
     # A half-turn multiplies level n by (-1)^(2 lambda(n)) and the pixel
     # inversion by (-1)^n.  On the levels where the two parities differ
@@ -329,7 +341,6 @@ def _check_rotation_pi_half_turn_law(ctx):
     # upper-triangle level when 2 j_x + 2 j_y is odd) rotate(pi) adds twice
     # the level's content times (-1)^(2 lambda); the rest of the image is
     # inverted exactly.
-    worst = 0.0
     for key, basis in ctx["screens"]():
         img = random_image(ctx["rng"], basis)
         sign = np.zeros(basis.shape.pixels)
@@ -340,29 +351,24 @@ def _check_rotation_pi_half_turn_law(ctx):
         coeffs = ft.analyze(basis, img)
         content = ft.synthesize(basis, sign * coeffs)
         rot = ft.rotate_image(basis, img, math.pi)
-        worst = max(worst, float(np.max(np.abs(
-            rot - img[::-1, ::-1] - 2.0 * content))))
+        yield rot - img[::-1, ::-1] - 2.0 * content
         rest = ft.synthesize(basis, np.where(sign == 0.0, coeffs, 0.0))
-        worst = max(worst, float(np.max(np.abs(
-            ft.rotate_image(basis, rest, math.pi) - rest[::-1, ::-1]))))
-    return worst, 1e-9, ("rotate(pi) = pixel inversion + 2 (-1)^(2 lambda) "
-                         "x the mismatched-parity levels; the rest inverted")
+        yield ft.rotate_image(basis, rest, math.pi) - rest[::-1, ::-1]
 
 
+@_check("gyration_group_law", 1e-9, "gyrations add")
 def _check_gyration_group_law(ctx):
     rng = ctx["rng"]
-    worst = 0.0
     for key, basis in ctx["screens"]():
         coeffs = ft.analyze(basis, random_image(rng, basis))
         g1, g2 = rng.uniform(-3, 3, size=2)
         a = ft.gyrate_coeffs(basis, ft.gyrate_coeffs(basis, coeffs, g1), g2)
-        b = ft.gyrate_coeffs(basis, coeffs, g1 + g2)
-        worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst, 1e-9, "gyrations add"
+        yield a - ft.gyrate_coeffs(basis, coeffs, g1 + g2)
 
 
+@_check("level_invariance", 0.0,
+        "rotation/gyration amplitude never leaves a level (exact)")
 def _check_level_invariance(ctx):
-    worst = 0.0
     basis = ctx["get_basis"]((11, 7))
     rng = ctx["rng"]
     for _ in range(5):
@@ -374,80 +380,73 @@ def _check_level_invariance(ctx):
                     ft.gyrate_coeffs(basis, coeffs, 1.1)):
             mask = np.ones(basis.shape.pixels, dtype=bool)
             mask[nx, ny] = False
-            worst = max(worst, float(np.max(np.abs(out[mask]))))
-    return worst, 0.0, "rotation/gyration amplitude never leaves a level (exact)"
+            yield out[mask]
 
 
+@_check("rotation_realness", 1e-10, "rotation of a real image is real")
 def _check_rotation_realness(ctx):
     rng = ctx["rng"]
-    worst = 0.0
     for key, basis in ctx["screens"]():
         img = rng.standard_normal(basis.shape.pixels)
-        out = ft.rotate_image(basis, img, rng.uniform(0, 7))
-        worst = max(worst, float(np.max(np.abs(np.imag(out)))))
-    return worst, 1e-10, "rotation of a real image is real"
+        yield np.imag(ft.rotate_image(basis, img, rng.uniform(0, 7)))
 
 
+@_check("fourier_phase_laws", 1e-12, "fractional Fourier phase laws")
 def _check_fourier_phases(ctx):
     rng = ctx["rng"]
     basis = ctx["get_basis"]((5, 3))
     coeffs = ft.analyze(basis, random_image(rng, basis))
-    worst = 0.0
     # identity and 2 pi periodicity (integer mode numbers)
-    worst = max(worst, float(np.max(np.abs(ft.ks_coeffs(coeffs, 0.0) - coeffs))))
-    worst = max(worst, float(np.max(np.abs(ft.ks_coeffs(coeffs, 2 * math.pi) - coeffs))))
+    yield ft.ks_coeffs(coeffs, 0.0) - coeffs
+    yield ft.ks_coeffs(coeffs, 2 * math.pi) - coeffs
     # additivity
     b1, b2 = rng.uniform(-4, 4, size=2)
     a = ft.ka_coeffs(ft.ka_coeffs(coeffs, b1), b2)
-    worst = max(worst, float(np.max(np.abs(a - ft.ka_coeffs(coeffs, b1 + b2)))))
+    yield a - ft.ka_coeffs(coeffs, b1 + b2)
     # K_A at pi is the (-1)^(n_x - n_y) checker
     nx = np.arange(basis.shape.n_x)[:, None]
     ny = np.arange(basis.shape.n_y)[None, :]
-    worst = max(worst, float(np.max(np.abs(
-        ft.ka_coeffs(coeffs, math.pi) - coeffs * (-1.0) ** (nx - ny)))))
+    yield ft.ka_coeffs(coeffs, math.pi) - coeffs * (-1.0) ** (nx - ny)
     # K_S commutes with rotation
     t, chi = rng.uniform(0, 4, size=2)
     a = ft.ks_coeffs(ft.rotate_coeffs(basis, coeffs, t), chi)
-    b = ft.rotate_coeffs(basis, ft.ks_coeffs(coeffs, chi), t)
-    worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst, 1e-12, "fractional Fourier phase laws"
+    yield a - ft.rotate_coeffs(basis, ft.ks_coeffs(coeffs, chi), t)
 
 
+@_check("gyration_direct_vs_sandwich", 1e-10,
+        "direct gyration and K_A(pi/4) R K_A(-pi/4) vs "
+        "per-level little-d blocks")
 def _check_gyration_sandwich(ctx):
     rng = ctx["rng"]
     basis = ctx["get_basis"]((11, 7))
     coeffs = ft.analyze(basis, random_image(rng, basis))
-    worst = 0.0
     for gamma in (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4):
         ref = level_action(basis, coeffs,
                            ga.FourierGroupElement(0, 0, 2 * gamma, 0))
-        for out in (ft.gyrate_coeffs(basis, coeffs, gamma),
-                    gyrate_coeffs_sandwich(basis, coeffs, gamma)):
-            worst = max(worst, float(np.max(np.abs(out - ref))))
-    return worst, 1e-10, ("direct gyration and K_A(pi/4) R K_A(-pi/4) vs "
-                          "per-level little-d blocks")
+        yield ft.gyrate_coeffs(basis, coeffs, gamma) - ref
+        yield gyrate_coeffs_sandwich(basis, coeffs, gamma) - ref
 
 
+@_check("apply_element_reductions", 1e-12,
+        "Euler element reduces to its factors; gyration, rotation and "
+        "omega-carrying elements vs per-level little-d blocks on (5,3) "
+        "and (3,4.5)")
 def _check_apply_reductions(ctx):
     rng = ctx["rng"]
     basis = ctx["get_basis"]((5, 3))
     img = random_image(rng, basis)
     coeffs = ft.analyze(basis, img)
-    worst = 0.0
-    out = ft.apply_element(basis, img, ga.FourierGroupElement.identity())
-    worst = max(worst, float(np.max(np.abs(out - img))))
+    yield ft.apply_element(basis, img, ga.FourierGroupElement.identity()) - img
     theta = rng.uniform(0, 2)
     for element in (ga.FourierGroupElement(0, 0, 2 * theta, 0),
                     ga.FourierGroupElement(0, -math.pi / 2, 2 * theta,
                                            math.pi / 2)):
-        ref = level_action(basis, coeffs, element)
-        got = ft.apply_element_coeffs(basis, coeffs, element)
-        worst = max(worst, float(np.max(np.abs(got - ref))))
+        yield (ft.apply_element_coeffs(basis, coeffs, element)
+               - level_action(basis, coeffs, element))
     chi, psi, phi = rng.uniform(0, 4, size=3)
     b = ft.apply_element(basis, img, ga.FourierGroupElement(chi, psi, 0, phi))
-    c = ft.synthesize(basis, ft.ks_coeffs(
+    yield b - ft.synthesize(basis, ft.ks_coeffs(
         ft.ka_coeffs(coeffs, (psi + phi) / 2), chi / 2))
-    worst = max(worst, float(np.max(np.abs(b - c))))
     # Elements with an explicit omega, in both orientations.  They have a
     # generator of their own, so the later checks draw what they drew
     # before.
@@ -457,28 +456,23 @@ def _check_apply_reductions(ctx):
         for _ in range(_PAIRS):
             element = wide_element(child)
             x = random_image(child, screen)
-            got = ft.apply_element_coeffs(screen, x, element)
-            worst = max(worst, float(np.max(np.abs(
-                got - level_action(screen, x, element)))))
-    return worst, 1e-12, ("Euler element reduces to its factors; gyration, "
-                          "rotation and omega-carrying elements vs per-level "
-                          "little-d blocks on (5,3) and (3,4.5)")
+            yield (ft.apply_element_coeffs(screen, x, element)
+                   - level_action(screen, x, element))
 
 
+@_check("matrix_homomorphism", 1e-12,
+        "to_matrix(compose(a,b)) = to_matrix(a) to_matrix(b)")
 def _check_matrix_homomorphism(ctx):
     rng = ctx["rng"]
-    worst = 0.0
     for _ in range(50):
         a, b = random_element(rng), random_element(rng)
-        lhs = ga.to_matrix(ga.compose(a, b))
-        rhs = ga.to_matrix(a) @ ga.to_matrix(b)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst, 1e-12, "to_matrix(compose(a,b)) = to_matrix(a) to_matrix(b)"
+        yield ga.to_matrix(ga.compose(a, b)) - ga.to_matrix(a) @ ga.to_matrix(b)
 
 
+@_check("from_matrix_roundtrip", 1e-10,
+        "to_matrix(from_matrix(U)) = U, canonical ranges; random and scalar U")
 def _check_from_matrix_roundtrip(ctx):
     rng = ctx["rng"]
-    worst = 0.0
     bad_range = 0
     # Random elements, then the scalar matrices exp(-i chi/2) I, whose
     # Euler angles fold next to 0 and 2 pi.
@@ -487,126 +481,88 @@ def _check_from_matrix_roundtrip(ctx):
                  for chi in np.linspace(-20.0, 20.0, 4001)]
     for u in matrices:
         r = ga.from_matrix(u)
-        worst = max(worst, float(np.max(np.abs(ga.to_matrix(r) - u))))
-        if not (0 <= r.chi < 4 * math.pi and 0 <= r.psi < 2 * math.pi
-                and 0 <= r.theta <= math.pi and 0 <= r.phi < 2 * math.pi):
-            bad_range += 1
-    worst = max(worst, float(bad_range))
-    return worst, 1e-10, ("to_matrix(from_matrix(U)) = U, canonical ranges; "
-                          "random and scalar U")
+        yield ga.to_matrix(r) - u
+        bad_range += not (0 <= r.chi < 4 * math.pi and 0 <= r.psi < 2 * math.pi
+                          and 0 <= r.theta <= math.pi and 0 <= r.phi < 2 * math.pi)
+    yield bad_range
 
 
+@_check("image_action_homomorphism", 1e-9,
+        "apply(compose(a,b)) vs apply(a) after apply(b), angles in (-20, 20)")
 def _check_image_homomorphism(ctx):
     rng = ctx["rng"]
     basis = ctx["get_basis"]((5, 3))
-    worst = 0.0
     for _ in range(_PAIRS):
         a, b = wide_element(rng), wide_element(rng)
         img = random_image(rng, basis)
         lhs = ft.apply_element(basis, img, ga.compose(a, b))
-        rhs = ft.apply_element(basis, ft.apply_element(basis, img, b), a)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst, 1e-9, ("apply(compose(a,b)) vs apply(a) after apply(b), "
-                         "angles in (-20, 20)")
+        yield lhs - ft.apply_element(basis, ft.apply_element(basis, img, b), a)
 
 
+@_check("inverse_image_roundtrip", 1e-9,
+        "apply(inverse(e)) undoes apply(e), angles in (-20, 20)")
 def _check_inverse_roundtrip(ctx):
     rng = ctx["rng"]
     basis = ctx["get_basis"]((5, 3))
-    worst = 0.0
     for _ in range(_PAIRS):
         e = wide_element(rng)
         img = random_image(rng, basis)
         back = ft.apply_element(basis, ft.apply_element(basis, img, e),
                                 ga.inverse(e))
-        worst = max(worst, float(np.max(np.abs(back - img))))
-    return worst, 1e-9, "apply(inverse(e)) undoes apply(e), angles in (-20, 20)"
+        yield back - img
 
 
+@_check("file_roundtrips", 0.5 / 255.0, "complex files bit-exact; PGM to quantization")
 def _check_file_roundtrips(ctx):
     rng = ctx["rng"]
-    worst = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         arr = (rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6)))
         path = os.path.join(tmp, "x.fkimg")
         save_complex(path, arr)
         back = load_complex(path)
-        if not np.array_equal(back.view(np.float64), arr.view(np.float64)):
-            worst = max(worst, 1.0)
+        yield not np.array_equal(back.view(np.float64), arr.view(np.float64))
         gray = rng.integers(0, 256, size=(7, 5))
         for binary in (True, False):
             p = os.path.join(tmp, f"g{binary}.pgm")
             write_pgm(p, gray, 255, binary=binary)
             g2, mv = read_pgm(p)
-            if mv != 255 or not np.array_equal(gray, g2):
-                worst = max(worst, 1.0)
+            yield mv != 255 or not np.array_equal(gray, g2)
         values = rng.uniform(0, 1, size=(8, 4))
         p = os.path.join(tmp, "q.pgm")
         write_pgm(p, pixels_to_gray(values, 65535), 65535)
         _, pix = load_image(p)
-        worst = max(worst, float(np.max(np.abs(pix - values))))
-    return worst, 0.5 / 255.0, "complex files bit-exact; PGM to quantization"
+        yield pix - values
 
 
+@_check("render_rules", 1e-12,
+        "fixed-range positivity; constant image maps to mid-gray")
 def _check_render_rules(ctx):
     basis = ctx["get_basis"]((5, 3))
-    ground = cartesian_mode(basis, (0, 0))
-    unit = scale_to_unit(ground, RenderSpec(scaling="fixed"))
-    worst = 0.0
-    if not np.all(unit > 0.5):
-        worst = 1.0
+    unit = scale_to_unit(cartesian_mode(basis, (0, 0)),
+                         RenderSpec(scaling="fixed"))
+    yield not np.all(unit > 0.5)
     flat = scale_to_unit(np.full((4, 4), 2.7), RenderSpec(scaling="adaptive"))
-    worst = max(worst, float(np.max(np.abs(flat - 0.5))))
-    return worst, 1e-12, "fixed-range positivity; constant image maps to mid-gray"
-
-
-_CHECKS = [
-    ("littled_orthogonality", _check_littled_orthogonality),
-    ("littled_addition_law", _check_littled_addition),
-    ("littled_periodicity", _check_littled_periodicity),
-    ("littled_kravchuk_crosscheck", _check_littled_kravchuk),
-    ("kravchuk_orthonormality", _check_kravchuk_orthonormality),
-    ("level_mode_count", _check_mode_count),
-    ("level_boundary_consistency", _check_interval_levels),
-    ("level_mu_coverage", _check_mu_coverage),
-    ("checkerboard_relation", _check_checkerboard),
-    ("cartesian_basis_gram", _check_basis_gram),
-    ("quarter_turn_reflection", _check_quarter_turn_reflection),
-    ("lk_basis_gram", _check_lk_basis),
-    ("lk_conjugation_symmetry", _check_lk_conjugation),
-    ("transform_unitarity", _check_unitarity),
-    ("rotation_group_law", _check_rotation_group_law),
-    ("rotation_six_sixths", _check_six_sixths),
-    ("rotation_pi_is_pixel_inversion", _check_rotation_pi_parity),
-    ("rotation_pi_half_turn_law", _check_rotation_pi_half_turn_law),
-    ("gyration_group_law", _check_gyration_group_law),
-    ("level_invariance", _check_level_invariance),
-    ("rotation_realness", _check_rotation_realness),
-    ("fourier_phase_laws", _check_fourier_phases),
-    ("gyration_direct_vs_sandwich", _check_gyration_sandwich),
-    ("apply_element_reductions", _check_apply_reductions),
-    ("matrix_homomorphism", _check_matrix_homomorphism),
-    ("from_matrix_roundtrip", _check_from_matrix_roundtrip),
-    ("image_action_homomorphism", _check_image_homomorphism),
-    ("inverse_image_roundtrip", _check_inverse_roundtrip),
-    ("file_roundtrips", _check_file_roundtrips),
-    ("render_rules", _check_render_rules),
-]
+    yield flat - 0.5
 
 
 def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     """Run every invariant check, each at its own tolerance, and return a
-    list of CheckResult.  ``images``, a positive integer (else
-    ``DomainError``), sets the sample count of the randomized per-screen
-    checks.
+    list of CheckResult.  ``images``, a positive integer, sets the sample
+    count of the randomized per-screen checks, and ``seed``, a
+    non-negative integer, seeds their draws; anything else raises
+    ``DomainError``.
 
-    The bases are built on first use, inside the checks.  A check that
-    raises, in its own code or in a basis build, fails: its ``error`` and
-    detail hold the exception's type and message, its deviation is
-    infinite and its tolerance NaN, and the other checks still run.
+    A check's deviation is the largest absolute value it yields, NaN if
+    any is NaN; a NaN deviation fails.  The bases are built on first use,
+    inside the checks.  A check that raises, in its own code or in a basis
+    build, fails: its ``error`` and detail hold the exception's type and
+    message, its deviation is infinite and its tolerance NaN, and the other
+    checks still run.
     """
     if not _is_integer(images) or images < 1:
         raise DomainError(f"images must be a positive integer, got {images!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     cache = {}
 
@@ -621,11 +577,12 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     ctx = {"rng": rng, "seed": seed, "screens": screens, "images": images,
            "get_basis": get_basis}
     results = []
-    for name, fn in _CHECKS:
+    for name, tol, detail, check in _CHECKS:
         t0 = time.monotonic()
-        error = ""
+        error, deviation = "", 0.0
         try:
-            deviation, tol, detail = fn(ctx)
+            for value in check(ctx):    # np.maximum keeps a NaN
+                deviation = np.maximum(deviation, np.max(np.abs(value)))
         except Exception as exc:        # reported as this check's failure
             deviation, tol = math.inf, math.nan
             error = f"{type(exc).__name__}: {exc}"
@@ -633,15 +590,40 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
         else:
             detail = (f"{detail}: deviation {deviation:.3e} "
                       f"(tolerance {tol:.1e})")
-        elapsed = time.monotonic() - t0
         results.append(CheckResult(
-            name=name,
-            passed=bool(deviation <= tol),
-            detail=detail,
-            seconds=elapsed,
-            deviation=float(deviation),
-            tolerance=float(tol),
-            known_limitation=name in KNOWN_LIMITATIONS and not error,
-            error=error,
-        ))
+            name, passed=bool(deviation <= tol), detail=detail,
+            seconds=time.monotonic() - t0, deviation=float(deviation),
+            tolerance=float(tol), error=error,
+            known_limitation=name in KNOWN_LIMITATIONS and not error))
     return results
+
+
+def verify(shapes=DEFAULT_SHAPES, images=20, seed=2024, as_json=False):
+    """Run the suite and return ``(report, exit_code)`` for ``fkimage
+    verify``: the text table, or with ``as_json`` one JSON object, and 3
+    if any check failed, known limitations included, else 0."""
+    results = run_verification(shapes, images, seed)
+    failed = [r for r in results if not r.passed]
+    unexpected = [r for r in failed if not r.known_limitation]
+    code = 3 if failed else 0
+    if as_json:
+        return json.dumps({
+            "checks": [r.as_dict() for r in results],
+            "passed": len(results) - len(failed),
+            "total": len(results),
+            "unexpected_failures": len(unexpected),
+            "errors": {r.name: r.error for r in results if r.error}},
+            indent=1), code
+    width = max(len(r.name) for r in results)
+    lines = [f"{'check':<{width}}  {'':4}  {'seconds':>7}  {'headroom':>8}  detail"]
+    for r in results:
+        status = "pass" if r.passed else "FAIL"
+        note = "  [known limitation]" if not r.passed and r.known_limitation else ""
+        lines.append(f"{r.name:<{width}}  {status}  {r.seconds:7.3f}  "
+                     f"{r.headroom:8.2g}  {r.detail}{note}")
+    known = len(failed) - len(unexpected)
+    lines.append(f"\n{len(results) - len(failed)}/{len(results)} checks passed"
+                 + (f"; {known} known limitation(s)" if known else ""))
+    if unexpected:
+        lines.append(f"{len(unexpected)} unexpected failure(s)")
+    return "\n".join(lines), code

@@ -212,7 +212,7 @@ def test_verify_rejects_image_counts_below_one(monkeypatch):
     # run_verification take only a positive integer.
     from fkimage import DomainError, verify
     monkeypatch.setattr(verify, "_CHECKS", [
-        ("samples", lambda ctx: (0.0, 1.0, f"{ctx['images']} images"))])
+        ("samples", 1.0, "no samples", lambda ctx: iter([0.0]))])
     for count in ("0", "-3", "two"):
         assert main(["verify", "--shape", "5,3", "--images", count]) == 1
     assert main(["verify", "--shape", "5,3", "--images", "1"]) == 0
@@ -228,11 +228,11 @@ def test_verify_reports_a_raising_check_and_runs_the_others(monkeypatch,
     def raising(ctx):
         raise ValueError("a check that raises")
 
-    checks = dict(verify._CHECKS)
+    checks = {check[0]: check for check in verify._CHECKS}
     monkeypatch.setattr(verify, "_CHECKS", [
-        ("cartesian_basis_gram", checks["cartesian_basis_gram"]),
-        ("raising_check", raising),
-        ("littled_periodicity", checks["littled_periodicity"])])
+        checks["cartesian_basis_gram"],
+        ("raising_check", 1.0, "raises", raising),
+        checks["littled_periodicity"]])
     argv = ["verify", "--shape", "5,3", "--images", "2"]
     assert main(argv + ["--json"]) == 3
     report = _strict_json(capsys.readouterr().out)
@@ -263,6 +263,53 @@ def test_verify_reports_a_raising_check_and_runs_the_others(monkeypatch,
     assert [c["passed"] for c in report["checks"]] == [False, False, True]
     assert report["errors"]["cartesian_basis_gram"] == \
         "IndexError: a broken basis build"
+
+
+def test_verify_rejects_seeds_other_than_non_negative_integers(monkeypatch):
+    from fkimage import DomainError, verify
+    monkeypatch.setattr(verify, "_CHECKS", [
+        ("samples", 1.0, "no samples", lambda ctx: iter([0.0]))])
+    for seed in ("-1", "1.5", "x"):
+        assert main(["verify", "--shape", "5,3", "--seed", seed]) == 1
+    assert main(["verify", "--shape", "5,3", "--seed", "0"]) == 0
+    for seed in (-1, 1.5, "x", True, None):
+        with pytest.raises(DomainError, match="seed"):
+            verify.run_verification(shapes=((5, 3),), seed=seed)
+    assert verify.run_verification(shapes=((5, 3),), seed=np.int64(3))[0].passed
+
+
+def test_verify_registry_holds_each_check_once():
+    from fkimage import verify
+    names = [name for name, _, _, _ in verify._CHECKS]
+    assert len(names) == len(set(names)) == 30
+    for name, tolerance, detail, check in verify._CHECKS:
+        assert math.isfinite(tolerance) and tolerance >= 0.0, name
+        assert detail.strip() and callable(check), name
+    assert set(KNOWN_LIMITATIONS) <= set(names)
+
+
+def test_verify_fails_a_check_whose_result_goes_nan(monkeypatch, capsys):
+    # The 7th rotation, on the second screen, returns NaN: the largest
+    # deviation is then NaN, which fails and prints as null.
+    from fkimage import fourier_transforms, verify
+    rotate_coeffs, calls = fourier_transforms.rotate_coeffs, []
+
+    def rotate(basis, coeffs, theta):
+        calls.append(theta)
+        out = rotate_coeffs(basis, coeffs, theta)
+        return out * math.nan if len(calls) == 7 else out
+
+    monkeypatch.setattr(fourier_transforms, "rotate_coeffs", rotate)
+    monkeypatch.setattr(verify, "_CHECKS", [
+        c for c in verify._CHECKS if c[0] == "rotation_group_law"])
+    assert main(["verify", "--shape", "5,3", "--shape", "11,7",
+                 "--json"]) == 3
+    assert len(calls) == 8
+    report = _strict_json(capsys.readouterr().out)
+    [check] = report["checks"]
+    assert not check["passed"] and check["deviation"] is None
+    assert check["headroom"] is None and check["tolerance"] == 1e-9
+    assert report["unexpected_failures"] == 1 and report["errors"] == {}
 
 
 def test_figures_command(tmp_path):

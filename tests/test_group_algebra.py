@@ -196,6 +196,27 @@ def test_inverse_of_central_element():
         FourierGroupElement.identity()
 
 
+def test_inverse_rebuilds_the_matrix_once(rng, monkeypatch):
+    # The SU(2) sign of the extraction is decided from one rebuild: each
+    # inverse forms the element's entries and then one trial matrix, also
+    # when the sign flips (chi -> chi + 2 pi), as it does for about half
+    # of the elements.
+    import fkimage.group_algebra as ga
+    entries, calls = ga._entries, []
+
+    def counted(*angles):
+        calls.append(angles)
+        return entries(*angles)
+
+    monkeypatch.setattr(ga, "_entries", counted)
+    for _ in range(40):
+        e = FourierGroupElement(*rng.uniform(-20.0, 20.0, 5))
+        calls.clear()
+        inv = inverse(e)
+        assert len(calls) == 2
+        assert np.max(np.abs(to_matrix(inv) @ to_matrix(e) - np.eye(2))) < 1e-12
+
+
 # ------------------------------------------------------- action images
 
 def test_inverse_round_trips_images(rng):
