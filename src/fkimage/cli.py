@@ -88,8 +88,8 @@ def _write_output(pixels, path, args):
 
 
 def _transform_command(args, action):
-    _, pixels = load_image(args.input)
-    basis = build_basis(ScreenShape.from_pixels(*pixels.shape))
+    shape, pixels = load_image(args.input)
+    basis = build_basis(shape)
     out = action(basis, pixels)
     _write_output(out, args.output, args)
     print(f"wrote {args.output}")

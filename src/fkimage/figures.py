@@ -15,7 +15,9 @@ import os
 import numpy as np
 
 from . import fourier_transforms as ft
+from .errors import DomainError
 from .glyph import F_GLYPH_SHAPE, f_glyph
+from .imageio import pixels_to_gray, write_pgm
 from .mode_basis import CartesianBasis, build_basis, cartesian_mode, lk_mode
 from .render import RenderSpec, render, scale_to_unit
 
@@ -42,7 +44,6 @@ def _sheet(cells, n_cols, n_rows, cell_shape):
 
 
 def _write_sheet(sheet01, path):
-    from .imageio import pixels_to_gray, write_pgm
     write_pgm(path, pixels_to_gray(sheet01, 255), 255)
     return path
 
@@ -57,6 +58,8 @@ def mode_gallery(basis: CartesianBasis, out_dir, kind="cartesian",
     on the m < 0 side (those are the same arrays up to sign, since the
     family is conjugation-symmetric).
     """
+    if kind not in ("cartesian", "lk"):
+        raise DomainError(f"unknown gallery kind {kind!r}")
     os.makedirs(out_dir, exist_ok=True)
     shape = basis.shape
     spec = RenderSpec(scaling="fixed", depth=depth, channel="real")
@@ -72,7 +75,7 @@ def mode_gallery(basis: CartesianBasis, out_dir, kind="cartesian",
                 files.append(render(mode, spec, name))
                 cells[(nx + ny, m_hi - (nx - ny))] = scale_to_unit(mode, spec)
         n_rows = m_hi - m_lo + 1
-    elif kind == "lk":
+    else:
         m_hi = min(shape.j_x.two_j, shape.j_y.two_j)
         for lev in basis.levels:
             for m in lev.two_mu:
@@ -82,8 +85,6 @@ def mode_gallery(basis: CartesianBasis, out_dir, kind="cartesian",
                 files.append(render(shown, spec, name))
                 cells[(lev.n, m_hi - m)] = scale_to_unit(shown, spec)
         n_rows = 2 * m_hi + 1
-    else:
-        raise ValueError(f"unknown gallery kind {kind!r}")
     sheet_path = os.path.join(out_dir, f"sheet_{kind}.pgm")
     _write_sheet(_sheet(cells, shape.max_total_mode + 1, n_rows, shape.pixels),
                  sheet_path)

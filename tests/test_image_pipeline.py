@@ -8,7 +8,7 @@ from fkimage import (DomainError, F_GLYPH_SHAPE, FormatError, RenderSpec,
                      lk_mode, load_complex, load_image, read_pgm, render,
                      save_complex, write_pgm)
 from fkimage.cli import main
-from fkimage import figures
+from fkimage import figures, imageio
 from fkimage.imageio import pixels_to_gray
 from fkimage.render import _select_channel, scale_to_unit
 
@@ -62,12 +62,18 @@ def test_pgm_zero_image(tmp_path):
     b"P5\n2 2\n255\n" + bytes(3),            # truncated payload
     b"P2\n2 2\n255\n1 2 3\n",                # too few samples
     b"P2\n2 x\n255\n1 2 3 4\n",              # non-numeric header
+    b"P5x 2 3 255\n" + bytes(6),             # magic longer than two bytes
+    b"P5 2 3 255#c\n" + bytes(6),            # comment right after maxval
+    b"P5 2 3 255",                           # no terminating whitespace byte
+    b"P5 2 3 # runs to the end",             # comment up to end of file
 ])
 def test_pgm_malformed(tmp_path, payload):
     path = tmp_path / "bad.pgm"
     path.write_bytes(payload)
     with pytest.raises(FormatError):
         load_image(path)
+    with pytest.raises(FormatError):
+        read_pgm(path)
 
 
 def test_pgm_sixteen_bit_is_big_endian(tmp_path):
@@ -80,6 +86,55 @@ def test_pgm_sixteen_bit_is_big_endian(tmp_path):
 def test_write_pgm_rejects_out_of_range(tmp_path):
     with pytest.raises(FormatError):
         write_pgm(tmp_path / "x.pgm", np.array([[300]]), 255)
+
+
+@pytest.mark.parametrize("header", [
+    b"P2 #a\n2 #b\n3 #c\n255\n",        # a comment between every pair
+    b"P2#a\n2#b\n3#c\n255\n",           # a comment right after a token
+    b"P2\r\n2 3\r\n255\r\n",            # CRLF line ends
+    b"P2\v2\f3\v255\f",                 # vertical tab and form feed
+])
+def test_pgm_header_separators_accepted(tmp_path, header):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + b"1 2\n3 4\n5 6\n")
+    gray, maxval = read_pgm(path)
+    assert maxval == 255
+    assert gray.tolist() == [[1, 2], [3, 4], [5, 6]]
+
+
+@pytest.mark.parametrize("binary", [True, False])
+@pytest.mark.parametrize("gray, maxval", [
+    (np.array([[1]]), True),                 # bool maxval
+    (np.array([[1]]), 255.0),                # float maxval
+    (np.zeros((0, 5), dtype=int), 255),      # zero-size raster
+    (np.array([[1.7]]), 255),                # float samples
+])
+def test_write_pgm_rejects_what_read_pgm_rejects(tmp_path, binary, gray,
+                                                 maxval):
+    path = tmp_path / "w.pgm"
+    with pytest.raises(FormatError):
+        write_pgm(path, gray, maxval, binary=binary)
+    assert not path.exists()
+
+
+def test_each_load_opens_its_file_once(tmp_path, monkeypatch):
+    pgm, fkimg = tmp_path / "a.pgm", tmp_path / "a.fkimg"
+    write_pgm(pgm, np.ones((3, 5), dtype=int), 255)
+    save_complex(fkimg, np.ones((5, 3)))
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(imageio, "open", counting_open, raising=False)
+    for load, path in ((load_image, pgm), (load_image, fkimg),
+                       (read_pgm, pgm), (load_complex, fkimg)):
+        opened.clear()
+        load(path)
+        assert opened == [path], load.__name__
+    with pytest.raises(FileNotFoundError):
+        load_image(tmp_path / "missing.pgm")
 
 
 # ------------------------------------------------------- complex array
@@ -127,6 +182,13 @@ def test_save_complex_rejects_non_numeric_arrays(tmp_path, dtype):
     assert np.array_equal(load_complex(path), arr, equal_nan=True)
 
 
+def test_save_complex_rejects_zero_size_arrays(tmp_path):
+    path = tmp_path / "z.fkimg"
+    with pytest.raises(FormatError):
+        save_complex(path, np.zeros((0, 5), dtype=complex))
+    assert not path.exists()
+
+
 def test_load_image_autodetects(tmp_path, rng):
     arr = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     path = tmp_path / "auto.fkimg"
@@ -159,6 +221,13 @@ def test_even_dimensions_are_half_integer_screens(tmp_path):
 
 
 # ------------------------------------------------------------- render
+
+def test_mode_gallery_rejects_unknown_kind_before_writing(tmp_path):
+    out = tmp_path / "gallery"
+    with pytest.raises(DomainError):
+        figures.mode_gallery(build_basis((1, 1)), out, kind="polar")
+    assert not out.exists()
+
 
 def test_ground_mode_fixed_range_is_bright(tmp_path):
     basis = build_basis((5, 3))
