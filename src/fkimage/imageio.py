@@ -22,14 +22,20 @@ import numpy as np
 from .errors import FormatError
 from .mode_basis import ScreenShape
 
-__all__ = ["read_pgm", "write_pgm", "save_complex", "load_complex",
-           "load_image", "COMPLEX_MAGIC"]
+__all__ = [
+    "read_pgm",
+    "write_pgm",
+    "save_complex",
+    "load_complex",
+    "load_image",
+    "COMPLEX_MAGIC",
+]
 
 COMPLEX_MAGIC = b"FKIMG1\n"
 
 # The netpbm header: the magic and three fields, separated by whitespace and
-# by '#' comments that run to the end of the line; one whitespace byte ends it.
-_SEP = rb"(?:\s|#[^\n]*+)+"
+# by '#' comments up to and including a newline; one whitespace byte ends it.
+_SEP = rb"(?:\s|#[^\n]*\n)+"
 _PGM_HEADER = re.compile(rb"P([25])" + (_SEP + rb"([^\s#]+)") * 3 + rb"\s")
 
 
@@ -103,16 +109,10 @@ def write_pgm(path, gray: np.ndarray, maxval: int, binary: bool = True):
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
-            fh.write(np.ascontiguousarray(gray, dtype=dtype).tobytes())
+            fh.write(gray.astype(dtype).tobytes())
         else:
-            lines = "\n".join(" ".join(str(v) for v in row) for row in gray)
-            fh.write(lines.encode("ascii") + b"\n")
+            np.savetxt(fh, gray, fmt="%d")
     return path
-
-
-def _gray_to_pixels(gray: np.ndarray, maxval: int) -> np.ndarray:
-    # file rows run top to bottom; q_y runs bottom to top
-    return np.ascontiguousarray(gray.T[:, ::-1] / float(maxval))
 
 
 def pixels_to_gray(pixels01: np.ndarray, maxval: int) -> np.ndarray:
@@ -128,17 +128,14 @@ def save_complex(path, pixels: np.ndarray):
     Any numeric array with positive dimensions is stored, NaN and inf
     included; anything else raises ``FormatError`` and nothing is written."""
     pixels = np.asarray(pixels)
-    if pixels.ndim != 2:
-        raise FormatError(f"complex image must be 2-D, got shape {pixels.shape}")
-    if pixels.dtype.kind not in "biufc":
-        raise FormatError(f"complex image must hold numbers, not {pixels.dtype}")
+    if pixels.ndim != 2 or pixels.dtype.kind not in "biufc":
+        raise FormatError(f"complex image must be 2-D and hold numbers, got "
+                          f"shape {pixels.shape} of {pixels.dtype}")
     n_x, n_y = pixels.shape
     _require_positive("complex-array", n_x, n_y)
-    payload = np.ascontiguousarray(pixels.astype("<c16", copy=False)).tobytes()
     with open(path, "wb") as fh:
-        fh.write(COMPLEX_MAGIC)
-        fh.write(f"{n_x} {n_y}\n".encode("ascii"))
-        fh.write(payload)
+        fh.write(COMPLEX_MAGIC + f"{n_x} {n_y}\n".encode("ascii"))
+        fh.write(pixels.astype("<c16", copy=False).tobytes())
     return path
 
 
@@ -175,7 +172,9 @@ def load_image(path):
     """
     data = _read(path)
     if data[:2] in (b"P2", b"P5"):
-        pixels = _gray_to_pixels(*_parse_pgm(data))
+        gray, maxval = _parse_pgm(data)
+        # file rows run top to bottom; q_y runs bottom to top
+        pixels = np.ascontiguousarray(gray.T[:, ::-1] / float(maxval))
     elif data.startswith(COMPLEX_MAGIC):
         pixels = _parse_complex(data)
         if not np.isfinite(pixels).all():

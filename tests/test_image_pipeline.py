@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,7 @@ def test_pgm_zero_image(tmp_path):
     b"P5 2 3 255#c\n" + bytes(6),            # comment right after maxval
     b"P5 2 3 255",                           # no terminating whitespace byte
     b"P5 2 3 # runs to the end",             # comment up to end of file
+    b"P5 2 3 #x 255\n" + bytes(6),           # the comment holds the maxval
 ])
 def test_pgm_malformed(tmp_path, payload):
     path = tmp_path / "bad.pgm"
@@ -86,6 +88,12 @@ def test_pgm_sixteen_bit_is_big_endian(tmp_path):
 def test_write_pgm_rejects_out_of_range(tmp_path):
     with pytest.raises(FormatError):
         write_pgm(tmp_path / "x.pgm", np.array([[300]]), 255)
+
+
+def test_pgm_header_pattern_compiles_on_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; possessive quantifiers
+    # and atomic groups compile only from Python 3.11 on
+    assert not re.search(rb"[*+?}]\+|\(\?>", imageio._PGM_HEADER.pattern)
 
 
 @pytest.mark.parametrize("header", [
