@@ -29,7 +29,10 @@ from .glyph import F_GLYPH_SHAPE, f_glyph
 __version__ = "0.1.0"
 
 # Served on first use (PEP 562), so that importing the package, and every
-# CLI command but ``verify``, does not load the verification suite.
+# CLI command but ``verify``, does not load the verification suite.  The
+# import path loads no ``dataclasses``, ``json`` or ``fractions`` either:
+# the value types are plain classes, and the element wire format and
+# ``cli.parse_shape`` import ``json`` and ``fractions`` when first called.
 _FROM_VERIFY = ("CheckResult", "run_verification")
 
 

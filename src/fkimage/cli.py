@@ -13,7 +13,6 @@ import argparse
 import math
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__
 from . import fourier_transforms as ft
@@ -50,6 +49,7 @@ def parse_angle(text: str) -> float:
 
 
 def parse_shape(text: str) -> ScreenShape:
+    from fractions import Fraction
     parts = str(text).split(",")
     if len(parts) != 2:
         raise UsageError(f"shape must be 'JX,JY', got {text!r}")

@@ -38,14 +38,13 @@ overhead would cost several times the arithmetic.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
 from .errors import ValidationError
+from .special_functions import _real, _Value
 
 __all__ = [
     "FourierGroupElement",
@@ -63,7 +62,7 @@ FOUR_PI = 4.0 * math.pi
 
 def _finite(name: str, value) -> float:
     try:
-        value = float(value)
+        value = _real(value)
     except (TypeError, ValueError):
         raise ValidationError(
             f"angle {name} must be a real number, got {value!r}") from None
@@ -72,8 +71,7 @@ def _finite(name: str, value) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class FourierGroupElement:
+class FourierGroupElement(_Value):
     """Parameters (chi; psi, theta, phi; omega), all in radians.
 
     Any real angles are accepted; ``from_matrix`` always returns the
@@ -83,19 +81,16 @@ class FourierGroupElement:
     default.
     """
 
-    chi: float = 0.0
-    psi: float = 0.0
-    theta: float = 0.0
-    phi: float = 0.0
-    omega: float | None = None
-
-    def __post_init__(self):
-        for name in ("chi", "psi", "theta", "phi"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        omega = self.default_omega
-        if self.omega is not None:
-            raw = _finite("omega", self.omega)
-            gap = abs(raw % TWO_PI - omega)
+    def __init__(self, chi: float = 0.0, psi: float = 0.0,
+                 theta: float = 0.0, phi: float = 0.0,
+                 omega: float | None = None):
+        self.__dict__.update(chi=_finite("chi", chi), psi=_finite("psi", psi),
+                             theta=_finite("theta", theta),
+                             phi=_finite("phi", phi))
+        stored = self.default_omega
+        if omega is not None:
+            raw = _finite("omega", omega)
+            gap = abs(raw % TWO_PI - stored)
             # Reducing mod 2 pi rounds: an omega within a few ulps of the
             # default is the default, so equality and the wire format agree.
             # The ulps are those of the angles reduced mod 4 pi, so the
@@ -104,8 +99,8 @@ class FourierGroupElement:
                         abs(math.fmod(self.psi, FOUR_PI))
                         + abs(math.fmod(self.phi, FOUR_PI)))
             if min(gap, TWO_PI - gap) > 4.0 * math.ulp(scale):
-                omega = raw % TWO_PI
-        object.__setattr__(self, "omega", omega)
+                stored = raw % TWO_PI
+        self.__dict__["omega"] = stored
 
     @classmethod
     def identity(cls) -> "FourierGroupElement":
@@ -252,12 +247,14 @@ def inverse(a: FourierGroupElement) -> FourierGroupElement:
 def element_to_json(element: FourierGroupElement) -> str:
     """Serialize to the wire format {"chi":..., "psi":..., "theta":...,
     "phi":...}, with an "omega" key only when omega is not the default."""
+    import json
     return json.dumps(element.as_dict())
 
 
 def element_from_json(data) -> FourierGroupElement:
     """Parse an element from a JSON string or an already-decoded mapping."""
     if isinstance(data, (str, bytes)):
+        import json
         try:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
@@ -268,10 +265,10 @@ def element_from_json(data) -> FourierGroupElement:
     if unknown:
         raise ValidationError(f"unknown element fields: {sorted(unknown)}")
     try:
-        angles = {key: float(data.get(key, 0.0))
+        angles = {key: _real(data.get(key, 0.0))
                   for key in ("chi", "psi", "theta", "phi")}
         if "omega" in data:
-            angles["omega"] = float(data["omega"])
+            angles["omega"] = _real(data["omega"])
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"element angles must be numbers: {exc}") from exc
     return FourierGroupElement(**angles)

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .special_functions import MAX_PIXELS, Spin, _is_integer, _ladder
+from .special_functions import MAX_PIXELS, Spin, _is_integer, _ladder, _Value
 
 __all__ = [
     "MAX_PIXELS",
@@ -79,8 +78,7 @@ def _real_products(left: np.ndarray, pixels: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class ScreenShape:
+class ScreenShape(_Value):
     """Rectangular pixel screen fixed by two spins.
 
     Pixel coordinates run q_k in {-j_k, ..., j_k} in unit steps, so the
@@ -89,12 +87,8 @@ class ScreenShape:
     symmetric in the two axes.
     """
 
-    j_x: Spin
-    j_y: Spin
-
-    def __post_init__(self):
-        object.__setattr__(self, "j_x", Spin.from_j(self.j_x))
-        object.__setattr__(self, "j_y", Spin.from_j(self.j_y))
+    def __init__(self, j_x: Spin, j_y: Spin):
+        self.__dict__.update(j_x=Spin.from_j(j_x), j_y=Spin.from_j(j_y))
 
     @classmethod
     def of(cls, j_x, j_y) -> "ScreenShape":
@@ -138,8 +132,7 @@ class ScreenShape:
         return f"ScreenShape(j_x={self.j_x.j:g}, j_y={self.j_y.j:g})"
 
 
-@dataclass(frozen=True)
-class LevelSpectrum:
+class LevelSpectrum(_Value):
     """One total-mode level: its effective spin and its members.
 
     The members are the modes ``(n - n_y, n_y)`` for ``n_y`` in the range
@@ -148,10 +141,9 @@ class LevelSpectrum:
     of 2.
     """
 
-    n: int
-    spin: Spin
-    n_y: range
-    two_mu: tuple[int, ...]
+    def __init__(self, n: int, spin: Spin, n_y: range,
+                 two_mu: tuple[int, ...]):
+        self.__dict__.update(n=n, spin=spin, n_y=n_y, two_mu=two_mu)
 
     @property
     def size(self) -> int:

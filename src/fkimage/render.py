@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .imageio import pixels_to_gray, write_pgm
+from .special_functions import _Value
 
 __all__ = ["RenderSpec", "render"]
 
@@ -16,8 +16,7 @@ _CHANNELS = ("real", "imag", "abs", "phase")
 _SCALINGS = ("fixed", "adaptive")
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(_Value):
     """How a complex array is turned into gray levels.
 
     scaling:
@@ -36,17 +35,15 @@ class RenderSpec:
         -pi.
     """
 
-    scaling: str = "fixed"
-    depth: int = 8
-    channel: str = "real"
-
-    def __post_init__(self):
-        if self.scaling not in _SCALINGS:
+    def __init__(self, scaling: str = "fixed", depth: int = 8,
+                 channel: str = "real"):
+        if scaling not in _SCALINGS:
             raise DomainError(f"scaling must be one of {_SCALINGS}")
-        if self.depth not in (8, 16):
+        if depth not in (8, 16):
             raise DomainError("depth must be 8 or 16")
-        if self.channel not in _CHANNELS:
+        if channel not in _CHANNELS:
             raise DomainError(f"channel must be one of {_CHANNELS}")
+        self.__dict__.update(scaling=scaling, depth=depth, channel=channel)
 
     @property
     def maxval(self) -> int:

@@ -36,8 +36,8 @@ throughout, so no floating-point values are ever used as indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+import numbers
+from functools import total_ordering
 from math import comb, factorial, lgamma
 
 import numpy as np
@@ -57,6 +57,42 @@ __all__ = [
 MAX_PIXELS = 1 << 18
 
 
+class _Value:
+    """Base of the package's value types.  A subclass's ``__init__``
+    validates its arguments and sets each field once, in order, through
+    ``__dict__``; the value compares, hashes and prints by those fields,
+    and assigning or deleting an attribute raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+
+def _real(value) -> float:
+    """``float(value)``; TypeError for a bool, a string or bytes, which
+    ``float`` would read but which are no real number."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise TypeError(f"{value!r} is not a real number")
+    return float(value)
+
+
 def _is_integer(value) -> bool:
     """Whether ``value`` is an int or a NumPy integer; a bool is not."""
     return (isinstance(value, (int, np.integer))
@@ -70,7 +106,7 @@ def _as_two(value, what="value"):
         return value.two_j
     if _is_integer(value):
         return 2 * int(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
         doubled = 2 * value
         if doubled.denominator != 1:
             raise DomainError(f"{what} must be an integer or half-integer, got {value}")
@@ -83,16 +119,19 @@ def _as_two(value, what="value"):
     raise DomainError(f"cannot interpret {value!r} as a half-integer {what}")
 
 
-@dataclass(frozen=True, order=True)
-class Spin:
+@total_ordering
+class Spin(_Value):
     """A non-negative integer or half-integer spin, stored as ``2j``."""
 
-    two_j: int
+    def __init__(self, two_j: int):
+        if not _is_integer(two_j) or two_j < 0:
+            raise DomainError(f"2j must be a non-negative integer, got {two_j}")
+        self.__dict__["two_j"] = int(two_j)
 
-    def __post_init__(self):
-        if not _is_integer(self.two_j) or self.two_j < 0:
-            raise DomainError(f"2j must be a non-negative integer, got {self.two_j}")
-        object.__setattr__(self, "two_j", int(self.two_j))
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.two_j < other.two_j
+        return NotImplemented
 
     @classmethod
     def from_j(cls, j) -> "Spin":
@@ -120,8 +159,9 @@ def kravchuk_polynomial(n: int, s: int, two_j: int) -> float:
     """Symmetric Kravchuk polynomial K_n(s; 1/2, 2j) = 2F1(-n, -s; -2j; 2).
 
     The terminating hypergeometric sum is accumulated in exact integer
-    arithmetic and divided out once at the end, so the returned double is
-    correctly rounded.  The polynomial is symmetric under n <-> s.
+    arithmetic and divided out once at the end by ``int / int``, which
+    Python rounds correctly, so the returned double is correctly rounded.
+    The polynomial is symmetric under n <-> s.
     """
     for name, value in (("n", n), ("s", s), ("two_j", two_j)):
         if not _is_integer(value):
@@ -138,7 +178,7 @@ def kravchuk_polynomial(n: int, s: int, two_j: int) -> float:
     for k in range(min(n, s) + 1):
         term = comb(n, k) * comb(s, k) * factorial(k) * (2 ** k) * factorial(two_j - k)
         acc = acc - term if k % 2 else acc + term
-    return float(Fraction(acc, factorial(two_j)))
+    return acc / factorial(two_j)
 
 
 def _log_binomial(two_j: int, k: int) -> float:
@@ -190,7 +230,7 @@ def _finite_angle(angle) -> float:
     returned bit for bit.
     """
     try:
-        angle = float(angle)
+        angle = _real(angle)
     except (TypeError, ValueError):
         raise DomainError(
             f"angle must be a real number, got {angle!r}") from None
@@ -241,17 +281,15 @@ def _ladder(top: int, beta: float):
         yield d
 
 
-@dataclass(frozen=True)
-class LittleDMatrix:
+class LittleDMatrix(_Value):
     """Real orthogonal rotation matrix d^lam(beta) in the spin-lam irrep.
 
     ``entries[i, k] = d_{mu, mu'}(beta)`` with mu = lam - i, mu' = lam - k
     (both indices descending from +lam to -lam).
     """
 
-    spin: Spin
-    beta: float
-    entries: np.ndarray
+    def __init__(self, spin: Spin, beta: float, entries: np.ndarray):
+        self.__dict__.update(spin=spin, beta=beta, entries=entries)
 
     def index_of(self, mu) -> int:
         two_mu = _as_two(mu, "projection mu")

@@ -29,7 +29,6 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .imageio import load_complex, load_image, pixels_to_gray, read_pgm, \
 from .mode_basis import ScreenShape, build_basis, cartesian_mode, \
     level_spectrum, lk_mode
 from .render import RenderSpec, scale_to_unit
-from .special_functions import Spin, _is_integer, kravchuk_function, \
+from .special_functions import Spin, _is_integer, _Value, kravchuk_function, \
     wigner_little_d
 
 __all__ = ["CheckResult", "run_verification", "DEFAULT_SHAPES", "KNOWN_LIMITATIONS"]
@@ -66,18 +65,22 @@ _PAIRS = 25
 KNOWN_LIMITATIONS = ("rotation_pi_is_pixel_inversion",)
 
 
-@dataclass
-class CheckResult:
-    """One check's outcome: it passes when ``deviation <= tolerance``."""
+class CheckResult(_Value):
+    """One check's outcome: it passes when ``deviation <= tolerance``.
+    Unlike the package's other value types it is mutable, so unhashable."""
 
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
-    deviation: float
-    tolerance: float
-    known_limitation: bool = False
-    error: str = ""     # "Type: message" of the exception, if it raised
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float,
+                 deviation: float, tolerance: float,
+                 known_limitation: bool = False, error: str = ""):
+        # error: "Type: message" of the exception, if the check raised
+        self.__dict__.update(
+            name=name, passed=passed, detail=detail, seconds=seconds,
+            deviation=deviation, tolerance=tolerance,
+            known_limitation=known_limitation, error=error)
 
     @property
     def headroom(self) -> float:

@@ -3,6 +3,8 @@ reaches into; bench/tracing.py skips a missing boundary without a word."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -14,8 +16,9 @@ import pytest
 
 import fkimage
 from fkimage import (DomainError, FourierGroupElement, ValidationError,
-                     analyze, build_basis, from_matrix, ks_coeffs,
-                     mode_basis, rotate_coeffs, special_functions)
+                     analyze, build_basis, element_from_json, from_matrix,
+                     ka_coeffs, ks_coeffs, mode_basis, rotate_coeffs,
+                     special_functions, wigner_little_d)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # The names bench/ binds to parts of the package.
@@ -65,6 +68,32 @@ def test_cli_import_leaves_verification_and_figures_unloaded():
     assert out.split("\n")[:2] == ["[]", "fkimage.verify fkimage.verify"]
 
 
+def test_cli_import_leaves_dataclasses_json_and_fractions_unloaded(tmp_path):
+    # A command that needs json or fractions loads it on first use.
+    code = ("import sys, fkimage, fkimage.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'json', 'fractions',"
+            " 'decimal') if m in sys.modules))\n"
+            "from fkimage.cli import main\n"
+            "e = '{\"chi\": 0.5, \"theta\": 1.0, \"omega\": 2.0}'\n"
+            "codes = [main(['compose', '--a', e, '--b', e]),\n"
+            "         main(['invert', '--element', e]),\n"
+            "         main(['modes', '--shape', '5/2,1', '--out', 'm']),\n"
+            "         main(['apply', '--element', e, '--in', 'm/sheet_cartesian.pgm',"
+            " '--out', 'a.fkimg'])]\n"
+            "print(codes, 'json' in sys.modules, 'fractions' in sys.modules)\n")
+    src = Path(fkimage.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    lines = out.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[0, 0, 0, 0] True True"
+    composed, inverted = (json.loads(line) for line in lines[1:3])
+    assert set(composed) == set(inverted) == {"chi", "psi", "theta", "phi",
+                                              "omega"}
+    assert (tmp_path / "a.fkimg").stat().st_size > 0
+
+
 def _chain(node):
     """('alias', 'attr', ...) of a dotted name rooted at an alias."""
     parts = []
@@ -110,13 +139,36 @@ _BAD_INPUT = {
     "angle str": (lambda b, x: rotate_coeffs(b, x, "x"), DomainError),
     "angle None": (lambda b, x: rotate_coeffs(b, x, None), DomainError),
     "angle complex": (lambda b, x: rotate_coeffs(b, x, 1j), DomainError),
+    # float() reads a bool, a numeric string and bytes; none is an angle.
+    "angle bool": (lambda b, x: rotate_coeffs(b, x, True), DomainError),
+    "angle numpy bool": (lambda b, x: rotate_coeffs(b, x, np.True_),
+                         DomainError),
+    "angle numeric str": (lambda b, x: rotate_coeffs(b, x, "0.5"),
+                          DomainError),
+    "angle bytes": (lambda b, x: rotate_coeffs(b, x, b"0.5"), DomainError),
+    "ks numeric str": (lambda b, x: ks_coeffs(x, "1"), DomainError),
+    "ka bool": (lambda b, x: ka_coeffs(x, False), DomainError),
+    "little-d bool": (lambda b, x: wigner_little_d(1, True), DomainError),
     "element angle str": (lambda b, x: FourierGroupElement("a"),
                           ValidationError),
+    "element angle numeric str": (
+        lambda b, x: FourierGroupElement(theta="1"), ValidationError),
+    "element omega bool": (lambda b, x: FourierGroupElement(omega=True),
+                           ValidationError),
+    "element omega numpy bool": (
+        lambda b, x: FourierGroupElement(omega=np.False_), ValidationError),
+    "element JSON bool": (lambda b, x: element_from_json('{"chi": true}'),
+                          ValidationError),
+    "element JSON str": (lambda b, x: element_from_json('{"chi": "1.5"}'),
+                         ValidationError),
+    "element JSON bytes omega": (
+        lambda b, x: element_from_json({"omega": b"1"}), ValidationError),
     "matrix str": (lambda b, x: from_matrix("ab"), ValidationError),
     "shape of one spin": (lambda b, x: build_basis((1,)), DomainError),
     "shape of three spins": (lambda b, x: build_basis((1, 2, 3)),
                              DomainError),
     "shape None": (lambda b, x: build_basis(None), DomainError),
+    "shape bool": (lambda b, x: build_basis((True, 1)), DomainError),
     "shape nan": (lambda b, x: build_basis((float("nan"), 1)), DomainError),
     "shape inf": (lambda b, x: build_basis((1, float("inf"))), DomainError),
     "analyze str": (lambda b, x: analyze(b, x.astype(str)), DomainError),
