@@ -71,7 +71,7 @@ def _int_at_least(low: int):
 def _element_arg(text: str) -> FourierGroupElement:
     if text.startswith("@"):
         try:
-            with open(text[1:], "r") as fh:
+            with open(text[1:], "rb") as fh:
                 text = fh.read()
         except OSError as exc:
             raise FormatError(f"cannot read element file: {exc}") from exc

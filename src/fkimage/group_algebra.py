@@ -44,7 +44,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ValidationError
-from .special_functions import _real, _Value
+from .special_functions import _angle, _Value
 
 __all__ = [
     "FourierGroupElement",
@@ -58,38 +58,33 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
-
-
-def _finite(name: str, value) -> float:
-    try:
-        value = _real(value)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"angle {name} must be a real number, got {value!r}") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"angle {name} must be finite")
-    return value
+# The largest unitarity defect ``from_matrix`` accepts.
+_UNITARY_TOL = 1e-10
 
 
 class FourierGroupElement(_Value):
     """Parameters (chi; psi, theta, phi; omega), all in radians.
 
-    Any real angles are accepted; ``from_matrix`` always returns the
-    canonical representative of the first four.  ``omega`` defaults to
-    ``default_omega`` = (psi + phi)/2 and is stored reduced to [0, 2 pi);
-    a value within a few ulps of the default (mod 2 pi) is stored as the
-    default.
+    Any finite real angles are accepted, as ``special_functions._angle``
+    defines them, and stored as floats; anything else, an int too large
+    for a float included, raises ``ValidationError``.  ``from_matrix``
+    always returns the canonical representative of the first four.
+    ``omega`` defaults to ``default_omega`` = (psi + phi)/2 and is stored
+    reduced to [0, 2 pi); a value within a few ulps of the default
+    (mod 2 pi) is stored as the default.
     """
 
     def __init__(self, chi: float = 0.0, psi: float = 0.0,
                  theta: float = 0.0, phi: float = 0.0,
                  omega: float | None = None):
-        self.__dict__.update(chi=_finite("chi", chi), psi=_finite("psi", psi),
-                             theta=_finite("theta", theta),
-                             phi=_finite("phi", phi))
+        self.__dict__.update(
+            chi=_angle(chi, ValidationError, "angle chi"),
+            psi=_angle(psi, ValidationError, "angle psi"),
+            theta=_angle(theta, ValidationError, "angle theta"),
+            phi=_angle(phi, ValidationError, "angle phi"))
         stored = self.default_omega
         if omega is not None:
-            raw = _finite("omega", omega)
+            raw = _angle(omega, ValidationError, "angle omega")
             gap = abs(raw % TWO_PI - stored)
             # Reducing mod 2 pi rounds: an omega within a few ulps of the
             # default is the default, so equality and the wire format agree.
@@ -136,8 +131,8 @@ def _entries(chi: float, psi: float, theta: float, phi: float):
             g * (pc * s * f), g * (pc * c * fc))
 
 
-def _from_entries(u00: complex, u01: complex, u10: complex, u11: complex,
-                  tol: float = 1e-10) -> tuple[float, float, float, float]:
+def _from_entries(u00: complex, u01: complex, u10: complex,
+                  u11: complex) -> tuple[float, float, float, float]:
     """Canonical (chi, psi, theta, phi) of the matrix [[u00, u01],
     [u10, u11]]; the checks and the extraction of ``from_matrix``."""
     if not all(map(cmath.isfinite, (u00, u01, u10, u11))):
@@ -145,7 +140,7 @@ def _from_entries(u00: complex, u01: complex, u10: complex, u11: complex,
     defect = max(abs(abs(u00) ** 2 + abs(u01) ** 2 - 1.0),
                  abs(u00 * u10.conjugate() + u01 * u11.conjugate()),
                  abs(abs(u10) ** 2 + abs(u11) ** 2 - 1.0))
-    if defect > tol:
+    if defect > _UNITARY_TOL:
         raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
 
     chi = (-cmath.phase(u00 * u11 - u01 * u10)) % TWO_PI
@@ -177,7 +172,7 @@ def _from_entries(u00: complex, u01: complex, u10: complex, u11: complex,
     if residual > 1e-8:
         chi = (chi + TWO_PI) % FOUR_PI
         residual = max(abs(x + y) for x, y in zip(e, u))
-    if residual > max(10.0 * tol, 1e-9):
+    if residual > 1e-9:
         raise ValidationError(
             f"Euler extraction failed to reproduce the matrix "
             f"(residual {residual:.2e})")
@@ -193,13 +188,13 @@ def to_matrix(element: FourierGroupElement) -> np.ndarray:
     return np.array([[u00, u01], [u10, u11]])
 
 
-def from_matrix(matrix, tol: float = 1e-10) -> FourierGroupElement:
+def from_matrix(matrix) -> FourierGroupElement:
     """Extract canonical Euler parameters from a 2x2 unitary matrix.
 
     The result is a plain element (default omega).  Gimbal cases
     theta in {0, pi} are resolved by the convention phi = 0.
     Raises ValidationError when the input is not a finite 2x2 matrix
-    unitary to ``tol``.
+    unitary to 1e-10 (``_UNITARY_TOL``).
     """
     try:
         u = np.asarray(matrix, dtype=complex)
@@ -207,7 +202,7 @@ def from_matrix(matrix, tol: float = 1e-10) -> FourierGroupElement:
         raise ValidationError(f"matrix is not numeric: {exc}") from None
     if u.shape != (2, 2):
         raise ValidationError(f"expected a 2x2 matrix, got shape {u.shape}")
-    return FourierGroupElement(*_from_entries(*u.ravel().tolist(), tol))
+    return FourierGroupElement(*_from_entries(*u.ravel().tolist()))
 
 
 def compose(a: FourierGroupElement, b: FourierGroupElement) -> FourierGroupElement:
@@ -252,23 +247,26 @@ def element_to_json(element: FourierGroupElement) -> str:
 
 
 def element_from_json(data) -> FourierGroupElement:
-    """Parse an element from a JSON string or an already-decoded mapping."""
+    """Parse an element from JSON text, as str or bytes, or from an
+    already-decoded mapping.
+
+    Text that does not decode, a non-object, an unknown key and an angle
+    that ``FourierGroupElement`` refuses (a string, a bool, null, NaN,
+    Infinity, a number too large for a float) raise ``ValidationError``.
+    """
     if isinstance(data, (str, bytes)):
         import json
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError.
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"invalid element JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"element JSON must be an object, got {type(data)}")
     unknown = set(data) - {"chi", "psi", "theta", "phi", "omega"}
     if unknown:
-        raise ValidationError(f"unknown element fields: {sorted(unknown)}")
-    try:
-        angles = {key: _real(data.get(key, 0.0))
-                  for key in ("chi", "psi", "theta", "phi")}
-        if "omega" in data:
-            angles["omega"] = _real(data["omega"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"element angles must be numbers: {exc}") from exc
-    return FourierGroupElement(**angles)
+        raise ValidationError(
+            f"unknown element fields: {sorted(unknown, key=repr)}")
+    if data.get("omega", 0.0) is None:      # None is the constructor's default
+        raise ValidationError("angle omega must be a real number, got None")
+    return FourierGroupElement(**data)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import FormatError
 from .mode_basis import ScreenShape
+from .special_functions import _integer
 
 __all__ = [
     "read_pgm",
@@ -52,9 +53,7 @@ def _require_positive(what, n_1, n_2):
 def _pgm_sample_dtype(maxval, width, height) -> np.dtype:
     """The PGM rule shared by reader and writer: an integer maxval in
     1..65535 and positive dimensions; samples are one byte or big-endian two."""
-    if (isinstance(maxval, bool) or not isinstance(maxval, (int, np.integer))
-            or not 0 < maxval < 65536):
-        raise FormatError(f"PGM maxval {maxval!r} is not an integer in 1..65535")
+    maxval = _integer(maxval, "PGM maxval", 1, 65535, FormatError)
     _require_positive("PGM", width, height)
     return np.dtype(">u2" if maxval > 255 else "u1")
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .special_functions import MAX_PIXELS, Spin, _is_integer, _ladder, _Value
+from .special_functions import MAX_PIXELS, Spin, _integer, _ladder, _Value
 
 __all__ = [
     "MAX_PIXELS",
@@ -96,10 +96,8 @@ class ScreenShape(_Value):
 
     @classmethod
     def from_pixels(cls, n_x: int, n_y: int) -> "ScreenShape":
-        if not (_is_integer(n_x) and _is_integer(n_y)) or n_x < 1 or n_y < 1:
-            raise DomainError(
-                f"pixel counts must be positive integers, got {n_x!r}x{n_y!r}")
-        return cls(Spin(n_x - 1), Spin(n_y - 1))
+        return cls(Spin(_integer(n_x, "pixel count n_x", 1) - 1),
+                   Spin(_integer(n_y, "pixel count n_y", 1) - 1))
 
     @property
     def n_x(self) -> int:
@@ -150,13 +148,6 @@ class LevelSpectrum(_Value):
         return len(self.n_y)
 
 
-def _label(value, what: str) -> int:
-    """An integer label as an int; bool and non-integers raise DomainError."""
-    if not _is_integer(value):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _ny_bounds(shape: ScreenShape, n):
     """Lowest and highest n_y of level n, an int or an array of levels.
 
@@ -180,10 +171,7 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
     in one formula (recentring (n_x-n_y)/2 on the level), which also covers
     j_x < j_y and the boundary levels, where adjacent formulas agree.
     """
-    n = _label(n, "total mode")
-    if not 0 <= n <= shape.max_total_mode:
-        raise DomainError(
-            f"total mode n={n} outside 0..{shape.max_total_mode} for {shape}")
+    n = _integer(n, "total mode n", 0, shape.max_total_mode)
     lo, hi = map(int, _ny_bounds(shape, n))
     return LevelSpectrum(n, Spin(hi - lo), range(lo, hi + 1),
                          tuple(range(hi - lo, lo - hi - 1, -2)))
@@ -481,10 +469,8 @@ def cartesian_mode(basis: CartesianBasis, idx) -> np.ndarray:
         n_x, n_y = idx
     except (TypeError, ValueError):
         raise DomainError(f"mode index {idx!r} is not a pair") from None
-    n_x, n_y = _label(n_x, "n_x"), _label(n_y, "n_y")
-    if not (0 <= n_x <= basis.shape.j_x.two_j
-            and 0 <= n_y <= basis.shape.j_y.two_j):
-        raise DomainError(f"mode index {idx} invalid for {basis.shape}")
+    n_x = _integer(n_x, "mode index n_x", 0, basis.shape.j_x.two_j)
+    n_y = _integer(n_y, "mode index n_y", 0, basis.shape.j_y.two_j)
     return np.outer(basis.phi_x[n_x], basis.phi_y[n_y])
 
 
@@ -521,8 +507,9 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
     and the canonical level phase.
     """
     lev, nx, ny = basis.level_arrays(n)
-    two_l, m = lev.spin.two_j, _label(m, "m")
-    if abs(m) > two_l or (two_l - m) % 2:
+    two_l = lev.spin.two_j
+    m = _integer(m, "m", -two_l, two_l)
+    if (two_l - m) % 2:
         raise DomainError(
             f"m={m} not an angular label of level n={n} "
             f"(allowed: {lev.two_mu})")

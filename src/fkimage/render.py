@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .imageio import pixels_to_gray, write_pgm
+from .mode_basis import _finite
 from .special_functions import _Value
 
 __all__ = ["RenderSpec", "render"]
@@ -87,7 +88,14 @@ def scale_to_unit(values: np.ndarray, spec: RenderSpec) -> np.ndarray:
 
 
 def render(pixels: np.ndarray, spec: RenderSpec, path):
-    """Render a pixel array to a binary PGM file and return the path."""
-    values = _select_channel(np.asarray(pixels), spec.channel)
+    """Render a pixel array to a binary PGM file and return the path.
+
+    The array must be 2-D and non-empty (else ``DimensionError``) and hold
+    finite numbers (else ``DomainError``)."""
+    pixels = np.asarray(pixels)
+    if pixels.ndim != 2 or not pixels.size:
+        raise DimensionError(f"image must be 2-D and non-empty, got shape "
+                             f"{pixels.shape}")
+    values = _select_channel(_finite(pixels), spec.channel)
     gray = pixels_to_gray(scale_to_unit(values, spec), spec.maxval)
     return write_pgm(path, gray, spec.maxval)

@@ -83,20 +83,37 @@ class _Value:
         return f"{type(self).__name__}({fields})"
 
 
-def _real(value) -> float:
-    """``float(value)``; TypeError for a bool, a string or bytes, which
-    ``float`` would read but which are no real number."""
-    if type(value) is float:
-        return value
-    if isinstance(value, (bool, np.bool_, str, bytes)):
-        raise TypeError(f"{value!r} is not a real number")
-    return float(value)
+def _angle(value, error=DomainError, what="angle") -> float:
+    """``value`` as a finite float; ``error`` unless it is a real number: a
+    ``numbers.Real`` other than bool, or a 0-d integer or float array.
+
+    ``float`` also reads a bool, a string, bytes, a bytearray, a memoryview
+    and a ``Decimal``, none of them accepted; a conversion that fails, an
+    int too large for a float among them, raises ``error`` too.
+    """
+    if type(value) is not float:
+        # float and int first: the ABC test of numbers.Real is slower.
+        if not ((isinstance(value, (float, int, numbers.Real))
+                 and not isinstance(value, bool))
+                or (isinstance(value, np.ndarray) and value.ndim == 0
+                    and value.dtype.kind in "iuf")):
+            raise error(f"{what} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise error(f"{what} cannot be a float: {exc}") from None
+    if not math.isfinite(value):
+        raise error(f"{what} must be finite, got {value}")
+    return value
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or a NumPy integer; a bool is not."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool))
+def _integer(value, what, lo=0, hi=math.inf, error=DomainError) -> int:
+    """``value`` as an int; ``error`` unless it is an int or a NumPy
+    integer, not a bool, in ``lo..hi``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not lo <= value <= hi):
+        raise error(f"{what} must be an integer in {lo}..{hi}, got {value!r}")
+    return int(value)
 
 
 def _as_two(value, what="value"):
@@ -104,13 +121,11 @@ def _as_two(value, what="value"):
     raises DomainError."""
     if isinstance(value, Spin):
         return value.two_j
-    if _is_integer(value):
-        return 2 * int(value)
     if isinstance(value, numbers.Rational) and not isinstance(value, bool):
-        doubled = 2 * value
-        if doubled.denominator != 1:
+        doubled, den = 2 * int(value.numerator), int(value.denominator)
+        if doubled % den:
             raise DomainError(f"{what} must be an integer or half-integer, got {value}")
-        return int(doubled)
+        return doubled // den
     if isinstance(value, float):
         doubled = 2.0 * value
         if not math.isfinite(doubled) or doubled != round(doubled):
@@ -124,9 +139,7 @@ class Spin(_Value):
     """A non-negative integer or half-integer spin, stored as ``2j``."""
 
     def __init__(self, two_j: int):
-        if not _is_integer(two_j) or two_j < 0:
-            raise DomainError(f"2j must be a non-negative integer, got {two_j}")
-        self.__dict__["two_j"] = int(two_j)
+        self.__dict__["two_j"] = _integer(two_j, "2j")
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -135,10 +148,7 @@ class Spin(_Value):
 
     @classmethod
     def from_j(cls, j) -> "Spin":
-        two_j = _as_two(j, "spin")
-        if two_j < 0:
-            raise DomainError(f"spin must be non-negative, got {j}")
-        return cls(two_j)
+        return cls(_as_two(j, "spin"))
 
     @property
     def j(self) -> float:
@@ -163,16 +173,9 @@ def kravchuk_polynomial(n: int, s: int, two_j: int) -> float:
     Python rounds correctly, so the returned double is correctly rounded.
     The polynomial is symmetric under n <-> s.
     """
-    for name, value in (("n", n), ("s", s), ("two_j", two_j)):
-        if not _is_integer(value):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    n, s, two_j = int(n), int(s), int(two_j)
-    if two_j < 0:
-        raise DomainError(f"two_j must be non-negative, got {two_j}")
-    if not 0 <= n <= two_j:
-        raise DomainError(f"degree n={n} outside 0..{two_j}")
-    if not 0 <= s <= two_j:
-        raise DomainError(f"argument s={s} outside 0..{two_j}")
+    two_j = _integer(two_j, "two_j")
+    n = _integer(n, "degree n", 0, two_j)
+    s = _integer(s, "argument s", 0, two_j)
     # sum_k (-1)^k C(n,k) C(s,k) k! 2^k (2j-k)!  /  (2j)!
     acc = 0
     for k in range(min(n, s) + 1):
@@ -203,14 +206,13 @@ def kravchuk_function(j, n: int, q) -> float:
     """
     spin = Spin.from_j(j)
     two_j = spin.two_j
-    if not _is_integer(n) or not 0 <= n <= two_j:
-        raise DomainError(f"mode n={n!r} outside 0..{two_j}")
+    n = _integer(n, "mode n", 0, two_j)
     two_q = _as_two(q, "position q")
     if abs(two_q) > two_j or (two_q - two_j) % 2 != 0:
         raise DomainError(f"position q={q} not in the spin-{spin.j} lattice")
     jq = (two_j + two_q) // 2
-    kpoly = kravchuk_polynomial(int(n), jq, two_j)
-    logpref = 0.5 * (_log_binomial(two_j, int(n)) + _log_binomial(two_j, jq)) \
+    kpoly = kravchuk_polynomial(n, jq, two_j)
+    logpref = 0.5 * (_log_binomial(two_j, n) + _log_binomial(two_j, jq)) \
         - 0.5 * two_j * math.log(2.0)
     sign = -1.0 if n % 2 else 1.0
     return sign * math.exp(logpref) * kpoly
@@ -222,21 +224,14 @@ def kravchuk_function(j, n: int, q) -> float:
 
 def _finite_angle(angle) -> float:
     """The angle as a float reduced by ``math.fmod`` into (-4 pi, 4 pi);
-    ``DomainError`` unless it is finite.
+    ``DomainError`` unless ``_angle`` accepts it.
 
     4 pi is a multiple of every period of the library's kernel and
     transforms, so the reduction changes no result but keeps a huge angle
     from overflowing the phases; an angle already inside the interval is
     returned bit for bit.
     """
-    try:
-        angle = _real(angle)
-    except (TypeError, ValueError):
-        raise DomainError(
-            f"angle must be a real number, got {angle!r}") from None
-    if not math.isfinite(angle):
-        raise DomainError(f"angle must be finite, got {angle}")
-    return math.fmod(angle, 4.0 * math.pi)
+    return math.fmod(_angle(angle), 4.0 * math.pi)
 
 
 def _half_step(d: np.ndarray, c: float, s: float) -> np.ndarray:

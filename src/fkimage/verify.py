@@ -37,14 +37,13 @@ from . import group_algebra as ga
 from ._reference import (gyrate_coeffs_sandwich, interval_levels,
                          level_action, quarter_turn, random_element,
                          random_image, wide_element)
-from .errors import DomainError
 from .glyph import f_glyph
 from .imageio import load_complex, load_image, pixels_to_gray, read_pgm, \
     save_complex, write_pgm
 from .mode_basis import ScreenShape, build_basis, cartesian_mode, \
     level_spectrum, lk_mode
 from .render import RenderSpec, scale_to_unit
-from .special_functions import Spin, _is_integer, _Value, kravchuk_function, \
+from .special_functions import Spin, _integer, _Value, kravchuk_function, \
     wigner_little_d
 
 __all__ = ["CheckResult", "run_verification", "DEFAULT_SHAPES", "KNOWN_LIMITATIONS"]
@@ -562,10 +561,7 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     message, its deviation is infinite and its tolerance NaN, and the other
     checks still run.
     """
-    if not _is_integer(images) or images < 1:
-        raise DomainError(f"images must be a positive integer, got {images!r}")
-    if not _is_integer(seed) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    images, seed = _integer(images, "images", 1), _integer(seed, "seed")
     rng = np.random.default_rng(seed)
     cache = {}
 

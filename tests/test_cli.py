@@ -344,6 +344,18 @@ def test_data_errors_exit_2(tmp_path):
                  "--out", "x"]) == 2
 
 
+@pytest.mark.parametrize("element", [
+    "@missing.json", "@.", "@latin1.json", '{"chi": 1' + "0" * 400 + "}",
+], ids=["missing file", "directory", "not utf-8", "int above float range"])
+def test_bad_element_arguments_exit_2(tmp_path, monkeypatch, capsys,
+                                      element):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes(b'{"chi": \xff}')
+    assert main(["compose", "--a", element, "--b", "{}"]) == 2
+    assert main(["invert", "--element", element]) == 2
+    assert capsys.readouterr().err.count("data error") == 2
+
+
 def test_screen_above_pixel_limit_exits_2(tmp_path, capsys):
     # A 513x512 PGM is rejected before any table is built.
     big = tmp_path / "big.pgm"

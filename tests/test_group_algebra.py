@@ -370,3 +370,22 @@ def test_json_carries_omega():
         pytest.approx(7.0 - TWO_PI, abs=1e-15)
     with pytest.raises(ValidationError):
         element_from_json('{"omega": "inf"}')
+
+
+@pytest.mark.parametrize("key", ["chi", "psi", "theta", "phi", "omega"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_json_rejects_non_finite_angles(key, literal):
+    # Python's json reads these literals as floats.
+    with pytest.raises(ValidationError, match="finite"):
+        element_from_json(f'{{"{key}": {literal}}}')
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff", b'{"chi": \xff}',
+    b'{"chi": 1' + b"0" * 5000 + b"}",     # beyond int's digit limit
+    b"[" * 100000,                           # nested beyond the stack
+], ids=["not utf-8", "not utf-8 in a value", "too many digits",
+        "nested too deep"])
+def test_json_that_does_not_decode_is_a_validation_error(data):
+    with pytest.raises(ValidationError, match="invalid element JSON"):
+        element_from_json(data)

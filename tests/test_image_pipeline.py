@@ -68,6 +68,8 @@ def test_pgm_zero_image(tmp_path):
     b"P5 2 3 255",                           # no terminating whitespace byte
     b"P5 2 3 # runs to the end",             # comment up to end of file
     b"P5 2 3 #x 255\n" + bytes(6),           # the comment holds the maxval
+    b"P2\n2 2\n255\n1 2 x 4\n",              # non-numeric sample
+    b"P2\n2 2\n255\n1 2 3 256\n",            # sample above maxval
 ])
 def test_pgm_malformed(tmp_path, payload):
     path = tmp_path / "bad.pgm"
@@ -174,6 +176,9 @@ def test_complex_malformed(tmp_path):
     with pytest.raises(FormatError):
         load_complex(path)
     path.write_bytes(b"FKIMG1\n2 -2\n" + bytes(64))
+    with pytest.raises(FormatError):
+        load_complex(path)
+    path.write_bytes(b"FKIMG1\n2 x\n" + bytes(64))    # non-integer dimension
     with pytest.raises(FormatError):
         load_complex(path)
 
@@ -308,6 +313,16 @@ def test_sixteen_bit_render(tmp_path, rng):
     gray, maxval = read_pgm(path)
     assert maxval == 65535
     assert gray.min() == 0 and gray.max() == 65535
+
+
+def test_imag_channel_renders_the_imaginary_part(tmp_path):
+    pixels = np.array([[0.5 - 1.0j, 2.0 + 0.0j], [-3.0 + 1.0j, 0.25j]])
+    path = render(pixels, RenderSpec(scaling="fixed", channel="imag"),
+                  tmp_path / "i.pgm")
+    gray, _ = read_pgm(path)
+    # imag [[-1, 0], [1, 0.25]] maps to 255 * (v + 1)/2; the file's top row
+    # is q_y = +j_y.
+    assert gray.tolist() == [[128, 159], [0, 255]]
 
 
 def test_fixed_scaling_clips(tmp_path):

@@ -4,10 +4,13 @@ reaches into; bench/tracing.py skips a missing boundary without a word."""
 import ast
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
@@ -15,10 +18,12 @@ import numpy as np
 import pytest
 
 import fkimage
-from fkimage import (DomainError, FourierGroupElement, ValidationError,
-                     analyze, build_basis, element_from_json, from_matrix,
-                     ka_coeffs, ks_coeffs, mode_basis, rotate_coeffs,
-                     special_functions, wigner_little_d)
+from fkimage import (DimensionError, DomainError, FourierGroupElement,
+                     RenderSpec, ValidationError, analyze, build_basis,
+                     element_from_json, fractional_fourier_image, from_matrix,
+                     gyrate_coeffs, ka_coeffs, ks_coeffs, mode_basis, render,
+                     rotate_coeffs, special_functions, wigner_little_d)
+from fkimage.special_functions import LittleDMatrix
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # The names bench/ binds to parts of the package.
@@ -163,6 +168,8 @@ _BAD_INPUT = {
                          ValidationError),
     "element JSON bytes omega": (
         lambda b, x: element_from_json({"omega": b"1"}), ValidationError),
+    "element mapping with mixed keys": (
+        lambda b, x: element_from_json({1: 0.5, "x": 0.5}), ValidationError),
     "matrix str": (lambda b, x: from_matrix("ab"), ValidationError),
     "shape of one spin": (lambda b, x: build_basis((1,)), DomainError),
     "shape of three spins": (lambda b, x: build_basis((1, 2, 3)),
@@ -181,6 +188,16 @@ _BAD_INPUT = {
     "ks str": (lambda b, x: ks_coeffs(x.astype(str), 0.3), DomainError),
     "ks object": (lambda b, x: ks_coeffs(x.astype(object), 0.3),
                   DomainError),
+    # render checks its array before any cast; nothing reaches the file.
+    "render nan": (lambda b, x: render(x * math.nan, RenderSpec(),
+                                       os.devnull), DomainError),
+    "render empty adaptive": (
+        lambda b, x: render(np.zeros((0, 3)), RenderSpec("adaptive"),
+                            os.devnull), DimensionError),
+    "render str": (lambda b, x: render(x.astype(str), RenderSpec(),
+                                       os.devnull), DomainError),
+    "render 1-D": (lambda b, x: render(x[0], RenderSpec(), os.devnull),
+                   DimensionError),
 }
 
 
@@ -190,3 +207,80 @@ def test_bad_input_raises_a_package_error(case):
     basis = build_basis((2, 1))
     with pytest.raises(error):
         call(basis, np.ones(basis.pixels))
+
+
+# Every entry point that takes an angle, and the package error it raises.
+_FIELDS = ("chi", "psi", "theta", "phi", "omega")
+_ANGLE_ENTRY_POINTS = {
+    "rotate_coeffs": (lambda b, x, a: rotate_coeffs(b, x, a), DomainError),
+    "gyrate_coeffs": (lambda b, x, a: gyrate_coeffs(b, x, a), DomainError),
+    "ks_coeffs": (lambda b, x, a: ks_coeffs(x, a), DomainError),
+    "ka_coeffs": (lambda b, x, a: ka_coeffs(x, a), DomainError),
+    "fractional_fourier_image chi": (
+        lambda b, x, a: fractional_fourier_image(b, x, chi=a), DomainError),
+    "fractional_fourier_image beta": (
+        lambda b, x, a: fractional_fourier_image(b, x, beta=a), DomainError),
+    "wigner_little_d": (lambda b, x, a: wigner_little_d(1.5, a), DomainError),
+    **{f"FourierGroupElement {key}": (
+        lambda b, x, a, key=key: FourierGroupElement(**{key: a}),
+        ValidationError) for key in _FIELDS},
+    **{f"element_from_json {key}": (
+        lambda b, x, a, key=key: element_from_json({key: a}),
+        ValidationError) for key in _FIELDS},
+}
+# What float() may read but is no angle, and what is no finite float.
+_REFUSED_ANGLES = {
+    "bool": True,
+    "numpy bool": np.True_,
+    "str": "0.5",
+    "bytes": b"0.5",
+    "bytearray": bytearray(b"0.5"),
+    "memoryview": memoryview(b"0.5"),
+    "0-d str array": np.array("0.5"),
+    "0-d bool array": np.array(True),
+    "Decimal": Decimal("0.5"),
+    "int above the float range": 10 ** 400,
+    "nan": math.nan,
+    "inf": math.inf,
+    "complex": 1j,
+    "None": None,
+}
+_ACCEPTED_ANGLES = {
+    "float": 0.7,
+    "int": 2,
+    "numpy float64": np.float64(0.7),
+    "numpy float32": np.float32(0.7),
+    "numpy int64": np.int64(2),
+    "Fraction": Fraction(1, 3),
+    "0-d float array": np.array(0.7),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in _ANGLE_ENTRY_POINTS for value in _REFUSED_ANGLES
+    # None is the constructor's default omega, not a refused value.
+    if (entry, value) != ("FourierGroupElement omega", "None")])
+def test_every_angle_entry_point_refuses_what_is_no_angle(entry, value):
+    call, error = _ANGLE_ENTRY_POINTS[entry]
+    basis = build_basis((2, 1))
+    with pytest.raises(error):
+        call(basis, np.ones(basis.pixels), _REFUSED_ANGLES[value])
+
+
+@pytest.mark.parametrize("value", list(_ACCEPTED_ANGLES))
+@pytest.mark.parametrize("entry", list(_ANGLE_ENTRY_POINTS))
+def test_every_angle_entry_point_reads_a_real_number_as_its_float(entry,
+                                                                  value):
+    call, _ = _ANGLE_ENTRY_POINTS[entry]
+    basis = build_basis((2, 1.5))
+    x = np.random.default_rng(5).standard_normal(basis.pixels)
+    angle = _ACCEPTED_ANGLES[value]
+    got, want = call(basis, x, angle), call(basis, x, float(angle))
+    if isinstance(got, LittleDMatrix):      # compares by identity
+        assert got.beta == want.beta
+        got, want = got.entries, want.entries
+    if isinstance(got, FourierGroupElement):
+        assert all(type(field) is float for field in vars(got).values())
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
