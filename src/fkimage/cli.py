@@ -162,7 +162,8 @@ def build_parser() -> _Parser:
     p = subs.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--shape", action="append", default=None,
                    help="screen shape 'JX,JY' (repeatable; default "
-                        "5,3 / 11,7 / 20,12 / 2.5,1 / 3,4.5 / 13,12.5)")
+                        "5,3 / 11,7 / 20,12 / 2.5,1 / 3,4.5 / 13,12.5 / "
+                        "24,24)")
     p.add_argument("--images", type=_int_at_least(1), default=20,
                    help="random images per randomized check")
     p.add_argument("--seed", type=_int_at_least(0), default=2024)

@@ -181,23 +181,34 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
 # many consecutive spins; the spins below are folded two to a slot.
 _BATCH_SPINS = 24
 
+# Screens whose shorter side 2j_min is below this mix on whole quarter-turn
+# rungs, from it up on their even/odd halves: on small screens the halves'
+# butterflies and second product cost more numpy calls than their halved
+# flops save.  Whole rungs measured faster up to 2j_min = 50 and slower
+# from 56; the constant stays at most 2*_BATCH_SPINS, so that a whole-rung
+# basis is the fold batch and the top spin.
+_WHOLE_BELOW = 48
 
-def _batch_slots(two_jmin: int) -> list[list[tuple[tuple[int, int], ...]]]:
+
+def _batch_slots(two_jmin: int, halves: int
+                 ) -> list[list[tuple[tuple[int, int], ...]]]:
     """The slots of each batch, each slot a tuple of ``(2*lambda, offset)``
     of the spins it holds, ``offset`` being the row and column of the
-    spin's half blocks in the slot.
+    spin's blocks in the slot; ``halves`` is 1 for whole rungs, 2 for
+    even/odd halves.
 
     Below ``F = min(2j_min, 2*_BATCH_SPINS)`` spin s shares a slot with
-    spin ``F - 1 - s``, whose half blocks sit at offset ``s//2 + 1``, just
-    past the even-column half of s; when F is odd, the middle spin
-    ``(F - 1)/2`` has a slot of its own.  So every pair of this first
-    batch is ``F/2 + 1`` rows high for an even F, and ``(F + 1)/2`` or
-    ``(F + 3)/2`` for an odd one.  Spins ``F .. 2j_min - 1`` follow in runs
-    of ``_BATCH_SPINS``, one to a slot, and the top spin ``2j_min`` is a
-    batch of its own.
+    spin ``F - 1 - s``, whose blocks sit at offset ``s//halves + 1``, just
+    past the rung, or the even-column half, of s; when F is odd, the middle
+    spin ``(F - 1)/2`` has a slot of its own.  So every pair of this first
+    batch is ``F + 1`` rows high on whole rungs, and on halves ``F/2 + 1``
+    for an even F, ``(F + 1)/2`` or ``(F + 3)/2`` for an odd one.  Spins
+    ``F .. 2j_min - 1`` follow in runs of ``_BATCH_SPINS``, one to a slot,
+    and the top spin ``2j_min`` is a batch of its own.
     """
     fold = min(two_jmin, 2 * _BATCH_SPINS)
-    folded = [((s, 0), (fold - 1 - s, s // 2 + 1)) for s in range(fold // 2)]
+    folded = [((s, 0), (fold - 1 - s, s // halves + 1))
+              for s in range(fold // 2)]
     if fold % 2:
         folded.append((((fold - 1) // 2, 0),))
     runs = [[((s, 0),) for s in range(lo, min(lo + _BATCH_SPINS, two_jmin))]
@@ -213,7 +224,7 @@ def _butterfly(t: np.ndarray, b: np.ndarray) -> None:
 
 
 class CartesianBasis:
-    """One-dimensional Kravchuk tables, halved quarter-turn tables and level
+    """One-dimensional Kravchuk tables, quarter-turn tables and level
     bookkeeping of a screen, and the level mix that reads them.
 
     The basis holds only what the transforms read, as frozen arrays, and
@@ -224,49 +235,55 @@ class CartesianBasis:
     ``max(2j_x, 2j_y)``: ``Psi_n(q) = d^j_{n-j,q}(pi/2)``.  The rungs
     ``V = d^lambda(pi/2)``, ``2*lambda <= 2j_min``, are the quarter-turn
     tables: rows in the level's mu order, and column k of ``diag(i^-k) V``
-    an eigenvector of J_y with eigenvalue ``k - lambda``.  By the reflection
-    law ``V[2*lambda - r, c] = (-1)^c V[r, c]`` only the half blocks
+    an eigenvector of J_y with eigenvalue ``k - lambda``.  A spin below
+    2j_min holds the levels 2*lambda and n_max - 2*lambda, the top spin
+    2j_min every level 2j_min .. 2j_max.
+
+    The layout is a function of 2j_min alone, ``halves`` parts per table.
+    Below ``_WHOLE_BELOW`` (``halves = 1``) each V is kept whole.  From it
+    up (``halves = 2``), by the reflection law
+    ``V[2*lambda - r, c] = (-1)^c V[r, c]``, only the half blocks
     ``E = V[:ceil(k/2), 0::2]`` and ``O = V[:floor(k/2), 1::2]`` are kept,
-    k = 2*lambda + 1; ``_quarter_turn`` rebuilds V.  A spin below 2j_min
-    holds the levels 2*lambda and n_max - 2*lambda, the top spin 2j_min
-    every level 2j_min .. 2j_max.
+    k = 2*lambda + 1.  ``_quarter_turn`` returns V either way.
 
     ``_batch_slots`` lays the spins out in batches of slots (2 batches on
     (20,12), 4 on (64,48)); ``places[2*lambda]`` is a spin's
     ``(batch, slot, offset)``, and ``batches[b]`` is
     ``(lo, hi, shape, stack_t, stack, index)``:
 
-    * ``stack``, shape ``(2, slots, h, h)``, h the rows of the highest
-      slot: each spin's ``E`` and ``O`` at its offset, zero elsewhere;
-      ``stack_t`` is its transposed view.
-    * ``index``, shape ``(2, slots, h, levels)``: ``2j_min + 2*mu`` of row r
-      of a spin's blocks, ``2*mu = 4r - 2*lambda`` for ``E`` and
-      ``4r + 2 - 2*lambda`` for ``O`` (columns 2r and 2r + 1), ``2j_min`` on
-      the padding; it indexes the eigen-phases over
-      ``2*mu = -2j_min .. 2j_min``.
-    * ``lo:hi``: the batch's float columns of each half of the gathered
-      buffer, read as ``shape``, ``(2, slots, h, 2*levels)``.
+    * ``stack``, shape ``(halves, slots, h, h)``, h the rows of the
+      highest slot: each spin's V, or its ``E`` and ``O``, at its offset,
+      zero elsewhere; ``stack_t`` is its transposed view.
+    * ``index``, shape ``(halves, slots, h, levels)``: ``2j_min + 2*mu`` of
+      row r of a spin's blocks, with column ``k = halves*r + half`` of V and
+      ``2*mu = 2k - 2*lambda``, ``2j_min`` on the padding; it indexes the
+      eigen-phases over ``2*mu = -2j_min .. 2j_min``.
+    * ``lo:hi``: the batch's float columns of each part of the gathered
+      buffer, read as ``shape``, ``(halves, slots, h, 2*levels)``.
 
-    Entries ``lo/2 .. hi/2`` of the first half of ``gather``, read as
+    Entries ``lo/2 .. hi/2`` of the first part of ``gather``, read as
     ``(slots, h, levels)``, hold the flat mode index ``n_x*N_y + n_y`` of
     member r of each of a spin's levels (ascending n) in row r past its
-    offset, and of the second half, member ``2*lambda - r``.  Padding
-    rows, and the second half's row at the middle of an odd level, hold
-    ``N_x*N_y``, where ``_mix`` keeps a zero.  ``scatter`` is the gathered
-    position of each mode.
+    offset, and on halves those of the second part member
+    ``2*lambda - r``.  Padding rows, and the second half's row at the
+    middle of an odd level, hold ``N_x*N_y``, where ``_mix`` keeps a zero.
+    ``scatter`` is the gathered position of each mode.
 
     ``_mix`` writes the pre-phased coefficients straight into the gather
     source and frees it before the scatter allocates the output: at most
-    two full-size arrays are alive at once.  The gathered buffer holds
-    each level's top rows t in its first half and its mirrored bottom rows
-    b in the second.  By the reflection law, ``V^T x`` is ``E^T (t + b)``
-    on the even columns and ``O^T (t - b)`` on the odd ones, and ``V y`` is
-    ``a + c`` on the top rows and ``a - c`` on the bottom ones, with
-    ``a = E y_even`` and ``c = O y_odd``.  So one in-place butterfly
-    ``(t, b) <- (t + b, t - b)`` goes before the batches and one after, and
-    each batch applies ``E^T`` and ``O^T``, its eigen-phases (one gather)
-    and ``E`` and ``O`` as two stacked real products on both parts at once:
-    half the bytes and flops of whole rungs.  Padding adds exact zeros.
+    two full-size arrays are alive at once.  Each batch applies ``V^T``,
+    its eigen-phases (one gather) and ``V`` as stacked real products on
+    the real and imaginary parts at once.  On halves the gathered
+    buffer holds each level's top rows t in its first half and its
+    mirrored bottom rows b in the second.  By the reflection law,
+    ``V^T x`` is ``E^T (t + b)`` on the even columns and ``O^T (t - b)`` on
+    the odd ones, and ``V y`` is ``a + c`` on the top rows and ``a - c`` on
+    the bottom ones, with ``a = E y_even`` and ``c = O y_odd``.  So one
+    in-place butterfly ``(t, b) <- (t + b, t - b)`` goes before the batches
+    and one after, around the products with ``E`` and ``O``: half the bytes
+    and flops of whole rungs, for six more ufunc calls and twice the
+    products per slot.  On small screens those calls cost more than the
+    flops save, hence whole rungs there.  Padding adds exact zeros.
 
     The other call constants: ``pixels``; ``quarter_turns``, a rotation's
     ``exp(+-i pi/2 n_y)``, the only complex arrays; and ``ramps``, whose odd
@@ -290,10 +307,12 @@ class CartesianBasis:
         self.pixels = shape.pixels
         two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j
         top, two_jmin = max(two_jx, two_jy), min(two_jx, two_jy)
-        layout = _batch_slots(two_jmin)
-        # A slot's rows end with the even-column half of its last spin.
-        stacks = [np.zeros((2, len(slots)) + (max(
-            slot[-1][1] + slot[-1][0] // 2 + 1 for slot in slots),) * 2)
+        self.halves = halves = 1 if two_jmin < _WHOLE_BELOW else 2
+        layout = _batch_slots(two_jmin, halves)
+        # A slot's rows end with the rung, or the even-column half, of its
+        # last spin.
+        stacks = [np.zeros((halves, len(slots)) + (max(
+            slot[-1][1] + slot[-1][0] // halves + 1 for slot in slots),) * 2)
             for slots in layout]
         places = {two_l: (b, i, offset) for b, slots in enumerate(layout)
                   for i, slot in enumerate(slots) for two_l, offset in slot}
@@ -301,9 +320,10 @@ class CartesianBasis:
         for two_l, d in enumerate(_ladder(top, math.pi / 2.0)):
             if two_l <= two_jmin:
                 b, i, at = self.places[two_l]
-                even, odd = two_l // 2 + 1, (two_l + 1) // 2
-                stacks[b][0, i, at:at + even, at:at + even] = d[:even, 0::2]
-                stacks[b][1, i, at:at + odd, at:at + odd] = d[:odd, 1::2]
+                for half in range(halves):
+                    k = (two_l + halves - half) // halves
+                    stacks[b][half, i, at:at + k, at:at + k] = \
+                        d[:k, half::halves]
             if two_l == two_jx:
                 self.phi_x = _frozen(d[::-1, ::-1].copy())
             if two_l == two_jy:
@@ -313,7 +333,7 @@ class CartesianBasis:
         # 2j_min .. top at it.
         size = shape.mode_count
         batches, gather, lo = [], [], 0
-        half = np.arange(2, dtype=np.intp)[:, None, None, None]
+        half = np.arange(halves, dtype=np.intp)[:, None, None, None]
         for slots, stack in zip(layout, map(_frozen, stacks)):
             # Axes (slot, row, level): the spin 2*lambda of each row, the row
             # r of that spin's blocks, and the levels of the spin.  A slot's
@@ -328,20 +348,21 @@ class CartesianBasis:
             ns = (np.arange(two_jmin, top + 1, dtype=np.intp)
                   if first[0, 0, 0] == two_jmin else np.concatenate(
                       (two_l, shape.max_total_mode - two_l), axis=2))
-            # Axes (half, slot, row, level): half 0 holds member r of each
-            # level, its column k = 2r of V, while r <= 2*lambda - r; half 1
-            # holds the mirror 2*lambda - r, column k = 2r + 1, while
-            # r < 2*lambda - r.
-            k = 2 * r + half
+            # Axes (half, slot, row, level): on whole rungs, member r of each
+            # level, column k = r of V.  On halves, half 0 holds member r,
+            # column k = 2r, while r <= 2*lambda - r; half 1 holds the
+            # mirror 2*lambda - r, column k = 2r + 1, while r < 2*lambda - r.
+            k = halves * r + half
             padding = k > two_l
             ny = _ny_bounds(shape, ns)[0] + np.where(half, two_l - r, r)
             index = np.where(padding, size, (ns - ny) * shape.n_y + ny)
-            gather.append(index.reshape(2, -1))
+            gather.append(index.reshape(halves, -1))
             two_mu = np.where(padding, 0, 2 * k - two_l)
-            batches.append((lo, lo + index.size, index.shape[:3] + (
+            width = 2 * index.size // halves
+            batches.append((lo, lo + width, index.shape[:3] + (
                 2 * index.shape[3],), stack.transpose(0, 1, 3, 2), stack,
                 _frozen((two_jmin + two_mu).repeat(ns.shape[-1], axis=3))))
-            lo += index.size
+            lo += width
         self.batches = tuple(batches)
         self.gather = _frozen(np.concatenate(gather, axis=1).ravel())
         scatter = np.empty(size + 1, dtype=np.intp)
@@ -393,14 +414,16 @@ class CartesianBasis:
             np.multiply(coeffs, turn, out=grid)
         buf = src[self.gather]
         del src, grid
-        halves = buf.view(np.float64).reshape(2, -1)
-        _butterfly(*halves)
+        parts = buf.view(np.float64).reshape(self.halves, -1)
+        if self.halves == 2:
+            _butterfly(*parts)
         for lo, hi, shape, stack_t, stack, index in self.batches:
-            x = halves[:, lo:hi].reshape(shape)
+            x = parts[:, lo:hi].reshape(shape)
             eig = np.matmul(stack_t, x).view(np.complex128)
             eig *= phases[index]
             np.matmul(stack, eig.view(np.float64), out=x)
-        _butterfly(*halves)
+        if self.halves == 2:
+            _butterfly(*parts)
         return buf[self.scatter].reshape(coeffs.shape)
 
     @property
@@ -476,11 +499,15 @@ def cartesian_mode(basis: CartesianBasis, idx) -> np.ndarray:
 
 def _quarter_turn(basis: CartesianBasis, two_l: int) -> np.ndarray:
     """The quarter-turn table ``V = d^lambda(pi/2)`` of a spin
-    ``2*lambda <= 2j_min``, rebuilt from its half blocks ``E`` and ``O`` by
-    the reflection law ``V[2*lambda - r, c] = (-1)^c V[r, c]``."""
+    ``2*lambda <= 2j_min``: a copy of the stored rung, or on halves rebuilt
+    from ``E`` and ``O`` by the reflection law
+    ``V[2*lambda - r, c] = (-1)^c V[r, c]``."""
     b, i, at = basis.places[two_l]
+    stack = basis.batches[b][4]
+    if basis.halves == 1:
+        return stack[0, i, at:at + two_l + 1, at:at + two_l + 1].copy()
     even, odd = (two_l + 2) // 2, (two_l + 1) // 2
-    e, o = basis.batches[b][4][:, i, at:at + even, at:at + even]
+    e, o = stack[:, i, at:at + even, at:at + even]
     v = np.empty((two_l + 1, two_l + 1))
     v[:even, 0::2] = e
     v[:even, 1::2] = o[:, :odd]

@@ -40,8 +40,8 @@ from ._reference import (gyrate_coeffs_sandwich, interval_levels,
 from .glyph import f_glyph
 from .imageio import load_complex, load_image, pixels_to_gray, read_pgm, \
     save_complex, write_pgm
-from .mode_basis import ScreenShape, build_basis, cartesian_mode, \
-    level_spectrum, lk_mode
+from .mode_basis import _WHOLE_BELOW, ScreenShape, build_basis, \
+    cartesian_mode, level_spectrum, lk_mode
 from .render import RenderSpec, scale_to_unit
 from .special_functions import Spin, _integer, _Value, kravchuk_function, \
     wigner_little_d
@@ -52,9 +52,11 @@ __all__ = ["CheckResult", "run_verification", "DEFAULT_SHAPES", "KNOWN_LIMITATIO
 # folded two to a slot, (20,12) at the even fold 2 j_min = 24.  (2.5,1) and
 # (3,4.5): half-integer spins, the latter in the j_x < j_y orientation.
 # (13,12.5): the odd fold 2 j_min = 25, whose middle spin has a slot of
-# its own.
+# its own.  These mix on whole quarter-turn rungs; (24,24), the smallest
+# screen with 2 j_min = mode_basis._WHOLE_BELOW = 48, mixes on even/odd
+# halves.
 DEFAULT_SHAPES = ((5, 3), (11, 7), (20, 12), (2.5, 1), (3, 4.5),
-                  (13, 12.5))
+                  (13, 12.5), (24, 24))
 
 # Element pairs drawn by the randomized group-action checks.
 _PAIRS = 25
@@ -250,12 +252,15 @@ def _check_basis_gram(ctx):
 
 
 @_check("quarter_turn_reflection", 1e-14,
-        "max |V from its even/odd half blocks by "
-        "V[2 lambda - r, c] = (-1)^c V[r, c] - d(pi/2)|")
+        "max |V - d(pi/2)|, V the stored whole rung below 2 j_min = "
+        f"{_WHOLE_BELOW}, and from it up rebuilt from its even/odd half "
+        "blocks by V[2 lambda - r, c] = (-1)^c V[r, c]")
 def _check_quarter_turn_reflection(ctx):
-    # A basis keeps only the top rows of each quarter-turn rung's even and
-    # odd columns, and the mix takes the bottom rows from the reflection
-    # law V[2 lambda - r, c] = (-1)^c V[r, c]; the rung rebuilt that way is
+    # Below 2 j_min = _WHOLE_BELOW a basis stores each quarter-turn rung
+    # whole, and this measures the stored rung.  From it up, a basis keeps
+    # only the top rows of each rung's even and odd columns, and the mix
+    # takes the bottom rows from the reflection law
+    # V[2 lambda - r, c] = (-1)^c V[r, c]; the rung rebuilt that way is
     # measured against the whole rung.
     for key, basis in ctx["screens"]():
         two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from fkimage import FourierGroupElement
-from fkimage.mode_basis import _batch_slots
+from fkimage.mode_basis import _WHOLE_BELOW, _batch_slots
 from fkimage.special_functions import _ladder
 
 
@@ -61,7 +61,9 @@ def fold_layout(two_jmin, width):
     """The spins of each slot of each batch by the fold rule, written out
     without ``mode_basis``: below F = min(2j_min, 2 width) spin s shares a
     slot with F - 1 - s, and the middle spin of an odd F has its own; then
-    runs of ``width`` spins, one to a slot; then the top spin alone."""
+    runs of ``width`` spins, one to a slot; then the top spin alone.  Whole
+    rungs and even/odd halves share these slots and differ only in the
+    second spin's offset."""
     fold = min(two_jmin, 2 * width)
     batches = [[tuple(sorted({s, fold - 1 - s}))
                 for s in range((fold + 1) // 2)]] if fold else []
@@ -71,18 +73,23 @@ def fold_layout(two_jmin, width):
 
 
 def check_split_quarter_turns(basis):
-    """Assert that every slot of every batch of ``basis``, as
-    ``mode_basis._batch_slots`` lists them, holds the even-column and
-    odd-column halves ``d[:ceil(k/2), 0::2]`` and ``d[:floor(k/2), 1::2]``
-    of its spins' quarter-turn rungs ``d = d^lambda(pi/2)`` bit for bit, the
+    """Assert that ``basis`` keeps whole rungs when 2j_min is below
+    ``mode_basis._WHOLE_BELOW`` and even/odd halves from it up, and that
+    every slot of every batch, as ``mode_basis._batch_slots`` lists them,
+    holds bit for bit its spins' quarter-turn rungs ``d = d^lambda(pi/2)``
+    on whole rungs, or their even-column and odd-column halves
+    ``d[:ceil(k/2), 0::2]`` and ``d[:floor(k/2), 1::2]`` on halves: the
     first spin at row and column 0 and a second one just past the first's
-    even half, with exact zeros off those blocks and on the padding; that
-    ``basis.places`` records each spin's batch, slot and offset; and that
-    its phase index holds ``2j_min + 2 mu`` of each half's columns and
-    ``2j_min`` elsewhere.  Returns the spins of each slot of each batch."""
+    rung, or its even half, with exact zeros off those blocks and on the
+    padding; that ``basis.places`` records each spin's batch, slot and
+    offset; and that its phase index holds ``2j_min + 2 mu`` of each
+    block's columns and ``2j_min`` elsewhere.  Returns the spins of each
+    slot of each batch."""
     two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
+    halves = 1 if two_jmin < _WHOLE_BELOW else 2
+    assert basis.halves == halves
     rungs = list(_ladder(two_jmin, math.pi / 2))
-    layout = _batch_slots(two_jmin)
+    layout = _batch_slots(two_jmin, halves)
     assert len(layout) == len(basis.batches)
     stop = 0
     for b, ((lo, hi, shape, stack_t, stack, index), slots) in enumerate(
@@ -93,33 +100,33 @@ def check_split_quarter_turns(basis):
         assert index.dtype == np.intp and not index.flags.writeable
         assert np.array_equal(stack_t, stack.transpose(0, 1, 3, 2))
         rows = stack.shape[2]
-        assert stack.shape == (2, len(slots), rows, rows)
-        assert index.shape[:3] == (2, len(slots), rows)
+        assert stack.shape == (halves, len(slots), rows, rows)
+        assert index.shape[:3] == (halves, len(slots), rows)
         assert shape == index.shape[:3] + (2 * index.shape[3],)
-        assert hi - lo == index.size
+        assert hi - lo == 2 * index.size // halves
         for i, slot in enumerate(slots):
             for two_l, at in slot:
                 assert basis.places[two_l] == (b, i, at)
-            offsets = [0, slot[0][0] // 2 + 1][:len(slot)]
+            offsets = [0, slot[0][0] // halves + 1][:len(slot)]
             assert [at for _, at in slot] == offsets
-            for half in (0, 1):
+            for half in range(halves):
                 block = np.zeros((rows, rows))
                 two_mu = np.zeros(rows, dtype=int)
                 for two_l, at in slot:
-                    valid = (two_l + 2 - half) // 2
+                    valid = (two_l + halves - half) // halves
                     block[at:at + valid, at:at + valid] = \
-                        rungs[two_l][:valid, half::2]
-                    two_mu[at:at + valid] = (4 * np.arange(valid) + 2 * half
-                                             - two_l)
+                        rungs[two_l][:valid, half::halves]
+                    two_mu[at:at + valid] = (2 * halves * np.arange(valid)
+                                             + 2 * half - two_l)
                 assert np.array_equal(stack[half, i], block)
                 assert np.array_equal(index[half, i], np.repeat(
                     two_jmin + two_mu[:, None], index.shape[3], axis=1))
         # The highest slot sets the batch's rows.
-        assert rows == max(at + two_l // 2 + 1
+        assert rows == max(at + two_l // halves + 1
                            for slot in slots for two_l, at in slot)
     assert sorted(two_l for slots in layout for slot in slots
                   for two_l, _ in slot) == list(range(two_jmin + 1))
-    assert stop == basis.gather.size
+    assert stop == 2 * basis.gather.size // halves
     assert len(basis.places) == two_jmin + 1
     return [[tuple(two_l for two_l, _ in slot) for slot in slots]
             for slots in layout]

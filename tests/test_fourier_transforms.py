@@ -451,13 +451,16 @@ def _batch_edge_screens():
     for runs of w = _BATCH_SPINS and of 8, whose edges fall inside the
     folded spins.  Then the fold's own edges: 2j_min = 2 _BATCH_SPINS - 1,
     an odd fold whose middle spin has a slot of its own, and
-    3 _BATCH_SPINS + 1, one past the first run after the fold."""
-    width = mode_basis._BATCH_SPINS
+    3 _BATCH_SPINS + 1, one past the first run after the fold.  Last the
+    layout's crossover X = _WHOLE_BELOW: 2j_min = X - 1 on whole rungs and
+    X on halves, in both orientations, each with one half-integer spin."""
+    width, x = mode_basis._BATCH_SPINS, mode_basis._WHOLE_BELOW
     runs = [pair for w in (8, width) for pair in (
         (w - 1, w + 4), (w + 3, w), (w + 1, w + 1), (w + 6, w + 1),
         (2 * w, 2 * w + 5), (2 * w + 1, 2 * w + 1), (2 * w + 2, 2 * w + 1))]
     return runs + [(2 * width + 2, 2 * width - 1),
-                   (3 * width + 1, 3 * width + 4)]
+                   (3 * width + 1, 3 * width + 4),
+                   (x - 1, x + 2), (x + 4, x - 1), (x, x + 3), (x + 3, x)]
 
 
 @pytest.mark.parametrize("two_j", _batch_edge_screens(), ids=str)

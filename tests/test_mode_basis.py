@@ -11,6 +11,7 @@ from fkimage import (DomainError, FourierGroupElement, ScreenShape, Spin,
 from fkimage import mode_basis
 from fkimage._reference import interval_levels, quarter_turn
 from fkimage.special_functions import _ladder
+from fkimage.verify import DEFAULT_SHAPES
 
 from oracles import check_split_quarter_turns, fold_layout
 
@@ -164,23 +165,28 @@ def test_phase_constants_held_on_basis_are_read_only():
 def _gathered_slots(basis):
     """(2*lambda, members) for every spin of every slot, in buffer order,
     and every padding entry: members holds the spin's gathered mode indices
-    with member k of each level in row k, its top rows from the first half
-    of ``basis.gather`` and its mirrored bottom rows from the second, both
-    read from the spin's row offset in its slot."""
+    with member k of each level in row k, read from the spin's row offset
+    in its slot.  On whole rungs ``basis.gather`` holds every row in order;
+    on halves its first half holds the top rows and its second the
+    mirrored bottom rows."""
     two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
-    halves = basis.gather.reshape(2, -1)
+    halves = basis.halves
+    parts = basis.gather.reshape(halves, -1)
     spins, padding = [], []
     for (lo, hi, _, _, _, index), slots in zip(
-            basis.batches, mode_basis._batch_slots(two_jmin)):
-        gathered = halves[:, lo // 2:hi // 2].reshape(index.shape)
+            basis.batches, mode_basis._batch_slots(two_jmin, halves)):
+        gathered = parts[:, lo // 2:hi // 2].reshape(index.shape)
         for i, slot in enumerate(slots):
-            t, b = gathered[:, i]
-            used = np.zeros((2, gathered.shape[2]), dtype=bool)
+            used = np.zeros((halves, gathered.shape[2]), dtype=bool)
             for two_l, at in slot:
-                even, odd = (two_l + 2) // 2, (two_l + 1) // 2
+                rows = [(two_l + halves - half) // halves
+                        for half in range(halves)]
+                top, *bottom = (gathered[half, i, at:at + k]
+                                for half, k in enumerate(rows))
                 spins.append((two_l, np.concatenate(
-                    (t[at:at + even], b[at:at + odd][::-1]))))
-                used[0, at:at + even] = used[1, at:at + odd] = True
+                    [top] + [b[::-1] for b in bottom])))
+                for half, k in enumerate(rows):
+                    used[half, at:at + k] = True
             padding.append(gathered[:, i][~used].ravel())
     return spins, np.concatenate(padding)
 
@@ -191,15 +197,23 @@ def _gathered_slots(basis):
 @example(two_jx=6, two_jy=9)
 @example(two_jx=0, two_jy=8)
 @example(two_jx=12, two_jy=0)
+@example(two_jx=47, two_jy=52)
+@example(two_jx=51, two_jy=48)
 def test_closed_form_levels_match_level_spectrum(two_jx, two_jy):
-    # Both orientations, half-integer spins and zero-width axes.
+    # Both orientations, half-integer spins, zero-width axes, and both
+    # layouts: whole rungs below 2j_min = _WHOLE_BELOW = 48, halves from it.
     basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
     size, n_y = basis.shape.mode_count, basis.shape.n_y
+    two_jmin = min(two_jx, two_jy)
     seen = []
     spins, padding = _gathered_slots(basis)
-    assert sorted(two_l for two_l, _ in spins) == list(
-        range(min(two_jx, two_jy) + 1))
+    assert sorted(two_l for two_l, _ in spins) == list(range(two_jmin + 1))
     assert np.all(padding == size)
+    if basis.halves == 1:
+        # A folded pair of whole rungs fills its F + 1 rows exactly: only
+        # the lone middle spin of an odd 2j_min > 1 pads, by F + 1 entries.
+        odd_fold = two_jmin % 2 and two_jmin > 1
+        assert padding.size == (two_jmin + 1 if odd_fold else 0)
     for two_l, modes in spins:
         ns = [int(x) for x in (modes // n_y + modes % n_y)[0]]
         assert ns == sorted(set(ns))
@@ -230,8 +244,11 @@ def _arrays(value):
 @example(two_jx=0, two_jy=8)
 @example(two_jx=12, two_jy=0)
 @example(two_jx=17, two_jy=16)
+@example(two_jx=47, two_jy=52)
+@example(two_jx=51, two_jy=48)
 def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
-    # Both orientations, half-integer spins and zero-width axes.
+    # Both orientations, half-integer spins, zero-width axes, and both
+    # layouts: whole rungs below 2j_min = _WHOLE_BELOW = 48, halves from it.
     basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
     size = basis.shape.mode_count
     two_jmin = min(two_jx, two_jy)
@@ -243,20 +260,23 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
     assert np.array_equal(np.sort(modes), np.arange(size))
     assert np.array_equal(gather[scatter], np.arange(size))
     # The low spins folded two to a slot, runs of _BATCH_SPINS consecutive
-    # spins, then the top spin alone; each slot holds the even and odd
-    # halves of its spins' quarter-turn rungs.
+    # spins, then the top spin alone; each slot holds its spins' whole
+    # quarter-turn rungs, or their even and odd halves.
     layout = fold_layout(two_jmin, mode_basis._BATCH_SPINS)
     assert check_split_quarter_turns(basis) == layout
     top_levels = abs(two_jx - two_jy) + 1
     for (_, _, _, _, stack, index), levels in zip(
             basis.batches, [2] * (len(layout) - 1) + [top_levels]):
         assert index.shape == stack.shape[:3] + (levels,)
-    # Each table is stored once, as its halves: V rebuilt from them by the
-    # reflection law has the rung's top rows bit for bit (the odd columns
-    # of a middle row are the law's exact zeros) and is orthogonal.
+    # Each table is stored once, whole or as its halves: V rebuilt from
+    # the halves by the reflection law has the rung's top rows bit for bit
+    # (the odd columns of a middle row are the law's exact zeros), a whole
+    # rung is the rung, and V is orthogonal.
     for two_l, d in enumerate(_ladder(two_jmin, math.pi / 2)):
         v = quarter_turn(basis, two_l)
         even, odd = (two_l + 2) // 2, (two_l + 1) // 2
+        if basis.halves == 1:
+            assert np.array_equal(v, d) and v.flags.writeable
         assert np.array_equal(v[:odd], d[:odd])
         assert np.array_equal(v[:even, 0::2], d[:even, 0::2])
         assert np.max(np.abs(v - d)) <= 1e-14
@@ -268,6 +288,31 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
                    if name != "quarter_turns"
                    for table in _arrays(value))
     assert [turn.shape for turn in basis.quarter_turns] == [(two_jy + 1,)] * 2
+
+
+def test_layout_is_a_function_of_the_shorter_side():
+    # Whole rungs below 2j_min = _WHOLE_BELOW, halves from it up, in both
+    # orientations, whatever the longer side, half-integer spins included;
+    # a whole-rung basis is the fold batch and the top spin.  Verify's
+    # default screens hold both layouts, so a later crossover cannot drop
+    # one of them from it.
+    whole_below = mode_basis._WHOLE_BELOW
+    assert 0 < whole_below <= 2 * mode_basis._BATCH_SPINS
+    for two_jmin in (whole_below - 2, whole_below - 1, whole_below,
+                     whole_below + 1):
+        halves = 1 if two_jmin < whole_below else 2
+        for longer in (two_jmin, two_jmin + 1, two_jmin + 6):
+            for two_j in ((two_jmin, longer), (longer, two_jmin)):
+                basis = build_basis(ScreenShape(*map(Spin, two_j)))
+                assert basis.halves == halves, two_j
+                assert {batch[4].shape[0] for batch in basis.batches} == {
+                    halves}
+                if halves == 1:
+                    assert len(basis.batches) == 2
+    assert {build_basis(shape).halves
+            for shape in DEFAULT_SHAPES} == {1, 2}
+    # (20,12) on whole rungs: no padding, one gathered entry per mode.
+    assert build_basis((20, 12)).gather.size == 41 * 25
 
 
 def test_build_basis_rejects_screens_above_pixel_limit(monkeypatch):
