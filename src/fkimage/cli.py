@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/file error, 3 verification
 failure.  Angles are radians and accept simple pi expressions such as
-``pi``, ``-pi/6``, ``3pi/4`` or ``2*pi/3``; screen shapes are given as
-``--shape JX,JY`` with integer, decimal half-integer (``2.5``) or
-fractional (``5/2``) spins per axis.
+``pi``, ``-pi/6``, ``3pi/4`` or ``2*pi/3``, each number with an optional
+exponent as ``repr`` prints it (``1e-05``, ``2.5e-3pi``); screen shapes
+are given as ``--shape JX,JY`` with integer, decimal half-integer
+(``2.5``) or fractional (``5/2``) spins per axis.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .mode_basis import ScreenShape, build_basis
 from .render import RenderSpec, render
 
 _ANGLE_RE = re.compile(
-    r"^\s*(?P<sign>[+-]?)\s*(?P<coef>\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*"
-    r"(?P<pi>pi)?\s*(?:/\s*(?P<den>\d+(?:\.\d*)?))?\s*$")
+    r"^\s*(?P<sign>[+-]?)\s*(?P<coef>(?:\d+(?:\.\d*)?|\.\d+)(?:e[+-]?\d+)?)?"
+    r"\s*\*?\s*(?P<pi>pi)?\s*(?:/\s*(?P<den>\d+(?:\.\d*)?(?:e[+-]?\d+)?))?\s*$")
 
 
 class UsageError(Exception):
@@ -33,18 +34,19 @@ class UsageError(Exception):
 
 
 def parse_angle(text: str) -> float:
-    """Parse a radian value, optionally as a multiple or fraction of pi."""
+    """Parse a radian value, optionally as a multiple or fraction of pi;
+    UsageError unless it reads as a finite float, a zero denominator
+    giving none."""
     match = _ANGLE_RE.match(str(text).lower())
     if not match or (match.group("coef") is None and match.group("pi") is None):
         raise UsageError(f"cannot parse angle {text!r}")
-    value = float(match.group("coef")) if match.group("coef") else 1.0
+    value = float(match.group("coef") or 1.0)
     if match.group("pi"):
         value *= math.pi
-    if match.group("den"):
-        den = float(match.group("den"))
-        if den == 0:
-            raise UsageError(f"zero denominator in angle {text!r}")
-        value /= den
+    den = float(match.group("den") or 1.0)
+    value = value / den if den else math.inf
+    if not math.isfinite(value):
+        raise UsageError(f"angle {text!r} is not a finite float")
     return -value if match.group("sign") == "-" else value
 
 

@@ -78,9 +78,11 @@ def mode_gallery(basis: CartesianBasis, out_dir, kind="cartesian",
     else:
         m_hi = min(shape.j_x.two_j, shape.j_y.two_j)
         for lev in basis.levels:
+            # Each m >= 0 mode once; the m < 0 cells show its conjugate's.
+            modes = {m: lk_mode(basis, lev.n, m)
+                     for m in lev.two_mu if m >= 0}
             for m in lev.two_mu:
-                mode = lk_mode(basis, lev.n, m)
-                shown = np.real(mode) if m >= 0 else np.imag(lk_mode(basis, lev.n, -m))
+                shown = np.real(modes[m]) if m >= 0 else np.imag(modes[-m])
                 name = os.path.join(out_dir, f"lk_n{lev.n:02d}_m{m:+03d}.pgm")
                 files.append(render(shown, spec, name))
                 cells[(lev.n, m_hi - m)] = scale_to_unit(shown, spec)

@@ -20,7 +20,8 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .special_functions import MAX_PIXELS, Spin, _integer, _ladder, _Value
+from .special_functions import (MAX_PIXELS, Spin, _check_walk, _integer,
+                                _ladder, _Value)
 
 __all__ = [
     "MAX_PIXELS",
@@ -177,17 +178,17 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
                          tuple(range(hi - lo, lo - hi - 1, -2)))
 
 
-# Spins from 2*_BATCH_SPINS up to the top one are mixed in runs of this
-# many consecutive spins; the spins below are folded two to a slot.
+# Spins from _WHOLE_BELOW up to the top one are mixed in runs of this many
+# consecutive spins; the spins below are folded two to a slot.
 _BATCH_SPINS = 24
 
 # Screens whose shorter side 2j_min is below this mix on whole quarter-turn
 # rungs, from it up on their even/odd halves: on small screens the halves'
 # butterflies and second product cost more numpy calls than their halved
 # flops save.  Whole rungs measured faster up to 2j_min = 50 and slower
-# from 56; the constant stays at most 2*_BATCH_SPINS, so that a whole-rung
-# basis is the fold batch and the top spin.
-_WHOLE_BELOW = 48
+# from 56.  It is also where the fold ends, so a whole-rung basis is the
+# fold batch and the top spin.
+_WHOLE_BELOW = 2 * _BATCH_SPINS
 
 
 def _batch_slots(two_jmin: int, halves: int
@@ -197,7 +198,7 @@ def _batch_slots(two_jmin: int, halves: int
     spin's blocks in the slot; ``halves`` is 1 for whole rungs, 2 for
     even/odd halves.
 
-    Below ``F = min(2j_min, 2*_BATCH_SPINS)`` spin s shares a slot with
+    Below ``F = min(2j_min, _WHOLE_BELOW)`` spin s shares a slot with
     spin ``F - 1 - s``, whose blocks sit at offset ``s//halves + 1``, just
     past the rung, or the even-column half, of s; when F is odd, the middle
     spin ``(F - 1)/2`` has a slot of its own.  So every pair of this first
@@ -206,7 +207,7 @@ def _batch_slots(two_jmin: int, halves: int
     ``F .. 2j_min - 1`` follow in runs of ``_BATCH_SPINS``, one to a slot,
     and the top spin ``2j_min`` is a batch of its own.
     """
-    fold = min(two_jmin, 2 * _BATCH_SPINS)
+    fold = min(two_jmin, _WHOLE_BELOW)
     folded = [((s, 0), (fold - 1 - s, s // halves + 1))
               for s in range(fold // 2)]
     if fold % 2:
@@ -226,6 +227,15 @@ def _butterfly(t: np.ndarray, b: np.ndarray) -> None:
 class CartesianBasis:
     """One-dimensional Kravchuk tables, quarter-turn tables and level
     bookkeeping of a screen, and the level mix that reads them.
+
+    ``CartesianBasis(shape)`` takes a ``ScreenShape`` or a pair of spins.
+    It raises ``DomainError`` before it allocates anything when the
+    screen's longer side passes 512 pixels: its ladder walk would pass the
+    ``MAX_PIXELS`` block (``special_functions._check_walk``).  So every
+    screen it builds costs at most the 512x512 one, whose arrays hold
+    182.6 MiB of batch stacks, 8.2 MiB of index arrays and 4.0 MiB of
+    ``phi_x``/``phi_y`` (their ``nbytes``), and whose build peaks at
+    236 MiB RSS.
 
     The basis holds only what the transforms read, as frozen arrays, and
     is safe to share between threads.  ``phi_x[n, i]`` is Psi_n^(j_x) at
@@ -302,7 +312,15 @@ class CartesianBasis:
     the layout against ``_reference.interval_levels``.
     """
 
-    def __init__(self, shape: ScreenShape):
+    def __init__(self, shape):
+        if not isinstance(shape, ScreenShape):
+            try:
+                j_x, j_y = shape
+            except (TypeError, ValueError):
+                raise DomainError(f"screen shape must be a pair of spins, "
+                                  f"got {shape!r}") from None
+            shape = ScreenShape.of(j_x, j_y)
+        _check_walk(max(shape.pixels), f"screen {shape.n_x}x{shape.n_y}")
         self.shape = shape
         self.pixels = shape.pixels
         two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j
@@ -463,25 +481,8 @@ class CartesianBasis:
 
 
 def build_basis(shape) -> CartesianBasis:
-    """Construct the Cartesian basis tables for a screen shape.
-
-    Screens of more than ``MAX_PIXELS`` pixels raise ``DomainError`` before
-    anything is built: the quarter-turn tables grow as the cube of the
-    shorter side.  At 512x512 the basis' arrays hold 182.6 MiB of batch
-    stacks, 8.2 MiB of index arrays and 4.0 MiB of ``phi_x``/``phi_y``
-    (their ``nbytes``), and the build peaks at 236 MiB RSS.
-    """
-    if not isinstance(shape, ScreenShape):
-        try:
-            j_x, j_y = shape
-        except (TypeError, ValueError):
-            raise DomainError(f"screen shape must be a pair of spins, "
-                              f"got {shape!r}") from None
-        shape = ScreenShape.of(j_x, j_y)
-    if shape.mode_count > MAX_PIXELS:
-        raise DomainError(
-            f"screen {shape.n_x}x{shape.n_y} has {shape.mode_count} pixels, "
-            f"more than the limit of {MAX_PIXELS}")
+    """``CartesianBasis(shape)``: the basis of a ``ScreenShape`` or a pair
+    of spins, refused with ``DomainError`` when a side passes 512 pixels."""
     return CartesianBasis(shape)
 
 

@@ -52,9 +52,21 @@ __all__ = [
     "wigner_little_d",
 ]
 
-# The largest screen build_basis accepts, in pixels: 512x512; and the most
-# entries a little-d block of wigner_little_d may hold.
+# The most entries of a little-d block a walk of the half-spin ladder may
+# reach: 512 rows.  ``_check_walk`` holds the rule for ``wigner_little_d``
+# and for ``CartesianBasis``, whose walk goes up to the screen's longer
+# side, so no side may pass 512 pixels and the largest screen is 512x512.
+# A walk to N rows costs O(N^3): one BLAS thread on a 2-core Xeon took 35 s
+# to build the 1601x1 screen and did not finish the 2401x1 one in 120 s.
 MAX_PIXELS = 1 << 18
+
+
+def _check_walk(rows: int, what: str) -> None:
+    """DomainError if a ladder walk up to a block of ``rows`` rows passes
+    ``MAX_PIXELS`` entries; ``what`` names the walker."""
+    if rows * rows > MAX_PIXELS:
+        raise DomainError(f"{what} walks to a {rows}-row block: {rows * rows} "
+                          f"entries, over the limit of 512x512 pixels")
 
 
 class _Value:
@@ -308,9 +320,7 @@ def wigner_little_d(lam, beta: float) -> LittleDMatrix:
     ``DomainError``; ``beta == 0`` gives an exact identity.
     """
     spin = Spin.from_j(lam)
-    if spin.dimension ** 2 > MAX_PIXELS:
-        raise DomainError(f"spin {spin.j:g} has a {spin.dimension}-row "
-                          f"block, more than {MAX_PIXELS} entries")
+    _check_walk(spin.dimension, f"spin {spin.j:g}")
     beta = _finite_angle(beta)
     if beta == 0.0:
         return LittleDMatrix(spin, beta, np.eye(spin.dimension))

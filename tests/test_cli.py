@@ -20,16 +20,53 @@ from fkimage.verify import KNOWN_LIMITATIONS
     ("0.5235987755982988", 0.5235987755982988),
     ("-1.25", -1.25),
     ("+pi", math.pi),
+    ("2.5E-1", 0.25),
+    ("1e-3pi", 1e-3 * math.pi),
+    ("-3E+2*pi/2.5e1", -300 * math.pi / 25),
 ])
 def test_parse_angle(text, value):
     assert parse_angle(text) == pytest.approx(value, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", ["", "pi/0", "two", "1..2", "pi*pi"])
+@pytest.mark.parametrize("value", [1e-05, 9.87e-05, 0.25, 4 * math.pi,
+                                   5e-324])
+def test_parse_angle_reads_what_repr_prints(value):
+    # repr() writes every angle below 1e-4 with an exponent.
+    assert parse_angle(repr(value)) == value
+    assert parse_angle(repr(-value)) == -value
+
+
+@pytest.mark.parametrize("bad", ["", "pi/0", "two", "1..2", "pi*pi", "1e",
+                                 "e5", "1e5e5", "1.5e2.5", "pi/1e-400"])
 def test_parse_angle_rejects(bad):
     from fkimage.cli import UsageError
     with pytest.raises(UsageError):
         parse_angle(bad)
+
+
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "1e308*pi", "9" * 400],
+                         ids=["1e400", "-1e400", "1e308*pi", "400 digits"])
+def test_parse_angle_refuses_values_beyond_the_floats(tmp_path, capsys,
+                                                      text):
+    from fkimage.cli import UsageError
+    with pytest.raises(UsageError, match="finite"):
+        parse_angle(text)
+    # A usage error, exit 1, before any file is read.
+    assert main(["rotate", f"--theta={text}", "--in", str(tmp_path / "no"),
+                 "--out", str(tmp_path / "o.pgm")]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_transform_commands_take_exponent_angles(tmp_path, rng):
+    arr = rng.standard_normal((7, 5)) + 0j
+    src = tmp_path / "src.fkimg"
+    save_complex(src, arr)
+    for command, flag in (("rotate", "--theta"), ("gyrate", "--gamma"),
+                          ("fourier", "--chi")):
+        out = tmp_path / f"{command}.fkimg"
+        assert main([command, flag, "1e-05", "--in", str(src),
+                     "--out", str(out)]) == 0
+        assert np.max(np.abs(load_complex(out) - arr)) < 1e-3
 
 
 def test_parse_shape():
@@ -357,11 +394,15 @@ def test_bad_element_arguments_exit_2(tmp_path, monkeypatch, capsys,
 
 
 def test_screen_above_pixel_limit_exits_2(tmp_path, capsys):
-    # A 513x512 PGM is rejected before any table is built.
-    big = tmp_path / "big.pgm"
-    big.write_bytes(b"P5\n512 513\n255\n" + bytes(513 * 512))
-    assert main(["rotate", "--theta", "pi", "--in", str(big),
-                 "--out", str(tmp_path / "o.pgm")]) == 2
+    # A 513x512 PGM is rejected before any table is built, and so are
+    # 513x1 and 1x513: 513 pixels, but the basis would walk the ladder to
+    # a 513-row block, past the one wigner_little_d refuses.
+    for width, height in ((512, 513), (513, 1), (1, 513)):
+        big = tmp_path / "big.pgm"
+        big.write_bytes(b"P5\n%d %d\n255\n" % (width, height)
+                        + bytes(width * height))
+        assert main(["rotate", "--theta", "pi", "--in", str(big),
+                     "--out", str(tmp_path / "o.pgm")]) == 2
     assert main(["modes", "--shape", "400,300",
                  "--out", str(tmp_path / "m")]) == 2
-    assert "limit" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("limit") == 4

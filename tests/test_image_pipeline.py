@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -240,6 +241,35 @@ def test_mode_gallery_rejects_unknown_kind_before_writing(tmp_path):
     with pytest.raises(DomainError):
         figures.mode_gallery(build_basis((1, 1)), out, kind="polar")
     assert not out.exists()
+
+
+def _tree_sha256(root):
+    """One digest of every file under ``root``: relative path and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(root)).encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_lk_gallery_computes_each_mode_once(tmp_path, monkeypatch):
+    # One lk_mode call per member with m >= 0; the m < 0 cells show the
+    # imaginary part of the m > 0 mode, and the files are the ones the
+    # gallery has always written, byte for byte.
+    calls = []
+
+    def counted(basis, n, m):
+        calls.append((n, m))
+        return lk_mode(basis, n, m)
+
+    monkeypatch.setattr(figures, "lk_mode", counted)
+    basis = build_basis((5, 3))
+    out = tmp_path / "lk"
+    assert figures.mode_gallery(basis, out, kind="lk")["count"] == 77
+    assert sorted(calls) == [(lev.n, m) for lev in basis.levels
+                             for m in sorted(lev.two_mu) if m >= 0]
+    assert _tree_sha256(out) == (
+        "9eb4885c029841b91d0a4f006dc4417634eade191c3185e379ff3fcfc3485df9")
 
 
 def test_ground_mode_fixed_range_is_bright(tmp_path):

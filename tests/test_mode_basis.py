@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fkimage import (DomainError, FourierGroupElement, ScreenShape, Spin,
-                     apply_element_coeffs, build_basis, cartesian_mode,
-                     gyrate_coeffs, level_spectrum, lk_coefficients, lk_mode,
-                     rotate_coeffs)
-from fkimage import mode_basis
+from fkimage import (CartesianBasis, DomainError, FourierGroupElement,
+                     ScreenShape, Spin, apply_element_coeffs, build_basis,
+                     cartesian_mode, gyrate_coeffs, level_spectrum,
+                     lk_coefficients, lk_mode, rotate_coeffs)
+from fkimage import mode_basis, special_functions
 from fkimage._reference import interval_levels, quarter_turn
 from fkimage.special_functions import _ladder
 from fkimage.verify import DEFAULT_SHAPES
@@ -315,17 +315,61 @@ def test_layout_is_a_function_of_the_shorter_side():
     assert build_basis((20, 12)).gather.size == 41 * 25
 
 
+def _forbid_the_walk(monkeypatch):
+    """Patch the half-spin ladder to raise, under both names it is looked
+    up by: a screen that reaches the walk raises AssertionError, and
+    nothing is walked."""
+    def walk(*args):
+        raise AssertionError("the ladder ran")
+
+    for module in (special_functions, mode_basis):
+        monkeypatch.setattr(module, "_ladder", walk)
+
+
 def test_build_basis_rejects_screens_above_pixel_limit(monkeypatch):
     assert mode_basis.MAX_PIXELS == 512 * 512
     for spins in ((400, 300), (256, 255.5)):
         with pytest.raises(DomainError, match="pixels"):
             build_basis(spins)
     assert build_basis((100, 100)).shape.mode_count == 40401
-    # The accepted boundary, 512x512, is checked without building it.
-    monkeypatch.setattr(mode_basis, "CartesianBasis", lambda shape: shape)
-    assert build_basis((255.5, 255.5)).pixels == (512, 512)
+    # The accepted boundary, 512x512, is checked without building it: it
+    # passes the size check and reaches the walk.
+    _forbid_the_walk(monkeypatch)
+    with pytest.raises(AssertionError, match="ladder"):
+        build_basis((255.5, 255.5))
     with pytest.raises(DomainError):
         build_basis(ScreenShape.from_pixels(513, 512))
+
+
+@pytest.mark.parametrize("construct", [build_basis, CartesianBasis])
+def test_a_side_above_512_pixels_is_refused_before_the_walk(monkeypatch,
+                                                           construct):
+    # A basis walks the ladder up to the block of its longer side, so that
+    # side, not the pixel count, is held to the MAX_PIXELS block of
+    # wigner_little_d: 513x1 is refused as 801x601 is.
+    _forbid_the_walk(monkeypatch)
+    for spins in ((256, 0), (0, 256), (1200, 0), (131071, 0), (400, 300),
+                  (256, 255.5)):
+        with pytest.raises(DomainError) as refused:
+            construct(spins)
+        assert all(word in str(refused.value)
+                   for word in ("pixels", "entries", "limit")), spins
+    for spins in ((255.5, 255.5), (255.5, 0), (0, 255.5)):
+        with pytest.raises(AssertionError, match="ladder"):
+            construct(spins)
+
+
+def test_the_constructor_and_build_basis_build_the_same_basis():
+    one, other = CartesianBasis((5, 3)), build_basis(ScreenShape.of(5, 3))
+    assert one.shape == other.shape and one.halves == other.halves
+    assert vars(one).keys() == vars(other).keys()
+    for name, value in vars(one).items():
+        arrays, others = list(_arrays(value)), list(_arrays(vars(other)[name]))
+        assert len(arrays) == len(others)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(arrays, others)), name
+        if not arrays:
+            assert value == vars(other)[name], name
 
 
 def test_basis_and_transforms_build_no_level_objects(monkeypatch):

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 import fkimage
-from fkimage import (DimensionError, DomainError, FourierGroupElement,
-                     RenderSpec, ValidationError, analyze, build_basis,
+from fkimage import (CartesianBasis, DimensionError, DomainError,
+                     FourierGroupElement, RenderSpec, ValidationError,
+                     analyze, build_basis,
                      element_from_json, fractional_fourier_image, from_matrix,
                      gyrate_coeffs, ka_coeffs, ks_coeffs, mode_basis, render,
                      rotate_coeffs, special_functions, wigner_little_d)
@@ -171,13 +172,17 @@ _BAD_INPUT = {
     "element mapping with mixed keys": (
         lambda b, x: element_from_json({1: 0.5, "x": 0.5}), ValidationError),
     "matrix str": (lambda b, x: from_matrix("ab"), ValidationError),
-    "shape of one spin": (lambda b, x: build_basis((1,)), DomainError),
-    "shape of three spins": (lambda b, x: build_basis((1, 2, 3)),
-                             DomainError),
-    "shape None": (lambda b, x: build_basis(None), DomainError),
-    "shape bool": (lambda b, x: build_basis((True, 1)), DomainError),
-    "shape nan": (lambda b, x: build_basis((float("nan"), 1)), DomainError),
-    "shape inf": (lambda b, x: build_basis((1, float("inf"))), DomainError),
+    # Each shape case runs through build_basis and through the constructor.
+    **{f"{prefix}shape {case}": (
+        lambda b, x, construct=construct, spins=spins: construct(spins),
+        DomainError)
+       for prefix, construct in (("", build_basis),
+                                 ("CartesianBasis ", CartesianBasis))
+       for case, spins in (("of one spin", (1,)),
+                           ("of three spins", (1, 2, 3)),
+                           ("None", None), ("bool", (True, 1)),
+                           ("nan", (float("nan"), 1)),
+                           ("inf", (1, float("inf"))))},
     "analyze str": (lambda b, x: analyze(b, x.astype(str)), DomainError),
     "analyze object": (lambda b, x: analyze(b, x.astype(object)),
                        DomainError),
