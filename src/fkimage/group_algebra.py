@@ -149,10 +149,13 @@ def _from_entries(u00: complex, u01: complex, u10: complex,
 
     a00, a10 = abs(s00), abs(s10)
     theta = 2.0 * math.atan2(a10, a00)
-    if a10 < 1e-12:                          # theta ~ 0: only psi+phi matters
+    # An entry within 4 (defect + ulp) of zero counts as zero: the rounding
+    # of compose(a, inverse(a)) leaves |s10| up to 2.25 (defect + ulp).
+    tiny = 4.0 * (defect + math.ulp(1.0))
+    if a10 < tiny:                           # theta ~ 0: only psi+phi matters
         theta, phi = 0.0, 0.0
         psi = (-2.0 * cmath.phase(s00)) % TWO_PI
-    elif a00 < 1e-12:                        # theta ~ pi: only psi-phi matters
+    elif a00 < tiny:                         # theta ~ pi: only psi-phi matters
         theta, phi = math.pi, 0.0
         psi = (2.0 * cmath.phase(s10)) % TWO_PI
     else:
@@ -169,9 +172,9 @@ def _from_entries(u00: complex, u01: complex, u10: complex,
     e = _entries(chi, psi, theta, phi)
     u = (u00, u01, u10, u11)
     residual = max(abs(x - y) for x, y in zip(e, u))
-    if residual > 1e-8:
-        chi = (chi + TWO_PI) % FOUR_PI
-        residual = max(abs(x + y) for x, y in zip(e, u))
+    flipped = max(abs(x + y) for x, y in zip(e, u))
+    if flipped < residual:
+        chi, residual = (chi + TWO_PI) % FOUR_PI, flipped
     if residual > 1e-9:
         raise ValidationError(
             f"Euler extraction failed to reproduce the matrix "

@@ -292,8 +292,11 @@ class LittleDMatrix(_Value):
     """Real orthogonal rotation matrix d^lam(beta) in the spin-lam irrep.
 
     ``entries[i, k] = d_{mu, mu'}(beta)`` with mu = lam - i, mu' = lam - k
-    (both indices descending from +lam to -lam).
+    (both indices descending from +lam to -lam).  Its entries are an
+    array, so it compares by identity and is unhashable.
     """
+
+    __eq__ = object.__eq__
 
     def __init__(self, spin: Spin, beta: float, entries: np.ndarray):
         self.__dict__.update(spin=spin, beta=beta, entries=entries)

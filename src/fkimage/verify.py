@@ -11,6 +11,16 @@ is NaN, and a check passes when its deviation is at most its tolerance,
 so a NaN fails.  ``verify`` renders the results as the text table or
 JSON object of ``fkimage verify``, with its exit code.
 
+The checks of the mode basis follow its structure, so that the suite
+runs on screens as large as (100,100) in seconds.
+``cartesian_basis_gram`` measures the orthogonality of the one-dimensional
+tables, so of the synthesis.  Each Laguerre-Kravchuk mode is the
+synthesis of coefficients on one level, so ``lk_basis_gram`` measures,
+level by level, ``B B^H - I`` for the square block B of the level's LK
+coefficients, not a Gram of every mode image.
+``quarter_turn_reflection`` compares the stored quarter-turn tables with
+the rungs of one ladder walk at pi/2 per screen.
+
 One check, ``rotation_pi_is_pixel_inversion``, fails on genuinely
 rectangular screens and is reported as a known limitation, a property of
 the construction: the mid-rhomboid levels carry the flat spin
@@ -41,10 +51,10 @@ from .glyph import f_glyph
 from .imageio import load_complex, load_image, pixels_to_gray, read_pgm, \
     save_complex, write_pgm
 from .mode_basis import _WHOLE_BELOW, ScreenShape, build_basis, \
-    cartesian_mode, level_spectrum, lk_mode
+    cartesian_mode, level_spectrum, lk_coefficients, lk_mode
 from .render import RenderSpec, scale_to_unit
-from .special_functions import Spin, _integer, _Value, kravchuk_function, \
-    wigner_little_d
+from .special_functions import Spin, _integer, _ladder, _Value, \
+    kravchuk_function, wigner_little_d
 
 __all__ = ["CheckResult", "run_verification", "DEFAULT_SHAPES", "KNOWN_LIMITATIONS"]
 
@@ -264,19 +274,22 @@ def _check_quarter_turn_reflection(ctx):
     # measured against the whole rung.
     for key, basis in ctx["screens"]():
         two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
-        for two_l in range(two_jmin + 1):
-            d = wigner_little_d(Spin(two_l), math.pi / 2).entries
+        for two_l, d in enumerate(_ladder(two_jmin, math.pi / 2)):
             yield quarter_turn(basis, two_l) - d
 
 
-@_check("lk_basis_gram", 1e-10, "LK modes orthonormal and complete")
+@_check("lk_basis_gram", 1e-10, "max |B B^H - I|, B a level's LK mode coefficients")
 def _check_lk_basis(ctx):
+    # Each LK mode is the synthesis of coefficients on its own level, and
+    # cartesian_basis_gram checks that the synthesis is orthogonal.  So the
+    # modes are orthonormal and complete when each level's square block B
+    # of coefficients, row m the mode (n, m) on the level's members, is
+    # unitary.
     for key, basis in ctx["screens"]():
-        stack = np.array([lk_mode(basis, lev.n, two_mu).ravel()
-                          for lev in basis.levels for two_mu in lev.two_mu])
-        yield stack.conj() @ stack.T - np.eye(len(stack))
-        # resolution of identity over pixels
-        yield stack.T @ stack.conj() - np.eye(stack.shape[1])
+        for n in range(basis.shape.max_total_mode + 1):
+            lev, nx, ny = basis.level_arrays(n)
+            b = np.array([lk_coefficients(basis, n, m)[nx, ny] for m in lev.two_mu])
+            yield b @ b.conj().T - np.eye(lev.size)
 
 
 @_check("lk_conjugation_symmetry", 1e-12, "Lambda_{n,-m} = conj(Lambda_{n,m}) on (5,3)")

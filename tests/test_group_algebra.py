@@ -10,7 +10,7 @@ from fkimage import (FourierGroupElement, ScreenShape, Spin, ValidationError,
                      apply_element, apply_element_coeffs, build_basis,
                      compose, element_from_json, element_to_json,
                      from_matrix, inverse, to_matrix, wigner_little_d)
-from fkimage._reference import random_element, random_image
+from fkimage._reference import random_element, random_image, wide_element
 
 from oracles import element_matrix, euler_angles
 
@@ -277,6 +277,33 @@ def test_inverse_and_compose_exact_for_any_angles(spins):
         lhs = apply_element(basis, img, compose(a, b))
         rhs = apply_element(basis, once, a)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+@pytest.mark.parametrize("spins", [(20, 12), (64, 48)])
+def test_compose_keeps_rotations_next_to_the_gimbal_points(spins):
+    # b = compose(inverse(a), d) makes compose(a, b) the element d, whose
+    # theta lies eps from 0 or from pi.  A composition that rounds such a
+    # theta to the gimbal point drops a rotation of eps, an image error of
+    # about eps * lambda_max; the error must stay at the floor that a
+    # generic theta gives.
+    basis = build_basis(spins)
+    rng = np.random.default_rng(7)
+    cases = [(wide_element(rng), random_image(rng, basis),
+              rng.uniform(-20.0, 20.0, 3)) for _ in range(4)]
+
+    def error(theta):
+        worst = 0.0
+        for a, img, (chi, psi, phi) in cases:
+            b = compose(inverse(a), FourierGroupElement(chi, psi, theta, phi))
+            lhs = apply_element(basis, img, compose(a, b))
+            rhs = apply_element(basis, apply_element(basis, img, b), a)
+            worst = max(worst, np.max(np.abs(lhs - rhs)) / np.max(np.abs(img)))
+        return worst
+
+    floor = error(1.0)
+    for eps in [k * 10.0 ** e for e in range(-16, -10) for k in (1, 3)] + [1e-10]:
+        for theta in (eps, math.pi - eps):
+            assert error(theta) < 4.0 * floor, (eps, theta)
 
 
 _ANGLES = st.lists(st.floats(-20, 20, exclude_min=True, exclude_max=True),

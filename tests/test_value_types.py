@@ -128,6 +128,10 @@ def test_fields_are_validated_once_and_keep_their_types():
 def test_little_d_matrix_round_trips_but_compares_by_identity():
     d = wigner_little_d(1, 0.3)
     assert d == d
+    # A distinct matrix with equal fields is another matrix, not an error.
+    other = wigner_little_d(1, 0.3)
+    assert (d == other) is False and (d != other) is True
+    assert d not in [other] and d in [other, d]
     assert repr(wigner_little_d(0.5, 0.0)) == (
         "LittleDMatrix(spin=Spin(j=1/2), beta=0.0, entries=array([[1., 0.],\n"
         "       [0., 1.]]))")

@@ -1,0 +1,76 @@
+"""Every check of ``fkimage verify`` must be able to fail.
+
+Each named defect is monkeypatched into the library, and
+``run_verification`` runs on a screen that mixes on whole quarter-turn
+rungs, (5,3), and one that mixes on even/odd halves, (24,24).  The test
+asserts the exact set of checks that fail: the ones the defect names, and
+the known limitation, which fails on every rectangular screen.
+"""
+
+import pytest
+
+from fkimage import mode_basis, verify
+from fkimage.verify import KNOWN_LIMITATIONS, run_verification
+
+_SCREENS = ((5, 3), (24, 24))
+_quarter_turn = mode_basis._quarter_turn
+
+
+def _scaled_column(basis, two_l):
+    # Spin 3: the top spin of (5,3), so lk_conjugation_symmetry sees it too.
+    v = _quarter_turn(basis, two_l)
+    if two_l == 6:
+        v[:, 1] *= 1.0 + 1e-9
+    return v
+
+
+def _duplicated_column(basis, two_l):
+    v = _quarter_turn(basis, two_l)
+    if two_l == 6:
+        v[:, 1] = v[:, 0]
+    return v
+
+
+def _scaled_stacks(key):
+    # A per-op norm bias of 2e-13: every batch stack scaled after the build.
+    basis = mode_basis.build_basis(key)
+    basis.batches = tuple(
+        (lo, hi, shape, stack.transpose(0, 1, 3, 2), stack, index)
+        for lo, hi, shape, _, old, index in basis.batches
+        for stack in [old * (1.0 - 1e-13)])
+    return basis
+
+
+# name: (module, attribute, replacement, the checks that must fail)
+_DEFECTS = {
+    "a column of the spin-3 V scaled by 1 + 1e-9": (
+        mode_basis, "_quarter_turn", _scaled_column,
+        {"lk_basis_gram", "lk_conjugation_symmetry"}),
+    "a column of the spin-3 V replaced by its neighbour": (
+        mode_basis, "_quarter_turn", _duplicated_column,
+        {"lk_basis_gram", "lk_conjugation_symmetry"}),
+    "every batch stack scaled by 1 - 1e-13": (
+        verify, "build_basis", _scaled_stacks, {"quarter_turn_reflection"}),
+}
+
+
+def _failures(results):
+    return {r.name for r in results if not r.passed}
+
+
+def test_verify_at_its_defaults_fails_only_the_known_limitation():
+    results = run_verification()
+    assert [r.name for r in results] == [name for name, *_ in verify._CHECKS]
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == list(KNOWN_LIMITATIONS)
+    assert all(r.known_limitation and not r.error for r in failed)
+
+
+@pytest.mark.parametrize("defect", [None] + list(_DEFECTS))
+def test_each_defect_fails_the_checks_it_names(defect, monkeypatch):
+    names = set()
+    if defect is not None:
+        module, attribute, replacement, names = _DEFECTS[defect]
+        monkeypatch.setattr(module, attribute, replacement)
+    assert _failures(run_verification(_SCREENS, images=2)) == \
+        names | set(KNOWN_LIMITATIONS)
