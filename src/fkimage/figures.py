@@ -106,53 +106,56 @@ def _pick_five(lev):
     return sorted({int(round(p)) for p in picks})
 
 
-def rotation_rows(basis: CartesianBasis, out_dir) -> dict:
-    """Rotate five members of levels 4, 18 and 32 by 0, pi/4 and pi/2 and
-    render each stage (real gray)."""
+def _multiplet_rows(basis, out_dir, transform, angles, dtype, stage) -> dict:
+    """Apply ``transform(basis, coeffs, angle)`` at each angle to five
+    members of levels 4, 18 and 32, each a unit coefficient of ``dtype``;
+    ``stage(image, member, angle)`` renders one stage, ``member`` naming
+    it as ``n04_m+02``, and returns the files it wrote."""
     os.makedirs(out_dir, exist_ok=True)
-    spec = RenderSpec(scaling="fixed", channel="real")
     manifest = {"levels": {}, "files": []}
     for n in _ROW_LEVELS:
         lev, nx, ny = basis.level_arrays(n)
         manifest["levels"][int(n)] = {"two_lambda": lev.spin.two_j,
                                       "size": lev.size}
         for k in _pick_five(lev):
-            coeffs = np.zeros(basis.shape.pixels)
+            coeffs = np.zeros(basis.shape.pixels, dtype=dtype)
             coeffs[nx[k], ny[k]] = 1.0
-            for theta in (0.0, math.pi / 4, math.pi / 2):
-                img = ft.synthesize(basis, ft.rotate_coeffs(basis, coeffs, theta))
-                name = os.path.join(
-                    out_dir,
-                    f"rot_n{n:02d}_m{lev.two_mu[k]:+03d}_t{theta:.3f}.pgm")
-                manifest["files"].append(render(np.real(img), spec, name))
+            for angle in angles:
+                img = ft.synthesize(basis, transform(basis, coeffs, angle))
+                manifest["files"] += stage(
+                    img, f"n{n:02d}_m{lev.two_mu[k]:+03d}", angle)
     return manifest
+
+
+def rotation_rows(basis: CartesianBasis, out_dir) -> dict:
+    """Rotate five members of levels 4, 18 and 32 by 0, pi/4 and pi/2 and
+    render each stage (real gray)."""
+    spec = RenderSpec(scaling="fixed", channel="real")
+
+    def stage(img, member, theta):
+        name = os.path.join(out_dir, f"rot_{member}_t{theta:.3f}.pgm")
+        return [render(np.real(img), spec, name)]
+
+    return _multiplet_rows(basis, out_dir, ft.rotate_coeffs,
+                           (0.0, math.pi / 4, math.pi / 2), float, stage)
 
 
 def gyration_rows(basis: CartesianBasis, out_dir) -> dict:
     """Gyrate five members of levels 4, 18 and 32 by 0 .. pi/4 in steps of
     pi/16; render |.| per stage and the phase of the pi/4 stage."""
-    os.makedirs(out_dir, exist_ok=True)
     abs_spec = RenderSpec(scaling="adaptive", channel="abs")
     phase_spec = RenderSpec(scaling="adaptive", channel="phase")
-    manifest = {"levels": {}, "files": []}
-    for n in _ROW_LEVELS:
-        lev, nx, ny = basis.level_arrays(n)
-        manifest["levels"][int(n)] = {"two_lambda": lev.spin.two_j,
-                                      "size": lev.size}
-        for k in _pick_five(lev):
-            coeffs = np.zeros(basis.shape.pixels, dtype=complex)
-            coeffs[nx[k], ny[k]] = 1.0
-            for gamma in (0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16,
-                          math.pi / 4):
-                img = ft.synthesize(basis, ft.gyrate_coeffs(basis, coeffs, gamma))
-                stem = f"gyr_n{n:02d}_m{lev.two_mu[k]:+03d}_g{gamma:.4f}"
-                manifest["files"].append(render(
-                    img, abs_spec, os.path.join(out_dir, stem + "_abs.pgm")))
-                if gamma == math.pi / 4:
-                    manifest["files"].append(render(
-                        img, phase_spec,
-                        os.path.join(out_dir, stem + "_phase.pgm")))
-    return manifest
+
+    def stage(img, member, gamma):
+        stem = os.path.join(out_dir, f"gyr_{member}_g{gamma:.4f}")
+        files = [render(img, abs_spec, stem + "_abs.pgm")]
+        if gamma == math.pi / 4:
+            files.append(render(img, phase_spec, stem + "_phase.pgm"))
+        return files
+
+    return _multiplet_rows(basis, out_dir, ft.gyrate_coeffs,
+                           (0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16,
+                            math.pi / 4), complex, stage)
 
 
 def glyph_rotation_sequence(out_dir) -> dict:

@@ -516,12 +516,22 @@ def _quarter_turn(basis: CartesianBasis, two_l: int) -> np.ndarray:
     return v
 
 
-def _lk_level_phase(two_lambda: int) -> complex:
-    # Canonical per-level phase exp(-i pi lambda / 2).  It makes the family
+def _lk_block(basis: CartesianBasis, two_l: int,
+              rows: slice = slice(None)) -> np.ndarray:
+    """The LK coefficients of a level n of spin ``2*lambda = two_l`` on
+    its members, the block's ``rows``: row r = (2*lambda - m)/2 is mode
+    (n, m), column r of ``V = d^lambda(pi/2)`` times ``i^k`` on member k
+    and ``(-i)^r``."""
+    # Canonical level phase exp(-i pi lambda / 2).  It makes the family
     # closed under conjugation, Lambda_{n,-m} = conj(Lambda_{n,m}), and the
     # m = 0 members real; without it the J_y eigenvectors leave a stray
     # factor exp(i pi lambda) between the +m and -m members.
-    return cmath.exp(-1j * math.pi * two_lambda / 4.0)
+    level = cmath.exp(-1j * math.pi * two_l / 4.0)
+    members = 1j ** (np.arange(two_l + 1) % 4)
+    phases = np.array([level * (-1j) ** (r % 4)
+                       for r in range(two_l + 1)[rows]])
+    return phases[:, None] * (
+        members[:, None] * _quarter_turn(basis, two_l)[:, rows]).T
 
 
 def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
@@ -529,10 +539,7 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
 
     ``m = 2*mu`` labels the member of level n; it must have the parity of
     2*lambda(n) and satisfy |m| <= 2*lambda(n).  The LK modes are the J_y
-    eigenvectors of the level: column ``row`` of the real quarter-turn
-    table ``V = d^lambda(pi/2)``, where ``row = (2*lambda - m)/2`` is m's
-    index in the level's mu order, times ``i^k`` on member k, ``(-i)^row``
-    and the canonical level phase.
+    eigenvectors of the level, the rows of ``_lk_block``.
     """
     lev, nx, ny = basis.level_arrays(n)
     two_l = lev.spin.two_j
@@ -541,12 +548,9 @@ def lk_coefficients(basis: CartesianBasis, n: int, m: int) -> np.ndarray:
         raise DomainError(
             f"m={m} not an angular label of level n={n} "
             f"(allowed: {lev.two_mu})")
-    row = (two_l - m) // 2
-    amp = (_lk_level_phase(two_l) * (-1j) ** (row % 4)
-           * (1j ** (np.arange(two_l + 1) % 4)
-              * _quarter_turn(basis, two_l)[:, row]))
     out = np.zeros(basis.shape.pixels, dtype=complex)
-    out[nx, ny] = amp
+    row = (two_l - m) // 2
+    out[nx, ny] = _lk_block(basis, two_l, slice(row, row + 1))[0]
     return out
 
 

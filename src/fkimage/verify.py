@@ -11,6 +11,13 @@ is NaN, and a check passes when its deviation is at most its tolerance,
 so a NaN fails.  ``verify`` renders the results as the text table or
 JSON object of ``fkimage verify``, with its exit code.
 
+A randomized check draws from ``ctx["rng"]``, a generator of its own,
+seeded from the run's seed and the check's name,
+``np.random.default_rng([seed, *name.encode()])``.  So a check's result
+depends only on the seed, its name, the screens and ``images``: it reads
+the same run alone as in the full suite, and adding, removing or
+reordering checks changes no other check's samples.
+
 The checks of the mode basis follow its structure, so that the suite
 runs on screens as large as (100,100) in seconds.
 ``cartesian_basis_gram`` measures the orthogonality of the one-dimensional
@@ -50,8 +57,8 @@ from ._reference import (gyrate_coeffs_sandwich, interval_levels,
 from .glyph import f_glyph
 from .imageio import load_complex, load_image, pixels_to_gray, read_pgm, \
     save_complex, write_pgm
-from .mode_basis import _WHOLE_BELOW, ScreenShape, build_basis, \
-    cartesian_mode, level_spectrum, lk_coefficients, lk_mode
+from .mode_basis import _WHOLE_BELOW, ScreenShape, _lk_block, build_basis, \
+    cartesian_mode, level_spectrum, lk_mode
 from .render import RenderSpec, scale_to_unit
 from .special_functions import Spin, _integer, _ladder, _Value, \
     kravchuk_function, wigner_little_d
@@ -130,9 +137,17 @@ def _check(name, tolerance, detail):
 
 
 def _kravchuk_table(two_j):
-    """Psi_n(q) of spin two_j/2: row n, column q ascending."""
-    return np.array([[kravchuk_function(Spin(two_j), n, (2 * i - two_j) / 2.0)
-                      for i in range(two_j + 1)] for n in range(two_j + 1)])
+    """Psi_n(q) of spin two_j/2: row n, column q ascending.
+
+    ``kravchuk_function`` runs only for n <= i, i the column: its
+    polynomial K_n(i) = K_i(n) is an exact integer sum and its prefactor is
+    symmetric, so ``T[i, n] = (-1)^(n + i) T[n, i]`` bit for bit."""
+    n, i = np.triu_indices(two_j + 1)
+    table = np.empty((two_j + 1, two_j + 1))
+    table[n, i] = [kravchuk_function(Spin(two_j), a, (2 * b - two_j) / 2.0)
+                   for a, b in zip(n.tolist(), i.tolist())]
+    table[i, n] = (-1.0) ** (n + i) * table[n, i]
+    return table
 
 
 @_check("littled_orthogonality", 1e-9, "max |d d^T - I| over 2*lambda <= 80")
@@ -286,9 +301,8 @@ def _check_lk_basis(ctx):
     # of coefficients, row m the mode (n, m) on the level's members, is
     # unitary.
     for key, basis in ctx["screens"]():
-        for n in range(basis.shape.max_total_mode + 1):
-            lev, nx, ny = basis.level_arrays(n)
-            b = np.array([lk_coefficients(basis, n, m)[nx, ny] for m in lev.two_mu])
+        for lev in basis.levels:
+            b = _lk_block(basis, lev.spin.two_j)
             yield b @ b.conj().T - np.eye(lev.size)
 
 
@@ -467,15 +481,12 @@ def _check_apply_reductions(ctx):
     b = ft.apply_element(basis, img, ga.FourierGroupElement(chi, psi, 0, phi))
     yield b - ft.synthesize(basis, ft.ks_coeffs(
         ft.ka_coeffs(coeffs, (psi + phi) / 2), chi / 2))
-    # Elements with an explicit omega, in both orientations.  They have a
-    # generator of their own, so the later checks draw what they drew
-    # before.
-    child = np.random.default_rng([ctx["seed"], 1])
+    # Elements with an explicit omega, in both orientations.
     for key in ((5, 3), (3, 4.5)):
         screen = ctx["get_basis"](key)
         for _ in range(_PAIRS):
-            element = wide_element(child)
-            x = random_image(child, screen)
+            element = wide_element(rng)
+            x = random_image(rng, screen)
             yield (ft.apply_element_coeffs(screen, x, element)
                    - level_action(screen, x, element))
 
@@ -569,8 +580,9 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     """Run every invariant check, each at its own tolerance, and return a
     list of CheckResult.  ``images``, a positive integer, sets the sample
     count of the randomized per-screen checks, and ``seed``, a
-    non-negative integer, seeds their draws; anything else raises
-    ``DomainError``.
+    non-negative integer, fixes every check's draws: each check gets a
+    generator seeded from ``seed`` and its name (see the module
+    docstring).  Anything else raises ``DomainError``.
 
     A check's deviation is the largest absolute value it yields, NaN if
     any is NaN; a NaN deviation fails.  The bases are built on first use,
@@ -580,7 +592,6 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     checks still run.
     """
     images, seed = _integer(images, "images", 1), _integer(seed, "seed")
-    rng = np.random.default_rng(seed)
     cache = {}
 
     def get_basis(key):
@@ -591,11 +602,11 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     def screens():
         return ((key, get_basis(key)) for key in map(tuple, shapes))
 
-    ctx = {"rng": rng, "seed": seed, "screens": screens, "images": images,
-           "get_basis": get_basis}
+    ctx = {"screens": screens, "images": images, "get_basis": get_basis}
     results = []
     for name, tol, detail, check in _CHECKS:
         t0 = time.monotonic()
+        ctx["rng"] = np.random.default_rng([seed, *name.encode()])
         error, deviation = "", 0.0
         try:
             for value in check(ctx):    # np.maximum keeps a NaN
@@ -615,7 +626,7 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     return results
 
 
-def verify(shapes=DEFAULT_SHAPES, images=20, seed=2024, as_json=False):
+def verify(shapes, images, seed, as_json):
     """Run the suite and return ``(report, exit_code)`` for ``fkimage
     verify``: the text table, or with ``as_json`` one JSON object, and 3
     if any check failed, known limitations included, else 0."""

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import os
@@ -323,6 +325,23 @@ def test_verify_registry_holds_each_check_once():
         assert math.isfinite(tolerance) and tolerance >= 0.0, name
         assert detail.strip() and callable(check), name
     assert set(KNOWN_LIMITATIONS) <= set(names)
+
+
+def test_verify_cli_defaults_are_the_suites():
+    # The CLI passes every argument of verify.verify, so its defaults are
+    # the suite's defaults, and its --shape help lists DEFAULT_SHAPES.
+    from fkimage import cli, verify
+    parser = cli.build_parser()
+    args = parser.parse_args(["verify"])
+    defaults = inspect.signature(verify.run_verification).parameters
+    assert args.images == defaults["images"].default
+    assert args.seed == defaults["seed"].default
+    [subs] = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    [shape] = [a for a in subs.choices["verify"]._actions if a.dest == "shape"]
+    listed = shape.help.split("default ", 1)[1].rstrip(")").split(" / ")
+    assert [(s.j_x.j, s.j_y.j) for s in map(parse_shape, listed)] == \
+        list(verify.DEFAULT_SHAPES)
 
 
 def test_verify_fails_a_check_whose_result_goes_nan(monkeypatch, capsys):

@@ -1,10 +1,13 @@
-"""Every check of ``fkimage verify`` must be able to fail.
+"""Every check of ``fkimage verify`` must be able to fail, and each reads
+the same alone as in the full suite.
 
 Each named defect is monkeypatched into the library, and
 ``run_verification`` runs on a screen that mixes on whole quarter-turn
 rungs, (5,3), and one that mixes on even/odd halves, (24,24).  The test
 asserts the exact set of checks that fail: the ones the defect names, and
-the known limitation, which fails on every rectangular screen.
+the known limitation, which fails on every rectangular screen.  On the
+same screens each check, run as the only registered check, gives the
+deviation it gives in the full suite: its draws come from its own name.
 """
 
 import pytest
@@ -74,3 +77,15 @@ def test_each_defect_fails_the_checks_it_names(defect, monkeypatch):
         monkeypatch.setattr(module, attribute, replacement)
     assert _failures(run_verification(_SCREENS, images=2)) == \
         names | set(KNOWN_LIMITATIONS)
+
+
+@pytest.fixture(scope="module")
+def full_suite():
+    return {r.name: r.deviation for r in run_verification(_SCREENS, images=2)}
+
+
+@pytest.mark.parametrize("check", verify._CHECKS, ids=lambda check: check[0])
+def test_each_check_reads_the_same_alone(check, full_suite, monkeypatch):
+    monkeypatch.setattr(verify, "_CHECKS", [check])
+    [alone] = run_verification(_SCREENS, images=2)
+    assert alone.deviation == full_suite[check[0]]
