@@ -169,10 +169,11 @@ def _from_entries(u00: complex, u01: complex, u10: complex,
     # Folding psi, phi into [0, 2 pi) can silently flip the SU(2) sign; the
     # flip is absorbed by the central phase, chi -> chi + 2 pi, whose
     # entries are the negated ones, so one rebuild serves both signs.
-    e = _entries(chi, psi, theta, phi)
-    u = (u00, u01, u10, u11)
-    residual = max(abs(x - y) for x, y in zip(e, u))
-    flipped = max(abs(x + y) for x, y in zip(e, u))
+    e0, e1, e2, e3 = _entries(chi, psi, theta, phi)
+    residual = max(abs(e0 - u00), abs(e1 - u01), abs(e2 - u10),
+                   abs(e3 - u11))
+    flipped = max(abs(e0 + u00), abs(e1 + u01), abs(e2 + u10),
+                  abs(e3 + u11))
     if flipped < residual:
         chi, residual = (chi + TWO_PI) % FOUR_PI, flipped
     if residual > 1e-9:

@@ -187,34 +187,45 @@ _BATCH_SPINS = 24
 # butterflies and second product cost more numpy calls than their halved
 # flops save.  Whole rungs measured faster up to 2j_min = 50 and slower
 # from 56.  It is also where the fold ends, so a whole-rung basis is the
-# fold batch and the top spin.
+# fold batch and the top spin (``_batch_slots``).
 _WHOLE_BELOW = 2 * _BATCH_SPINS
 
 
-def _batch_slots(two_jmin: int, halves: int
-                 ) -> list[list[tuple[tuple[int, int], ...]]]:
-    """The slots of each batch, each slot a tuple of ``(2*lambda, offset)``
-    of the spins it holds, ``offset`` being the row and column of the
-    spin's blocks in the slot; ``halves`` is 1 for whole rungs, 2 for
-    even/odd halves.
+def _batch_slots(two_jmin: int, two_jmax: int, halves: int
+                 ) -> list[list[tuple[tuple[int, int, tuple[int, ...]], ...]]]:
+    """The slots of each batch, each a tuple of ``(2*lambda, offset,
+    levels)`` of its spins: the row and column of the spin's blocks in the
+    slot and the levels n it mixes there; ``halves`` is 1 for whole rungs,
+    2 for even/odd halves.
 
-    Below ``F = min(2j_min, _WHOLE_BELOW)`` spin s shares a slot with
-    spin ``F - 1 - s``, whose blocks sit at offset ``s//halves + 1``, just
-    past the rung, or the even-column half, of s; when F is odd, the middle
-    spin ``(F - 1)/2`` has a slot of its own.  So every pair of this first
-    batch is ``F + 1`` rows high on whole rungs, and on halves ``F/2 + 1``
-    for an even F, ``(F + 1)/2`` or ``(F + 3)/2`` for an odd one.  Spins
-    ``F .. 2j_min - 1`` follow in runs of ``_BATCH_SPINS``, one to a slot,
-    and the top spin ``2j_min`` is a batch of its own.
+    Spin s below 2j_min holds the levels s and n_max - s.  Below
+    ``F = min(2j_min, _WHOLE_BELOW)`` it shares a slot with spin
+    ``F - 1 - s`` at offset ``s//halves + 1``, just past its rung or even
+    half; the middle spin of an odd F has a slot of its own.  So the
+    fold's slots are ``F + 1`` rows high on whole rungs, and on halves
+    ``F/2 + 1`` for an even F, ``(F + 1)/2`` or ``(F + 3)/2`` for an odd
+    one.  Spins ``F .. 2j_min - 1`` follow in runs of ``_BATCH_SPINS``, one
+    to a slot, and the top spin 2j_min, holding every level 2j_min ..
+    2j_max, is a batch of its own; on whole rungs, where those levels two
+    to a slot need no more slots than the fold has, they join the fold's
+    batch instead, and the screen mixes in one batch.
     """
     fold = min(two_jmin, _WHOLE_BELOW)
-    folded = [((s, 0), (fold - 1 - s, s // halves + 1))
+
+    def spin(s, offset=0):
+        return s, offset, (s, two_jmin + two_jmax - s)
+
+    folded = [(spin(s), spin(fold - 1 - s, s // halves + 1))
               for s in range(fold // 2)]
     if fold % 2:
-        folded.append((((fold - 1) // 2, 0),))
-    runs = [[((s, 0),) for s in range(lo, min(lo + _BATCH_SPINS, two_jmin))]
+        folded.append((spin((fold - 1) // 2),))
+    runs = [[(spin(s),) for s in range(lo, min(lo + _BATCH_SPINS, two_jmin))]
             for lo in range(fold, two_jmin, _BATCH_SPINS)]
-    return ([folded] if folded else []) + runs + [[((two_jmin, 0),)]]
+    flat = tuple(range(two_jmin, two_jmax + 1))
+    if halves == 1 and len(flat) <= 2 * len(folded):
+        return [folded + [((two_jmin, 0, flat[n:n + 2]),)
+                          for n in range(0, len(flat), 2)]]
+    return ([folded] if folded else []) + runs + [[((two_jmin, 0, flat),)]]
 
 
 def _butterfly(t: np.ndarray, b: np.ndarray) -> None:
@@ -228,72 +239,64 @@ class CartesianBasis:
     """One-dimensional Kravchuk tables, quarter-turn tables and level
     bookkeeping of a screen, and the level mix that reads them.
 
-    ``CartesianBasis(shape)`` takes a ``ScreenShape`` or a pair of spins.
-    It raises ``DomainError`` before it allocates anything when the
-    screen's longer side passes 512 pixels: its ladder walk would pass the
-    ``MAX_PIXELS`` block (``special_functions._check_walk``).  So every
-    screen it builds costs at most the 512x512 one, whose arrays hold
-    182.6 MiB of batch stacks, 8.2 MiB of index arrays and 4.0 MiB of
-    ``phi_x``/``phi_y`` (their ``nbytes``), and whose build peaks at
-    236 MiB RSS.
+    ``CartesianBasis(shape)`` takes a ``ScreenShape`` or a pair of spins,
+    and raises ``DomainError`` before it allocates anything when a side
+    passes 512 pixels, where its ladder walk would pass the ``MAX_PIXELS``
+    block (``special_functions._check_walk``).  The 512x512 basis holds
+    182.6 MiB of batch stacks, 8.2 MiB of index arrays and 4.0 MiB of 1-D
+    tables, and its build peaks at 236 MiB RSS.
 
     The basis holds only what the transforms read, as frozen arrays, and
     is safe to share between threads.  ``phi_x[n, i]`` is Psi_n^(j_x) at
-    pixel i (q_x = i - j_x), likewise ``phi_y``; both are orthogonal, so
-    analysis/synthesis is a pair of small matrix products.  They are two
-    rungs, reversed, of one walk of the half-spin ladder at pi/2 up to
-    ``max(2j_x, 2j_y)``: ``Psi_n(q) = d^j_{n-j,q}(pi/2)``.  The rungs
-    ``V = d^lambda(pi/2)``, ``2*lambda <= 2j_min``, are the quarter-turn
-    tables: rows in the level's mu order, and column k of ``diag(i^-k) V``
-    an eigenvector of J_y with eigenvalue ``k - lambda``.  A spin below
-    2j_min holds the levels 2*lambda and n_max - 2*lambda, the top spin
-    2j_min every level 2j_min .. 2j_max.
+    pixel i (q_x = i - j_x), likewise ``phi_y``: two orthogonal rungs,
+    reversed, of one walk of the half-spin ladder at pi/2,
+    ``Psi_n(q) = d^j_{n-j,q}(pi/2)``.  The rungs ``V = d^lambda(pi/2)``,
+    ``2*lambda <= 2j_min``, are the quarter-turn tables: rows in the
+    level's mu order, and column k of ``diag(i^-k) V`` an eigenvector of
+    J_y with eigenvalue ``k - lambda``.  Below 2j_min = ``_WHOLE_BELOW``
+    (``halves = 1``) a table is kept whole as ``U = V diag((-1)^c)``,
+    symmetric by ``d_{m'm} = (-1)^(m-m') d_{mm'}`` and made exactly so from
+    its upper triangle.  From it up (``halves = 2``), by the reflection law
+    ``V[2*lambda - r, c] = (-1)^c V[r, c]``, only ``E = V[:ceil(k/2), 0::2]``
+    and ``O = V[:floor(k/2), 1::2]`` are kept, k = 2*lambda + 1.
+    ``_quarter_turn`` returns V either way.
 
-    The layout is a function of 2j_min alone, ``halves`` parts per table.
-    Below ``_WHOLE_BELOW`` (``halves = 1``) each V is kept whole.  From it
-    up (``halves = 2``), by the reflection law
-    ``V[2*lambda - r, c] = (-1)^c V[r, c]``, only the half blocks
-    ``E = V[:ceil(k/2), 0::2]`` and ``O = V[:floor(k/2), 1::2]`` are kept,
-    k = 2*lambda + 1.  ``_quarter_turn`` returns V either way.
-
-    ``_batch_slots`` lays the spins out in batches of slots (2 batches on
-    (20,12), 4 on (64,48)); ``places[2*lambda]`` is a spin's
+    ``_batch_slots`` lays the spins out in batches of slots (1 batch on
+    (20,12), 4 on (64,48)); ``places[2*lambda]`` is a spin's first
     ``(batch, slot, offset)``, and ``batches[b]`` is
     ``(lo, hi, shape, stack_t, stack, index)``:
 
-    * ``stack``, shape ``(halves, slots, h, h)``, h the rows of the
-      highest slot: each spin's V, or its ``E`` and ``O``, at its offset,
-      zero elsewhere; ``stack_t`` is its transposed view.
-    * ``index``, shape ``(halves, slots, h, levels)``: ``2j_min + 2*mu`` of
-      row r of a spin's blocks, with column ``k = halves*r + half`` of V and
-      ``2*mu = 2k - 2*lambda``, ``2j_min`` on the padding; it indexes the
-      eigen-phases over ``2*mu = -2j_min .. 2j_min``.
+    * ``stack``, ``(halves, slots, h, h)``: each spin's U, or its E and O,
+      at its offset, zero elsewhere; ``stack_t`` is its transposed view,
+      and on whole rungs ``stack`` is that view too.
+    * ``index``, ``(halves, slots, h, levels)``: ``2j_min + 2*mu`` of row r
+      of a spin's blocks, column ``k = halves*r + half`` of V,
+      ``2*mu = 2k - 2*lambda``, and ``2j_min`` on the padding.
     * ``lo:hi``: the batch's float columns of each part of the gathered
       buffer, read as ``shape``, ``(halves, slots, h, 2*levels)``.
 
-    Entries ``lo/2 .. hi/2`` of the first part of ``gather``, read as
-    ``(slots, h, levels)``, hold the flat mode index ``n_x*N_y + n_y`` of
-    member r of each of a spin's levels (ascending n) in row r past its
-    offset, and on halves those of the second part member
-    ``2*lambda - r``.  Padding rows, and the second half's row at the
-    middle of an odd level, hold ``N_x*N_y``, where ``_mix`` keeps a zero.
-    ``scatter`` is the gathered position of each mode.
+    ``gather`` holds, read as ``(halves, slots, h, levels)``, the mode
+    ``n_x*N_y + n_y`` of member r of each level a slot lists for a spin in
+    row r past its offset, on halves member ``2*lambda - r`` in part 1.
+    Padding holds ``N_x*N_y`` on halves, where ``_mix`` keeps a zero, and
+    mode 0 on whole rungs, where it meets zero table rows or fills a
+    merged top spin's spare level, mixed and never read.  ``scatter`` is
+    each mode's gathered position.
 
-    ``_mix`` writes the pre-phased coefficients straight into the gather
-    source and frees it before the scatter allocates the output: at most
-    two full-size arrays are alive at once.  Each batch applies ``V^T``,
-    its eigen-phases (one gather) and ``V`` as stacked real products on
-    the real and imaginary parts at once.  On halves the gathered
-    buffer holds each level's top rows t in its first half and its
-    mirrored bottom rows b in the second.  By the reflection law,
-    ``V^T x`` is ``E^T (t + b)`` on the even columns and ``O^T (t - b)`` on
-    the odd ones, and ``V y`` is ``a + c`` on the top rows and ``a - c`` on
-    the bottom ones, with ``a = E y_even`` and ``c = O y_odd``.  So one
-    in-place butterfly ``(t, b) <- (t + b, t - b)`` goes before the batches
-    and one after, around the products with ``E`` and ``O``: half the bytes
-    and flops of whole rungs, for six more ufunc calls and twice the
-    products per slot.  On small screens those calls cost more than the
-    flops save, hence whole rungs there.  Padding adds exact zeros.
+    ``_mix`` applies ``V^T``, the eigen-phases D and ``V`` to each batch as
+    stacked real products on both planes at once; on whole rungs as
+    ``U D U = V D V^T``.  Whole rungs gather straight from the
+    coefficients, or their n_y-phased copy, and a lone batch frees the
+    gathered buffer after its first product; halves gather from a
+    pre-phased copy that ends in the zero.  At most two full-size arrays
+    are alive at once.  On halves the buffer holds a level's top rows t in
+    part 0 and its mirrored bottom rows b in part 1: ``V^T x`` is
+    ``E^T (t + b)`` on the even columns and ``O^T (t - b)`` on the odd ones,
+    and ``V y`` is ``a + c`` on top and ``a - c`` below, ``a = E y_even``,
+    ``c = O y_odd``.  So an in-place butterfly ``(t, b) <- (t + b, t - b)``
+    goes before the products and one after: half the bytes and flops, for
+    six more ufunc calls and twice the products, which cost more on small
+    screens.
 
     The other call constants: ``pixels``; ``quarter_turns``, a rotation's
     ``exp(+-i pi/2 n_y)``, the only complex arrays; and ``ramps``, whose odd
@@ -301,15 +304,12 @@ class CartesianBasis:
     five columns: n_y (pre-phase), n_y (post-phase), the levels n and
     their ``level_c``, and 2*mu (eigen-phases).  ``level_c`` is the integer
     ``(n_x - n_y) - 2*mu`` of each level, ``n - lo - hi`` with ``lo .. hi``
-    its n_y range (``_ny_bounds``), so zero on the lower triangle and
-    ``2*(j_x - j_y)`` on the upper one: the offset of the antisymmetric
-    Fourier phases from the level projection, which carries a group
-    element's fifth parameter ``omega``.
+    its n_y range (``_ny_bounds``): zero on the lower triangle,
+    ``2*(j_x - j_y)`` on the upper one, the offset of the antisymmetric
+    Fourier phases from the level projection that carries ``omega``.
 
-    ``levels`` and ``level_arrays(n)`` (the level, its n_x and its n_y)
-    come on demand from ``level_spectrum`` for the Laguerre-Kravchuk modes,
-    the figures and the references of ``verify`` and the tests, which check
-    the layout against ``_reference.interval_levels``.
+    ``levels`` and ``level_arrays(n)`` come on demand from
+    ``level_spectrum``.
     """
 
     def __init__(self, shape):
@@ -326,66 +326,72 @@ class CartesianBasis:
         two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j
         top, two_jmin = max(two_jx, two_jy), min(two_jx, two_jy)
         self.halves = halves = 1 if two_jmin < _WHOLE_BELOW else 2
-        layout = _batch_slots(two_jmin, halves)
+        layout = _batch_slots(two_jmin, top, halves)
         # A slot's rows end with the rung, or the even-column half, of its
         # last spin.
         stacks = [np.zeros((halves, len(slots)) + (max(
             slot[-1][1] + slot[-1][0] // halves + 1 for slot in slots),) * 2)
             for slots in layout]
-        places = {two_l: (b, i, offset) for b, slots in enumerate(layout)
-                  for i, slot in enumerate(slots) for two_l, offset in slot}
-        self.places = tuple(places[two_l] for two_l in range(two_jmin + 1))
+        places = {}
+        for b, slots in enumerate(layout):
+            for i, slot in enumerate(slots):
+                for two_l, offset, _ in slot:
+                    places.setdefault(two_l, []).append((b, i, offset))
+        self.places = tuple(places[two_l][0] for two_l in range(two_jmin + 1))
         for two_l, d in enumerate(_ladder(top, math.pi / 2.0)):
-            if two_l <= two_jmin:
-                b, i, at = self.places[two_l]
+            if halves == 1 and two_l <= two_jmin:
+                c = np.arange(two_l + 1)
+                u = d * (-1.0) ** c
+                u = np.where(c[:, None] <= c, u, u.T)
+            for b, i, at in places.get(two_l, ()):
                 for half in range(halves):
                     k = (two_l + halves - half) // halves
                     stacks[b][half, i, at:at + k, at:at + k] = \
-                        d[:k, half::halves]
+                        u if halves == 1 else d[:k, half::halves]
             if two_l == two_jx:
                 self.phi_x = _frozen(d[::-1, ::-1].copy())
             if two_l == two_jy:
                 self.phi_y = _frozen(d[::-1, ::-1].copy())
-        # A level's spin 2*lambda is the width of its n_y range (_ny_bounds):
-        # levels 2*lambda and n_max - 2*lambda below 2j_min, and every level
-        # 2j_min .. top at it.
         size = shape.mode_count
-        batches, gather, lo = [], [], 0
+        batches, gather, pads, lo = [], [], [], 0
         half = np.arange(halves, dtype=np.intp)[:, None, None, None]
         for slots, stack in zip(layout, map(_frozen, stacks)):
             # Axes (slot, row, level): the spin 2*lambda of each row, the row
-            # r of that spin's blocks, and the levels of the spin.  A slot's
-            # last spin starts at its offset, and a lone spin at 0.
-            first, _, last, offset = np.array(
-                [slot[0] + slot[-1] for slot in slots], dtype=np.intp
-            ).T[:, :, None, None]
+            # r of its blocks, and the levels it mixes there, -1 past the
+            # slot's last.  A slot's last spin starts at its offset.
+            wide = max(len(slot[-1][2]) for slot in slots)
+            spins = np.array([[(two_l, at) + (ns + (-1,))[:wide]
+                               for two_l, at, ns in (slot[0], slot[-1])]
+                              for slot in slots], dtype=np.intp)[:, :, None]
             row = np.arange(stack.shape[2], dtype=np.intp)[:, None]
-            later = row >= offset
-            two_l = np.where(later, last, first)
-            r = np.where(later, row - offset, row)
-            ns = (np.arange(two_jmin, top + 1, dtype=np.intp)
-                  if first[0, 0, 0] == two_jmin else np.concatenate(
-                      (two_l, shape.max_total_mode - two_l), axis=2))
+            spin = np.where(row >= spins[:, 1, :, 1:2], spins[:, 1],
+                            spins[:, 0])
+            two_l, r, ns = spin[..., :1], row - spin[..., 1:2], spin[..., 2:]
             # Axes (half, slot, row, level): on whole rungs, member r of each
             # level, column k = r of V.  On halves, half 0 holds member r,
             # column k = 2r, while r <= 2*lambda - r; half 1 holds the
             # mirror 2*lambda - r, column k = 2r + 1, while r < 2*lambda - r.
             k = halves * r + half
-            padding = k > two_l
             ny = _ny_bounds(shape, ns)[0] + np.where(half, two_l - r, r)
-            index = np.where(padding, size, (ns - ny) * shape.n_y + ny)
+            padding = (k > two_l) | (ns < 0)
+            index = np.where(padding, (halves - 1) * size,
+                             (ns - ny) * shape.n_y + ny)
             gather.append(index.reshape(halves, -1))
-            two_mu = np.where(padding, 0, 2 * k - two_l)
+            pads.append(padding.reshape(halves, -1))
+            two_mu = np.where(k > two_l, 0, 2 * k - two_l)
             width = 2 * index.size // halves
+            stack_t = stack.transpose(0, 1, 3, 2)
             batches.append((lo, lo + width, index.shape[:3] + (
-                2 * index.shape[3],), stack.transpose(0, 1, 3, 2), stack,
-                _frozen((two_jmin + two_mu).repeat(ns.shape[-1], axis=3))))
+                2 * index.shape[3],), stack_t, stack_t if halves == 1 else
+                stack, _frozen((two_jmin + two_mu).repeat(ns.shape[-1],
+                                                          axis=3))))
             lo += width
         self.batches = tuple(batches)
         self.gather = _frozen(np.concatenate(gather, axis=1).ravel())
-        scatter = np.empty(size + 1, dtype=np.intp)
-        scatter[self.gather] = np.arange(self.gather.size, dtype=np.intp)
-        self.scatter = _frozen(scatter[:size])
+        kept = ~np.concatenate(pads, axis=1).ravel()
+        scatter = np.empty(size, dtype=np.intp)
+        scatter[self.gather[kept]] = np.flatnonzero(kept)
+        self.scatter = _frozen(scatter)
         # The constants of every transform call (see the class docstring).
         ny = np.arange(shape.n_y)
         self.quarter_turns = tuple(_frozen(np.exp(1j * angle * ny))
@@ -422,17 +428,33 @@ class CartesianBasis:
         """``coeffs`` times the n_y pre-phase ``turn``, if any, each spin's
         levels then mixed in its J_y eigenbasis by the eigen-phases
         ``phases``, as a new complex array; see the class docstring."""
-        # One slot past the last mode holds the zero the padding gathers.
-        src = np.empty(coeffs.size + 1, dtype=np.complex128)
-        src[-1] = 0.0
-        grid = src[:-1].reshape(coeffs.shape)
-        if turn is None:
-            grid[...] = coeffs
+        if self.halves == 1:
+            src = coeffs if turn is None else coeffs * turn
+            buf = src.reshape(-1)[self.gather].astype(np.complex128,
+                                                      copy=False)
+            del src
         else:
-            np.multiply(coeffs, turn, out=grid)
-        buf = src[self.gather]
-        del src, grid
+            # One slot past the last mode holds the zero the padding gathers.
+            src = np.empty(coeffs.size + 1, dtype=np.complex128)
+            src[-1] = 0.0
+            grid = src[:-1].reshape(coeffs.shape)
+            if turn is None:
+                grid[...] = coeffs
+            else:
+                np.multiply(coeffs, turn, out=grid)
+            buf = src[self.gather]
+            del src, grid
         parts = buf.view(np.float64).reshape(self.halves, -1)
+        if len(self.batches) == 1:
+            # Free the gathered buffer before the phases' temporary.
+            (_, _, shape, stack_t, stack, index), = self.batches
+            x = np.matmul(stack_t, parts.reshape(shape))
+            del buf, parts
+            eig = x.view(np.complex128)
+            eig *= phases[index]
+            buf = np.matmul(stack, x).view(np.complex128).ravel()
+            del x, eig
+            return buf[self.scatter].reshape(coeffs.shape)
         if self.halves == 2:
             _butterfly(*parts)
         for lo, hi, shape, stack_t, stack, index in self.batches:
@@ -500,13 +522,14 @@ def cartesian_mode(basis: CartesianBasis, idx) -> np.ndarray:
 
 def _quarter_turn(basis: CartesianBasis, two_l: int) -> np.ndarray:
     """The quarter-turn table ``V = d^lambda(pi/2)`` of a spin
-    ``2*lambda <= 2j_min``: a copy of the stored rung, or on halves rebuilt
-    from ``E`` and ``O`` by the reflection law
-    ``V[2*lambda - r, c] = (-1)^c V[r, c]``."""
+    ``2*lambda <= 2j_min``, a new array: the stored U times
+    ``diag((-1)^c)``, or on halves rebuilt from ``E`` and ``O`` by the
+    reflection law ``V[2*lambda - r, c] = (-1)^c V[r, c]``."""
     b, i, at = basis.places[two_l]
     stack = basis.batches[b][4]
     if basis.halves == 1:
-        return stack[0, i, at:at + two_l + 1, at:at + two_l + 1].copy()
+        return (stack[0, i, at:at + two_l + 1, at:at + two_l + 1]
+                * (-1.0) ** np.arange(two_l + 1))
     even, odd = (two_l + 2) // 2, (two_l + 1) // 2
     e, o = stack[:, i, at:at + even, at:at + even]
     v = np.empty((two_l + 1, two_l + 1))

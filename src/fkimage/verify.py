@@ -69,9 +69,10 @@ __all__ = ["CheckResult", "run_verification", "DEFAULT_SHAPES", "KNOWN_LIMITATIO
 # folded two to a slot, (20,12) at the even fold 2 j_min = 24.  (2.5,1) and
 # (3,4.5): half-integer spins, the latter in the j_x < j_y orientation.
 # (13,12.5): the odd fold 2 j_min = 25, whose middle spin has a slot of
-# its own.  These mix on whole quarter-turn rungs; (24,24), the smallest
-# screen with 2 j_min = mode_basis._WHOLE_BELOW = 48, mixes on even/odd
-# halves.
+# its own.  These mix on whole quarter-turn rungs, all but (2.5,1) in one
+# batch, the top spin's levels two to a slot of the fold's batch; (2.5,1)
+# keeps its top spin apart.  (24,24), the smallest screen with
+# 2 j_min = mode_basis._WHOLE_BELOW = 48, mixes on even/odd halves.
 DEFAULT_SHAPES = ((5, 3), (11, 7), (20, 12), (2.5, 1), (3, 4.5),
                   (13, 12.5), (24, 24))
 
@@ -277,12 +278,13 @@ def _check_basis_gram(ctx):
 
 
 @_check("quarter_turn_reflection", 1e-14,
-        "max |V - d(pi/2)|, V the stored whole rung below 2 j_min = "
-        f"{_WHOLE_BELOW}, and from it up rebuilt from its even/odd half "
-        "blocks by V[2 lambda - r, c] = (-1)^c V[r, c]")
+        "max |V - d(pi/2)|, V read from the stored whole table below "
+        f"2 j_min = {_WHOLE_BELOW}, and from it up rebuilt from its even/odd "
+        "half blocks by V[2 lambda - r, c] = (-1)^c V[r, c]")
 def _check_quarter_turn_reflection(ctx):
     # Below 2 j_min = _WHOLE_BELOW a basis stores each quarter-turn rung
-    # whole, and this measures the stored rung.  From it up, a basis keeps
+    # whole, as the symmetric U = V diag((-1)^c), and this measures V read
+    # from the stored U against the rung.  From it up, a basis keeps
     # only the top rows of each rung's even and odd columns, and the mix
     # takes the bottom rows from the reflection law
     # V[2 lambda - r, c] = (-1)^c V[r, c]; the rung rebuilt that way is

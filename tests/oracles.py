@@ -57,41 +57,60 @@ def little_d_expm(two_l, beta):
     return d.real
 
 
-def fold_layout(two_jmin, width):
-    """The spins of each slot of each batch by the fold rule, written out
-    without ``mode_basis``: below F = min(2j_min, 2 width) spin s shares a
-    slot with F - 1 - s, and the middle spin of an odd F has its own; then
-    runs of ``width`` spins, one to a slot; then the top spin alone.  Whole
-    rungs and even/odd halves share these slots and differ only in the
-    second spin's offset."""
+def fold_layout(two_jmin, two_jmax, width, whole):
+    """The spins of each slot of each batch, each as ``(2 lambda, levels)``,
+    by the fold rule, written out without ``mode_basis``: a spin
+    s < 2j_min mixes the levels s and n_max - s, and the top spin 2j_min
+    every level 2j_min .. 2j_max.  Below F = min(2j_min, 2 width) spin s
+    shares a slot with F - 1 - s, and the middle spin of an odd F has its
+    own; then runs of ``width`` spins, one to a slot; then the top spin
+    alone.  On ``whole`` rungs, when the top spin's levels taken two at a
+    time need no more slots than the fold has, they follow the fold's
+    slots in its batch instead, two levels to a slot, the last one alone
+    when their count is odd.  Whole rungs and even/odd halves otherwise
+    share these slots and differ only in the second spin's offset."""
+    n_max = two_jmin + two_jmax
     fold = min(two_jmin, 2 * width)
-    batches = [[tuple(sorted({s, fold - 1 - s}))
-                for s in range((fold + 1) // 2)]] if fold else []
+    folded = [tuple((t, (t, n_max - t)) for t in sorted({s, fold - 1 - s}))
+              for s in range((fold + 1) // 2)]
+    flat = tuple(range(two_jmin, two_jmax + 1))
+    if whole and folded and math.ceil(len(flat) / 2) <= len(folded):
+        return [folded + [((two_jmin, flat[n:n + 2]),)
+                          for n in range(0, len(flat), 2)]]
+    batches = [folded] if fold else []
     for lo in range(fold, two_jmin, width):
-        batches.append([(s,) for s in range(lo, min(lo + width, two_jmin))])
-    return batches + [[(two_jmin,)]]
+        batches.append([((s, (s, n_max - s)),)
+                        for s in range(lo, min(lo + width, two_jmin))])
+    return batches + [[((two_jmin, flat),)]]
 
 
 def check_split_quarter_turns(basis):
     """Assert that ``basis`` keeps whole rungs when 2j_min is below
     ``mode_basis._WHOLE_BELOW`` and even/odd halves from it up, and that
     every slot of every batch, as ``mode_basis._batch_slots`` lists them,
-    holds bit for bit its spins' quarter-turn rungs ``d = d^lambda(pi/2)``
-    on whole rungs, or their even-column and odd-column halves
-    ``d[:ceil(k/2), 0::2]`` and ``d[:floor(k/2), 1::2]`` on halves: the
-    first spin at row and column 0 and a second one just past the first's
-    rung, or its even half, with exact zeros off those blocks and on the
-    padding; that ``basis.places`` records each spin's batch, slot and
-    offset; and that its phase index holds ``2j_min + 2 mu`` of each
-    block's columns and ``2j_min`` elsewhere.  Returns the spins of each
-    slot of each batch."""
-    two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
+    holds its spins' tables, the first spin at row and column 0 and a
+    second one just past the first's rung, or its even half, with exact
+    zeros off those blocks and on the padding.  On halves the tables are
+    the even-column and odd-column halves ``d[:ceil(k/2), 0::2]`` and
+    ``d[:floor(k/2), 1::2]`` of the quarter-turn rungs
+    ``d = d^lambda(pi/2)``, bit for bit.  On whole rungs they are
+    ``U = d diag((-1)^c)``, exactly symmetric, with the upper triangle bit
+    for bit the rung's, and the batch applies the one transposed view
+    both ways.  ``basis.places`` records the first slot of each spin, and
+    its phase index holds ``2j_min + 2 mu`` of each block's columns and
+    ``2j_min`` elsewhere.  The gather holds, for each level a slot lists,
+    member r of the level in row r of its spin's blocks; padding names an
+    in-range mode on whole rungs and the zero at N_x*N_y on halves.
+    Returns each slot's ``(2 lambda, levels)`` per spin, batch by batch."""
+    two_jx, two_jy = basis.shape.j_x.two_j, basis.shape.j_y.two_j
+    two_jmin, size = min(two_jx, two_jy), basis.shape.mode_count
     halves = 1 if two_jmin < _WHOLE_BELOW else 2
     assert basis.halves == halves
     rungs = list(_ladder(two_jmin, math.pi / 2))
-    layout = _batch_slots(two_jmin, halves)
+    layout = _batch_slots(two_jmin, max(two_jx, two_jy), halves)
     assert len(layout) == len(basis.batches)
-    stop = 0
+    gather = basis.gather.reshape(halves, -1)
+    first, stop = {}, 0
     for b, ((lo, hi, shape, stack_t, stack, index), slots) in enumerate(
             zip(basis.batches, layout)):
         assert lo == stop
@@ -99,36 +118,62 @@ def check_split_quarter_turns(basis):
         assert stack.dtype == np.float64 and not stack.flags.writeable
         assert index.dtype == np.intp and not index.flags.writeable
         assert np.array_equal(stack_t, stack.transpose(0, 1, 3, 2))
+        if halves == 1:
+            assert stack is stack_t
         rows = stack.shape[2]
+        levels = index.shape[3]
         assert stack.shape == (halves, len(slots), rows, rows)
         assert index.shape[:3] == (halves, len(slots), rows)
-        assert shape == index.shape[:3] + (2 * index.shape[3],)
+        assert shape == index.shape[:3] + (2 * levels,)
         assert hi - lo == 2 * index.size // halves
+        gathered = gather[:, lo // 2:hi // 2].reshape(index.shape)
         for i, slot in enumerate(slots):
-            for two_l, at in slot:
-                assert basis.places[two_l] == (b, i, at)
+            for two_l, at, _ in slot:
+                first.setdefault(two_l, (b, i, at))
             offsets = [0, slot[0][0] // halves + 1][:len(slot)]
-            assert [at for _, at in slot] == offsets
+            assert [at for _, at, _ in slot] == offsets
             for half in range(halves):
                 block = np.zeros((rows, rows))
                 two_mu = np.zeros(rows, dtype=int)
-                for two_l, at in slot:
+                modes = np.full((rows, levels), -1)
+                for two_l, at, ns in slot:
                     valid = (two_l + halves - half) // halves
-                    block[at:at + valid, at:at + valid] = \
-                        rungs[two_l][:valid, half::halves]
+                    d = rungs[two_l]
+                    if halves == 1:
+                        d = d * (-1.0) ** np.arange(two_l + 1)
+                        upper = np.triu_indices(two_l + 1)
+                        u = stack[0, i, at:at + valid, at:at + valid]
+                        assert np.array_equal(u[upper], d[upper])
+                        assert np.array_equal(u, u.T)
+                        block[at:at + valid, at:at + valid] = u
+                    else:
+                        block[at:at + valid, at:at + valid] = \
+                            d[:valid, half::halves]
                     two_mu[at:at + valid] = (2 * halves * np.arange(valid)
                                              + 2 * half - two_l)
+                    for column, n in enumerate(ns):
+                        lev, nx, ny = basis.level_arrays(n)
+                        assert lev.spin.two_j == two_l
+                        members = nx * basis.shape.n_y + ny
+                        modes[at:at + valid, column] = (
+                            members if half == 0 else members[::-1])[:valid]
                 assert np.array_equal(stack[half, i], block)
                 assert np.array_equal(index[half, i], np.repeat(
-                    two_jmin + two_mu[:, None], index.shape[3], axis=1))
+                    two_jmin + two_mu[:, None], levels, axis=1))
+                kept = modes >= 0
+                assert np.array_equal(gathered[half, i][kept], modes[kept])
+                padding = gathered[half, i][~kept]
+                if halves == 1:
+                    assert np.all((0 <= padding) & (padding < size))
+                else:
+                    assert np.all(padding == size)
         # The highest slot sets the batch's rows.
         assert rows == max(at + two_l // halves + 1
-                           for slot in slots for two_l, at in slot)
-    assert sorted(two_l for slots in layout for slot in slots
-                  for two_l, _ in slot) == list(range(two_jmin + 1))
+                           for slot in slots for two_l, at, _ in slot)
+    assert sorted(first) == list(range(two_jmin + 1))
+    assert basis.places == tuple(first[two_l] for two_l in sorted(first))
     assert stop == 2 * basis.gather.size // halves
-    assert len(basis.places) == two_jmin + 1
-    return [[tuple(two_l for two_l, _ in slot) for slot in slots]
+    return [[tuple((two_l, ns) for two_l, _, ns in slot) for slot in slots]
             for slots in layout]
 
 

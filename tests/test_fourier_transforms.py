@@ -451,29 +451,45 @@ def _batch_edge_screens():
     for runs of w = _BATCH_SPINS and of 8, whose edges fall inside the
     folded spins.  Then the fold's own edges: 2j_min = 2 _BATCH_SPINS - 1,
     an odd fold whose middle spin has a slot of its own, and
-    3 _BATCH_SPINS + 1, one past the first run after the fold.  Last the
+    3 _BATCH_SPINS + 1, one past the first run after the fold.  Then the
     layout's crossover X = _WHOLE_BELOW: 2j_min = X - 1 on whole rungs and
-    X on halves, in both orientations, each with one half-integer spin."""
+    X on halves, in both orientations, each with one half-integer spin.
+    Last, whole-rung screens on both sides of the merge of the top spin
+    into the fold batch, in both orientations: (100,12), (255,3), (12,3)
+    and (2.5,1) keep the top spin apart, (0,7) has no fold, and (5,3),
+    (23.5,20) and (11.5,12) merge it."""
     width, x = mode_basis._BATCH_SPINS, mode_basis._WHOLE_BELOW
     runs = [pair for w in (8, width) for pair in (
         (w - 1, w + 4), (w + 3, w), (w + 1, w + 1), (w + 6, w + 1),
         (2 * w, 2 * w + 5), (2 * w + 1, 2 * w + 1), (2 * w + 2, 2 * w + 1))]
+    merge = [pair for two_j in ((200, 24), (510, 6), (24, 6), (5, 2),
+                                (0, 14), (10, 6), (47, 40), (23, 24))
+             for pair in (two_j, two_j[::-1])]
     return runs + [(2 * width + 2, 2 * width - 1),
                    (3 * width + 1, 3 * width + 4),
-                   (x - 1, x + 2), (x + 4, x - 1), (x, x + 3), (x + 3, x)]
+                   (x - 1, x + 2), (x + 4, x - 1), (x, x + 3),
+                   (x + 3, x)] + merge
 
 
 @pytest.mark.parametrize("two_j", _batch_edge_screens(), ids=str)
 def test_batched_mix_matches_little_d_blocks_across_batch_edges(two_j):
     basis = build_basis(ScreenShape(Spin(two_j[0]), Spin(two_j[1])))
-    two_jmin, width = min(two_j), mode_basis._BATCH_SPINS
+    two_jmin, two_jmax = min(two_j), max(two_j)
+    width, whole = mode_basis._BATCH_SPINS, basis.halves == 1
     layout = check_split_quarter_turns(basis)
-    assert layout == fold_layout(two_jmin, width)
+    assert layout == fold_layout(two_jmin, two_jmax, width, whole)
     # One folded batch below F = min(2j_min, 2 width), runs of width spins
-    # up to 2j_min, then the top spin alone.
+    # up to 2j_min, then the top spin alone; on whole rungs, where its
+    # levels fit two to a slot of the fold batch, that batch alone.
     fold = min(two_jmin, 2 * width)
-    assert len(layout) == (fold > 0) + -(-(two_jmin - fold) // width) + 1
-    assert layout[-1] == [(two_jmin,)]
+    flat = tuple(range(two_jmin, two_jmax + 1))
+    if whole and 0 < len(flat) <= 2 * ((fold + 1) // 2):
+        assert len(layout) == 1
+        assert layout[0][(fold + 1) // 2:] == [
+            ((two_jmin, flat[n:n + 2]),) for n in range(0, len(flat), 2)]
+    else:
+        assert len(layout) == (fold > 0) + -(-(two_jmin - fold) // width) + 1
+        assert layout[-1] == [((two_jmin, flat),)]
     for *_, index in basis.batches:
         assert index.min() >= 0 and index.max() <= 2 * two_jmin
     rng = np.random.default_rng(sum(two_j))
@@ -541,13 +557,15 @@ def _traced_peak(op):
 
 @pytest.mark.parametrize("real", [False, True])
 def test_action_allocates_few_full_size_arrays(real):
-    # One op allocates the gather source, the gathered buffer and the
-    # output, and no full-grid phase: its traced peak is 2.37 complex grids
-    # on (64,48), whose buffer is 9 % padding, and 2.66 on (20,12), where
-    # the small temporaries weigh more; the omega phase is included.  A
-    # real rotation on (64,48) also copies out the float64 real part, 4.75
-    # of its float64 outputs.  The bounds leave room for small temporaries
-    # only.
+    # No op forms a full-grid phase.  On halves, (64,48), an op allocates
+    # the gather source, the gathered buffer, 9 % padding, and the output:
+    # its traced peak is 2.37 complex grids, 2.41 with the omega phase.
+    # On whole rungs, (20,12), a gyration gathers from the caller's array
+    # and an element from its n_y-phased copy, and the gathered buffer
+    # goes before the second product: 2.16 grids for a rotation or a
+    # gyration, 2.30 for the element.  A real rotation on (64,48) also
+    # copies out the float64 real part, 4.75 of its float64 outputs.  The
+    # bounds leave room for small temporaries only.
     element = FourierGroupElement(1.0, 0.3, 0.8, 2.0, omega=0.2)
     for spins in ((64, 48),) if real else ((64, 48), (20, 12)):
         basis = build_basis(spins)
@@ -557,11 +575,37 @@ def test_action_allocates_few_full_size_arrays(real):
         for op, bound in (
                 (lambda: apply_element_coeffs(basis, coeffs, element), 3.25),
                 (lambda: rotate_coeffs(basis, coeffs, 0.7),
-                 5.0 if real else 3.25)):
+                 5.0 if real else 3.25),
+                (lambda: gyrate_coeffs(basis, coeffs, 0.7), 3.25)):
             op()        # first calls may allocate once for good
             peak, out = _traced_peak(op)
             assert peak <= bound * out.nbytes, (spins, peak / out.nbytes,
                                                 out.dtype)
+
+
+@pytest.mark.parametrize("spins", [(20, 12), (2.5, 1), (24, 24)])
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_transforms_leave_their_input_alone(spins, dtype):
+    # A whole-rung mix gathers straight from the caller's array: every
+    # transform leaves its input unchanged and still writeable, on a
+    # merged whole-rung screen, an unmerged one and on halves.
+    basis = build_basis(spins)
+    coeffs = random_image(np.random.default_rng(29), basis)
+    if dtype is np.float64:
+        coeffs = coeffs.real.copy()
+    kept = coeffs.copy()
+    element = FourierGroupElement(1.0, 0.3, 0.8, 2.0, omega=0.2)
+    for op in (lambda c: rotate_coeffs(basis, c, 0.7),
+               lambda c: gyrate_coeffs(basis, c, -1.1),
+               lambda c: apply_element_coeffs(basis, c, element),
+               lambda c: apply_element_coeffs(
+                   basis, c, FourierGroupElement(0.4, 0.0, 2.1, 0.0)),
+               lambda c: ks_coeffs(c, 0.4), lambda c: ka_coeffs(c, 0.9),
+               lambda c: analyze(basis, c), lambda c: synthesize(basis, c)):
+        out = op(coeffs)
+        assert out is not coeffs and not np.shares_memory(out, coeffs)
+        assert np.array_equal(coeffs, kept) and coeffs.dtype == kept.dtype
+        assert coeffs.flags.writeable
 
 
 def test_transforms_leave_the_mix_layout_to_the_basis():

