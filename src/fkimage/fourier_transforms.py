@@ -17,17 +17,17 @@ whose omega is (psi + phi)/2.  Rotation by theta is the element
 D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is D(0; 0, 2 gamma, 0);
 both act block-diagonally on the total-mode levels and never mix them.
 The fractional Fourier transforms K_S and K_A are pure mode-number phases.
-Angles are reduced into (-4 pi, 4 pi) before use.
+Angles are checked once and reduced into (-4 pi, 4 pi) before use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationError
 from .group_algebra import FourierGroupElement
 from .mode_basis import _HALF_PI, CartesianBasis, _finite
-from .special_functions import _finite_angle
+from .special_functions import _finite_angle, _reduced
 
 __all__ = [
     "analyze",
@@ -99,9 +99,11 @@ def rotate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     phases are the i^(n_y) and i^(-n_y) around the J_y eigenbasis, and it
     has no level phase.  Real input stays exactly real, the Euclidean norm
     is preserved, levels do not mix, and theta = 0 is an exact identity.
+    theta is checked once; 2 theta of the reduced angle is finite and is
+    reduced again.
     """
     return _act(basis, coeffs, 0.0, -_HALF_PI,
-                _finite_angle(2.0 * _finite_angle(theta)), _HALF_PI, 0.0)
+                _reduced(2.0 * _finite_angle(theta)), _HALF_PI, 0.0)
 
 
 def _checked_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -149,7 +151,7 @@ def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     identity.
     """
     return _act(basis, coeffs, 0.0, 0.0,
-                _finite_angle(2.0 * _finite_angle(gamma)), 0.0, 0.0)
+                _reduced(2.0 * _finite_angle(gamma)), 0.0, 0.0)
 
 
 def _act(basis: CartesianBasis, coeffs: np.ndarray, chi: float, psi: float,
@@ -157,7 +159,10 @@ def _act(basis: CartesianBasis, coeffs: np.ndarray, chi: float, psi: float,
     """D(chi; psi, theta, phi; omega) on coefficients, the angles already
     reduced and ``shift = omega - (psi + phi)/2``; see
     ``apply_element_coeffs``.  A rotation's element, psi = -pi/2 and
-    phi = pi/2, takes its n_y phases from ``quarter_turns``."""
+    phi = pi/2, takes its n_y phases from ``quarter_turns``, full grids,
+    so its pre- and post-phase run elementwise; the post-phase still goes
+    through ``_mode_phases``, which adds a level phase when chi or omega
+    gives one."""
     coeffs = basis.check_image(coeffs)
     level = 0.5 * (chi + psi + phi)
     if theta == 0.0:
@@ -179,8 +184,10 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                          element: FourierGroupElement) -> np.ndarray:
     """Coefficient-space action of D(chi; psi, theta, phi; omega) in one pass.
 
-    Each angle is first reduced into (-4 pi, 4 pi); rotations and gyrations
-    take the same private action.  On level n the element is the Wigner
+    ``element`` must be a ``FourierGroupElement`` (``ValidationError``
+    otherwise), whose constructor has already checked its angles, so each
+    is only reduced into (-4 pi, 4 pi); rotations and gyrations take the
+    same private action.  On level n the element is the Wigner
     D^lambda(psi, theta, phi) between constant phases, and since
     n_x = n - n_y every diagonal factor is an n_y phase times a constant on
     the level, which commutes with the level's mix:
@@ -192,7 +199,7 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     eigen-phases of the mix are slices of one ``exp`` (``_phases``); a
     phase exactly one is not multiplied, so a gyration has only its
     eigen-phases and a rotation adds its frozen ``quarter_turns``,
-    i^(+-n_y).  Mix(theta) projects each
+    i^(+-n_y) over the whole screen.  Mix(theta) projects each
     spin's levels onto its J_y eigenbasis ``diag(i^-k) V``, multiplies by
     exp(-i theta mu) and projects back.  Member k of a level has
     n_y = k + (its lowest n_y), so ``i^k`` and ``i^(n_y)`` differ by a
@@ -205,9 +212,11 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     theta = 0 with every phase one, and for a rotation's element
     D(0; -pi/2, theta, pi/2), which returns the real part of its buffer.
     """
-    chi, psi, theta, phi = map(_finite_angle, (
-        element.chi, element.psi, element.theta, element.phi))
-    return _act(basis, coeffs, chi, psi, theta, phi,
+    if not isinstance(element, FourierGroupElement):
+        raise ValidationError(
+            f"element must be a FourierGroupElement, got {element!r}")
+    return _act(basis, coeffs, _reduced(element.chi), _reduced(element.psi),
+                _reduced(element.theta), _reduced(element.phi),
                 element.omega - element.default_omega)
 
 

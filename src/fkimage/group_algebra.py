@@ -135,11 +135,13 @@ def _from_entries(u00: complex, u01: complex, u10: complex,
                   u11: complex) -> tuple[float, float, float, float]:
     """Canonical (chi, psi, theta, phi) of the matrix [[u00, u01],
     [u10, u11]]; the checks and the extraction of ``from_matrix``."""
-    if not all(map(cmath.isfinite, (u00, u01, u10, u11))):
+    if not (cmath.isfinite(u00) and cmath.isfinite(u01)
+            and cmath.isfinite(u10) and cmath.isfinite(u11)):
         raise ValidationError("matrix is non-finite")
-    defect = max(abs(abs(u00) ** 2 + abs(u01) ** 2 - 1.0),
+    m00, m01, m10, m11 = abs(u00), abs(u01), abs(u10), abs(u11)
+    defect = max(abs(m00 * m00 + m01 * m01 - 1.0),
                  abs(u00 * u10.conjugate() + u01 * u11.conjugate()),
-                 abs(abs(u10) ** 2 + abs(u11) ** 2 - 1.0))
+                 abs(m10 * m10 + m11 * m11 - 1.0))
     if defect > _UNITARY_TOL:
         raise ValidationError(f"matrix is not unitary (defect {defect:.2e})")
 
@@ -164,7 +166,10 @@ def _from_entries(u00: complex, u01: complex, u10: complex,
         psi = (half_sum + half_diff) % TWO_PI
         phi = (half_sum - half_diff) % TWO_PI
     # x % TWO_PI rounds a tiny negative x up to 2 pi itself: fold it to 0.
-    psi, phi = (0.0 if x == TWO_PI else x for x in (psi, phi))
+    if psi == TWO_PI:
+        psi = 0.0
+    if phi == TWO_PI:
+        phi = 0.0
 
     # Folding psi, phi into [0, 2 pi) can silently flip the SU(2) sign; the
     # flip is absorbed by the central phase, chi -> chi + 2 pi, whose

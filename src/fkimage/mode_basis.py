@@ -243,8 +243,9 @@ class CartesianBasis:
     and raises ``DomainError`` before it allocates anything when a side
     passes 512 pixels, where its ladder walk would pass the ``MAX_PIXELS``
     block (``special_functions._check_walk``).  The 512x512 basis holds
-    182.6 MiB of batch stacks, 8.2 MiB of index arrays and 4.0 MiB of 1-D
-    tables, and its build peaks at 236 MiB RSS.
+    182.6 MiB of batch stacks, 6.2 MiB of index arrays, 8.0 MiB of
+    quarter-turn grids and 4.0 MiB of 1-D tables, and its build peaks at
+    235 MiB RSS.
 
     The basis holds only what the transforms read, as frozen arrays, and
     is safe to share between threads.  ``phi_x[n, i]`` is Psi_n^(j_x) at
@@ -299,10 +300,13 @@ class CartesianBasis:
     screens.
 
     The other call constants: ``pixels``; ``quarter_turns``, a rotation's
-    ``exp(+-i pi/2 n_y)``, the only complex arrays; and ``ramps``, whose odd
-    rows hold the ramps of every phase of an action for ``_phases``, in
-    five columns: n_y (pre-phase), n_y (post-phase), the levels n and
-    their ``level_c``, and 2*mu (eigen-phases).  ``level_c`` is the integer
+    ``exp(+-i pi/2 n_y)`` as full grids, the only complex arrays, which
+    its pre- and post-phase multiply elementwise (numpy runs a broadcast
+    n_y vector one row at a time through its iterator's buffer, about
+    1.9x slower); and ``ramps``, whose odd rows hold the ramps of every
+    phase of an action for ``_phases``, in five columns: n_y (pre-phase),
+    n_y (post-phase), the levels n and their ``level_c``, and 2*mu
+    (eigen-phases).  ``level_c`` is the integer
     ``(n_x - n_y) - 2*mu`` of each level, ``n - lo - hi`` with ``lo .. hi``
     its n_y range (``_ny_bounds``): zero on the lower triangle,
     ``2*(j_x - j_y)`` on the upper one, the offset of the antisymmetric
@@ -394,8 +398,9 @@ class CartesianBasis:
         self.scatter = _frozen(scatter)
         # The constants of every transform call (see the class docstring).
         ny = np.arange(shape.n_y)
-        self.quarter_turns = tuple(_frozen(np.exp(1j * angle * ny))
-                                   for angle in (_HALF_PI, -_HALF_PI))
+        self.quarter_turns = tuple(
+            _frozen(np.broadcast_to(np.exp(1j * angle * ny), shape.pixels)
+                    .copy()) for angle in (_HALF_PI, -_HALF_PI))
         n = np.arange(shape.max_total_mode + 1)
         lo, hi = _ny_bounds(shape, n)
         p, q = ny.size, 2 * ny.size
@@ -430,9 +435,22 @@ class CartesianBasis:
         ``phases``, as a new complex array; see the class docstring."""
         if self.halves == 1:
             src = coeffs if turn is None else coeffs * turn
-            buf = src.reshape(-1)[self.gather].astype(np.complex128,
-                                                      copy=False)
+            buf = src.reshape(-1)[self.gather]
             del src
+            if buf.dtype != np.complex128:
+                buf = buf.astype(np.complex128)
+            if len(self.batches) == 1:
+                # Free the gathered buffer before the phases' temporary,
+                # and the first product before the scatter.
+                (_, _, shape, stack_t, stack, index), = self.batches
+                x = np.matmul(stack_t, buf.view(np.float64).reshape(shape))
+                del buf
+                eig = x.view(np.complex128)
+                eig *= phases[index]
+                y = np.matmul(stack, x)
+                del x, eig
+                return y.view(np.complex128).ravel()[self.scatter].reshape(
+                    coeffs.shape)
         else:
             # One slot past the last mode holds the zero the padding gathers.
             src = np.empty(coeffs.size + 1, dtype=np.complex128)
@@ -445,16 +463,6 @@ class CartesianBasis:
             buf = src[self.gather]
             del src, grid
         parts = buf.view(np.float64).reshape(self.halves, -1)
-        if len(self.batches) == 1:
-            # Free the gathered buffer before the phases' temporary.
-            (_, _, shape, stack_t, stack, index), = self.batches
-            x = np.matmul(stack_t, parts.reshape(shape))
-            del buf, parts
-            eig = x.view(np.complex128)
-            eig *= phases[index]
-            buf = np.matmul(stack, x).view(np.complex128).ravel()
-            del x, eig
-            return buf[self.scatter].reshape(coeffs.shape)
         if self.halves == 2:
             _butterfly(*parts)
         for lo, hi, shape, stack_t, stack, index in self.batches:

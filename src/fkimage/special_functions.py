@@ -234,16 +234,25 @@ def kravchuk_function(j, n: int, q) -> float:
 # Wigner little-d
 # ---------------------------------------------------------------------------
 
-def _finite_angle(angle) -> float:
-    """The angle as a float reduced by ``math.fmod`` into (-4 pi, 4 pi);
-    ``DomainError`` unless ``_angle`` accepts it.
+# The period ``_reduced`` takes every angle modulo.
+_ANGLE_PERIOD = 4.0 * math.pi
+
+
+def _reduced(angle: float) -> float:
+    """A finite float angle reduced by ``math.fmod`` into (-4 pi, 4 pi).
 
     4 pi is a multiple of every period of the library's kernel and
     transforms, so the reduction changes no result but keeps a huge angle
     from overflowing the phases; an angle already inside the interval is
     returned bit for bit.
     """
-    return math.fmod(_angle(angle), 4.0 * math.pi)
+    return math.fmod(angle, _ANGLE_PERIOD)
+
+
+def _finite_angle(angle) -> float:
+    """The angle as a float, ``_reduced``; ``DomainError`` unless
+    ``_angle`` accepts it."""
+    return _reduced(_angle(angle))
 
 
 def _half_step(d: np.ndarray, c: float, s: float) -> np.ndarray:

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fkimage import (DimensionError, DomainError, FourierGroupElement,
-                     ScreenShape, Spin, analyze, apply_element,
-                     apply_element_coeffs, build_basis, cartesian_mode,
-                     f_glyph, fractional_fourier_image, gyrate_coeffs,
-                     gyrate_image, ka_coeffs, ks_coeffs, lk_coefficients,
-                     rotate_coeffs, rotate_image, synthesize)
+                     ScreenShape, Spin, ValidationError, analyze,
+                     apply_element, apply_element_coeffs, build_basis,
+                     cartesian_mode, f_glyph, fractional_fourier_image,
+                     gyrate_coeffs, gyrate_image, ka_coeffs, ks_coeffs,
+                     lk_coefficients, rotate_coeffs, rotate_image,
+                     synthesize)
 from fkimage import fourier_transforms, mode_basis
 from fkimage._reference import (gyrate_coeffs_sandwich, interval_levels,
                                 level_action, random_image)
@@ -416,6 +417,48 @@ def test_action_branch_edges_match_little_d_blocks(rng, screen):
             got = apply_element_coeffs(basis, x, element)
             expected = level_action(basis, x, element)
             assert np.max(np.abs(got - expected)) < 1e-12 * scale, element
+
+
+@pytest.mark.parametrize("screen", [(20, 12), (64, 48)], ids=str)
+def test_rotation_shaped_elements_keep_their_level_phase(rng, screen):
+    # A rotation's psi and phi run the frozen quarter-turn grids, with chi,
+    # omega or both adding a level phase after the mix: one whole-rung
+    # batch on (20,12), halves on (64,48).  The dense reference takes most
+    # of a second per call on (64,48), so there it sees complex input only.
+    basis = build_basis(screen)
+    coeffs = analyze(basis, random_image(rng, basis))
+    scale = np.max(np.abs(coeffs))
+    inputs = (coeffs, coeffs.real.copy())[:2 if screen == (20, 12) else 1]
+    for element in _EDGE_ELEMENTS[:3]:
+        for x in inputs:
+            got = apply_element_coeffs(basis, x, element)
+            expected = level_action(basis, x, element)
+            assert np.max(np.abs(got - expected)) < 1e-12 * scale, element
+
+
+@pytest.mark.parametrize("element", [
+    (0.0, -math.pi / 2, 1.3, math.pi / 2), None, "rotation",
+    {"chi": 0.0, "psi": 0.0, "theta": 1.3, "phi": 0.0}], ids=repr)
+def test_apply_element_coeffs_takes_only_elements(basis53, element):
+    # The constructor checked the element's angles; anything else is
+    # refused before they are read.
+    coeffs = np.ones(basis53.pixels)
+    with pytest.raises(ValidationError, match="FourierGroupElement"):
+        apply_element_coeffs(basis53, coeffs, element)
+
+
+@pytest.mark.parametrize("spins", [(5, 3), (20, 12), (2.5, 1), (24, 24),
+                                   (64, 48)], ids=str)
+def test_real_rotations_stay_float64(spins):
+    basis = build_basis(spins)
+    coeffs = random_image(np.random.default_rng(31), basis)
+    for theta in (0.7, -2.9, 0.0):
+        real = rotate_coeffs(basis, coeffs.real, theta)
+        assert real.dtype == np.float64
+        assert np.array_equal(real, rotate_coeffs(basis, coeffs.real.copy(),
+                                                  theta))
+        assert np.max(np.abs(real - rotate_coeffs(
+            basis, coeffs, theta).real)) < 1e-12 * np.max(np.abs(coeffs))
 
 
 def test_an_action_evaluates_at_most_one_exp(basis117, rng, monkeypatch):

@@ -151,7 +151,14 @@ def test_phase_constants_held_on_basis_are_read_only():
     expected[2 * n_y + levels:, 4] = np.arange(-6, 7)
     assert np.array_equal(basis.ramps[1::2], expected)
     assert not basis.ramps[0::2].any()
+    # A rotation's n_y phases are full grids, so its pre- and post-phase
+    # multiply elementwise, with no broadcast operand: the same values, bit
+    # for bit, as exp(+-i pi/2 n_y) broadcast over n_x.
     turns = basis.quarter_turns
+    for turn, sign in zip(turns, (1, -1)):
+        assert turn.shape == basis.pixels and turn.flags.c_contiguous
+        assert np.array_equal(turn, np.broadcast_to(
+            np.exp(1j * (sign * math.pi / 2) * ny), basis.pixels))
     assert np.max(np.abs(turns[0] - 1j ** ny)) < 1e-15
     assert np.array_equal(turns[1], np.conj(turns[0]))
     for lo, hi, shape, stack_t, stack, index in basis.batches:
@@ -300,12 +307,12 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
         assert np.max(np.abs(v - d)) <= 1e-14
         assert np.max(np.abs(v @ v.T - np.eye(two_l + 1))) < 1e-13
     # No complex table per spin: the J_y phases live in the transforms.
-    # The one complex constant is a rotation's pair of n_y phase vectors.
+    # The one complex constant is a rotation's pair of n_y phase grids.
     assert not any(np.iscomplexobj(table)
                    for name, value in vars(basis).items()
                    if name != "quarter_turns"
                    for table in _arrays(value))
-    assert [turn.shape for turn in basis.quarter_turns] == [(two_jy + 1,)] * 2
+    assert [turn.shape for turn in basis.quarter_turns] == [basis.pixels] * 2
 
 
 def test_layout_is_a_function_of_the_shorter_side():
