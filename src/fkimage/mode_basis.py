@@ -279,17 +279,18 @@ class CartesianBasis:
     ``gather`` holds, read as ``(halves, slots, h, levels)``, the mode
     ``n_x*N_y + n_y`` of member r of each level a slot lists for a spin in
     row r past its offset, on halves member ``2*lambda - r`` in part 1.
-    Padding holds ``N_x*N_y`` on halves, where ``_mix`` keeps a zero, and
-    mode 0 on whole rungs, where it meets zero table rows or fills a
-    merged top spin's spare level, mixed and never read.  ``scatter`` is
-    each mode's gathered position.
+    Padding names mode 0: it meets zero table rows or fills a merged top
+    spin's spare level, mixed and never read.  ``middles`` lists the
+    padding a butterfly would add into a member: part 1's row
+    r = lambda of an even 2*lambda, beside the middle member, in each
+    level column the spin uses (none on whole rungs); ``_mix`` zeroes
+    them.  ``scatter`` is each mode's gathered position.
 
     ``_mix`` applies ``V^T``, the eigen-phases D and ``V`` to each batch as
     stacked real products on both planes at once; on whole rungs as
-    ``U D U = V D V^T``.  Whole rungs gather straight from the
-    coefficients, or their n_y-phased copy, and a lone batch frees the
-    gathered buffer after its first product; halves gather from a
-    pre-phased copy that ends in the zero.  At most two full-size arrays
+    ``U D U = V D V^T``.  It gathers straight from the coefficients, or
+    their n_y-phased copy, and a lone batch frees the gathered buffer
+    after its first product.  At most two full-size arrays
     are alive at once.  On halves the buffer holds a level's top rows t in
     part 0 and its mirrored bottom rows b in part 1: ``V^T x`` is
     ``E^T (t + b)`` on the even columns and ``O^T (t - b)`` on the odd ones,
@@ -378,8 +379,7 @@ class CartesianBasis:
             k = halves * r + half
             ny = _ny_bounds(shape, ns)[0] + np.where(half, two_l - r, r)
             padding = (k > two_l) | (ns < 0)
-            index = np.where(padding, (halves - 1) * size,
-                             (ns - ny) * shape.n_y + ny)
+            index = np.where(padding, 0, (ns - ny) * shape.n_y + ny)
             gather.append(index.reshape(halves, -1))
             pads.append(padding.reshape(halves, -1))
             two_mu = np.where(k > two_l, 0, 2 * k - two_l)
@@ -392,10 +392,14 @@ class CartesianBasis:
             lo += width
         self.batches = tuple(batches)
         self.gather = _frozen(np.concatenate(gather, axis=1).ravel())
-        kept = ~np.concatenate(pads, axis=1).ravel()
+        kept = ~np.concatenate(pads, axis=1)
         scatter = np.empty(size, dtype=np.intp)
-        scatter[self.gather[kept]] = np.flatnonzero(kept)
+        scatter[self.gather[kept.ravel()]] = np.flatnonzero(kept)
         self.scatter = _frozen(scatter)
+        # Part-1 padding beside a kept part-0 row: the partner r = lambda of
+        # an even 2*lambda's middle member, which the butterfly adds in.
+        self.middles = _frozen(kept[0].size
+                               + np.flatnonzero(kept[0] > kept[-1]))
         # The constants of every transform call (see the class docstring).
         ny = np.arange(shape.n_y)
         self.quarter_turns = tuple(
@@ -433,37 +437,27 @@ class CartesianBasis:
         """``coeffs`` times the n_y pre-phase ``turn``, if any, each spin's
         levels then mixed in its J_y eigenbasis by the eigen-phases
         ``phases``, as a new complex array; see the class docstring."""
-        if self.halves == 1:
-            src = coeffs if turn is None else coeffs * turn
-            buf = src.reshape(-1)[self.gather]
-            del src
-            if buf.dtype != np.complex128:
-                buf = buf.astype(np.complex128)
-            if len(self.batches) == 1:
-                # Free the gathered buffer before the phases' temporary,
-                # and the first product before the scatter.
-                (_, _, shape, stack_t, stack, index), = self.batches
-                x = np.matmul(stack_t, buf.view(np.float64).reshape(shape))
-                del buf
-                eig = x.view(np.complex128)
-                eig *= phases[index]
-                y = np.matmul(stack, x)
-                del x, eig
-                return y.view(np.complex128).ravel()[self.scatter].reshape(
-                    coeffs.shape)
-        else:
-            # One slot past the last mode holds the zero the padding gathers.
-            src = np.empty(coeffs.size + 1, dtype=np.complex128)
-            src[-1] = 0.0
-            grid = src[:-1].reshape(coeffs.shape)
-            if turn is None:
-                grid[...] = coeffs
-            else:
-                np.multiply(coeffs, turn, out=grid)
-            buf = src[self.gather]
-            del src, grid
+        src = coeffs if turn is None else coeffs * turn
+        buf = src.reshape(-1)[self.gather]
+        del src
+        if buf.dtype != np.complex128:
+            buf = buf.astype(np.complex128)
+        if len(self.batches) == 1:
+            # Whole rungs only (``_batch_slots``): free the gathered buffer
+            # before the phases' temporary, and the first product before
+            # the scatter.
+            (_, _, shape, stack_t, stack, index), = self.batches
+            x = np.matmul(stack_t, buf.view(np.float64).reshape(shape))
+            del buf
+            eig = x.view(np.complex128)
+            eig *= phases[index]
+            y = np.matmul(stack, x)
+            del x, eig
+            return y.view(np.complex128).ravel()[self.scatter].reshape(
+                coeffs.shape)
         parts = buf.view(np.float64).reshape(self.halves, -1)
         if self.halves == 2:
+            buf[self.middles] = 0.0
             _butterfly(*parts)
         for lo, hi, shape, stack_t, stack, index in self.batches:
             x = parts[:, lo:hi].reshape(shape)

@@ -270,7 +270,7 @@ def _check_checkerboard(ctx):
 
 @_check("cartesian_basis_gram", 1e-10, "1-D Gram and completeness on all screens")
 def _check_basis_gram(ctx):
-    for key, basis in ctx["screens"]():
+    for basis in ctx["screens"]():
         for phi in (basis.phi_x, basis.phi_y):
             eye = np.eye(phi.shape[0])
             yield phi @ phi.T - eye
@@ -289,7 +289,7 @@ def _check_quarter_turn_reflection(ctx):
     # takes the bottom rows from the reflection law
     # V[2 lambda - r, c] = (-1)^c V[r, c]; the rung rebuilt that way is
     # measured against the whole rung.
-    for key, basis in ctx["screens"]():
+    for basis in ctx["screens"]():
         two_jmin = min(basis.shape.j_x.two_j, basis.shape.j_y.two_j)
         for two_l, d in enumerate(_ladder(two_jmin, math.pi / 2)):
             yield quarter_turn(basis, two_l) - d
@@ -302,7 +302,7 @@ def _check_lk_basis(ctx):
     # modes are orthonormal and complete when each level's square block B
     # of coefficients, row m the mode (n, m) on the level's members, is
     # unitary.
-    for key, basis in ctx["screens"]():
+    for basis in ctx["screens"]():
         for lev in basis.levels:
             b = _lk_block(basis, lev.spin.two_j)
             yield b @ b.conj().T - np.eye(lev.size)
@@ -321,7 +321,7 @@ def _check_lk_conjugation(ctx):
 @_check("transform_unitarity", 1e-10, "relative norm change of R, K_S, K_A, G, D")
 def _check_unitarity(ctx):
     rng = ctx["rng"]
-    for key, basis in ctx["screens"]():
+    for basis in ctx["screens"]():
         for _ in range(ctx["images"]):
             img = random_image(rng, basis)
             norm = np.linalg.norm(img)
@@ -339,7 +339,7 @@ def _check_unitarity(ctx):
 @_check("rotation_group_law", 1e-9, "rotations add; rotate(2 pi) = identity")
 def _check_rotation_group_law(ctx):
     rng = ctx["rng"]
-    for key, basis in ctx["screens"]():
+    for basis in ctx["screens"]():
         coeffs = ft.analyze(basis, random_image(rng, basis))
         t1, t2 = rng.uniform(-3, 3, size=2)
         a = ft.rotate_coeffs(basis, ft.rotate_coeffs(basis, coeffs, t1), t2)
@@ -362,7 +362,7 @@ def _check_six_sixths(ctx):
 @_check("rotation_pi_is_pixel_inversion", 1e-9,
         "rotate(pi) vs pixel map (q_x,q_y) -> (-q_x,-q_y)")
 def _check_rotation_pi_parity(ctx):
-    for key, basis in ctx["screens"]():
+    for basis in ctx["screens"]():
         img = random_image(ctx["rng"], basis)
         yield ft.rotate_image(basis, img, math.pi) - img[::-1, ::-1]
 
@@ -377,7 +377,7 @@ def _check_rotation_pi_half_turn_law(ctx):
     # upper-triangle level when 2 j_x + 2 j_y is odd) rotate(pi) adds twice
     # the level's content times (-1)^(2 lambda); the rest of the image is
     # inverted exactly.
-    for key, basis in ctx["screens"]():
+    for basis in ctx["screens"]():
         img = random_image(ctx["rng"], basis)
         sign = np.zeros(basis.shape.pixels)
         for n in range(basis.shape.max_total_mode + 1):
@@ -395,7 +395,7 @@ def _check_rotation_pi_half_turn_law(ctx):
 @_check("gyration_group_law", 1e-9, "gyrations add")
 def _check_gyration_group_law(ctx):
     rng = ctx["rng"]
-    for key, basis in ctx["screens"]():
+    for basis in ctx["screens"]():
         coeffs = ft.analyze(basis, random_image(rng, basis))
         g1, g2 = rng.uniform(-3, 3, size=2)
         a = ft.gyrate_coeffs(basis, ft.gyrate_coeffs(basis, coeffs, g1), g2)
@@ -422,7 +422,7 @@ def _check_level_invariance(ctx):
 @_check("rotation_realness", 1e-10, "rotation of a real image is real")
 def _check_rotation_realness(ctx):
     rng = ctx["rng"]
-    for key, basis in ctx["screens"]():
+    for basis in ctx["screens"]():
         img = rng.standard_normal(basis.shape.pixels)
         yield np.imag(ft.rotate_image(basis, img, rng.uniform(0, 7)))
 
@@ -602,7 +602,7 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
         return cache[key]
 
     def screens():
-        return ((key, get_basis(key)) for key in map(tuple, shapes))
+        return map(get_basis, map(tuple, shapes))
 
     ctx = {"screens": screens, "images": images, "get_basis": get_basis}
     results = []

@@ -99,17 +99,24 @@ def check_split_quarter_turns(basis):
     both ways.  ``basis.places`` records the first slot of each spin, and
     its phase index holds ``2j_min + 2 mu`` of each block's columns and
     ``2j_min`` elsewhere.  The gather holds, for each level a slot lists,
-    member r of the level in row r of its spin's blocks; padding names an
-    in-range mode on whole rungs and the zero at N_x*N_y on halves.
+    member r of the level in row r of its spin's blocks; padding names
+    mode 0 on both layouts.  ``basis.middles`` lists exactly the part-1
+    padding in row r = lambda of an even 2 lambda, in each level column
+    the slot lists for the spin, and nothing on whole rungs.
     Returns each slot's ``(2 lambda, levels)`` per spin, batch by batch."""
     two_jx, two_jy = basis.shape.j_x.two_j, basis.shape.j_y.two_j
-    two_jmin, size = min(two_jx, two_jy), basis.shape.mode_count
+    two_jmin = min(two_jx, two_jy)
     halves = 1 if two_jmin < _WHOLE_BELOW else 2
     assert basis.halves == halves
     rungs = list(_ladder(two_jmin, math.pi / 2))
     layout = _batch_slots(two_jmin, max(two_jx, two_jy), halves)
     assert len(layout) == len(basis.batches)
     gather = basis.gather.reshape(halves, -1)
+    assert not basis.middles.flags.writeable
+    is_middle = np.zeros(basis.gather.size, dtype=bool)
+    is_middle[basis.middles] = True
+    assert np.array_equal(basis.middles, np.flatnonzero(is_middle))
+    is_middle = is_middle.reshape(halves, -1)
     first, stop = {}, 0
     for b, ((lo, hi, shape, stack_t, stack, index), slots) in enumerate(
             zip(basis.batches, layout)):
@@ -127,6 +134,7 @@ def check_split_quarter_turns(basis):
         assert shape == index.shape[:3] + (2 * levels,)
         assert hi - lo == 2 * index.size // halves
         gathered = gather[:, lo // 2:hi // 2].reshape(index.shape)
+        marked = is_middle[:, lo // 2:hi // 2].reshape(index.shape)
         for i, slot in enumerate(slots):
             for two_l, at, _ in slot:
                 first.setdefault(two_l, (b, i, at))
@@ -136,6 +144,7 @@ def check_split_quarter_turns(basis):
                 block = np.zeros((rows, rows))
                 two_mu = np.zeros(rows, dtype=int)
                 modes = np.full((rows, levels), -1)
+                middle = np.zeros((rows, levels), dtype=bool)
                 for two_l, at, ns in slot:
                     valid = (two_l + halves - half) // halves
                     d = rungs[two_l]
@@ -151,6 +160,8 @@ def check_split_quarter_turns(basis):
                             d[:valid, half::halves]
                     two_mu[at:at + valid] = (2 * halves * np.arange(valid)
                                              + 2 * half - two_l)
+                    if half and two_l % 2 == 0:
+                        middle[at + two_l // 2, :len(ns)] = True
                     for column, n in enumerate(ns):
                         lev, nx, ny = basis.level_arrays(n)
                         assert lev.spin.two_j == two_l
@@ -162,11 +173,8 @@ def check_split_quarter_turns(basis):
                     two_jmin + two_mu[:, None], levels, axis=1))
                 kept = modes >= 0
                 assert np.array_equal(gathered[half, i][kept], modes[kept])
-                padding = gathered[half, i][~kept]
-                if halves == 1:
-                    assert np.all((0 <= padding) & (padding < size))
-                else:
-                    assert np.all(padding == size)
+                assert np.all(gathered[half, i][~kept] == 0)
+                assert np.array_equal(marked[half, i], middle)
         # The highest slot sets the batch's rows.
         assert rows == max(at + two_l // halves + 1
                            for slot in slots for two_l, at, _ in slot)

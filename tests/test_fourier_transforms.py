@@ -600,15 +600,15 @@ def _traced_peak(op):
 
 @pytest.mark.parametrize("real", [False, True])
 def test_action_allocates_few_full_size_arrays(real):
-    # No op forms a full-grid phase.  On halves, (64,48), an op allocates
-    # the gather source, the gathered buffer, 9 % padding, and the output:
-    # its traced peak is 2.37 complex grids, 2.41 with the omega phase.
-    # On whole rungs, (20,12), a gyration gathers from the caller's array
-    # and an element from its n_y-phased copy, and the gathered buffer
-    # goes before the second product: 2.16 grids for a rotation or a
-    # gyration, 2.30 for the element.  A real rotation on (64,48) also
-    # copies out the float64 real part, 4.75 of its float64 outputs.  The
-    # bounds leave room for small temporaries only.
+    # No op forms a full-grid phase, and every mix gathers from the
+    # caller's array or from its n_y-phased copy.  On halves, (64,48), the
+    # gathered buffer, 9 % padding, lives until the scatter into the
+    # output: a traced peak of 2.37 complex grids, 2.41 with the omega
+    # phase.  On whole rungs, (20,12), the gathered buffer goes before the
+    # second product: 2.15 grids for a rotation or a gyration, 2.29 for
+    # the element.  A real rotation on (64,48) also copies out the float64
+    # real part, 4.75 of its float64 outputs.  The bounds leave room for
+    # small temporaries only.
     element = FourierGroupElement(1.0, 0.3, 0.8, 2.0, omega=0.2)
     for spins in ((64, 48),) if real else ((64, 48), (20, 12)):
         basis = build_basis(spins)
@@ -629,8 +629,8 @@ def test_action_allocates_few_full_size_arrays(real):
 @pytest.mark.parametrize("spins", [(20, 12), (2.5, 1), (24, 24)])
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
 def test_transforms_leave_their_input_alone(spins, dtype):
-    # A whole-rung mix gathers straight from the caller's array: every
-    # transform leaves its input unchanged and still writeable, on a
+    # The mix gathers straight from the caller's array on both layouts:
+    # every transform leaves its input unchanged and still writeable, on a
     # merged whole-rung screen, an unmerged one and on halves.
     basis = build_basis(spins)
     coeffs = random_image(np.random.default_rng(29), basis)

@@ -208,28 +208,33 @@ def _gathered_slots(basis):
 @example(two_jx=12, two_jy=0)
 @example(two_jx=47, two_jy=52)
 @example(two_jx=51, two_jy=48)
+@example(two_jx=1, two_jy=1)
+@example(two_jx=2, two_jy=1)
 def test_closed_form_levels_match_level_spectrum(two_jx, two_jy):
     # Both orientations, half-integer spins, zero-width axes, and both
     # layouts: whole rungs below 2j_min = _WHOLE_BELOW = 48, halves from it.
     basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
-    size, n_y = basis.shape.mode_count, basis.shape.n_y
+    n_y = basis.shape.n_y
     two_jmin = min(two_jx, two_jy)
     seen = []
     spins, padding = _gathered_slots(basis)
     assert sorted({two_l for two_l, _ in spins}) == list(
         range(two_jmin + 1))
+    # Padding names mode 0 on both layouts.  On halves the mix zeroes one
+    # entry per level of even spin, the partner of its middle member.
+    assert np.all(padding == 0)
+    assert basis.middles.size == (basis.halves - 1) * sum(
+        lev.spin.two_j % 2 == 0 for lev in basis.levels)
     if basis.halves == 1:
-        # Whole-rung padding names an in-range mode.  A folded pair of
-        # whole rungs fills its F + 1 rows exactly: only the lone middle
-        # spin of an odd 2j_min > 1 pads, by F + 1 entries, and a merged
-        # top spin with an odd count of levels by one level column.
-        assert np.all((0 <= padding) & (padding < size))
-        odd_fold = two_jmin % 2 and two_jmin > 1
+        # A folded pair of whole rungs fills its F + 1 rows exactly: only
+        # the lone middle spin of an odd 2j_min pads, by F + 1 entries,
+        # when other slots are higher (2j_min > 1, or the top spin's merged
+        # slots), and a merged top spin with an odd count of levels by one
+        # level column.
         merged = len(basis.batches) == 1 and two_jmin > 0
+        odd_fold = two_jmin % 2 and (two_jmin > 1 or merged)
         odd_top = merged and (abs(two_jx - two_jy) + 1) % 2
         assert padding.size == (two_jmin + 1) * (odd_fold + odd_top)
-    else:
-        assert np.all(padding == size)
     for two_l, modes in spins:
         ns = [int(x) for x in (modes // n_y + modes % n_y)[0]]
         assert ns == sorted(set(ns))
@@ -270,14 +275,13 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
     two_jmin = min(two_jx, two_jy)
     gather, scatter = basis.gather, basis.scatter
     assert not gather.flags.writeable and not scatter.flags.writeable
-    # scatter finds every mode at a gathered position of its own.  On
-    # halves every mode is gathered exactly once and the padding gathers
-    # the zero kept at index N_x*N_y; whole-rung padding names a mode.
+    # scatter finds every mode at a gathered position of its own.  Every
+    # mode is gathered exactly once, and on both layouts every padding
+    # entry names mode 0.
     assert np.array_equal(gather[scatter], np.arange(size))
     assert np.unique(scatter).size == size
-    if basis.halves == 2:
-        modes = gather[gather != size]
-        assert np.array_equal(np.sort(modes), np.arange(size))
+    assert np.array_equal(np.bincount(gather),
+                          [gather.size - size + 1] + [1] * (size - 1))
     # The low spins folded two to a slot, runs of _BATCH_SPINS consecutive
     # spins, then the top spin alone, or on whole rungs its levels two to
     # a slot in the fold's batch where they fit; each slot holds its
