@@ -149,16 +149,17 @@ class LevelSpectrum(_Value):
         return len(self.n_y)
 
 
-def _ny_bounds(shape: ScreenShape, n):
-    """Lowest and highest n_y of level n, an int or an array of levels.
+def _ny_bounds(two_jx: int, two_jy: int, n):
+    """Lowest and highest n_y of level n of the screen of sides 2j_x, 2j_y,
+    n an int or an array of levels.
 
     Level n holds the modes ``(n - n_y, n_y)`` with
     ``n_y = max(0, n - 2j_x) .. min(n, 2j_y)``, and its spin 2*lambda is the
     width of that range.  This is the one statement of the level layout:
-    ``level_spectrum``, the basis build and ``CartesianBasis.level_c``
-    read it.
+    ``level_spectrum``, the mix layout ``_layout`` and
+    ``CartesianBasis.level_c`` read it.
     """
-    return np.maximum(n - shape.j_x.two_j, 0), np.minimum(n, shape.j_y.two_j)
+    return np.maximum(n - two_jx, 0), np.minimum(n, two_jy)
 
 
 def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
@@ -173,7 +174,7 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
     j_x < j_y and the boundary levels, where adjacent formulas agree.
     """
     n = _integer(n, "total mode n", 0, shape.max_total_mode)
-    lo, hi = map(int, _ny_bounds(shape, n))
+    lo, hi = map(int, _ny_bounds(shape.j_x.two_j, shape.j_y.two_j, n))
     return LevelSpectrum(n, Spin(hi - lo), range(lo, hi + 1),
                          tuple(range(hi - lo, lo - hi - 1, -2)))
 
@@ -228,6 +229,69 @@ def _batch_slots(two_jmin: int, two_jmax: int, halves: int
     return ([folded] if folded else []) + runs + [[((two_jmin, 0, flat),)]]
 
 
+def _layout(two_jx: int, two_jy: int):
+    """The mix layout of the screen of sides 2j_x, 2j_y: ``(halves, spots,
+    batches, gather, scatter, middles)``.
+
+    It is the one owner of every layout decision of ``CartesianBasis``, a
+    pure function of the two spins that walks no ladder and fills no
+    table.  ``halves`` is 1 below 2j_min = ``_WHOLE_BELOW``, 2 from it up.
+    ``spots[2*lambda]`` lists every ``(batch, slot, offset)`` that holds
+    the blocks of a spin ``2*lambda <= 2j_min``; the first is its
+    ``places`` entry.  ``batches[b]`` is ``(slots, lo, hi, shape, index)``:
+    the batch's ``_batch_slots`` slots, its float columns ``lo:hi`` of the
+    gathered buffer read as ``shape``, and its frozen phase index.  The
+    batch stack is ``shape[:3] + shape[2:3]``.  ``gather``, ``scatter``
+    and ``middles`` are frozen, as the class docstring of
+    ``CartesianBasis`` describes them.
+    """
+    top, two_jmin = max(two_jx, two_jy), min(two_jx, two_jy)
+    halves = 1 if two_jmin < _WHOLE_BELOW else 2
+    spots, batches, gather, pads, lo = {}, [], [], [], 0
+    half = np.arange(halves, dtype=np.intp)[:, None, None, None]
+    for b, slots in enumerate(_batch_slots(two_jmin, top, halves)):
+        for i, slot in enumerate(slots):
+            for two_l, at, _ in slot:
+                spots.setdefault(two_l, []).append((b, i, at))
+        # Axes (slot, row, level): the spin 2*lambda of each row, the row r
+        # of its blocks, and the levels it mixes there, -1 past the slot's
+        # last.  A slot's last spin starts at its offset, and its rows end
+        # with the rung, or the even-column half, of that spin.
+        wide = max(len(slot[-1][2]) for slot in slots)
+        spins = np.array([[(two_l, at) + (ns + (-1,))[:wide]
+                           for two_l, at, ns in (slot[0], slot[-1])]
+                          for slot in slots], dtype=np.intp)[:, :, None]
+        row = np.arange(max(slot[-1][1] + slot[-1][0] // halves + 1
+                            for slot in slots), dtype=np.intp)[:, None]
+        spin = np.where(row >= spins[:, 1, :, 1:2], spins[:, 1], spins[:, 0])
+        two_l, r, ns = spin[..., :1], row - spin[..., 1:2], spin[..., 2:]
+        # Axes (half, slot, row, level): on whole rungs, member r of each
+        # level, column k = r of V.  On halves, half 0 holds member r,
+        # column k = 2r, while r <= 2*lambda - r; half 1 holds the mirror
+        # 2*lambda - r, column k = 2r + 1, while r < 2*lambda - r.
+        k = halves * r + half
+        ny = _ny_bounds(two_jx, two_jy, ns)[0] + np.where(half, two_l - r, r)
+        padding = (k > two_l) | (ns < 0)
+        index = np.where(padding, 0, (ns - ny) * (two_jy + 1) + ny)
+        gather.append(index.reshape(halves, -1))
+        pads.append(padding.reshape(halves, -1))
+        two_mu = np.where(k > two_l, 0, 2 * k - two_l)
+        width = 2 * index.size // halves
+        batches.append((slots, lo, lo + width, index.shape[:3] + (
+            2 * index.shape[3],), _frozen((two_jmin + two_mu).repeat(
+                ns.shape[-1], axis=3))))
+        lo += width
+    gather = _frozen(np.concatenate(gather, axis=1).ravel())
+    kept = ~np.concatenate(pads, axis=1)
+    scatter = np.empty((two_jx + 1) * (two_jy + 1), dtype=np.intp)
+    scatter[gather[kept.ravel()]] = np.flatnonzero(kept)
+    # Part-1 padding beside a kept part-0 row: the partner r = lambda of an
+    # even 2*lambda's middle member, which the butterfly adds in.
+    middles = kept[0].size + np.flatnonzero(kept[0] > kept[-1])
+    return (halves, spots, batches, gather, _frozen(scatter),
+            _frozen(middles))
+
+
 def _butterfly(t: np.ndarray, b: np.ndarray) -> None:
     """(t, b) <- (t + b, t - b), in place."""
     t += b
@@ -245,7 +309,7 @@ class CartesianBasis:
     block (``special_functions._check_walk``).  The 512x512 basis holds
     182.6 MiB of batch stacks, 6.2 MiB of index arrays, 8.0 MiB of
     quarter-turn grids and 4.0 MiB of 1-D tables, and its build peaks at
-    235 MiB RSS.
+    240 MiB RSS.
 
     The basis holds only what the transforms read, as frozen arrays, and
     is safe to share between threads.  ``phi_x[n, i]`` is Psi_n^(j_x) at
@@ -262,6 +326,9 @@ class CartesianBasis:
     and ``O = V[:floor(k/2), 1::2]`` are kept, k = 2*lambda + 1.
     ``_quarter_turn`` returns V either way.
 
+    ``_layout``, a pure function of the two spins, is the one owner of the
+    mix layout: every index below, ``places``, ``halves`` and each batch's
+    shape come from it, and the build adds one walk that fills the tables.
     ``_batch_slots`` lays the spins out in batches of slots (1 batch on
     (20,12), 4 on (64,48)); ``places[2*lambda]`` is a spin's first
     ``(batch, slot, offset)``, and ``batches[b]`` is
@@ -329,26 +396,20 @@ class CartesianBasis:
         self.shape = shape
         self.pixels = shape.pixels
         two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j
-        top, two_jmin = max(two_jx, two_jy), min(two_jx, two_jy)
-        self.halves = halves = 1 if two_jmin < _WHOLE_BELOW else 2
-        layout = _batch_slots(two_jmin, top, halves)
-        # A slot's rows end with the rung, or the even-column half, of its
-        # last spin.
-        stacks = [np.zeros((halves, len(slots)) + (max(
-            slot[-1][1] + slot[-1][0] // halves + 1 for slot in slots),) * 2)
-            for slots in layout]
-        places = {}
-        for b, slots in enumerate(layout):
-            for i, slot in enumerate(slots):
-                for two_l, offset, _ in slot:
-                    places.setdefault(two_l, []).append((b, i, offset))
-        self.places = tuple(places[two_l][0] for two_l in range(two_jmin + 1))
-        for two_l, d in enumerate(_ladder(top, math.pi / 2.0)):
+        two_jmin = min(two_jx, two_jy)
+        (self.halves, spots, layout, self.gather, self.scatter,
+         self.middles) = _layout(two_jx, two_jy)
+        halves = self.halves
+        self.places = tuple(spots[two_l][0] for two_l in range(two_jmin + 1))
+        stacks = [np.zeros(view[:3] + view[2:3])
+                  for _, _, _, view, _ in layout]
+        for two_l, d in enumerate(_ladder(max(two_jx, two_jy),
+                                          math.pi / 2.0)):
             if halves == 1 and two_l <= two_jmin:
                 c = np.arange(two_l + 1)
                 u = d * (-1.0) ** c
                 u = np.where(c[:, None] <= c, u, u.T)
-            for b, i, at in places.get(two_l, ()):
+            for b, i, at in spots.get(two_l, ()):
                 for half in range(halves):
                     k = (two_l + halves - half) // halves
                     stacks[b][half, i, at:at + k, at:at + k] = \
@@ -357,56 +418,19 @@ class CartesianBasis:
                 self.phi_x = _frozen(d[::-1, ::-1].copy())
             if two_l == two_jy:
                 self.phi_y = _frozen(d[::-1, ::-1].copy())
-        size = shape.mode_count
-        batches, gather, pads, lo = [], [], [], 0
-        half = np.arange(halves, dtype=np.intp)[:, None, None, None]
-        for slots, stack in zip(layout, map(_frozen, stacks)):
-            # Axes (slot, row, level): the spin 2*lambda of each row, the row
-            # r of its blocks, and the levels it mixes there, -1 past the
-            # slot's last.  A slot's last spin starts at its offset.
-            wide = max(len(slot[-1][2]) for slot in slots)
-            spins = np.array([[(two_l, at) + (ns + (-1,))[:wide]
-                               for two_l, at, ns in (slot[0], slot[-1])]
-                              for slot in slots], dtype=np.intp)[:, :, None]
-            row = np.arange(stack.shape[2], dtype=np.intp)[:, None]
-            spin = np.where(row >= spins[:, 1, :, 1:2], spins[:, 1],
-                            spins[:, 0])
-            two_l, r, ns = spin[..., :1], row - spin[..., 1:2], spin[..., 2:]
-            # Axes (half, slot, row, level): on whole rungs, member r of each
-            # level, column k = r of V.  On halves, half 0 holds member r,
-            # column k = 2r, while r <= 2*lambda - r; half 1 holds the
-            # mirror 2*lambda - r, column k = 2r + 1, while r < 2*lambda - r.
-            k = halves * r + half
-            ny = _ny_bounds(shape, ns)[0] + np.where(half, two_l - r, r)
-            padding = (k > two_l) | (ns < 0)
-            index = np.where(padding, 0, (ns - ny) * shape.n_y + ny)
-            gather.append(index.reshape(halves, -1))
-            pads.append(padding.reshape(halves, -1))
-            two_mu = np.where(k > two_l, 0, 2 * k - two_l)
-            width = 2 * index.size // halves
-            stack_t = stack.transpose(0, 1, 3, 2)
-            batches.append((lo, lo + width, index.shape[:3] + (
-                2 * index.shape[3],), stack_t, stack_t if halves == 1 else
-                stack, _frozen((two_jmin + two_mu).repeat(ns.shape[-1],
-                                                          axis=3))))
-            lo += width
+        batches = []
+        for (_, lo, hi, view, index), stack in zip(layout, stacks):
+            stack_t = _frozen(stack).transpose(0, 1, 3, 2)
+            batches.append((lo, hi, view, stack_t,
+                            stack_t if halves == 1 else stack, index))
         self.batches = tuple(batches)
-        self.gather = _frozen(np.concatenate(gather, axis=1).ravel())
-        kept = ~np.concatenate(pads, axis=1)
-        scatter = np.empty(size, dtype=np.intp)
-        scatter[self.gather[kept.ravel()]] = np.flatnonzero(kept)
-        self.scatter = _frozen(scatter)
-        # Part-1 padding beside a kept part-0 row: the partner r = lambda of
-        # an even 2*lambda's middle member, which the butterfly adds in.
-        self.middles = _frozen(kept[0].size
-                               + np.flatnonzero(kept[0] > kept[-1]))
         # The constants of every transform call (see the class docstring).
         ny = np.arange(shape.n_y)
         self.quarter_turns = tuple(
             _frozen(np.broadcast_to(np.exp(1j * angle * ny), shape.pixels)
                     .copy()) for angle in (_HALF_PI, -_HALF_PI))
         n = np.arange(shape.max_total_mode + 1)
-        lo, hi = _ny_bounds(shape, n)
+        lo, hi = _ny_bounds(two_jx, two_jy, n)
         p, q = ny.size, 2 * ny.size
         r = q + n.size
         ramps = np.zeros((r + 2 * two_jmin + 1, 2, 5))

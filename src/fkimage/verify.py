@@ -153,12 +153,13 @@ def _kravchuk_table(two_j):
 
 @_check("littled_orthogonality", 1e-9, "max |d d^T - I| over 2*lambda <= 80")
 def _check_littled_orthogonality(ctx):
-    betas = [0.21, math.pi / 2, 1.0, math.pi, 2.5, 4.0, 5.9, 7.3, 11.0]
-    for two_l in list(range(0, 21)) + [25, 31, 40, 61, 80]:
-        eye = np.eye(two_l + 1)
-        for beta in betas:
-            d = wigner_little_d(Spin(two_l), beta).entries
-            yield d @ d.T - eye
+    # One walk of the ladder per beta yields every rung the check reads,
+    # each bit for bit wigner_little_d's: the angles are inside (0, 4 pi).
+    spins = set(range(0, 21)) | {25, 31, 40, 61, 80}
+    for beta in (0.21, math.pi / 2, 1.0, math.pi, 2.5, 4.0, 5.9, 7.3, 11.0):
+        for two_l, d in enumerate(_ladder(80, beta)):
+            if two_l in spins:
+                yield d @ d.T - np.eye(two_l + 1)
 
 
 @_check("littled_addition_law", 1e-9, "max |d(b1) d(b2) - d(b1+b2)|")

@@ -6,7 +6,11 @@ Each oracle takes a different computational route from the production code:
 Kravchuk values come from exact rational Pochhammer ratios, little-d
 matrices come from the dense matrix exponential of J_y, and the group
 algebra's 2x2 matrices are products and decompositions of numpy arrays.
-``check_split_quarter_turns`` reads a basis' mixing tables against the
+``fold_layout`` writes out the fold rule of the mix layout without
+``mode_basis``.  ``mode_basis._layout`` is the one owner of that layout, a
+pure function of the two spins, and the tests check it against
+``fold_layout`` with no basis; ``check_split_quarter_turns`` asserts that a
+built basis holds that layout and reads its mixing tables against the
 little-d ladder itself.
 """
 
@@ -19,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from fkimage import FourierGroupElement
-from fkimage.mode_basis import _WHOLE_BELOW, _batch_slots
+from fkimage.mode_basis import _layout
 from fkimage.special_functions import _ladder
 
 
@@ -85,67 +89,43 @@ def fold_layout(two_jmin, two_jmax, width, whole):
 
 
 def check_split_quarter_turns(basis):
-    """Assert that ``basis`` keeps whole rungs when 2j_min is below
-    ``mode_basis._WHOLE_BELOW`` and even/odd halves from it up, and that
-    every slot of every batch, as ``mode_basis._batch_slots`` lists them,
-    holds its spins' tables, the first spin at row and column 0 and a
-    second one just past the first's rung, or its even half, with exact
-    zeros off those blocks and on the padding.  On halves the tables are
-    the even-column and odd-column halves ``d[:ceil(k/2), 0::2]`` and
-    ``d[:floor(k/2), 1::2]`` of the quarter-turn rungs
-    ``d = d^lambda(pi/2)``, bit for bit.  On whole rungs they are
-    ``U = d diag((-1)^c)``, exactly symmetric, with the upper triangle bit
-    for bit the rung's, and the batch applies the one transposed view
-    both ways.  ``basis.places`` records the first slot of each spin, and
-    its phase index holds ``2j_min + 2 mu`` of each block's columns and
-    ``2j_min`` elsewhere.  The gather holds, for each level a slot lists,
-    member r of the level in row r of its spin's blocks; padding names
-    mode 0 on both layouts.  ``basis.middles`` lists exactly the part-1
-    padding in row r = lambda of an even 2 lambda, in each level column
-    the slot lists for the spin, and nothing on whole rungs.
-    Returns each slot's ``(2 lambda, levels)`` per spin, batch by batch."""
+    """Assert that ``basis`` holds the layout ``mode_basis._layout`` gives
+    its two spins, and in every slot of every batch its spins' tables, at
+    their offsets, with exact zeros off those blocks and on the padding.
+    On halves the tables are the even-column and odd-column halves
+    ``d[:ceil(k/2), 0::2]`` and ``d[:floor(k/2), 1::2]`` of the
+    quarter-turn rungs ``d = d^lambda(pi/2)``, bit for bit.  On whole rungs
+    they are ``U = d diag((-1)^c)``, exactly symmetric, with the upper
+    triangle bit for bit the rung's, and the batch applies the one
+    transposed view both ways.  Returns each slot's ``(2 lambda, levels)``
+    per spin, batch by batch."""
     two_jx, two_jy = basis.shape.j_x.two_j, basis.shape.j_y.two_j
     two_jmin = min(two_jx, two_jy)
-    halves = 1 if two_jmin < _WHOLE_BELOW else 2
+    halves, spots, layout, *indices = _layout(two_jx, two_jy)
     assert basis.halves == halves
+    assert basis.places == tuple(spots[two_l][0]
+                                 for two_l in range(two_jmin + 1))
+    for got, expected in zip((basis.gather, basis.scatter, basis.middles),
+                             indices):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert not got.flags.writeable
     rungs = list(_ladder(two_jmin, math.pi / 2))
-    layout = _batch_slots(two_jmin, max(two_jx, two_jy), halves)
     assert len(layout) == len(basis.batches)
-    gather = basis.gather.reshape(halves, -1)
-    assert not basis.middles.flags.writeable
-    is_middle = np.zeros(basis.gather.size, dtype=bool)
-    is_middle[basis.middles] = True
-    assert np.array_equal(basis.middles, np.flatnonzero(is_middle))
-    is_middle = is_middle.reshape(halves, -1)
-    first, stop = {}, 0
-    for b, ((lo, hi, shape, stack_t, stack, index), slots) in enumerate(
-            zip(basis.batches, layout)):
-        assert lo == stop
-        stop = hi
-        assert stack.dtype == np.float64 and not stack.flags.writeable
+    for (lo, hi, view, stack_t, stack, index), (slots, *expected) in zip(
+            basis.batches, layout):
+        assert (lo, hi, view) == tuple(expected[:3])
         assert index.dtype == np.intp and not index.flags.writeable
+        assert np.array_equal(index, expected[3])
+        assert stack.dtype == np.float64 and not stack.flags.writeable
         assert np.array_equal(stack_t, stack.transpose(0, 1, 3, 2))
         if halves == 1:
             assert stack is stack_t
-        rows = stack.shape[2]
-        levels = index.shape[3]
+        rows = view[2]
         assert stack.shape == (halves, len(slots), rows, rows)
-        assert index.shape[:3] == (halves, len(slots), rows)
-        assert shape == index.shape[:3] + (2 * levels,)
-        assert hi - lo == 2 * index.size // halves
-        gathered = gather[:, lo // 2:hi // 2].reshape(index.shape)
-        marked = is_middle[:, lo // 2:hi // 2].reshape(index.shape)
         for i, slot in enumerate(slots):
-            for two_l, at, _ in slot:
-                first.setdefault(two_l, (b, i, at))
-            offsets = [0, slot[0][0] // halves + 1][:len(slot)]
-            assert [at for _, at, _ in slot] == offsets
             for half in range(halves):
                 block = np.zeros((rows, rows))
-                two_mu = np.zeros(rows, dtype=int)
-                modes = np.full((rows, levels), -1)
-                middle = np.zeros((rows, levels), dtype=bool)
-                for two_l, at, ns in slot:
+                for two_l, at, _ in slot:
                     valid = (two_l + halves - half) // halves
                     d = rungs[two_l]
                     if halves == 1:
@@ -158,31 +138,9 @@ def check_split_quarter_turns(basis):
                     else:
                         block[at:at + valid, at:at + valid] = \
                             d[:valid, half::halves]
-                    two_mu[at:at + valid] = (2 * halves * np.arange(valid)
-                                             + 2 * half - two_l)
-                    if half and two_l % 2 == 0:
-                        middle[at + two_l // 2, :len(ns)] = True
-                    for column, n in enumerate(ns):
-                        lev, nx, ny = basis.level_arrays(n)
-                        assert lev.spin.two_j == two_l
-                        members = nx * basis.shape.n_y + ny
-                        modes[at:at + valid, column] = (
-                            members if half == 0 else members[::-1])[:valid]
                 assert np.array_equal(stack[half, i], block)
-                assert np.array_equal(index[half, i], np.repeat(
-                    two_jmin + two_mu[:, None], levels, axis=1))
-                kept = modes >= 0
-                assert np.array_equal(gathered[half, i][kept], modes[kept])
-                assert np.all(gathered[half, i][~kept] == 0)
-                assert np.array_equal(marked[half, i], middle)
-        # The highest slot sets the batch's rows.
-        assert rows == max(at + two_l // halves + 1
-                           for slot in slots for two_l, at, _ in slot)
-    assert sorted(first) == list(range(two_jmin + 1))
-    assert basis.places == tuple(first[two_l] for two_l in sorted(first))
-    assert stop == 2 * basis.gather.size // halves
     return [[tuple((two_l, ns) for two_l, _, ns in slot) for slot in slots]
-            for slots in layout]
+            for slots, *_ in layout]
 
 
 def element_matrix(element):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fkimage import (DimensionError, DomainError, FourierGroupElement,
                      ScreenShape, Spin, ValidationError, analyze,
@@ -370,6 +370,10 @@ def _level_reference(basis, coeffs, element):
 @given(two_jx=st.integers(0, 40), two_jy=st.integers(0, 40),
        angles=st.lists(st.floats(-20, 20), min_size=5, max_size=5),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(two_jx=0, two_jy=0, angles=[0.3, 1.9, 2.2, -0.7, 0.4], seed=0)
+@example(two_jx=1, two_jy=1, angles=[-4.0, 7.5, 13.0, 19.0, -3.0], seed=1)
+@example(two_jx=1, two_jy=2, angles=[2.0, -16.0, 8.5, 12.0, -9.0], seed=2)
+@example(two_jx=2, two_jy=1, angles=[11.0, 0.6, -1.7, 5.5, 17.0], seed=3)
 def test_eigenbasis_transforms_match_little_d_blocks(two_jx, two_jy, angles,
                                                      seed):
     # Random screens with 2j <= 40 in both orientations, half-integer spins
@@ -552,6 +556,10 @@ def test_batched_mix_matches_little_d_blocks_across_batch_edges(two_j):
 @given(two_jx=st.integers(0, 40), two_jy=st.integers(0, 40),
        a=st.floats(-20, 20), b=st.floats(-20, 20),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(two_jx=0, two_jy=0, a=1.3, b=-19.0, seed=0)
+@example(two_jx=1, two_jy=1, a=-7.5, b=2.2, seed=1)
+@example(two_jx=1, two_jy=2, a=13.0, b=0.4, seed=2)
+@example(two_jx=2, two_jy=1, a=-0.9, b=16.5, seed=3)
 def test_rotations_and_gyrations_are_one_parameter_groups(two_jx, two_jy,
                                                           a, b, seed):
     # R(a) R(b) = R(a + b) and G(a) G(b) = G(a + b) on random screens with

@@ -317,6 +317,14 @@ _ANGLES = st.lists(st.floats(-20, 20, exclude_min=True, exclude_max=True),
          b=[-19.5, 2.0, -11.0, 5.5, 17.0], seed=1)
 @example(two_jx=5, two_jy=9, a=[0.3, 1.9, 2.2, -0.7, 0.4],
          b=[4.0, -16.0, 8.5, 12.0, -9.0], seed=2)
+@example(two_jx=0, two_jy=0, a=[2.5, -1.0, 6.0, 0.7, 1.0],
+         b=[-3.0, 5.0, -2.2, 9.5, 3.0], seed=3)
+@example(two_jx=1, two_jy=1, a=[1.0, 7.0, 1.0, 0.5, 2.0],
+         b=[0.5, 3.0, -12.0, -1.0, 0.0], seed=4)
+@example(two_jx=1, two_jy=2, a=[-6.0, 18.0, 4.4, -8.0, -5.5],
+         b=[14.0, -0.3, 2.9, 1.1, 7.0], seed=5)
+@example(two_jx=2, two_jy=1, a=[0.0, -13.0, 19.5, 3.3, -2.0],
+         b=[-9.0, 1.6, -4.1, -17.0, 6.0], seed=6)
 def test_group_laws_on_random_screens(two_jx, two_jy, a, b, seed):
     # Both orientations and half-integer spins, elements far outside the
     # canonical ranges, explicit omega included: the action is unitary,

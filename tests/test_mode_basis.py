@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -170,83 +171,112 @@ def test_phase_constants_held_on_basis_are_read_only():
                 array.flat[0] = 0
 
 
-def _gathered_slots(basis):
-    """(2*lambda, members) for every spin of every slot, in buffer order,
-    and every padding entry: members holds the gathered mode indices of
-    each level the slot lists for the spin, with member k of each level in
-    row k, read from the spin's row offset in its slot.  On whole rungs
-    ``basis.gather`` holds every row in order; on halves its first half
-    holds the top rows and its second the mirrored bottom rows."""
-    two_jx, two_jy = basis.shape.j_x.two_j, basis.shape.j_y.two_j
-    halves = basis.halves
-    parts = basis.gather.reshape(halves, -1)
-    spins, padding = [], []
-    for (lo, hi, _, _, _, index), slots in zip(
-            basis.batches, mode_basis._batch_slots(
-                min(two_jx, two_jy), max(two_jx, two_jy), halves)):
-        gathered = parts[:, lo // 2:hi // 2].reshape(index.shape)
+def _check_layout(two_jx, two_jy):
+    """Assert ``mode_basis._layout`` of one screen, with no basis and no
+    walk.  Its slots are ``fold_layout``'s, and each level a slot lists
+    for a spin has that spin.  The level's members fill the rows past the
+    spin's offset by ascending n_y, on halves part 1 from the top member
+    down.  The phase index holds 2j_min + 2 mu on those rows, and 2j_min
+    elsewhere.  Padding names mode 0, and ``scatter`` finds every mode at
+    its member's position.  ``middles`` and the padding of whole rungs are
+    counted in closed form, as are each level's spin and lowest n_y."""
+    two_jmin, two_jmax = min(two_jx, two_jy), max(two_jx, two_jy)
+    halves, spots, batches, gather, scatter, middles = mode_basis._layout(
+        two_jx, two_jy)
+    assert halves == (1 if two_jmin < mode_basis._WHOLE_BELOW else 2)
+    assert [[tuple((two_l, ns) for two_l, _, ns in slot) for slot in slots]
+            for slots, *_ in batches] == fold_layout(
+        two_jmin, two_jmax, mode_basis._BATCH_SPINS, halves == 1)
+    for array in (gather, scatter, middles):
+        assert array.dtype == np.intp and not array.flags.writeable
+    # Level n has spin 2 lambda(n) = min(n, 2j_min, n_max - n) and holds
+    # the modes (n - n_y, n_y) from n_y = max(0, n - 2j_x) up.
+    n = np.arange(two_jx + two_jy + 1)
+    spin_of = np.minimum(np.minimum(n, two_jmin), n[::-1])
+    low_of = np.maximum(n - two_jx, 0)
+    part = gather.size // halves
+    modes = np.zeros(gather.size, dtype=np.intp)
+    kept = np.zeros(gather.size, dtype=bool)
+    middle = np.zeros(gather.size, dtype=bool)
+    placed, stop = {}, 0
+    for b, (slots, lo, hi, view, index) in enumerate(batches):
+        assert lo == stop
+        stop = hi
+        # The second spin of a slot starts just past the first's rung, or
+        # its even half, and the highest spin sets the batch's rows.
+        rows = max(at + two_l // halves + 1
+                   for slot in slots for two_l, at, _ in slot)
+        levels = max(len(ns) for slot in slots for *_, ns in slot)
+        assert view == (halves, len(slots), rows, 2 * levels)
+        assert index.shape == view[:3] + (levels,)
+        assert index.dtype == np.intp and not index.flags.writeable
         for i, slot in enumerate(slots):
-            used = np.zeros(gathered[:, i].shape, dtype=bool)
-            for two_l, at, ns in slot:
-                rows = [(two_l + halves - half) // halves
-                        for half in range(halves)]
-                top, *bottom = (gathered[half, i, at:at + k, :len(ns)]
-                                for half, k in enumerate(rows))
-                spins.append((two_l, np.concatenate(
-                    [top] + [b[::-1] for b in bottom])))
-                for half, k in enumerate(rows):
-                    used[half, at:at + k, :len(ns)] = True
-            padding.append(gathered[:, i][~used].ravel())
-    return spins, np.concatenate(padding)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(two_jx=st.integers(0, 40), two_jy=st.integers(0, 40))
-@example(two_jx=10, two_jy=6)
-@example(two_jx=6, two_jy=9)
-@example(two_jx=0, two_jy=8)
-@example(two_jx=12, two_jy=0)
-@example(two_jx=47, two_jy=52)
-@example(two_jx=51, two_jy=48)
-@example(two_jx=1, two_jy=1)
-@example(two_jx=2, two_jy=1)
-def test_closed_form_levels_match_level_spectrum(two_jx, two_jy):
-    # Both orientations, half-integer spins, zero-width axes, and both
-    # layouts: whole rungs below 2j_min = _WHOLE_BELOW = 48, halves from it.
-    basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
-    n_y = basis.shape.n_y
-    two_jmin = min(two_jx, two_jy)
-    seen = []
-    spins, padding = _gathered_slots(basis)
-    assert sorted({two_l for two_l, _ in spins}) == list(
-        range(two_jmin + 1))
-    # Padding names mode 0 on both layouts.  On halves the mix zeroes one
-    # entry per level of even spin, the partner of its middle member.
-    assert np.all(padding == 0)
-    assert basis.middles.size == (basis.halves - 1) * sum(
-        lev.spin.two_j % 2 == 0 for lev in basis.levels)
-    if basis.halves == 1:
+            assert [at for _, at, _ in slot] == [
+                0, slot[0][0] // halves + 1][:len(slot)]
+            for two_l, at, _ in slot:
+                placed.setdefault(two_l, []).append((b, i, at))
+        # One entry per level a slot lists for a spin: the slot, the spin's
+        # offset and 2 lambda, and the level's column and n; base is the
+        # part-0 position of the entry's first row.
+        i, at, two_l, column, n = np.array([
+            (i, at, two_l, column, n) for i, slot in enumerate(slots)
+            for two_l, at, ns in slot for column, n in enumerate(ns)]).T
+        assert np.array_equal(spin_of[n], two_l)
+        base = lo // 2 + (i * rows + at) * levels + column
+        two_mu = np.zeros(view[:3], dtype=np.intp)
+        for half in range(halves):
+            # Row r of an entry holds member r of its level, on part 1
+            # member 2 lambda - r, while that is a row of the half.
+            count = (two_l + halves - half) // halves
+            e = np.repeat(np.arange(count.size), count)
+            r = np.arange(e.size) - np.repeat(np.cumsum(count) - count, count)
+            ny = low_of[n[e]] + (two_l[e] - r if half else r)
+            cell = half * part + base[e] + r * levels
+            modes[cell] = (n[e] - ny) * (two_jy + 1) + ny
+            kept[cell] = True
+            two_mu[half, i[e], at[e] + r] = (2 * halves * r + 2 * half
+                                             - two_l[e])
+        assert np.all(index == two_jmin + two_mu[..., None])
+        if halves == 2:
+            even = two_l % 2 == 0
+            middle[part + base[even] + two_l[even] // 2 * levels] = True
+    assert stop == 2 * gather.size // halves
+    assert sorted(placed) == list(range(two_jmin + 1))
+    assert spots == placed
+    assert np.array_equal(gather, modes)
+    assert np.array_equal(gather[scatter], np.arange(scatter.size))
+    assert scatter.size == (two_jx + 1) * (two_jy + 1)
+    assert np.array_equal(np.sort(scatter), np.flatnonzero(kept))
+    assert np.array_equal(middles, np.flatnonzero(middle))
+    # The butterfly reads one padding entry per level of even spin, the
+    # partner of its middle member.
+    assert middles.size == (halves - 1) * np.count_nonzero(spin_of % 2 == 0)
+    if halves == 1:
         # A folded pair of whole rungs fills its F + 1 rows exactly: only
         # the lone middle spin of an odd 2j_min pads, by F + 1 entries,
         # when other slots are higher (2j_min > 1, or the top spin's merged
         # slots), and a merged top spin with an odd count of levels by one
         # level column.
-        merged = len(basis.batches) == 1 and two_jmin > 0
+        merged = len(batches) == 1 and two_jmin > 0
         odd_fold = two_jmin % 2 and (two_jmin > 1 or merged)
         odd_top = merged and (abs(two_jx - two_jy) + 1) % 2
-        assert padding.size == (two_jmin + 1) * (odd_fold + odd_top)
-    for two_l, modes in spins:
-        ns = [int(x) for x in (modes // n_y + modes % n_y)[0]]
-        assert ns == sorted(set(ns))
-        for n, column in zip(ns, modes.T):
-            lev, lev_x, lev_y = basis.level_arrays(n)
-            assert lev.spin.two_j == two_l
-            assert np.array_equal(column, lev_x * n_y + lev_y)
-        seen += ns
-    assert sorted(seen) == list(range(basis.shape.max_total_mode + 1))
-    for n in range(basis.shape.max_total_mode + 1):
-        lev, nx, ny = basis.level_arrays(n)
-        assert np.all(basis.level_c[n] == nx - ny - np.asarray(lev.two_mu))
+        assert gather.size - scatter.size == (two_jmin + 1) * (
+            odd_fold + odd_top)
+
+
+def test_layout_of_every_screen_up_to_2j_52(monkeypatch):
+    # All 2809 screens with 2j_x, 2j_y <= 52: both orientations,
+    # half-integer spins, zero-width axes, every fold and merge edge of
+    # whole rungs, and halves from 2j_min = _WHOLE_BELOW = 48.  The sweep
+    # walks no ladder and builds no basis.
+    _forbid_the_walk(monkeypatch)
+    failed = {}
+    for two_j in itertools.product(range(53), repeat=2):
+        try:
+            _check_layout(*two_j)
+        except AssertionError as fault:
+            failed[two_j] = fault
+    assert not failed, (sorted(failed), next(iter(failed.values())))
 
 
 def _arrays(value):
@@ -267,31 +297,23 @@ def _arrays(value):
 @example(two_jx=17, two_jy=16)
 @example(two_jx=47, two_jy=52)
 @example(two_jx=51, two_jy=48)
+@example(two_jx=0, two_jy=0)
+@example(two_jx=1, two_jy=1)
+@example(two_jx=1, two_jy=2)
+@example(two_jx=2, two_jy=1)
 def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
     # Both orientations, half-integer spins, zero-width axes, and both
     # layouts: whole rungs below 2j_min = _WHOLE_BELOW = 48, halves from it.
     basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
-    size = basis.shape.mode_count
     two_jmin = min(two_jx, two_jy)
-    gather, scatter = basis.gather, basis.scatter
-    assert not gather.flags.writeable and not scatter.flags.writeable
-    # scatter finds every mode at a gathered position of its own.  Every
-    # mode is gathered exactly once, and on both layouts every padding
-    # entry names mode 0.
-    assert np.array_equal(gather[scatter], np.arange(size))
-    assert np.unique(scatter).size == size
-    assert np.array_equal(np.bincount(gather),
-                          [gather.size - size + 1] + [1] * (size - 1))
-    # The low spins folded two to a slot, runs of _BATCH_SPINS consecutive
-    # spins, then the top spin alone, or on whole rungs its levels two to
-    # a slot in the fold's batch where they fit; each slot holds its
-    # spins' whole quarter-turn tables, or their even and odd halves.
-    layout = fold_layout(two_jmin, max(two_jx, two_jy),
-                         mode_basis._BATCH_SPINS, basis.halves == 1)
-    assert check_split_quarter_turns(basis) == layout
-    for (_, _, _, _, stack, index), slots in zip(basis.batches, layout):
-        levels = max(len(ns) for slot in slots for _, ns in slot)
-        assert index.shape == stack.shape[:3] + (levels,)
+    # The basis holds the layout of _layout, which the sweep over every
+    # screen up to 2j = 52 checks, and each slot its spins' whole
+    # quarter-turn tables, or their even and odd halves.
+    check_split_quarter_turns(basis)
+    # level_c is each level's (n_x - n_y) - 2 mu.
+    for n in range(basis.shape.max_total_mode + 1):
+        lev, nx, ny = basis.level_arrays(n)
+        assert np.all(basis.level_c[n] == nx - ny - np.asarray(lev.two_mu))
     # Each table is stored once, whole or as its halves: V rebuilt from
     # the halves by the reflection law has the rung's top rows bit for bit
     # (the odd columns of a middle row are the law's exact zeros), V read
@@ -322,12 +344,16 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
 def test_layout_is_a_function_of_the_shorter_side():
     # Whole rungs below 2j_min = _WHOLE_BELOW, halves from it up, in both
     # orientations, whatever the longer side, half-integer spins included.
-    # A whole-rung basis is one batch while the top spin's levels, two to
+    # A whole-rung layout is one batch while the top spin's levels, two to
     # a slot, need no more slots than the fold batch has, and the fold
     # batch and the top spin's past that.  Verify's default screens hold
     # every layout, so a later crossover cannot drop one of them from it.
     whole_below = mode_basis._WHOLE_BELOW
     assert 0 < whole_below <= 2 * mode_basis._BATCH_SPINS
+
+    def layout(spins):
+        return mode_basis._layout(*(Spin.from_j(j).two_j for j in spins))
+
     for two_jmin in (whole_below - 2, whole_below - 1, whole_below,
                      whole_below + 1):
         halves = 1 if two_jmin < whole_below else 2
@@ -336,22 +362,21 @@ def test_layout_is_a_function_of_the_shorter_side():
                        two_jmin + 2 * fold_slots - 1,
                        two_jmin + 2 * fold_slots):
             for two_j in ((two_jmin, longer), (longer, two_jmin)):
-                basis = build_basis(ScreenShape(*map(Spin, two_j)))
-                assert basis.halves == halves, two_j
-                assert {batch[4].shape[0] for batch in basis.batches} == {
-                    halves}
+                got, _, batches, *_ = mode_basis._layout(*two_j)
+                assert got == halves, two_j
+                assert {view[0] for _, _, _, view, _ in batches} == {halves}
                 if halves == 1:
                     merged = (longer - two_jmin + 2) // 2 <= fold_slots
-                    assert len(basis.batches) == 2 - merged, two_j
-    layouts = {(basis.halves, len(basis.batches) == 1)
-               for basis in map(build_basis, DEFAULT_SHAPES)}
+                    assert len(batches) == 2 - merged, two_j
+    layouts = {(halves, len(batches) == 1)
+               for halves, _, batches, *_ in map(layout, DEFAULT_SHAPES)}
     assert layouts == {(1, True), (1, False), (2, False)}
     for shape, merged in (((5, 3), True), ((20, 12), True),
                           ((2.5, 1), False)):
-        assert (len(build_basis(shape).batches) == 1) == merged
+        assert (len(layout(shape)[2]) == 1) == merged
     # (20,12) on whole rungs: 21 slots of 25 rows and two levels, the
     # last level column, past the top spin's 17 levels, the only padding.
-    assert build_basis((20, 12)).gather.size == 41 * 25 + 25
+    assert layout((20, 12))[3].size == 41 * 25 + 25
 
 
 def test_class_docstring_states_the_built_batch_counts():
@@ -385,10 +410,12 @@ def test_build_basis_rejects_screens_above_pixel_limit(monkeypatch):
             build_basis(spins)
     assert build_basis((100, 100)).shape.mode_count == 40401
     # The accepted boundary, 512x512, is checked without building it: it
-    # passes the size check and reaches the walk.
+    # passes the size check and reaches the walk, and its layout is worked
+    # out with no walk.
     _forbid_the_walk(monkeypatch)
     with pytest.raises(AssertionError, match="ladder"):
         build_basis((255.5, 255.5))
+    assert mode_basis._layout(511, 511)[4].size == 512 * 512
     with pytest.raises(DomainError):
         build_basis(ScreenShape.from_pixels(513, 512))
 
@@ -508,6 +535,10 @@ def test_lk_conjugation_symmetry_5_3():
 @given(two_jx=st.integers(0, 40), two_jy=st.integers(0, 40))
 @example(two_jx=9, two_jy=16)
 @example(two_jx=17, two_jy=17)
+@example(two_jx=0, two_jy=0)
+@example(two_jx=1, two_jy=1)
+@example(two_jx=1, two_jy=2)
+@example(two_jx=2, two_jy=1)
 def test_lk_conjugation_symmetry_on_random_screens(two_jx, two_jy):
     # Lambda_{n,-m} = conj(Lambda_{n,m}) on every level, in both
     # orientations and for half-integer spins.

@@ -209,25 +209,28 @@ def test_every_check_is_named_by_a_defect_or_listed_as_unnamed():
     assert registered - set(KNOWN_LIMITATIONS) - named == _UNNAMED
 
 
+@pytest.fixture(scope="module")
+def full_suite():
+    """The results of the clean suite on the screens, run once."""
+    return run_verification(_SCREENS, images=2)
+
+
 @pytest.mark.parametrize("defect", [None] + [
     pytest.param(defect, marks=_GAPS[defect]) if defect in _GAPS else defect
     for defect in _DEFECTS])
-def test_each_defect_fails_the_checks_it_names(defect, monkeypatch):
-    names = set()
+def test_each_defect_fails_the_checks_it_names(defect, full_suite,
+                                               monkeypatch):
+    names, results = set(), full_suite
     if defect is not None:
         module, attribute, replacement, names = _DEFECTS[defect]
         monkeypatch.setattr(module, attribute, replacement)
-    assert _failures(run_verification(_SCREENS, images=2)) == \
-        names | set(KNOWN_LIMITATIONS)
-
-
-@pytest.fixture(scope="module")
-def full_suite():
-    return {r.name: r.deviation for r in run_verification(_SCREENS, images=2)}
+        results = run_verification(_SCREENS, images=2)
+    assert _failures(results) == names | set(KNOWN_LIMITATIONS)
 
 
 @pytest.mark.parametrize("check", verify._CHECKS, ids=lambda check: check[0])
 def test_each_check_reads_the_same_alone(check, full_suite, monkeypatch):
     monkeypatch.setattr(verify, "_CHECKS", [check])
     [alone] = run_verification(_SCREENS, images=2)
-    assert alone.deviation == full_suite[check[0]]
+    assert alone.deviation == {r.name: r.deviation
+                               for r in full_suite}[check[0]]
