@@ -10,14 +10,21 @@ general group element
 
 is applied by ``apply_element_coeffs``; it, ``rotate_coeffs`` and
 ``gyrate_coeffs`` share one private action, which mixes levels only
-through ``CartesianBasis._mix`` and takes all its phases from one ``exp``,
-``CartesianBasis._phases``.  ``c`` is the per-level integer
+through ``CartesianBasis._mix``.  ``c`` is the per-level integer
 ``CartesianBasis.level_c``; the leading phase is 1 for a plain element,
 whose omega is (psi + phi)/2.  Rotation by theta is the element
 D(0; -pi/2, 2 theta, pi/2) and gyration by gamma is D(0; 0, 2 gamma, 0);
 both act block-diagonally on the total-mode levels and never mix them.
 The fractional Fourier transforms K_S and K_A are pure mode-number phases.
 Angles are checked once and reduced into (-4 pi, 4 pi) before use.
+
+Every diagonal factor is an n_y phase or a phase of the levels
+n = n_x + n_y, and every action takes all its phases from one ``exp``:
+an element's from ``CartesianBasis._phases``, K_S's and K_A's from
+``_fourier_phases``, while a rotation's n_y phases are the exact frozen
+``CartesianBasis.quarter_turns``.  A pure-phase action goes through the
+one applier ``_mode_phases``; after a mix the post-phase multiplies the
+mixed array in place, through the same strided level view.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .group_algebra import FourierGroupElement
-from .mode_basis import _HALF_PI, CartesianBasis, _finite
+from .mode_basis import CartesianBasis, _finite
 from .special_functions import _finite_angle, _reduced
 
 __all__ = [
@@ -43,6 +50,10 @@ __all__ = [
     "fractional_fourier_image",
 ]
 
+# psi and phi of a rotation's element D(0; -pi/2, 2 theta, pi/2).
+_HALF_PI = 0.5 * np.pi
+
+
 def analyze(basis: CartesianBasis, image: np.ndarray) -> np.ndarray:
     """Mode coefficients F_{n_x,n_y} = sum_q F(q) Psi_{n_x,n_y}(q)."""
     return basis.analyze(image)
@@ -53,40 +64,31 @@ def synthesize(basis: CartesianBasis, coeffs: np.ndarray) -> np.ndarray:
     return basis.synthesize(coeffs)
 
 
-def _phase(angle: float, ramp: np.ndarray) -> np.ndarray | None:
-    """The phases exp(i angle ramp), or None when the angle is zero."""
-    return np.exp(1j * angle * ramp) if angle else None
+def _level_grid(level: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The phases ``level`` of the levels n = n_x + n_y read as a grid of
+    ``shape``: with equal strides along both axes, [n_x, n_y] holds the
+    phase of level n_x + n_y, so no full-grid phase is formed."""
+    step = level.strides[0]
+    return np.ndarray(shape, level.dtype, level, 0, (step, step))
 
 
 def _mode_phases(coeffs: np.ndarray, level: np.ndarray | None,
-                 turn: np.ndarray | None,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """``coeffs`` times the n_y phases ``turn`` and the phases ``level`` of
-    the levels n = n_x + n_y, into ``out``, which may be ``coeffs``, or a
-    new array.
+                 turn: np.ndarray | None) -> np.ndarray:
+    """``coeffs`` times the n_y phases ``turn``, then the phases ``level``
+    of the levels n = n_x + n_y, as a new array.
 
     Every diagonal factor of a group element is one of the two, as an n_x
-    phase is a level phase times an n_y phase.  Read with equal strides
-    along both axes, ``level`` holds the phase of level n_x + n_y at
-    [n_x, n_y], so no full-grid phase is formed.  A factor exactly one
+    phase is a level phase times an n_y phase.  A factor exactly one
     (None) is skipped: with both None the result is an exact copy (float64
     for real input).
     """
-    if out is None:
-        kind = (np.float64 if turn is None and level is None
-                else np.complex128)
-        out = np.empty(coeffs.shape, np.result_type(coeffs, kind))
-    src = coeffs
-    if turn is not None:
-        np.multiply(src, turn, out=out)
-        src = out
+    if turn is None and level is None:
+        return coeffs.astype(np.result_type(coeffs, np.float64))
+    if turn is None:
+        return coeffs * _level_grid(level, coeffs.shape)
+    out = coeffs * turn
     if level is not None:
-        step = level.strides[0]
-        np.multiply(src, np.ndarray(coeffs.shape, level.dtype, level, 0,
-                                    (step, step)), out=out)
-        src = out
-    if src is not out:
-        out[...] = coeffs
+        out *= _level_grid(level, out.shape)
     return out
 
 
@@ -106,34 +108,42 @@ def rotate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                 _reduced(2.0 * _finite_angle(theta)), _HALF_PI, 0.0)
 
 
-def _checked_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """``coeffs`` as a 2-D array, finite as ``check_image`` requires."""
+def _fourier_phases(coeffs: np.ndarray, level: float,
+                    turn: float) -> np.ndarray:
+    """K_S and K_A: ``coeffs``, 2-D and finite as ``check_image`` requires,
+    times exp(i level n) on the levels n = n_x + n_y and exp(i turn n_y).
+    Both phases are slices of one ``exp`` over ramps of the array's own
+    shape, which leaves out a zero n_y angle (K_S); a phase whose angle is
+    zero is not multiplied (``_mode_phases``)."""
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 2:
         raise DimensionError(f"coefficients must be 2-D, got shape {coeffs.shape}")
-    return _finite(coeffs)
+    levels = sum(coeffs.shape) - 1
+    v = 1j * level * np.arange(levels)
+    if turn:
+        v = np.concatenate((v, 1j * turn * np.arange(coeffs.shape[1])))
+    v = np.exp(v)
+    return _mode_phases(_finite(coeffs), v[:levels] if level else None,
+                        v[levels:] if turn else None)
 
 
 def ks_coeffs(coeffs: np.ndarray, chi: float) -> np.ndarray:
     """Symmetric fractional Fourier transform: phases exp(-i chi (n_x+n_y)).
 
-    A level phase, one multiply by a vector over the levels n = n_x + n_y
-    that needs only the coefficients' shape.  Diagonal in the mode basis,
-    hence it commutes with every transform in the group.
+    A level phase, one ``exp`` and one multiply by a vector over the
+    levels n = n_x + n_y, which needs only the coefficients' shape.
+    Diagonal in the mode basis, hence it commutes with every transform in
+    the group.
     """
-    coeffs = _checked_coeffs(coeffs)
-    return _mode_phases(coeffs, _phase(-_finite_angle(chi),
-                                       np.arange(sum(coeffs.shape) - 1)), None)
+    return _fourier_phases(coeffs, -_finite_angle(chi), 0.0)
 
 
 def ka_coeffs(coeffs: np.ndarray, beta: float) -> np.ndarray:
     """Antisymmetric fractional Fourier transform: phases exp(-i beta (n_x-n_y)),
-    the level phase exp(-i beta n) times exp(2 i beta n_y)."""
-    coeffs = _checked_coeffs(coeffs)
+    the level phase exp(-i beta n) times exp(2 i beta n_y), both slices of
+    one ``exp``."""
     beta = _finite_angle(beta)
-    levels = np.arange(sum(coeffs.shape) - 1)
-    return _mode_phases(coeffs, _phase(-beta, levels),
-                        _phase(2.0 * beta, np.arange(coeffs.shape[1])))
+    return _fourier_phases(coeffs, -beta, 2.0 * beta)
 
 
 def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
@@ -158,23 +168,27 @@ def _act(basis: CartesianBasis, coeffs: np.ndarray, chi: float, psi: float,
          theta: float, phi: float, shift: float) -> np.ndarray:
     """D(chi; psi, theta, phi; omega) on coefficients, the angles already
     reduced and ``shift = omega - (psi + phi)/2``; see
-    ``apply_element_coeffs``.  A rotation's element, psi = -pi/2 and
-    phi = pi/2, takes its n_y phases from ``quarter_turns``, full grids,
-    so its pre- and post-phase run elementwise; the post-phase still goes
-    through ``_mode_phases``, which adds a level phase when chi or omega
-    gives one."""
+    ``apply_element_coeffs``.  Its phases are slices of one ``exp``
+    (``_phases``), but a rotation's element, psi = -pi/2 and phi = pi/2,
+    takes its n_y phases from the exact ``quarter_turns``, full grids, so
+    its pre- and post-phase run elementwise.  After the mix the post-phase
+    and any level phase multiply the mixed array in place."""
     coeffs = basis.check_image(coeffs)
     level = 0.5 * (chi + psi + phi)
     if theta == 0.0:
         turn, _, levels, _ = basis._phases(0.0, level, shift, psi + phi)
         return _mode_phases(coeffs, levels, turn)
     rotation = psi == -_HALF_PI and phi == _HALF_PI
-    pre, post, levels, eigen = basis._phases(
-        theta, level, shift, *((0.0, 0.0) if rotation else (phi, psi)))
     if rotation:
         pre, post = basis.quarter_turns
+        levels, eigen = basis._phases(theta, level, shift)[2:]
+    else:
+        pre, post, levels, eigen = basis._phases(theta, level, shift, phi, psi)
     out = basis._mix(coeffs, eigen, pre)
-    _mode_phases(out, levels, post, out)
+    if post is not None:
+        out *= post
+    if levels is not None:
+        out *= _level_grid(levels, out.shape)
     if rotation and levels is None and not np.iscomplexobj(coeffs):
         return out.real.copy()
     return out
@@ -199,7 +213,9 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     eigen-phases of the mix are slices of one ``exp`` (``_phases``); a
     phase exactly one is not multiplied, so a gyration has only its
     eigen-phases and a rotation adds its frozen ``quarter_turns``,
-    i^(+-n_y) over the whole screen.  Mix(theta) projects each
+    i^(+-n_y) over the whole screen, each entry exactly 1, i, -1 or -i.
+    The pre-phase multiplies inside the mix, the post-phase after it, in
+    place.  Mix(theta) projects each
     spin's levels onto its J_y eigenbasis ``diag(i^-k) V``, multiplies by
     exp(-i theta mu) and projects back.  Member k of a level has
     n_y = k + (its lowest n_y), so ``i^k`` and ``i^(n_y)`` differ by a
@@ -207,8 +223,9 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     gyration's sandwich: only the real table ``V = d^lambda(pi/2)`` is left.
 
     At theta = 0 nothing is mixed and the element is the n_y phase
-    exp(i (psi + phi) n_y) and the level phase, so the identity gives an
-    exact copy.  Real input gives real output where the action is real: at
+    exp(i (psi + phi) n_y) and the level phase, applied by
+    ``_mode_phases`` like K_S and K_A, so the identity gives an exact
+    copy.  Real input gives real output where the action is real: at
     theta = 0 with every phase one, and for a rotation's element
     D(0; -pi/2, theta, pi/2), which returns the real part of its buffer.
     """

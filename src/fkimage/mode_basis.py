@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 
-# psi and phi of a rotation's element D(0; -pi/2, 2 theta, pi/2).
-_HALF_PI = 0.5 * math.pi
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -157,9 +153,11 @@ def _ny_bounds(two_jx: int, two_jy: int, n):
     ``n_y = max(0, n - 2j_x) .. min(n, 2j_y)``, and its spin 2*lambda is the
     width of that range.  This is the one statement of the level layout:
     ``level_spectrum``, the mix layout ``_layout`` and
-    ``CartesianBasis.level_c`` read it.
+    ``CartesianBasis.level_c`` read it.  The max and min are integer
+    arithmetic, so an int gives ints and an array an array of its dtype,
+    with no numpy call on a Python int.
     """
-    return np.maximum(n - two_jx, 0), np.minimum(n, two_jy)
+    return (n - two_jx) * (n > two_jx), n - (n - two_jy) * (n > two_jy)
 
 
 def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
@@ -174,7 +172,7 @@ def level_spectrum(shape: ScreenShape, n: int) -> LevelSpectrum:
     j_x < j_y and the boundary levels, where adjacent formulas agree.
     """
     n = _integer(n, "total mode n", 0, shape.max_total_mode)
-    lo, hi = map(int, _ny_bounds(shape.j_x.two_j, shape.j_y.two_j, n))
+    lo, hi = _ny_bounds(shape.j_x.two_j, shape.j_y.two_j, n)
     return LevelSpectrum(n, Spin(hi - lo), range(lo, hi + 1),
                          tuple(range(hi - lo, lo - hi - 1, -2)))
 
@@ -368,11 +366,13 @@ class CartesianBasis:
     screens.
 
     The other call constants: ``pixels``; ``quarter_turns``, a rotation's
-    ``exp(+-i pi/2 n_y)`` as full grids, the only complex arrays, which
-    its pre- and post-phase multiply elementwise (numpy runs a broadcast
-    n_y vector one row at a time through its iterator's buffer, about
-    1.9x slower); and ``ramps``, whose odd rows hold the ramps of every
-    phase of an action for ``_phases``, in five columns: n_y (pre-phase),
+    n_y phases ``i^(+-n_y)``, built exactly from ``1j ** (n_y % 4)`` and
+    its conjugate, so each entry is 1, i, -1 or -i, as full grids, the
+    only complex arrays, which its pre- and post-phase multiply
+    elementwise (numpy runs a broadcast n_y vector one row at a time
+    through its iterator's buffer, about 1.9x slower); and ``ramps``,
+    whose odd rows hold the ramps of every phase of an action for
+    ``_phases``, its one ``exp``, in five columns: n_y (pre-phase),
     n_y (post-phase), the levels n and their ``level_c``, and 2*mu
     (eigen-phases).  ``level_c`` is the integer
     ``(n_x - n_y) - 2*mu`` of each level, ``n - lo - hi`` with ``lo .. hi``
@@ -426,9 +426,8 @@ class CartesianBasis:
         self.batches = tuple(batches)
         # The constants of every transform call (see the class docstring).
         ny = np.arange(shape.n_y)
-        self.quarter_turns = tuple(
-            _frozen(np.broadcast_to(np.exp(1j * angle * ny), shape.pixels)
-                    .copy()) for angle in (_HALF_PI, -_HALF_PI))
+        turn = np.broadcast_to(1j ** (ny % 4), shape.pixels)
+        self.quarter_turns = (_frozen(turn.copy()), _frozen(np.conj(turn)))
         n = np.arange(shape.max_total_mode + 1)
         lo, hi = _ny_bounds(two_jx, two_jy, n)
         p, q = ny.size, 2 * ny.size

@@ -41,6 +41,7 @@ construction gives instead, and passes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -57,8 +58,8 @@ from ._reference import (gyrate_coeffs_sandwich, interval_levels,
 from .glyph import f_glyph
 from .imageio import load_complex, load_image, pixels_to_gray, read_pgm, \
     save_complex, write_pgm
-from .mode_basis import _WHOLE_BELOW, ScreenShape, _lk_block, build_basis, \
-    cartesian_mode, level_spectrum, lk_mode
+from .mode_basis import _WHOLE_BELOW, ScreenShape, _frozen, _lk_block, \
+    build_basis, cartesian_mode, level_spectrum, lk_mode
 from .render import RenderSpec, scale_to_unit
 from .special_functions import Spin, _integer, _ladder, _Value, \
     kravchuk_function, wigner_little_d
@@ -137,8 +138,10 @@ def _check(name, tolerance, detail):
     return register
 
 
-def _kravchuk_table(two_j):
-    """Psi_n(q) of spin two_j/2: row n, column q ascending.
+@functools.cache
+def _kravchuk_table(two_j: int) -> np.ndarray:
+    """Psi_n(q) of spin two_j/2: row n, column q ascending, frozen and
+    built once per process for each integer ``two_j``.
 
     ``kravchuk_function`` runs only for n <= i, i the column: its
     polynomial K_n(i) = K_i(n) is an exact integer sum and its prefactor is
@@ -148,7 +151,7 @@ def _kravchuk_table(two_j):
     table[n, i] = [kravchuk_function(Spin(two_j), a, (2 * b - two_j) / 2.0)
                    for a, b in zip(n.tolist(), i.tolist())]
     table[i, n] = (-1.0) ** (n + i) * table[n, i]
-    return table
+    return _frozen(table)
 
 
 @_check("littled_orthogonality", 1e-9, "max |d d^T - I| over 2*lambda <= 80")
@@ -190,9 +193,9 @@ def _check_littled_periodicity(ctx):
 @_check("littled_kravchuk_crosscheck", 1e-10,
         "d^j_{n-j,q}(pi/2) vs Kravchuk function, 2j <= 40")
 def _check_littled_kravchuk(ctx):
-    # Row n of the reversed block is mu = n - j, column q ascending.
-    for two_j in range(0, 41):
-        d = wigner_little_d(Spin(two_j), math.pi / 2).entries
+    # Row n of the reversed block is mu = n - j, column q ascending.  One
+    # walk yields every rung, each bit for bit wigner_little_d's.
+    for two_j, d in enumerate(_ladder(40, math.pi / 2)):
         yield d[::-1, ::-1] - _kravchuk_table(two_j)
 
 

@@ -468,10 +468,13 @@ def test_real_rotations_stay_float64(spins):
 def test_an_action_evaluates_at_most_one_exp(basis117, rng, monkeypatch):
     # Every diagonal phase of an action, its eigen-phases included, comes
     # from one exp over the basis' ramps; a rotation's n_y phases are
-    # frozen on the basis.
+    # frozen on the basis.  K_S and K_A take their level and n_y phases
+    # from one exp over the array's own ramps.
     coeffs = analyze(basis117, random_image(rng, basis117))
     ops = [lambda: rotate_coeffs(basis117, coeffs, 0.9),
-           lambda: gyrate_coeffs(basis117, coeffs, -1.3)]
+           lambda: gyrate_coeffs(basis117, coeffs, -1.3),
+           lambda: ks_coeffs(coeffs, 0.8), lambda: ka_coeffs(coeffs, -2.3),
+           lambda: ka_coeffs(coeffs.real, 1.1)]
     elements = _EDGE_ELEMENTS + [FourierGroupElement(0.3, 1.9, 2.2, -0.7)]
     ops += [lambda e=e: apply_element_coeffs(basis117, coeffs, e)
             for e in elements]
