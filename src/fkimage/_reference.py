@@ -10,7 +10,7 @@ import numpy as np
 from .fourier_transforms import ka_coeffs, rotate_coeffs
 from .group_algebra import FourierGroupElement
 from .mode_basis import _quarter_turn as quarter_turn
-from .special_functions import wigner_little_d
+from .special_functions import _ladder, _reduced
 
 
 def random_image(rng, basis) -> np.ndarray:
@@ -59,13 +59,18 @@ def interval_levels(two_jx, two_jy, n):
 
 def level_action(basis, coeffs, element: FourierGroupElement) -> np.ndarray:
     """D(chi; psi, theta, phi; omega) on coefficients, assembled level by
-    level from dense ``wigner_little_d`` blocks and full-grid phases, with
-    ``c`` from each level's members and projections (``level_arrays``).
-    Rotation by theta is D(0; -pi/2, 2 theta, pi/2); gyration is
-    D(0; 0, 2 gamma, 0).  ``level_arrays`` and ``CartesianBasis.level_c``
-    read the same n_y range (``mode_basis._ny_bounds``), so this reference
-    checks the mix and the phases, not the layout: ``interval_levels`` is
-    the independent oracle for the layout.
+    level from dense little-d blocks and full-grid phases, with ``c`` from
+    each level's members and projections (``level_arrays``).  Rotation by
+    theta is D(0; -pi/2, 2 theta, pi/2); gyration is D(0; 0, 2 gamma, 0).
+    ``level_arrays`` and ``CartesianBasis.level_c`` read the same n_y range
+    (``mode_basis._ny_bounds``), so this reference checks the mix and the
+    phases, not the layout: ``interval_levels`` is the independent oracle
+    for the layout.
+
+    The blocks are the rungs of one ladder walk at theta, which the levels
+    of each spin read in turn, not the basis' tables; rung 2*lambda is
+    ``wigner_little_d(lambda, theta)`` bit for bit, an exact identity at a
+    theta that reduces to zero.
     """
     e = element
     n_x, n_y = np.indices(coeffs.shape)
@@ -73,10 +78,17 @@ def level_action(basis, coeffs, element: FourierGroupElement) -> np.ndarray:
     x = quarter * np.exp(-0.5j * e.phi * (n_x - n_y)) * coeffs
     act = np.empty_like(x)
     c = np.empty(coeffs.shape)
+    spins = {}
     for n in range(basis.shape.max_total_mode + 1):
         lev, nx, ny = basis.level_arrays(n)
-        act[nx, ny] = wigner_little_d(lev.spin, e.theta).entries @ x[nx, ny]
+        spins.setdefault(lev.spin.two_j, []).append((nx, ny))
         c[nx, ny] = nx - ny - np.asarray(lev.two_mu)
+    theta, top = _reduced(e.theta), len(spins) - 1
+    rungs = (_ladder(top, theta) if theta
+             else (np.eye(two_l + 1) for two_l in range(top + 1)))
+    for two_l, d in enumerate(rungs):
+        for nx, ny in spins[two_l]:
+            act[nx, ny] = d @ x[nx, ny]
     act *= np.conj(quarter) * np.exp(-0.5j * e.psi * (n_x - n_y)
                                      - 0.5j * e.chi * (n_x + n_y))
     return act * np.exp(-1j * (e.omega - e.default_omega) * c)

@@ -20,11 +20,13 @@ Angles are checked once and reduced into (-4 pi, 4 pi) before use.
 
 Every diagonal factor is an n_y phase or a phase of the levels
 n = n_x + n_y, and every action takes all its phases from one ``exp``:
-an element's from ``CartesianBasis._phases``, K_S's and K_A's from
-``_fourier_phases``, while a rotation's n_y phases are the exact frozen
-``CartesianBasis.quarter_turns``.  A pure-phase action goes through the
-one applier ``_mode_phases``; after a mix the post-phase multiplies the
-mixed array in place, through the same strided level view.
+an element's from ``CartesianBasis._phases``, the ``exp`` of the basis'
+complex table ``ramps`` (i times each phase's integer ramp) times the
+angles, K_S's and K_A's from ``_fourier_phases``, while a rotation's n_y
+phases are the exact frozen ``CartesianBasis.quarter_turns``.  A
+pure-phase action goes through the one applier ``_mode_phases``; after a
+mix the post-phase multiplies the mixed array in place, through the same
+strided level view.
 """
 
 from __future__ import annotations

@@ -367,16 +367,16 @@ class CartesianBasis:
 
     The other call constants: ``pixels``; ``quarter_turns``, a rotation's
     n_y phases ``i^(+-n_y)``, built exactly from ``1j ** (n_y % 4)`` and
-    its conjugate, so each entry is 1, i, -1 or -i, as full grids, the
-    only complex arrays, which its pre- and post-phase multiply
-    elementwise (numpy runs a broadcast n_y vector one row at a time
-    through its iterator's buffer, about 1.9x slower); and ``ramps``,
-    whose odd rows hold the ramps of every phase of an action for
-    ``_phases``, its one ``exp``, in five columns: n_y (pre-phase),
-    n_y (post-phase), the levels n and their ``level_c``, and 2*mu
-    (eigen-phases).  ``level_c`` is the integer
-    ``(n_x - n_y) - 2*mu`` of each level, ``n - lo - hi`` with ``lo .. hi``
-    its n_y range (``_ny_bounds``): zero on the lower triangle,
+    its conjugate, so each entry is 1, i, -1 or -i, as full grids, which
+    its pre- and post-phase multiply elementwise (numpy runs a broadcast
+    n_y vector one row at a time through its iterator's buffer, about
+    1.9x slower); and ``ramps``, the complex ``(R, 5)`` table of i times
+    the ramps of every phase of an action, each in a column of its own and
+    zero elsewhere, for ``_phases``, its one ``exp``: n_y (pre-phase), n_y
+    (post-phase), the levels n and their c (level phase and omega shift),
+    and 2*mu (eigen-phases).  ``level_c``, the c column read as real, is the
+    integer ``(n_x - n_y) - 2*mu`` of each level, ``n - lo - hi`` with
+    ``lo .. hi`` its n_y range (``_ny_bounds``): zero on the lower triangle,
     ``2*(j_x - j_y)`` on the upper one, the offset of the antisymmetric
     Fourier phases from the level projection that carries ``omega``.
 
@@ -432,26 +432,24 @@ class CartesianBasis:
         lo, hi = _ny_bounds(two_jx, two_jy, n)
         p, q = ny.size, 2 * ny.size
         r = q + n.size
-        ramps = np.zeros((r + 2 * two_jmin + 1, 2, 5))
-        ramps[:p, 1, 0] = ramps[p:q, 1, 1] = ny
-        ramps[q:r, 1, 2:4] = np.stack((n, n - lo - hi), axis=1)
-        ramps[r:, 1, 4] = np.arange(-two_jmin, two_jmin + 1)
-        self.ramps, self._ends = _frozen(ramps.reshape(-1, 5)), (p, q, r)
-        self.level_c = self.ramps[2 * q + 1:2 * r:2, 3]
+        ramps = np.zeros((r + 2 * two_jmin + 1, 5), np.complex128)
+        ramps.imag[:p, 0] = ramps.imag[p:q, 1] = ny
+        ramps.imag[q:r, 2:4] = np.stack((n, n - lo - hi), axis=1)
+        ramps.imag[r:, 4] = np.arange(-two_jmin, two_jmin + 1)
+        self.ramps, self._ends = _frozen(ramps), (p, q, r)
+        self.level_c = self.ramps[q:r, 3].imag
 
     def _phases(self, theta: float, level: float = 0.0, shift: float = 0.0,
                 pre: float = 0.0, post: float = 0.0):
         """The phases ``(pre, post, level, eigen)`` of an action, slices of
         one ``exp`` of ``ramps @ (pre, post, -level, -shift, -theta/2)``,
-        which read as complex is i times their angles; a block whose angles
-        are zero is None, and with theta alone nonzero only ``eigen`` is
-        evaluated."""
+        i times their angles: the product adds only exact zeros to a row's
+        ramp terms.  A block whose angles are zero is None, and with theta
+        alone nonzero only ``eigen`` is evaluated."""
         p, q, r = self._ends
         if not (level or shift or pre or post):
-            return None, None, None, np.exp(
-                (self.ramps[2 * r:, 4] * (-0.5 * theta)).view(np.complex128))
-        v = np.exp(self.ramps.dot((pre, post, -level, -shift, -0.5 * theta))
-                   .view(np.complex128))
+            return None, None, None, np.exp(self.ramps[r:, 4] * (-0.5 * theta))
+        v = np.exp(self.ramps.dot((pre, post, -level, -shift, -0.5 * theta)))
         return (v[:p] if pre else None, v[p:q] if post else None,
                 v[q:r] if level or shift else None, v[r:])
 

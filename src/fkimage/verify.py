@@ -470,7 +470,7 @@ def _check_gyration_sandwich(ctx):
 @_check("apply_element_reductions", 1e-12,
         "Euler element reduces to its factors; gyration, rotation and "
         "omega-carrying elements vs per-level little-d blocks on (5,3) "
-        "and (3,4.5)")
+        "and (3,4.5), rotate_coeffs and wide elements on every screen")
 def _check_apply_reductions(ctx):
     rng = ctx["rng"]
     basis = ctx["get_basis"]((5, 3))
@@ -495,6 +495,22 @@ def _check_apply_reductions(ctx):
             x = random_image(rng, screen)
             yield (ft.apply_element_coeffs(screen, x, element)
                    - level_action(screen, x, element))
+    # Every screen of the run, so both mix layouts: rotate_coeffs and a few
+    # wide elements against the per-level blocks, on an image of unit
+    # norm.  The phases' rounding grows with mode number times angle: on
+    # images of max |x| about 4.5, elements read 1.1e-12 on (64,48) and
+    # 2.6e-12 on (100,100), so here the deviation is relative to |x|.
+    for basis in ctx["screens"]():
+        x = random_image(rng, basis)
+        x /= np.linalg.norm(x)
+        theta = rng.uniform(-7, 7)
+        yield (ft.rotate_coeffs(basis, x, theta) - level_action(
+            basis, x, ga.FourierGroupElement(0, -math.pi / 2, 2 * theta,
+                                             math.pi / 2)))
+        for _ in range(3):
+            element = wide_element(rng)
+            yield (ft.apply_element_coeffs(basis, x, element)
+                   - level_action(basis, x, element))
 
 
 @_check("matrix_homomorphism", 1e-12,

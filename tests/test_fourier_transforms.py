@@ -14,7 +14,7 @@ from fkimage import (DimensionError, DomainError, FourierGroupElement,
                      cartesian_mode, f_glyph, fractional_fourier_image,
                      gyrate_coeffs, gyrate_image, ka_coeffs, ks_coeffs,
                      lk_coefficients, rotate_coeffs, rotate_image,
-                     synthesize)
+                     synthesize, wigner_little_d)
 from fkimage import fourier_transforms, mode_basis
 from fkimage._reference import (gyrate_coeffs_sandwich, interval_levels,
                                 level_action, random_image)
@@ -364,6 +364,26 @@ def _level_reference(basis, coeffs, element):
     return [level_action(basis, coeffs, e) for e in (
         FourierGroupElement(0, -math.pi / 2, 2 * theta, math.pi / 2),
         FourierGroupElement(0, 0, 2 * theta, 0), element)]
+
+
+@pytest.mark.parametrize("key", [(5, 3), (1.5, 4)])
+def test_level_reference_mixes_with_wigner_little_d_blocks(key):
+    # level_action takes its blocks from one ladder walk per call; each is
+    # wigner_little_d of the level's spin bit for bit, and theta = 4 pi
+    # reduces to an exact identity.
+    basis = build_basis(key)
+    coeffs = random_image(np.random.default_rng(3), basis)
+    n_x, n_y = np.indices(basis.pixels)
+    quarter = np.exp(1j * math.pi * (n_x - n_y) / 4)
+    for theta in (1.3, -9.0, 4 * math.pi):
+        expected = np.empty_like(coeffs)
+        for n in range(basis.shape.max_total_mode + 1):
+            lev, nx, ny = basis.level_arrays(n)
+            expected[nx, ny] = (wigner_little_d(lev.spin, theta).entries
+                                @ (quarter * coeffs)[nx, ny])
+        expected *= np.conj(quarter)
+        got = level_action(basis, coeffs, FourierGroupElement(0, 0, theta, 0))
+        assert np.array_equal(got, expected)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -136,22 +136,29 @@ def test_phase_constants_held_on_basis_are_read_only():
     basis = build_basis((3, 4.5))
     n_y, levels = basis.shape.n_y, basis.shape.max_total_mode + 1
     rows = 2 * n_y + levels + 2 * 6 + 1
-    constants = {"ramps": (2 * rows, 5), "level_c": (levels,)}
+    constants = {"ramps": (rows, 5), "level_c": (levels,)}
     for name, shape in constants.items():
         array = getattr(basis, name)
         assert array.shape == shape and not array.flags.writeable, name
     assert not hasattr(basis, "c") and not hasattr(basis, "mix_batches")
-    # The ramps' row blocks, each in its own column and each row after a
-    # zero row: n_y (pre-phase), n_y (post-phase), the levels n with their
-    # c, and 2 mu.
+    # The ramps are a plain complex table, i times each ramp in a column of
+    # its own and zero elsewhere, with no zero rows between: n_y
+    # (pre-phase), n_y (post-phase), the levels n with their c, and 2 mu.
+    # The only zero rows are the four whose ramps read 0.  level_c is the
+    # c column, real.
     ny, n = np.arange(n_y), np.arange(levels)
     expected = np.zeros((rows, 5))
     expected[:n_y, 0] = expected[n_y:2 * n_y, 1] = ny
     expected[2 * n_y:2 * n_y + levels, 2] = n
     expected[2 * n_y:2 * n_y + levels, 3] = basis.level_c
     expected[2 * n_y + levels:, 4] = np.arange(-6, 7)
-    assert np.array_equal(basis.ramps[1::2], expected)
-    assert not basis.ramps[0::2].any()
+    assert basis.ramps.dtype == np.complex128
+    assert np.array_equal(basis.ramps, 1j * expected)
+    assert np.flatnonzero(~basis.ramps.any(axis=1)).tolist() == [
+        0, n_y, 2 * n_y, 2 * n_y + levels + 6]
+    assert basis.level_c.dtype == np.float64
+    assert np.array_equal(basis.level_c,
+                          basis.ramps[2 * n_y:2 * n_y + levels, 3].imag)
     # A rotation's n_y phases are full grids, so its pre- and post-phase
     # multiply elementwise, with no broadcast operand: exactly i^(+-n_y),
     # each entry 1, i, -1 or -i, broadcast over n_x.
@@ -332,10 +339,11 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
         assert np.max(np.abs(v - d)) <= 1e-14
         assert np.max(np.abs(v @ v.T - np.eye(two_l + 1))) < 1e-13
     # No complex table per spin: the J_y phases live in the transforms.
-    # The one complex constant is a rotation's pair of n_y phase grids.
+    # The complex constants are a rotation's pair of n_y phase grids and
+    # the phase ramps of every action.
     assert not any(np.iscomplexobj(table)
                    for name, value in vars(basis).items()
-                   if name != "quarter_turns"
+                   if name not in ("quarter_turns", "ramps")
                    for table in _arrays(value))
     assert [turn.shape for turn in basis.quarter_turns] == [basis.pixels] * 2
 

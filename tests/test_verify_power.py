@@ -70,6 +70,13 @@ def _biased_mix(self, coeffs, phases, turn):
     return _mix(self, coeffs, phases, turn) * (1.0 - 1e-13)
 
 
+def _conjugated_halves_mix(self, coeffs, phases, turn):
+    # Every eigen-phase conjugated on even/odd halves: each action with
+    # 2j_min >= 48 runs at -theta.  Whole rungs, so (5,3), are untouched.
+    return _mix(self, coeffs, np.conj(phases) if self.halves == 2 else phases,
+                turn)
+
+
 def _perturbed_whole_rung(key):
     # One off-diagonal entry of the top spin's U, in its first slot, moved
     # by 1e-12 after the build: the table is no longer symmetric.
@@ -144,10 +151,14 @@ _DEFECTS = {
     "every mix output scaled by 1 - 1e-13": (
         mode_basis.CartesianBasis, "_mix", _biased_mix,
         {"transform_unitarity"}),
+    "every eigen-phase conjugated on even/odd halves": (
+        mode_basis.CartesianBasis, "_mix", _conjugated_halves_mix,
+        {"apply_element_reductions"}),
     "the middle members' partners left unzeroed": (
         verify, "build_basis", _unzeroed_middles,
-        {"gyration_group_law", "rotation_group_law",
-         "rotation_pi_half_turn_law", "transform_unitarity"}),
+        {"apply_element_reductions", "gyration_group_law",
+         "rotation_group_law", "rotation_pi_half_turn_law",
+         "transform_unitarity"}),
     "the omega shift dropped in _phases": (
         mode_basis.CartesianBasis, "_phases", _phases_without_shift,
         {"apply_element_reductions", "image_action_homomorphism",
