@@ -9,7 +9,6 @@ import numpy as np
 
 from .fourier_transforms import ka_coeffs, rotate_coeffs
 from .group_algebra import FourierGroupElement
-from .mode_basis import _quarter_turn as quarter_turn
 from .special_functions import _ladder, _reduced
 
 

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
-from .group_algebra import FourierGroupElement
+from .errors import DimensionError
+from .group_algebra import FourierGroupElement, _element
 from .mode_basis import CartesianBasis, _finite
 from .special_functions import _finite_angle, _reduced
 
@@ -231,9 +231,7 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     theta = 0 with every phase one, and for a rotation's element
     D(0; -pi/2, theta, pi/2), which returns the real part of its buffer.
     """
-    if not isinstance(element, FourierGroupElement):
-        raise ValidationError(
-            f"element must be a FourierGroupElement, got {element!r}")
+    _element(element)
     return _act(basis, coeffs, _reduced(element.chi), _reduced(element.psi),
                 _reduced(element.theta), _reduced(element.phi),
                 element.omega - element.default_omega)

@@ -118,6 +118,17 @@ class FourierGroupElement(_Value):
 _angles = attrgetter("chi", "psi", "theta", "phi")
 
 
+def _element(value) -> FourierGroupElement:
+    """``value``, or ``ValidationError`` unless it is a
+    ``FourierGroupElement``: the one element rule of ``compose``,
+    ``inverse``, ``to_matrix``, ``element_to_json`` and
+    ``fourier_transforms.apply_element_coeffs``."""
+    if not isinstance(value, FourierGroupElement):
+        raise ValidationError(
+            f"element must be a FourierGroupElement, got {value!r}")
+    return value
+
+
 def _entries(chi: float, psi: float, theta: float, phi: float):
     """The entries (u00, u01, u10, u11) of ``to_matrix`` of an element with
     these angles as Python complexes, with Rz(alpha) = diag(p, conj(p)),
@@ -193,7 +204,7 @@ def to_matrix(element: FourierGroupElement) -> np.ndarray:
 
     omega does not enter: the matrix represents the four-parameter
     quotient of the group."""
-    u00, u01, u10, u11 = _entries(*_angles(element))
+    u00, u01, u10, u11 = _entries(*_angles(_element(element)))
     return np.array([[u00, u01], [u10, u11]])
 
 
@@ -229,8 +240,8 @@ def compose(a: FourierGroupElement, b: FourierGroupElement) -> FourierGroupEleme
 
     makes up the difference.
     """
-    a00, a01, a10, a11 = _entries(*_angles(a))
-    b00, b01, b10, b11 = _entries(*_angles(b))
+    a00, a01, a10, a11 = _entries(*_angles(_element(a)))
+    b00, b01, b10, b11 = _entries(*_angles(_element(b)))
     chi, psi, theta, phi = _from_entries(
         a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
         a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
@@ -241,7 +252,7 @@ def compose(a: FourierGroupElement, b: FourierGroupElement) -> FourierGroupEleme
 def inverse(a: FourierGroupElement) -> FourierGroupElement:
     """Group inverse: the matrix parameters from the conjugate transpose, and
     omega from ``compose(a, inverse(a)) == identity``."""
-    u00, u01, u10, u11 = _entries(*_angles(a))
+    u00, u01, u10, u11 = _entries(*_angles(_element(a)))
     chi, psi, theta, phi = _from_entries(u00.conjugate(), u10.conjugate(),
                                          u01.conjugate(), u11.conjugate())
     return FourierGroupElement(chi, psi, theta, phi,
@@ -252,7 +263,7 @@ def element_to_json(element: FourierGroupElement) -> str:
     """Serialize to the wire format {"chi":..., "psi":..., "theta":...,
     "phi":...}, with an "omega" key only when omega is not the default."""
     import json
-    return json.dumps(element.as_dict())
+    return json.dumps(_element(element).as_dict())
 
 
 def element_from_json(data) -> FourierGroupElement:

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .imageio import pixels_to_gray, write_pgm
 from .mode_basis import _finite
-from .special_functions import _Value
+from .special_functions import _integer, _Value
 
 __all__ = ["RenderSpec", "render"]
 
@@ -26,7 +26,8 @@ class RenderSpec(_Value):
         'adaptive' - map the smallest pixel to black and the largest to
                      white; a constant image degenerates to mid-gray.
     depth:
-        8 or 16 bits per sample (maxval 255 or 65535).
+        8 or 16 bits per sample (maxval 255 or 65535), an int or a NumPy
+        integer, stored as an int.
     channel:
         'real', 'imag', 'abs', or 'phase'.  Phase is wrapped to [-pi, pi)
         and always mapped over that full range, regardless of scaling.
@@ -40,6 +41,7 @@ class RenderSpec(_Value):
                  channel: str = "real"):
         if scaling not in _SCALINGS:
             raise DomainError(f"scaling must be one of {_SCALINGS}")
+        depth = _integer(depth, "depth", 8, 16)
         if depth not in (8, 16):
             raise DomainError("depth must be 8 or 16")
         if channel not in _CHANNELS:

@@ -157,6 +157,24 @@ def test_scalar_group_algebra_matches_numpy_oracle(a, b):
 
 # --------------------------------------------------------- composition
 
+_IDENTITY = FourierGroupElement.identity()
+
+
+@pytest.mark.parametrize("entry", [
+    to_matrix, inverse, element_to_json,
+    lambda e: compose(e, _IDENTITY), lambda e: compose(_IDENTITY, e)],
+    ids=["to_matrix", "inverse", "element_to_json", "compose first",
+         "compose second"])
+@pytest.mark.parametrize("value", [None, "rotation", (0, 0, 1.3, 0),
+                                   {"theta": 1.3}], ids=repr)
+def test_every_element_entry_point_takes_only_elements(entry, value):
+    # apply_element_coeffs's rule (test_fourier_transforms): anything but
+    # a FourierGroupElement is a ValidationError, not an AttributeError
+    # from reading its angles.
+    with pytest.raises(ValidationError, match="must be a FourierGroupElement"):
+        entry(value)
+
+
 def test_compose_with_identity(rng):
     e = random_element(rng)
     for c in (compose(e, FourierGroupElement.identity()),

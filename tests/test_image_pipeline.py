@@ -369,6 +369,21 @@ def test_render_spec_validation():
         RenderSpec(channel="hue")
 
 
+@pytest.mark.parametrize("depth", [8.0, 16.0, np.float64(8), True, "8",
+                                   None, np.int64(12)], ids=repr)
+def test_render_spec_depth_is_an_integer_8_or_16(depth):
+    with pytest.raises(DomainError, match="depth"):
+        RenderSpec(depth=depth)
+
+
+@pytest.mark.parametrize("depth", [8, 16, np.int64(16), np.uint8(8)],
+                         ids=repr)
+def test_render_spec_stores_an_integer_depth_as_int(depth):
+    spec = RenderSpec(depth=depth)
+    assert type(spec.depth) is int and spec.depth == depth
+    assert spec.maxval == (255 if depth == 8 else 65535)
+
+
 def test_quantization_error_bound(tmp_path, rng):
     values = rng.uniform(0, 1, size=(8, 4))
     path = tmp_path / "q.pgm"

@@ -11,7 +11,7 @@ from fkimage import (CartesianBasis, DomainError, FourierGroupElement,
                      cartesian_mode, gyrate_coeffs, level_spectrum,
                      lk_coefficients, lk_mode, rotate_coeffs)
 from fkimage import mode_basis, special_functions
-from fkimage._reference import interval_levels, quarter_turn
+from fkimage._reference import interval_levels
 from fkimage.special_functions import _ladder
 from fkimage.verify import DEFAULT_SHAPES
 
@@ -327,7 +327,7 @@ def test_level_ordered_layout_and_quarter_turn_tables(two_jx, two_jy):
     # upper triangle bit for bit and is within 1e-15 of it, and V is
     # orthogonal.
     for two_l, d in enumerate(_ladder(two_jmin, math.pi / 2)):
-        v = quarter_turn(basis, two_l)
+        v = mode_basis._quarter_turn(basis, two_l)
         even, odd = (two_l + 2) // 2, (two_l + 1) // 2
         if basis.halves == 1:
             upper = np.triu_indices(two_l + 1)
