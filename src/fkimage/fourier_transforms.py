@@ -18,15 +18,16 @@ both act block-diagonally on the total-mode levels and never mix them.
 The fractional Fourier transforms K_S and K_A are pure mode-number phases.
 Angles are checked once and reduced into (-4 pi, 4 pi) before use.
 
-Every diagonal factor is an n_y phase or a phase of the levels
-n = n_x + n_y, and every action takes all its phases from one ``exp``:
-an element's from ``CartesianBasis._phases``, the ``exp`` of the basis'
-complex table ``ramps`` (i times each phase's integer ramp) times the
-angles, K_S's and K_A's from ``_fourier_phases``, while a rotation's n_y
-phases are the exact frozen ``CartesianBasis.quarter_turns``.  A
-pure-phase action goes through the one applier ``_mode_phases``; after a
-mix the post-phase multiplies the mixed array in place, through the same
-strided level view.
+Every diagonal factor of an element is an n_y phase or a phase of the
+levels n = n_x + n_y, and every action takes all its phases from one
+``exp``: an element's from ``CartesianBasis._phases``, the ``exp`` of the
+basis' complex table ``ramps`` (i times each phase's integer ramp) times
+the angles, while a rotation's n_y phases are the exact frozen
+``CartesianBasis.quarter_turns``.  K_S and K_A are each one phase of one
+diagonal index, n_x + n_y and n_x - n_y: ``_fourier_phases`` takes it from
+one ``exp`` over that index and multiplies once by a strided view of it
+(``_level_grid``), the view through which a level phase also multiplies
+an element's output in place.
 """
 
 from __future__ import annotations
@@ -66,32 +67,15 @@ def synthesize(basis: CartesianBasis, coeffs: np.ndarray) -> np.ndarray:
     return basis.synthesize(coeffs)
 
 
-def _level_grid(level: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The phases ``level`` of the levels n = n_x + n_y read as a grid of
-    ``shape``: with equal strides along both axes, [n_x, n_y] holds the
-    phase of level n_x + n_y, so no full-grid phase is formed."""
-    step = level.strides[0]
-    return np.ndarray(shape, level.dtype, level, 0, (step, step))
-
-
-def _mode_phases(coeffs: np.ndarray, level: np.ndarray | None,
-                 turn: np.ndarray | None) -> np.ndarray:
-    """``coeffs`` times the n_y phases ``turn``, then the phases ``level``
-    of the levels n = n_x + n_y, as a new array.
-
-    Every diagonal factor of a group element is one of the two, as an n_x
-    phase is a level phase times an n_y phase.  A factor exactly one
-    (None) is skipped: with both None the result is an exact copy (float64
-    for real input).
-    """
-    if turn is None and level is None:
-        return coeffs.astype(np.result_type(coeffs, np.float64))
-    if turn is None:
-        return coeffs * _level_grid(level, coeffs.shape)
-    out = coeffs * turn
-    if level is not None:
-        out *= _level_grid(level, out.shape)
-    return out
+def _level_grid(phases: np.ndarray, shape: tuple[int, int],
+                sign: int = 1) -> np.ndarray:
+    """``phases`` of the diagonals d = n_x + sign n_y, sign 1 or -1, read
+    as a grid of ``shape`` through strides (step, sign step), so no
+    full-grid phase is formed.  Entry k holds d = k for the levels
+    n = n_x + n_y and d = k + 1 - N_y for n_x - n_y, which starts there."""
+    step = phases.strides[0]
+    offset = max(shape[1] - 1, 0) * step if sign < 0 else 0
+    return np.ndarray(shape, phases.dtype, phases, offset, (step, sign * step))
 
 
 def rotate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
@@ -110,23 +94,22 @@ def rotate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
                 _reduced(2.0 * _finite_angle(theta)), _HALF_PI, 0.0)
 
 
-def _fourier_phases(coeffs: np.ndarray, level: float,
-                    turn: float) -> np.ndarray:
-    """K_S and K_A: ``coeffs``, 2-D and finite as ``check_image`` requires,
-    times exp(i level n) on the levels n = n_x + n_y and exp(i turn n_y).
-    Both phases are slices of one ``exp`` over ramps of the array's own
-    shape, which leaves out a zero n_y angle (K_S); a phase whose angle is
-    zero is not multiplied (``_mode_phases``)."""
+def _fourier_phases(coeffs: np.ndarray, angle: float,
+                    sign: int) -> np.ndarray:
+    """K_S (sign 1) and K_A (sign -1): ``coeffs``, 2-D and finite as
+    ``check_image`` requires, times exp(i angle (n_x + sign n_y)), one
+    ``exp`` over the diagonals of the array's own shape, multiplied once
+    through ``_level_grid``.  A zero angle gives an exact copy (float64 for
+    real input)."""
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 2:
         raise DimensionError(f"coefficients must be 2-D, got shape {coeffs.shape}")
-    levels = sum(coeffs.shape) - 1
-    v = 1j * level * np.arange(levels)
-    if turn:
-        v = np.concatenate((v, 1j * turn * np.arange(coeffs.shape[1])))
-    v = np.exp(v)
-    return _mode_phases(_finite(coeffs), v[:levels] if level else None,
-                        v[levels:] if turn else None)
+    coeffs = _finite(coeffs)
+    if not angle:
+        return coeffs.astype(np.result_type(coeffs, np.float64))
+    low = 0 if sign > 0 else 1 - coeffs.shape[1]
+    phases = np.exp(1j * angle * np.arange(low, low + sum(coeffs.shape) - 1))
+    return coeffs * _level_grid(phases, coeffs.shape, sign)
 
 
 def ks_coeffs(coeffs: np.ndarray, chi: float) -> np.ndarray:
@@ -137,15 +120,13 @@ def ks_coeffs(coeffs: np.ndarray, chi: float) -> np.ndarray:
     Diagonal in the mode basis, hence it commutes with every transform in
     the group.
     """
-    return _fourier_phases(coeffs, -_finite_angle(chi), 0.0)
+    return _fourier_phases(coeffs, -_finite_angle(chi), 1)
 
 
 def ka_coeffs(coeffs: np.ndarray, beta: float) -> np.ndarray:
     """Antisymmetric fractional Fourier transform: phases exp(-i beta (n_x-n_y)),
-    the level phase exp(-i beta n) times exp(2 i beta n_y), both slices of
-    one ``exp``."""
-    beta = _finite_angle(beta)
-    return _fourier_phases(coeffs, -beta, 2.0 * beta)
+    one ``exp`` and one multiply by a vector over the diagonals n_x - n_y."""
+    return _fourier_phases(coeffs, -_finite_angle(beta), -1)
 
 
 def gyrate_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
@@ -173,20 +154,28 @@ def _act(basis: CartesianBasis, coeffs: np.ndarray, chi: float, psi: float,
     ``apply_element_coeffs``.  Its phases are slices of one ``exp``
     (``_phases``), but a rotation's element, psi = -pi/2 and phi = pi/2,
     takes its n_y phases from the exact ``quarter_turns``, full grids, so
-    its pre- and post-phase run elementwise.  After the mix the post-phase
-    and any level phase multiply the mixed array in place."""
+    its pre- and post-phase run elementwise.  At theta = 0 nothing is
+    mixed: the n_y phase, if any, multiplies the input into a new array.
+    After the mix, or that phase, the post-phase and any level phase
+    multiply the array in place."""
     coeffs = basis.check_image(coeffs)
     level = 0.5 * (chi + psi + phi)
-    if theta == 0.0:
-        turn, _, levels, _ = basis._phases(0.0, level, shift, psi + phi)
-        return _mode_phases(coeffs, levels, turn)
     rotation = psi == -_HALF_PI and phi == _HALF_PI
-    if rotation:
-        pre, post = basis.quarter_turns
-        levels, eigen = basis._phases(theta, level, shift)[2:]
+    if theta == 0.0:
+        pre, post, levels, _ = basis._phases(0.0, level, shift, psi + phi)
+        if pre is None and levels is None:
+            return coeffs.astype(np.result_type(coeffs, np.float64))
+        if pre is None:
+            return coeffs * _level_grid(levels, coeffs.shape)
+        out = coeffs * pre
     else:
-        pre, post, levels, eigen = basis._phases(theta, level, shift, phi, psi)
-    out = basis._mix(coeffs, eigen, pre)
+        if rotation:
+            pre, post = basis.quarter_turns
+            levels, eigen = basis._phases(theta, level, shift)[2:]
+        else:
+            pre, post, levels, eigen = basis._phases(theta, level, shift,
+                                                     phi, psi)
+        out = basis._mix(coeffs, eigen, pre)
     if post is not None:
         out *= post
     if levels is not None:
@@ -225,11 +214,11 @@ def apply_element_coeffs(basis: CartesianBasis, coeffs: np.ndarray,
     gyration's sandwich: only the real table ``V = d^lambda(pi/2)`` is left.
 
     At theta = 0 nothing is mixed and the element is the n_y phase
-    exp(i (psi + phi) n_y) and the level phase, applied by
-    ``_mode_phases`` like K_S and K_A, so the identity gives an exact
-    copy.  Real input gives real output where the action is real: at
-    theta = 0 with every phase one, and for a rotation's element
-    D(0; -pi/2, theta, pi/2), which returns the real part of its buffer.
+    exp(i (psi + phi) n_y) and the level phase, each multiplied once, so
+    the identity gives an exact copy.  Real input gives real output where
+    the action is real: at theta = 0 with every phase one, and for a
+    rotation's element D(0; -pi/2, theta, pi/2), which returns the real
+    part of its buffer.
     """
     _element(element)
     return _act(basis, coeffs, _reduced(element.chi), _reduced(element.psi),

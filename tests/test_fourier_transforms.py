@@ -216,6 +216,39 @@ def test_ka_additivity(basis53, rng):
     assert np.max(np.abs(a - ka_coeffs(coeffs, 0.31 - 1.7))) < 1e-12
 
 
+@pytest.mark.parametrize("spins", [(5, 3), (3, 4.5), (2.5, 1), (13, 12.5),
+                                   (0, 4), (4, 0)], ids=str)
+def test_each_fourier_factor_is_one_phase_per_diagonal(spins):
+    # K_S is a phase of n_x + n_y and K_A one of n_x - n_y, so unit
+    # coefficients on one diagonal all get exactly the same phase.
+    ones = np.ones(ScreenShape(*spins).pixels)
+    n_x, n_y = np.indices(ones.shape)
+    for transform, diagonal in ((ks_coeffs, n_x + n_y), (ka_coeffs, n_x - n_y)):
+        for angle in (0.37, -2.9, 11.3, math.pi):
+            phases = transform(ones, angle)
+            for d in np.unique(diagonal):
+                line = phases[diagonal == d]
+                assert np.array_equal(line, np.full_like(line, line[0]))
+        zero = transform(ones, 0.0)
+        assert zero.dtype == np.float64 and np.array_equal(zero, ones)
+        assert not np.shares_memory(zero, ones)
+        complex_ones = ones + 0j
+        assert np.array_equal(transform(complex_ones, 0.0), complex_ones)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (1, 1)], ids=str)
+def test_fourier_factors_keep_degenerate_shapes(shape):
+    for transform in (ks_coeffs, ka_coeffs):
+        for coeffs in (np.ones(shape), np.ones(shape, dtype=complex)):
+            for angle in (0.0, 0.7, -3.1):
+                out = transform(coeffs, angle)
+                assert out.shape == shape
+                assert np.array_equal(np.abs(out), coeffs.real)
+        # The 2-D check comes first: a 3-D array of NaN is not 2-D.
+        with pytest.raises(DimensionError):
+            transform(np.full((2, 2, 2), np.nan), 0.7)
+
+
 # ------------------------------------------------------------ gyration
 
 def test_gyrate_zero_is_identity(basis53, rng):
@@ -488,8 +521,8 @@ def test_real_rotations_stay_float64(spins):
 def test_an_action_evaluates_at_most_one_exp(basis117, rng, monkeypatch):
     # Every diagonal phase of an action, its eigen-phases included, comes
     # from one exp over the basis' ramps; a rotation's n_y phases are
-    # frozen on the basis.  K_S and K_A take their level and n_y phases
-    # from one exp over the array's own ramps.
+    # frozen on the basis.  K_S and K_A take their one diagonal phase from
+    # one exp over the diagonals of the array's own shape.
     coeffs = analyze(basis117, random_image(rng, basis117))
     ops = [lambda: rotate_coeffs(basis117, coeffs, 0.9),
            lambda: gyrate_coeffs(basis117, coeffs, -1.3),

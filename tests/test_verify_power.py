@@ -16,6 +16,7 @@ deviation it gives in the full suite: its draws come from its own name.
 
 import cmath
 import math
+import os
 
 import numpy as np
 import pytest
@@ -117,9 +118,33 @@ def _phases_of_scaled_theta(self, theta, level=0.0, shift=0.0, pre=0.0,
 _fourier_phases = fourier_transforms._fourier_phases
 
 
-def _fourier_phases_of_scaled_turn(coeffs, level, turn):
-    # K_A's n_y angle 2 beta scaled by 1 + 1e-9; K_S has no n_y angle.
-    return _fourier_phases(coeffs, level, turn * (1.0 + 1e-9))
+def _fourier_phases_of_scaled_ka_angle(coeffs, angle, sign):
+    # K_A's angle scaled by 1 + 1e-9; K_S (sign 1) is left alone.
+    return _fourier_phases(coeffs, angle * (1.0 if sign > 0 else 1.0 + 1e-9),
+                           sign)
+
+
+_scale_to_unit = verify.scale_to_unit
+
+
+def _flat_to_black(values, spec):
+    # A constant image mapped to 0, not to mid-gray.
+    unit = _scale_to_unit(values, spec)
+    return np.zeros_like(unit) if np.ptp(values) == 0 else unit
+
+
+_save_complex = verify.save_complex
+
+
+def _last_bit_flipped(path, pixels):
+    # The last bit of the payload, the lowest of its last byte, flipped.
+    _save_complex(path, pixels)
+    with open(path, "r+b") as fh:
+        fh.seek(-1, os.SEEK_END)
+        last = fh.read(1)[0]
+        fh.seek(-1, os.SEEK_END)
+        fh.write(bytes([last ^ 1]))
+    return path
 
 
 _lk_block = mode_basis._lk_block
@@ -192,8 +217,9 @@ _DEFECTS = {
         {"apply_element_reductions", "gyration_direct_vs_sandwich",
          "image_action_homomorphism", "inverse_image_roundtrip",
          "rotation_pi_half_turn_law"}),
-    "K_A's n_y angle scaled by 1 + 1e-9": (
-        fourier_transforms, "_fourier_phases", _fourier_phases_of_scaled_turn,
+    "K_A's angle scaled by 1 + 1e-9": (
+        fourier_transforms, "_fourier_phases",
+        _fourier_phases_of_scaled_ka_angle,
         {"apply_element_reductions", "fourier_phase_laws",
          "gyration_direct_vs_sandwich"}),
     "one off-diagonal entry of a whole-rung U moved by 1e-12": (
@@ -206,6 +232,10 @@ _DEFECTS = {
         {"apply_element_reductions", "gyration_direct_vs_sandwich",
          "rotation_group_law", "rotation_pi_half_turn_law",
          "rotation_realness", "rotation_six_sixths"}),
+    "a constant image rendered black": (
+        verify, "scale_to_unit", _flat_to_black, {"render_rules"}),
+    "the last payload bit of a complex file flipped": (
+        verify, "save_complex", _last_bit_flipped, {"file_roundtrips"}),
     "every level's 2 mu reversed in level_spectrum": (
         mode_basis, "LevelSpectrum", _reversed_mu,
         {"apply_element_reductions", "level_boundary_consistency"}),
@@ -231,10 +261,9 @@ _GAPS = {
 # verify must be given a defect or be listed here, and a check a defect
 # comes to name must leave the list.
 _UNNAMED = frozenset({
-    "cartesian_basis_gram", "checkerboard_relation", "file_roundtrips",
-    "from_matrix_roundtrip", "kravchuk_orthonormality",
-    "littled_kravchuk_crosscheck", "littled_orthogonality",
-    "matrix_homomorphism", "render_rules"})
+    "cartesian_basis_gram", "checkerboard_relation", "from_matrix_roundtrip",
+    "kravchuk_orthonormality", "littled_kravchuk_crosscheck",
+    "littled_orthogonality", "matrix_homomorphism"})
 
 
 def _failures(results):
