@@ -320,7 +320,7 @@ def test_verify_rejects_seeds_other_than_non_negative_integers(monkeypatch):
 def test_verify_registry_holds_each_check_once():
     from fkimage import verify
     names = [name for name, _, _, _ in verify._CHECKS]
-    assert len(names) == len(set(names)) == 28
+    assert len(names) == len(set(names)) == 27
     for name, tolerance, detail, check in verify._CHECKS:
         assert math.isfinite(tolerance) and tolerance >= 0.0, name
         assert detail.strip() and callable(check), name

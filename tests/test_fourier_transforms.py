@@ -17,7 +17,7 @@ from fkimage import (DimensionError, DomainError, FourierGroupElement,
                      synthesize, wigner_little_d)
 from fkimage import fourier_transforms, mode_basis
 from fkimage._reference import (gyrate_coeffs_sandwich, interval_levels,
-                                level_action, random_image)
+                                level_action, random_image, wide_element)
 
 from oracles import check_split_quarter_turns, fold_layout, little_d_expm
 
@@ -606,6 +606,47 @@ def test_batched_mix_matches_little_d_blocks_across_batch_edges(two_j):
                 (gyrate_coeffs(basis, coeffs, element.theta), gyrated),
                 (apply_element_coeffs(basis, coeffs, element), applied)):
             assert np.max(np.abs(got - expected)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("constants", [
+    (mode_basis._BATCH_SPINS, mode_basis._WHOLE_BELOW), (2, 4)], ids=str)
+def test_every_action_matches_little_d_blocks_on_every_small_screen(
+        constants, monkeypatch):
+    # Every screen with 2j_x, 2j_y <= 24, under the layout constants and
+    # under lowered ones, (2, 4), which put 441 of them on even/odd halves,
+    # with their butterflies, middles and run edges; _layout and
+    # _batch_slots read the constants at call time.  The error model: an
+    # entry's phase is a sum of angle x mode-number terms, at most
+    # A (N + 1) with N = 2j_x + 2j_y and A = 100 bounding |chi| + |psi| +
+    # |theta| + |phi| + |omega| (each in (-20, 20), and 2 theta < 40 for a
+    # rotation or gyration), and the action and the reference each round
+    # it to eps of its size.  The worst entry read 6.4e-14 max |x| on
+    # (8.5,11), 1/28 of its tolerance, and 10.7 eps (N + 1) max |x| on
+    # (0,9.5), 1/19.
+    width, whole = constants
+    monkeypatch.setattr(mode_basis, "_BATCH_SPINS", width)
+    monkeypatch.setattr(mode_basis, "_WHOLE_BELOW", whole)
+    for two_jx in range(25):
+        for two_jy in range(25):
+            basis = build_basis(ScreenShape(Spin(two_jx), Spin(two_jy)))
+            two_jmin = min(two_jx, two_jy)
+            assert basis.halves == 1 + (two_jmin >= whole)
+            assert check_split_quarter_turns(basis) == fold_layout(
+                two_jmin, max(two_jx, two_jy), width, basis.halves == 1)
+            rng = np.random.default_rng([two_jx, two_jy])
+            x = random_image(rng, basis)
+            theta = rng.uniform(-20, 20)
+            cases = [(rotate_coeffs(basis, x, theta), FourierGroupElement(
+                        0, -math.pi / 2, 2 * theta, math.pi / 2)),
+                     (gyrate_coeffs(basis, x, theta),
+                      FourierGroupElement(0, 0, 2 * theta, 0))]
+            cases += [(apply_element_coeffs(basis, x, e), e)
+                      for e in (wide_element(rng), wide_element(rng))]
+            tolerance = (2 * 100 * np.finfo(float).eps
+                         * (two_jx + two_jy + 1) * np.max(np.abs(x)))
+            for got, element in cases:
+                error = np.max(np.abs(got - level_action(basis, x, element)))
+                assert error < tolerance, (two_jx, two_jy, element)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

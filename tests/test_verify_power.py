@@ -4,14 +4,13 @@ the same alone as in the full suite.
 Each named defect is monkeypatched into the library, and
 ``run_verification`` runs on a screen that mixes on whole quarter-turn
 rungs in one batch, (5,3), and one that mixes on even/odd halves,
-(24,24).  The test
-asserts the exact set of checks that fail: the ones the defect names, and
-the known limitation, which fails on every rectangular screen.  A known
-gap, a defect no check catches yet, is a strict xfail naming the checks
-that should.  Every registered check but the known limitation is made to
-fail by a defect outside the gaps, or is listed in ``_UNNAMED``.  On the
-same screens each check, run as the only registered check, gives the
-deviation it gives in the full suite: its draws come from its own name.
+(24,24).  The test asserts the exact set of checks that fail: the ones
+the defect names, and the known limitation, which fails on every
+rectangular screen.  Every registered check but the known limitation is
+named by at least one defect.  On the same screens each check, run as the
+only registered check, gives the deviation it gives in the full suite:
+its draws come from its own name.  The last test shows why the unit of
+``coefficient_unitarity`` has a floor.
 """
 
 import cmath
@@ -21,7 +20,8 @@ import os
 import numpy as np
 import pytest
 
-from fkimage import fourier_transforms, mode_basis, special_functions, verify
+from fkimage import fourier_transforms, group_algebra, mode_basis, \
+    special_functions, verify
 from fkimage.verify import KNOWN_LIMITATIONS, run_verification
 
 _SCREENS = ((5, 3), (24, 24))
@@ -59,6 +59,15 @@ def _unzeroed_middles(key):
     # only, so (24,24) alone.
     basis = mode_basis.build_basis(key)
     basis.middles = np.empty(0, dtype=np.intp)
+    return basis
+
+
+def _flipped_phi_x_row(key):
+    # Row 1 of phi_x, the Kravchuk function Psi_1 of the x axis, negated
+    # after the build: the table stays orthogonal.
+    basis = mode_basis.build_basis(key)
+    basis.phi_x = basis.phi_x.copy()
+    basis.phi_x[1] *= -1.0
     return basis
 
 
@@ -170,6 +179,23 @@ def _last_member_dropped(n, spin, n_y, two_mu):
     return _LevelSpectrum(n, spin, n_y, two_mu)
 
 
+_half_step = special_functions._half_step
+
+
+def _scaled_rung_30(d, c, s):
+    # Rung 2j = 30 of every ladder walk scaled by 1 + 1e-9, and so every
+    # rung the walk makes from it.
+    d = _half_step(d, c, s)
+    return d * (1.0 + 1e-9) if len(d) == 31 else d
+
+
+_to_matrix = group_algebra.to_matrix
+
+
+def _transposed_matrix(element):
+    return _to_matrix(element).T
+
+
 def _biased_butterfly(t, b):
     # A per-op norm bias of about 1e-12 on halves; whole rungs have no
     # butterflies.
@@ -196,18 +222,19 @@ _DEFECTS = {
         mode_basis, "_quarter_turn", _duplicated_column,
         {"lk_basis_gram", "lk_conjugation_symmetry"}),
     "every batch stack scaled by 1 - 1e-13": (
-        verify, "build_basis", _scaled_stacks, {"quarter_turn_reflection"}),
+        verify, "build_basis", _scaled_stacks,
+        {"coefficient_unitarity", "quarter_turn_reflection"}),
     "every mix output scaled by 1 - 1e-13": (
         mode_basis.CartesianBasis, "_mix", _biased_mix,
-        {"transform_unitarity"}),
+        {"coefficient_unitarity"}),
     "every eigen-phase conjugated on even/odd halves": (
         mode_basis.CartesianBasis, "_mix", _conjugated_halves_mix,
         {"apply_element_reductions"}),
     "the middle members' partners left unzeroed": (
         verify, "build_basis", _unzeroed_middles,
-        {"apply_element_reductions", "gyration_group_law",
-         "rotation_group_law", "rotation_pi_half_turn_law",
-         "rotation_realness", "transform_unitarity"}),
+        {"apply_element_reductions", "coefficient_unitarity",
+         "gyration_group_law", "rotation_group_law",
+         "rotation_pi_half_turn_law", "rotation_realness"}),
     "the omega shift dropped in _phases": (
         mode_basis.CartesianBasis, "_phases", _phases_without_shift,
         {"apply_element_reductions", "image_action_homomorphism",
@@ -224,9 +251,23 @@ _DEFECTS = {
          "gyration_direct_vs_sandwich"}),
     "one off-diagonal entry of a whole-rung U moved by 1e-12": (
         verify, "build_basis", _perturbed_whole_rung,
-        {"apply_element_reductions", "quarter_turn_reflection"}),
+        {"apply_element_reductions", "coefficient_unitarity",
+         "quarter_turn_reflection"}),
     "the butterfly's b *= -2 biased by 1e-12": (
-        mode_basis, "_butterfly", _biased_butterfly, {"transform_unitarity"}),
+        mode_basis, "_butterfly", _biased_butterfly,
+        {"coefficient_unitarity"}),
+    "ladder rung 2j = 30 scaled by 1 + 1e-9 in _half_step": (
+        special_functions, "_half_step", _scaled_rung_30,
+        {"apply_element_reductions", "cartesian_basis_gram",
+         "coefficient_unitarity", "gyration_group_law",
+         "littled_kravchuk_crosscheck", "littled_orthogonality",
+         "lk_basis_gram", "rotation_group_law",
+         "rotation_pi_half_turn_law"}),
+    "to_matrix returning the transpose": (
+        group_algebra, "to_matrix", _transposed_matrix,
+        {"from_matrix_roundtrip", "matrix_homomorphism"}),
+    "row 1 of phi_x negated after the build": (
+        verify, "build_basis", _flipped_phi_x_row, {"checkerboard_relation"}),
     "a rotation's pre quarter turn replaced by ones": (
         verify, "build_basis", _pre_turn_of_ones,
         {"apply_element_reductions", "gyration_direct_vs_sandwich",
@@ -246,26 +287,6 @@ _DEFECTS = {
          "lk_conjugation_symmetry", "rotation_pi_half_turn_law"}),
 }
 
-# Known gaps: defects that no check catches yet, with the checks that
-# should.  Strict, so the mark must go when a check catches the defect.
-_GAPS = {
-    "the butterfly's b *= -2 biased by 1e-12": pytest.mark.xfail(
-        strict=True, reason="a per-op norm bias of 1e-12 passes every "
-        "check until ROADMAP item 4's chain check lands"),
-    "every mix output scaled by 1 - 1e-13": pytest.mark.xfail(
-        strict=True, reason="a per-op norm bias of 2e-13 passes every "
-        "check until ROADMAP item 4's chain check lands"),
-}
-
-# The checks that no defect above makes fail yet.  A check added to
-# verify must be given a defect or be listed here, and a check a defect
-# comes to name must leave the list.
-_UNNAMED = frozenset({
-    "cartesian_basis_gram", "checkerboard_relation", "from_matrix_roundtrip",
-    "kravchuk_orthonormality", "littled_kravchuk_crosscheck",
-    "littled_orthogonality", "matrix_homomorphism"})
-
-
 def _failures(results):
     return {r.name for r in results if not r.passed}
 
@@ -279,13 +300,10 @@ def test_verify_at_its_defaults_fails_only_the_known_limitation():
 
 
 def test_every_defect_names_registered_checks():
-    # Renaming a check must not orphan a defect, which a known gap's
-    # strict xfail would hide.
     registered = {name for name, *_ in verify._CHECKS}
     for defect, (module, attribute, _, names) in _DEFECTS.items():
         assert hasattr(module, attribute), defect
         assert names and names <= registered - set(KNOWN_LIMITATIONS), defect
-    assert set(_GAPS) <= set(_DEFECTS)
 
 
 def test_no_defect_patches_the_exact_kravchuk_reference():
@@ -296,12 +314,10 @@ def test_no_defect_patches_the_exact_kravchuk_reference():
         assert attribute not in cached, defect
 
 
-def test_every_check_is_named_by_a_defect_or_listed_as_unnamed():
-    # A known gap names checks that do not fail yet, so it names none.
-    named = set().union(*(names for defect, (*_, names) in _DEFECTS.items()
-                          if defect not in _GAPS))
+def test_every_check_is_named_by_a_defect():
+    named = set().union(*(names for *_, names in _DEFECTS.values()))
     registered = {name for name, *_ in verify._CHECKS}
-    assert registered - set(KNOWN_LIMITATIONS) - named == _UNNAMED
+    assert registered - set(KNOWN_LIMITATIONS) == named
 
 
 @pytest.fixture(scope="module")
@@ -310,9 +326,7 @@ def full_suite():
     return run_verification(_SCREENS, images=2)
 
 
-@pytest.mark.parametrize("defect", [None] + [
-    pytest.param(defect, marks=_GAPS[defect]) if defect in _GAPS else defect
-    for defect in _DEFECTS])
+@pytest.mark.parametrize("defect", [None, *_DEFECTS])
 def test_each_defect_fails_the_checks_it_names(defect, full_suite,
                                                monkeypatch):
     names, results = set(), full_suite
@@ -329,3 +343,23 @@ def test_each_check_reads_the_same_alone(check, full_suite, monkeypatch):
     [alone] = run_verification(_SCREENS, images=2)
     assert alone.deviation == {r.name: r.deviation
                                for r in full_suite}[check[0]]
+
+
+def test_coefficient_unitarity_needs_its_floor_on_tiny_screens(monkeypatch):
+    # The unit is eps (sqrt(N_x N_y) + 8): the norm's own rounding, 1.5 to
+    # 2 eps, would fail clean code on the screens of 1 to 9 pixels in the
+    # bare unit eps sqrt(N_x N_y).
+    monkeypatch.setattr(verify, "_CHECKS", [
+        check for check in verify._CHECKS
+        if check[0] == "coefficient_unitarity"])
+    tiny = ((0, 0), (0.5, 0), (0, 0.5), (0.5, 0.5), (1, 1))
+    for shape in tiny + ((255, 3),):
+        [result] = run_verification([shape], images=50)
+        assert result.passed, shape
+    bare = []
+    for shape in tiny:
+        [result] = run_verification([shape], images=300)
+        assert result.passed, shape
+        root = math.sqrt((2 * shape[0] + 1) * (2 * shape[1] + 1))
+        bare.append(result.deviation * (root + 8) / root)
+    assert max(bare) > 1.0
