@@ -271,12 +271,12 @@ def test_verify_reports_a_raising_check_and_runs_the_others(monkeypatch,
     monkeypatch.setattr(verify, "_CHECKS", [
         checks["cartesian_basis_gram"],
         ("raising_check", 1.0, "raises", raising),
-        checks["littled_periodicity"]])
+        checks["littled_group_law"]])
     argv = ["verify", "--shape", "5,3", "--images", "2"]
     assert main(argv + ["--json"]) == 3
     report = _strict_json(capsys.readouterr().out)
     assert [c["name"] for c in report["checks"]] == [
-        "cartesian_basis_gram", "raising_check", "littled_periodicity"]
+        "cartesian_basis_gram", "raising_check", "littled_group_law"]
     assert [c["passed"] for c in report["checks"]] == [True, False, True]
     raised = report["checks"][1]
     assert raised["deviation"] is None and raised["tolerance"] is None
@@ -320,11 +320,26 @@ def test_verify_rejects_seeds_other_than_non_negative_integers(monkeypatch):
 def test_verify_registry_holds_each_check_once():
     from fkimage import verify
     names = [name for name, _, _, _ in verify._CHECKS]
-    assert len(names) == len(set(names)) == 27
+    assert len(names) == len(set(names)) == 23
     for name, tolerance, detail, check in verify._CHECKS:
         assert math.isfinite(tolerance) and tolerance >= 0.0, name
         assert detail.strip() and callable(check), name
     assert set(KNOWN_LIMITATIONS) <= set(names)
+
+
+def test_verify_merged_group_laws_keep_their_parts_tightest_tolerance():
+    # littled_group_law merges littled_addition_law (1e-9) and
+    # littled_periodicity (1e-10); one_parameter_subgroups merges
+    # rotation_group_law, gyration_group_law (1e-9) and rotation_six_sixths
+    # (1e-8); image_action_group_law merges image_action_homomorphism and
+    # inverse_image_roundtrip (1e-9).
+    from fkimage import verify
+    tolerances = {name: tol for name, tol, _, _ in verify._CHECKS}
+    assert {name: tolerances[name] for name in (
+        "littled_group_law", "one_parameter_subgroups",
+        "image_action_group_law")} == {
+        "littled_group_law": 1e-10, "one_parameter_subgroups": 1e-9,
+        "image_action_group_law": 1e-9}
 
 
 def test_verify_cli_defaults_are_the_suites():
@@ -346,7 +361,8 @@ def test_verify_cli_defaults_are_the_suites():
 
 def test_verify_fails_a_check_whose_result_goes_nan(monkeypatch, capsys):
     # The 7th rotation, on the second screen, returns NaN: the largest
-    # deviation is then NaN, which fails and prints as null.
+    # deviation is then NaN, which fails and prints as null.  Four
+    # rotations per screen, then seven on the (20,12) glyph.
     from fkimage import fourier_transforms, verify
     rotate_coeffs, calls = fourier_transforms.rotate_coeffs, []
 
@@ -357,10 +373,10 @@ def test_verify_fails_a_check_whose_result_goes_nan(monkeypatch, capsys):
 
     monkeypatch.setattr(fourier_transforms, "rotate_coeffs", rotate)
     monkeypatch.setattr(verify, "_CHECKS", [
-        c for c in verify._CHECKS if c[0] == "rotation_group_law"])
+        c for c in verify._CHECKS if c[0] == "one_parameter_subgroups"])
     assert main(["verify", "--shape", "5,3", "--shape", "11,7",
                  "--json"]) == 3
-    assert len(calls) == 8
+    assert len(calls) == 15
     report = _strict_json(capsys.readouterr().out)
     [check] = report["checks"]
     assert not check["passed"] and check["deviation"] is None

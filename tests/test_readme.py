@@ -1,6 +1,7 @@
 """README's examples keep working: its Quick start block runs, and every
 ``fkimage`` line of its Command line block parses, with the angles, shapes
-and inline elements that the commands read after argparse."""
+and inline elements that the commands read after argparse.  The summary
+line README quotes for ``fkimage verify`` counts the suite's checks."""
 
 import re
 import shlex
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fkimage import cli, element_from_json
+from fkimage import cli, element_from_json, verify
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -46,3 +47,9 @@ def test_command_line_examples_parse(argv):
     for name in ("element", "a", "b"):
         if not getattr(args, name, "@").startswith("@"):
             element_from_json(getattr(args, name))
+
+
+def test_quoted_verify_summary_counts_the_checks():
+    total, known = len(verify._CHECKS), len(verify.KNOWN_LIMITATIONS)
+    line = f"{total - known}/{total} checks passed; {known} known limitation(s)"
+    assert line in " ".join(README.split())

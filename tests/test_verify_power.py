@@ -9,11 +9,15 @@ the defect names, and the known limitation, which fails on every
 rectangular screen.  Every registered check but the known limitation is
 named by at least one defect.  On the same screens each check, run as the
 only registered check, gives the deviation it gives in the full suite:
-its draws come from its own name.  The last test shows why the unit of
-``coefficient_unitarity`` has a floor.
+its draws come from its own name.  The last tests show that the 2 pi
+identity of ``one_parameter_subgroups`` alone catches angles reduced mod
+2 pi, that each law of ``image_action_group_law`` alone catches a defect
+in its own group operation, and why the unit of ``coefficient_unitarity``
+has a floor.
 """
 
 import cmath
+import itertools
 import math
 import os
 
@@ -208,10 +212,9 @@ def _biased_butterfly(t, b):
 _DEFECTS = {
     "angles reduced mod 2 pi, not 4 pi": (
         special_functions, "_ANGLE_PERIOD", 2.0 * math.pi,
-        {"apply_element_reductions", "gyration_group_law",
-         "image_action_homomorphism", "inverse_image_roundtrip",
-         "littled_addition_law", "littled_periodicity",
-         "rotation_pi_half_turn_law", "rotation_six_sixths"}),
+        {"apply_element_reductions", "image_action_group_law",
+         "littled_group_law", "one_parameter_subgroups",
+         "rotation_pi_half_turn_law"}),
     "the LK level phase conjugated in _lk_block": (
         mode_basis, "_lk_block", _conjugated_level_phase,
         {"lk_conjugation_symmetry"}),
@@ -233,16 +236,15 @@ _DEFECTS = {
     "the middle members' partners left unzeroed": (
         verify, "build_basis", _unzeroed_middles,
         {"apply_element_reductions", "coefficient_unitarity",
-         "gyration_group_law", "rotation_group_law",
-         "rotation_pi_half_turn_law", "rotation_realness"}),
+         "one_parameter_subgroups", "rotation_pi_half_turn_law",
+         "rotation_realness"}),
     "the omega shift dropped in _phases": (
         mode_basis.CartesianBasis, "_phases", _phases_without_shift,
-        {"apply_element_reductions", "image_action_homomorphism",
-         "inverse_image_roundtrip"}),
+        {"apply_element_reductions", "image_action_group_law"}),
     "theta scaled by 1 + 1e-9 in _phases": (
         mode_basis.CartesianBasis, "_phases", _phases_of_scaled_theta,
         {"apply_element_reductions", "gyration_direct_vs_sandwich",
-         "image_action_homomorphism", "inverse_image_roundtrip",
+         "image_action_group_law", "one_parameter_subgroups",
          "rotation_pi_half_turn_law"}),
     "K_A's angle scaled by 1 + 1e-9": (
         fourier_transforms, "_fourier_phases",
@@ -259,9 +261,9 @@ _DEFECTS = {
     "ladder rung 2j = 30 scaled by 1 + 1e-9 in _half_step": (
         special_functions, "_half_step", _scaled_rung_30,
         {"apply_element_reductions", "cartesian_basis_gram",
-         "coefficient_unitarity", "gyration_group_law",
+         "coefficient_unitarity", "littled_group_law",
          "littled_kravchuk_crosscheck", "littled_orthogonality",
-         "lk_basis_gram", "rotation_group_law",
+         "lk_basis_gram", "one_parameter_subgroups",
          "rotation_pi_half_turn_law"}),
     "to_matrix returning the transpose": (
         group_algebra, "to_matrix", _transposed_matrix,
@@ -271,8 +273,8 @@ _DEFECTS = {
     "a rotation's pre quarter turn replaced by ones": (
         verify, "build_basis", _pre_turn_of_ones,
         {"apply_element_reductions", "gyration_direct_vs_sandwich",
-         "rotation_group_law", "rotation_pi_half_turn_law",
-         "rotation_realness", "rotation_six_sixths"}),
+         "one_parameter_subgroups", "rotation_pi_half_turn_law",
+         "rotation_realness"}),
     "a constant image rendered black": (
         verify, "scale_to_unit", _flat_to_black, {"render_rules"}),
     "the last payload bit of a complex file flipped": (
@@ -343,6 +345,63 @@ def test_each_check_reads_the_same_alone(check, full_suite, monkeypatch):
     [alone] = run_verification(_SCREENS, images=2)
     assert alone.deviation == {r.name: r.deviation
                                for r in full_suite}[check[0]]
+
+
+def test_the_two_pi_identity_alone_catches_angles_reduced_mod_2_pi(
+        monkeypatch):
+    # Per screen one_parameter_subgroups yields R(a) R(b) - R(a+b), then
+    # R(a) R(2 pi - a) - x, then the same for G.  Under the defect each
+    # identity reads above 1 on every default screen, while rotate(2 pi) - x
+    # reads exactly 0: 2 theta = 4 pi reduces to 0 mod 2 pi as mod 4 pi.
+    [check] = [fn for name, _, _, fn in verify._CHECKS
+               if name == "one_parameter_subgroups"]
+    bases = [mode_basis.build_basis(shape) for shape in verify.DEFAULT_SHAPES]
+
+    def identities(basis):
+        ctx = {"screens": lambda: [basis], "rng": np.random.default_rng(7)}
+        values = [np.max(np.abs(v)) for v in itertools.islice(check(ctx), 4)]
+        return values[1], values[3]
+
+    clean = [identities(basis) for basis in bases]
+    monkeypatch.setattr(special_functions, "_ANGLE_PERIOD", 2.0 * math.pi)
+    for basis, before in zip(bases, clean):
+        assert max(before) < 1e-12 < 1.0 < min(identities(basis))
+        x = np.ones(basis.shape.pixels, dtype=complex)
+        assert np.array_equal(
+            fourier_transforms.rotate_coeffs(basis, x, 2.0 * math.pi), x)
+
+
+def _omega_shifted(operation):
+    def shifted(*elements):
+        e = operation(*elements)
+        return group_algebra.FourierGroupElement(
+            e.chi, e.psi, e.theta, e.phi, e.omega + 1e-6)
+    return shifted
+
+
+@pytest.mark.parametrize("operation", ["compose", "inverse"])
+def test_each_image_action_law_alone_catches_its_own_operation(
+        operation, monkeypatch):
+    # image_action_group_law yields the compose law, then the inverse law,
+    # on each draw.  Shifting omega by 1e-6 in one operation fails that
+    # law's yields by ~1e-5 and leaves the other law's bit for bit.
+    [check] = [fn for name, _, _, fn in verify._CHECKS
+               if name == "image_action_group_law"]
+
+    def laws():
+        ctx = {"get_basis": mode_basis.build_basis,
+               "rng": np.random.default_rng(7)}
+        values = [np.max(np.abs(v)) for v in check(ctx)]
+        return {"compose": values[0::2], "inverse": values[1::2]}
+
+    clean = laws()
+    monkeypatch.setattr(group_algebra, operation,
+                        _omega_shifted(getattr(group_algebra, operation)))
+    broken = laws()
+    [other] = {"compose", "inverse"} - {operation}
+    assert max(max(clean["compose"]), max(clean["inverse"])) < 1e-12
+    assert min(broken[operation]) > 1e-9
+    assert broken[other] == clean[other]
 
 
 def test_coefficient_unitarity_needs_its_floor_on_tiny_screens(monkeypatch):
