@@ -167,8 +167,11 @@ def build_parser() -> _Parser:
                         "5,3 / 11,7 / 20,12 / 2.5,1 / 3,4.5 / 13,12.5 / "
                         "24,24)")
     p.add_argument("--images", type=_int_at_least(1), default=20,
-                   help="random images per randomized check")
-    p.add_argument("--seed", type=_int_at_least(0), default=2024)
+                   help="random images per screen in coefficient_unitarity, "
+                        "the one check that reads it")
+    p.add_argument("--seed", type=_int_at_least(0), default=2024,
+                   help="fixes every check's draws; each check seeds its own "
+                        "generator from it and its name")
     p.add_argument("--json", action="store_true",
                    help="print one JSON object instead of the table")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .special_functions import (MAX_PIXELS, Spin, _check_walk, _integer,
-                                _ladder, _Value)
+                                _ladder, _short, _Value)
 
 __all__ = [
     "MAX_PIXELS",
@@ -392,7 +392,8 @@ class CartesianBasis:
                 raise DomainError(f"screen shape must be a pair of spins, "
                                   f"got {shape!r}") from None
             shape = ScreenShape.of(j_x, j_y)
-        _check_walk(max(shape.pixels), f"screen {shape.n_x}x{shape.n_y}")
+        _check_walk(max(shape.pixels),
+                    f"screen {_short(shape.n_x)}x{_short(shape.n_y)}")
         self.shape = shape
         self.pixels = shape.pixels
         two_jx, two_jy = shape.j_x.two_j, shape.j_y.two_j

@@ -61,12 +61,25 @@ __all__ = [
 MAX_PIXELS = 1 << 18
 
 
+def _short(n: int) -> str:
+    """The non-negative integer ``n`` in full below a million, else to three
+    digits, as ``2.00e+30``, so that a message stays one short line for any
+    size; the digits are exact, with no float conversion."""
+    if n < 10 ** 6:
+        return str(n)
+    exponent = int(math.log10(n))       # may be one off next to a power of 10
+    exponent += (10 ** (exponent + 1) <= n) - (10 ** exponent > n)
+    head = n // 10 ** (exponent - 2)
+    return f"{head // 100}.{head % 100:02d}e+{exponent}"
+
+
 def _check_walk(rows: int, what: str) -> None:
     """DomainError if a ladder walk up to a block of ``rows`` rows passes
     ``MAX_PIXELS`` entries; ``what`` names the walker."""
     if rows * rows > MAX_PIXELS:
-        raise DomainError(f"{what} walks to a {rows}-row block: {rows * rows} "
-                          f"entries, over the limit of 512x512 pixels")
+        raise DomainError(f"{what} walks to a {_short(rows)}-row block: "
+                          f"{_short(rows * rows)} entries, over the limit of "
+                          f"512x512 pixels")
 
 
 class _Value:
@@ -332,7 +345,8 @@ def wigner_little_d(lam, beta: float) -> LittleDMatrix:
     ``DomainError``; ``beta == 0`` gives an exact identity.
     """
     spin = Spin.from_j(lam)
-    _check_walk(spin.dimension, f"spin {spin.j:g}")
+    _check_walk(spin.dimension, "spin " + (
+        f"{spin.j:.7g}" if spin.two_j < 10 ** 6 else _short(spin.two_j // 2)))
     beta = _finite_angle(beta)
     if beta == 0.0:
         return LittleDMatrix(spin, beta, np.eye(spin.dimension))

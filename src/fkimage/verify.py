@@ -14,8 +14,9 @@ JSON object of ``fkimage verify``, with its exit code.
 A randomized check draws from ``ctx["rng"]``, a generator of its own,
 seeded from the run's seed and the check's name,
 ``np.random.default_rng([seed, *name.encode()])``.  So a check's result
-depends only on the seed, its name, the screens and ``images``: it reads
-the same run alone as in the full suite, and adding, removing or
+depends only on the seed, its name and the screens, and in
+``coefficient_unitarity``, the one check that reads it, on ``images``: it
+reads the same run alone as in the full suite, and adding, removing or
 reordering checks changes no other check's samples.
 
 The checks of the mode basis follow its structure, so that the suite
@@ -560,11 +561,12 @@ def _check_render_rules(ctx):
 
 def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     """Run every invariant check, each at its own tolerance, and return a
-    list of CheckResult.  ``images``, a positive integer, sets the sample
-    count of the randomized per-screen checks, and ``seed``, a
-    non-negative integer, fixes every check's draws: each check gets a
-    generator seeded from ``seed`` and its name (see the module
-    docstring).  Anything else raises ``DomainError``.
+    list of CheckResult.  ``images``, a positive integer, sets how many
+    random images ``coefficient_unitarity``, the one check that reads it,
+    draws per screen, and ``seed``, a non-negative integer, fixes every
+    check's draws: each check gets a generator seeded from ``seed`` and
+    its name (see the module docstring).  Anything else raises
+    ``DomainError``.
 
     A check's deviation is the largest absolute value it yields, NaN if
     any is NaN; a NaN deviation fails.  The bases are built on first use,

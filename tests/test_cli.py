@@ -260,6 +260,15 @@ def test_verify_rejects_image_counts_below_one(monkeypatch):
             verify.run_verification(shapes=((5, 3),), images=images)
 
 
+def test_verify_images_is_read_by_coefficient_unitarity_alone():
+    from fkimage import verify
+    shapes = ((5, 3), (24, 24))
+    one, three = (verify.run_verification(shapes, images=images)
+                  for images in (1, 3))
+    assert {a.name for a, b in zip(one, three)
+            if a.deviation != b.deviation} == {"coefficient_unitarity"}
+
+
 def test_verify_reports_a_raising_check_and_runs_the_others(monkeypatch,
                                                              capsys):
     from fkimage import verify
@@ -438,6 +447,11 @@ def test_screen_above_pixel_limit_exits_2(tmp_path, capsys):
                         + bytes(width * height))
         assert main(["rotate", "--theta", "pi", "--in", str(big),
                      "--out", str(tmp_path / "o.pgm")]) == 2
-    assert main(["modes", "--shape", "400,300",
-                 "--out", str(tmp_path / "m")]) == 2
-    assert capsys.readouterr().err.count("limit") == 4
+    for shape in ("400,300", "1e300,1"):
+        assert main(["modes", "--shape", shape,
+                     "--out", str(tmp_path / "m")]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 5 and all("limit" in line for line in errors)
+    # The 1e300 side prints to three digits, not its 301.
+    assert errors[-1].startswith("data error: screen 2.00e+300x3 walks")
+    assert max(map(len, errors)) < 120

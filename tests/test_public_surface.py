@@ -61,6 +61,43 @@ def test_every_submodule_all_resolves():
             assert hasattr(module, name), f"{info.name}.{name}"
 
 
+def _unread_imports(source):
+    """Names bound by the module-level imports of ``source`` that no code
+    reads and ``__all__`` does not list; ``from __future__`` is exempt."""
+    tree = ast.parse(source)
+    bound, listed = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif (isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", "") == "__all__"):
+            listed |= set(ast.literal_eval(node.value))
+    return bound - listed - {node.id for node in ast.walk(tree)
+                             if isinstance(node, ast.Name)
+                             and isinstance(node.ctx, ast.Load)}
+
+
+_ROOT = Path(__file__).parents[1]
+_MODULES = [path.relative_to(_ROOT).as_posix() for path in sorted(
+    [*_ROOT.glob("src/fkimage/*.py"), *_ROOT.glob("tests/*.py")])]
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_every_module_level_import_is_read(module):
+    assert _unread_imports((_ROOT / module).read_text()) == set()
+
+
+def test_unread_import_guard_sees_both_directories_and_each_kind_of_read():
+    assert "tests/test_public_surface.py" in _MODULES and len(_MODULES) > 20
+    assert _unread_imports(  # nested-scope reads, re-exports, dotted names
+        "from __future__ import annotations\nimport os.path\n"
+        "import numpy as np\nfrom math import pi, tau as t\n"
+        "def f():\n    return np.pi + os.sep\n__all__ = ['pi']\n") == {"t"}
+
+
 def test_cli_import_leaves_verification_and_figures_unloaded():
     code = ("import sys, fkimage.cli\n"
             "print(sorted(m for m in ('fkimage.verify', 'fkimage._reference',"

@@ -182,43 +182,28 @@ def test_half_spin_half_turn_matrix():
     assert np.max(np.abs(d.entries - expected)) < 1e-15
 
 
-def test_spin7_identity():
-    d = wigner_little_d(7, 0.0)
-    assert d.entries.shape == (15, 15)
-    assert np.array_equal(d.entries, np.eye(15))
-
-
-def test_orthogonality_spin20():
-    d = wigner_little_d(20, 0.7).entries
-    assert np.max(np.abs(d @ d.T - np.eye(41))) < 1e-10
-
-
 def test_orthogonality_sweep():
     for two_l in list(range(0, 21)) + [27, 40, 61, 80]:
-        for beta in (0.3, math.pi / 2, 2.0, 4.4, 6.9):
+        for beta in (0.3, 0.7, math.pi / 2, 2.0, 4.4, 6.9):
             d = wigner_little_d(Spin(two_l), beta).entries
-            assert np.max(np.abs(d @ d.T - np.eye(two_l + 1))) < 1e-9, \
+            assert np.max(np.abs(d @ d.T - np.eye(two_l + 1))) < 1e-10, \
                 (two_l, beta)
 
 
-def test_addition_law(rng):
-    for two_l in (1, 4, 13, 24, 33, 40):
+def test_group_law(rng):
+    # d(b1) d(b2) = d(b1 + b2), and d(b + 2 pi) = (-1)^(2 lambda) d(b),
+    # d(b + 4 pi) = d(b).
+    for two_l in (1, 2, 4, 9, 13, 24, 33, 40):
+        def d(beta):
+            return wigner_little_d(Spin(two_l), beta).entries
         b1, b2 = rng.uniform(-6, 6, size=2)
-        d1 = wigner_little_d(Spin(two_l), b1).entries
-        d2 = wigner_little_d(Spin(two_l), b2).entries
-        d12 = wigner_little_d(Spin(two_l), b1 + b2).entries
-        assert np.max(np.abs(d1 @ d2 - d12)) < 1e-9
-
-
-def test_periodicity():
-    for two_l in (1, 2, 9, 24, 33):
+        assert np.max(np.abs(d(b1) @ d(b2) - d(b1 + b2))) < 1e-9, two_l
+        sign = -1.0 if two_l % 2 else 1.0
         for beta in (0.4, 2.7):
-            d = wigner_little_d(Spin(two_l), beta).entries
-            d2 = wigner_little_d(Spin(two_l), beta + 2 * math.pi).entries
-            d4 = wigner_little_d(Spin(two_l), beta + 4 * math.pi).entries
-            sign = -1.0 if two_l % 2 else 1.0
-            assert np.max(np.abs(d2 - sign * d)) < 1e-11
-            assert np.max(np.abs(d4 - d)) < 1e-11
+            assert np.max(np.abs(d(beta + 2 * math.pi) - sign * d(beta))) \
+                < 1e-11, (two_l, beta)
+            assert np.max(np.abs(d(beta + 4 * math.pi) - d(beta))) < 1e-11, \
+                (two_l, beta)
 
 
 def test_matches_expm_oracle():
@@ -237,16 +222,6 @@ def test_route_seam_consistency():
             got = wigner_little_d(Spin(two_l), beta).entries
             ref = little_d_expm(two_l, beta)
             assert np.max(np.abs(got - ref)) < 1e-11
-
-
-def test_quarter_turn_reproduces_kravchuk():
-    for two_j in range(0, 25):
-        d = wigner_little_d(Spin(two_j), math.pi / 2)
-        for n in range(two_j + 1):
-            for col in range(two_j + 1):
-                q = (two_j - 2 * col) / 2.0
-                assert d.entries[two_j - n, col] == pytest.approx(
-                    kravchuk_function(Spin(two_j), n, q), abs=1e-10)
 
 
 def test_quarter_turn_reflection_law():
@@ -297,6 +272,17 @@ def test_rejects_blocks_above_the_pixel_limit(monkeypatch):
             wigner_little_d(lam, beta)
     with pytest.raises(AssertionError, match="ladder"):
         wigner_little_d(255.5, 0.3)
+    # Past a million a size prints to three exact digits: one short line
+    # for any spin, and no float noise from a spin such as 1e30.
+    for lam, rows in ((10 ** 400, "2.00e+400"), (1e30, "2.00e+30"),
+                      (300, "601")):
+        with pytest.raises(DomainError) as refused:
+            wigner_little_d(lam, 0.3)
+        message = str(refused.value)
+        assert f" {rows}-row block: " in message and len(message) < 100
+    for k in range(7, 400):
+        assert special_functions._short(10 ** k) == f"1.00e+{k}"
+        assert special_functions._short(10 ** k - 1) == f"9.99e+{k - 1}"
 
 
 def test_no_eigensolver_runs(rng, monkeypatch):
