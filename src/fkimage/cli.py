@@ -22,7 +22,7 @@ from .group_algebra import (FourierGroupElement, compose, element_from_json,
                             element_to_json, inverse)
 from .imageio import load_image, save_complex
 from .mode_basis import ScreenShape, build_basis
-from .render import RenderSpec, render
+from .render import _CHANNELS, _DEPTHS, _SCALINGS, RenderSpec, render
 
 _ANGLE_RE = re.compile(
     r"^\s*(?P<sign>[+-]?)\s*(?P<coef>(?:\d+(?:\.\d*)?|\.\d+)(?:e[+-]?\d+)?)?"
@@ -103,12 +103,11 @@ def _add_io_options(sub):
                      "(PGM or .fkimg complex array)")
     sub.add_argument("--out", dest="output", required=True, help="output file; "
                      ".pgm renders, anything else stores the complex array")
-    sub.add_argument("--channel", default="real",
-                     choices=("real", "imag", "abs", "phase"),
+    sub.add_argument("--channel", default="real", choices=_CHANNELS,
                      help="channel for PGM output")
-    sub.add_argument("--scaling", default="adaptive",
-                     choices=("fixed", "adaptive"), help="gray scaling for PGM")
-    sub.add_argument("--depth", type=int, default=8, choices=(8, 16),
+    sub.add_argument("--scaling", default="adaptive", choices=_SCALINGS,
+                     help="gray scaling for PGM")
+    sub.add_argument("--depth", type=int, default=8, choices=_DEPTHS,
                      help="PGM bit depth")
 
 
@@ -131,7 +130,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lk", action="store_true",
                    help="render the Laguerre-Kravchuk gallery instead of the "
                         "Cartesian one")
-    p.add_argument("--depth", type=int, default=8, choices=(8, 16))
+    p.add_argument("--depth", type=int, default=8, choices=_DEPTHS)
 
     p = subs.add_parser("rotate", help="rotate an image")
     p.add_argument("--theta", required=True, help="rotation angle (radians)")
@@ -166,9 +165,6 @@ def build_parser() -> _Parser:
                    help="screen shape 'JX,JY' (repeatable; default "
                         "5,3 / 11,7 / 20,12 / 2.5,1 / 3,4.5 / 13,12.5 / "
                         "24,24)")
-    p.add_argument("--images", type=_int_at_least(1), default=20,
-                   help="random images per screen in coefficient_unitarity, "
-                        "the one check that reads it")
     p.add_argument("--seed", type=_int_at_least(0), default=2024,
                    help="fixes every check's draws; each check seeds its own "
                         "generator from it and its name")
@@ -226,7 +222,7 @@ def _run(args) -> int:
     if args.command == "verify":
         from .verify import DEFAULT_SHAPES, verify
         shapes = [parse_shape(s) for s in args.shape or ()] or DEFAULT_SHAPES
-        text, code = verify(shapes, args.images, args.seed, args.json)
+        text, code = verify(shapes, args.seed, args.json)
         print(text)
         return code
 

@@ -15,6 +15,7 @@ __all__ = ["RenderSpec", "render"]
 
 _CHANNELS = ("real", "imag", "abs", "phase")
 _SCALINGS = ("fixed", "adaptive")
+_DEPTHS = (8, 16)
 
 
 class RenderSpec(_Value):
@@ -41,8 +42,8 @@ class RenderSpec(_Value):
                  channel: str = "real"):
         if scaling not in _SCALINGS:
             raise DomainError(f"scaling must be one of {_SCALINGS}")
-        depth = _integer(depth, "depth", 8, 16)
-        if depth not in (8, 16):
+        depth = _integer(depth, "depth", min(_DEPTHS), max(_DEPTHS))
+        if depth not in _DEPTHS:
             raise DomainError("depth must be 8 or 16")
         if channel not in _CHANNELS:
             raise DomainError(f"channel must be one of {_CHANNELS}")

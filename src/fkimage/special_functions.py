@@ -86,9 +86,10 @@ def _check_walk(rows: int, what: str) -> None:
     """DomainError if a ladder walk up to a block of ``rows`` rows passes
     ``MAX_PIXELS`` entries; ``what`` names the walker."""
     if rows * rows > MAX_PIXELS:
+        side = math.isqrt(MAX_PIXELS)
         raise DomainError(f"{what} walks to a {_short(rows)}-row block: "
                           f"{_short(rows * rows)} entries, over the limit of "
-                          f"512x512 pixels")
+                          f"{side}x{side} pixels")
 
 
 class _Value:

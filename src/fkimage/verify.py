@@ -19,11 +19,10 @@ build is still the failure of each check that needs that basis.
 
 A randomized check draws from ``ctx["rng"]``, a generator of its own,
 seeded from the run's seed and the check's name,
-``np.random.default_rng([seed, *name.encode()])``.  So a check's result
-depends only on the seed, its name and the screens, and in
-``coefficient_unitarity``, the one check that reads it, on ``images``: it
-reads the same run alone as in the full suite, and adding, removing or
-reordering checks changes no other check's samples.
+``np.random.default_rng([seed, *name.encode()])``, and fixes its own
+sample size.  So a check's result depends only on the seed, its name and
+the screens: it reads the same run alone as in the full suite, and adding,
+removing or reordering checks changes no other check's samples.
 
 The checks of the mode basis follow its structure, so that the suite
 runs on screens as large as (100,100) in seconds.
@@ -99,8 +98,10 @@ __all__ = ["CheckResult", "run_verification", "DEFAULT_SHAPES", "KNOWN_LIMITATIO
 DEFAULT_SHAPES = ((5, 3), (11, 7), (20, 12), (2.5, 1), (3, 4.5),
                   (13, 12.5), (24, 24))
 
-# Element pairs drawn by the randomized group-action checks.
+# Element pairs drawn by the randomized group-action checks, and unit-norm
+# images per screen drawn by coefficient_unitarity.
 _PAIRS = 25
+_IMAGES = 20
 
 # Checks that cannot pass on rectangular screens; kept in the suite so the
 # behavior is measured and reported rather than hidden.
@@ -108,16 +109,18 @@ KNOWN_LIMITATIONS = ("rotation_pi_is_pixel_inversion",)
 
 
 class CheckResult(_Value):
-    """One check's outcome: it passes when ``deviation <= tolerance``."""
+    """One check's outcome: it passes when ``deviation <= tolerance``, so a
+    NaN fails, and it is a known limitation when its name is in
+    ``KNOWN_LIMITATIONS`` and it did not raise."""
 
-    def __init__(self, name: str, passed: bool, detail: str, seconds: float,
-                 deviation: float, tolerance: float,
-                 known_limitation: bool = False, error: str = ""):
+    def __init__(self, name: str, detail: str, seconds: float,
+                 deviation: float, tolerance: float, error: str = ""):
         # error: "Type: message" of the exception, if the check raised
         self.__dict__.update(
-            name=name, passed=passed, detail=detail, seconds=seconds,
-            deviation=deviation, tolerance=tolerance,
-            known_limitation=known_limitation, error=error)
+            name=name, passed=bool(deviation <= tolerance), detail=detail,
+            seconds=seconds, deviation=deviation, tolerance=tolerance,
+            known_limitation=name in KNOWN_LIMITATIONS and not error,
+            error=error)
 
     @property
     def headroom(self) -> float:
@@ -311,7 +314,7 @@ def _check_coefficient_unitarity(ctx):
     rng = ctx["rng"]
     for basis in ctx["screens"]():
         unit = np.finfo(float).eps * (math.sqrt(basis.shape.mode_count) + 8)
-        for _ in range(ctx["images"]):
+        for _ in range(_IMAGES):
             x = random_image(rng, basis)
             x /= np.linalg.norm(x)
             for y in (ft.rotate_coeffs(basis, x, rng.uniform(0, 7)),
@@ -565,13 +568,11 @@ def _check_render_rules(ctx):
     yield flat - 0.5
 
 
-def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
+def run_verification(shapes=DEFAULT_SHAPES, seed=2024):
     """Run every invariant check, each at its own tolerance, and return a
     list of CheckResult.  ``shapes`` lists one or more screens, each a
     ``ScreenShape`` or a pair of spins, taken by the rule of
-    ``build_basis``.  ``images``, a positive integer, sets how many
-    random images ``coefficient_unitarity``, the one check that reads it,
-    draws per screen, and ``seed``, a non-negative integer, fixes every
+    ``build_basis``, and ``seed``, a non-negative integer, fixes every
     check's draws: each check gets a generator seeded from ``seed`` and
     its name (see the module docstring).  Anything else raises
     ``DomainError`` before the first check runs: among it a screen with a
@@ -585,14 +586,14 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
     the exception's type and message, its deviation is infinite and its
     tolerance NaN, and the other checks still run.
     """
-    images, seed = _integer(images, "images", 1), _integer(seed, "seed")
+    seed = _integer(seed, "seed")
     try:
         shapes = tuple(map(_screen, shapes))
     except TypeError:                   # not iterable: it lists no screen
         shapes = ()
     _integer(len(shapes), "number of screens", 1)
     build = functools.cache(build_basis)
-    ctx = {"screens": lambda: map(build, shapes), "images": images,
+    ctx = {"screens": lambda: map(build, shapes),
            "get_basis": lambda key: build(_screen(key))}
     results = []
     for name, tol, detail, check in _CHECKS:
@@ -610,18 +611,16 @@ def run_verification(shapes=DEFAULT_SHAPES, images=20, seed=2024):
             detail = (f"{detail}: deviation {deviation:.3e} "
                       f"(tolerance {tol:.1e})")
         results.append(CheckResult(
-            name, passed=bool(deviation <= tol), detail=detail,
-            seconds=time.monotonic() - t0, deviation=float(deviation),
-            tolerance=float(tol), error=error,
-            known_limitation=name in KNOWN_LIMITATIONS and not error))
+            name, detail, time.monotonic() - t0, float(deviation),
+            float(tol), error))
     return results
 
 
-def verify(shapes, images, seed, as_json):
+def verify(shapes, seed, as_json):
     """Run the suite and return ``(report, exit_code)`` for ``fkimage
     verify``: the text table, or with ``as_json`` one JSON object, and 3
     if any check failed, known limitations included, else 0."""
-    results = run_verification(shapes, images, seed)
+    results = run_verification(shapes, seed)
     failed = [r for r in results if not r.passed]
     unexpected = [r for r in failed if not r.known_limitation]
     code = 3 if failed else 0

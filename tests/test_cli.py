@@ -202,19 +202,8 @@ def test_apply_composed_element_equals_two_applies(tmp_path, rng, capsys):
     assert np.max(np.abs(load_complex(once) - load_complex(seq))) < 1e-9
 
 
-def test_verify_command_reports_known_limitations(capsys):
-    code = main(["verify", "--shape", "5,3", "--images", "3", "--seed", "7"])
-    out = capsys.readouterr().out
-    assert code == 3                     # the known-impossible checks fail
-    failing = [line.split()[0] for line in out.splitlines()
-               if "  FAIL  " in line]
-    assert sorted(failing) == sorted(KNOWN_LIMITATIONS)
-    assert "unexpected failure" not in out
-
-
 def test_verify_json_reports_each_check(capsys):
-    code = main(["verify", "--shape", "5,3", "--images", "3", "--seed", "7",
-                 "--json"])
+    code = main(["verify", "--shape", "5,3", "--seed", "7", "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 3
     checks = report["checks"]
@@ -233,10 +222,13 @@ def test_verify_json_reports_each_check(capsys):
                                                   / c["deviation"])
         else:
             assert c["headroom"] is None
-    assert main(["verify", "--shape", "5,3", "--images", "3",
-                 "--seed", "7"]) == 3
-    header = capsys.readouterr().out.splitlines()[0].split()
-    assert header[:4] == ["check", "seconds", "headroom", "detail"]
+    # The text table: the known-impossible checks fail, and only they.
+    assert main(["verify", "--shape", "5,3", "--seed", "7"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:4] == ["check", "seconds", "headroom", "detail"]
+    failing = [line.split()[0] for line in lines if "  FAIL  " in line]
+    assert sorted(failing) == sorted(KNOWN_LIMITATIONS)
+    assert not any("unexpected failure" in line for line in lines)
 
 
 def _strict_json(text):
@@ -244,29 +236,6 @@ def _strict_json(text):
     def reject(constant):
         raise AssertionError(f"{constant} in JSON output")
     return json.loads(text, parse_constant=reject)
-
-
-def test_verify_rejects_image_counts_below_one(monkeypatch):
-    # No randomized check may pass on zero samples: the option and
-    # run_verification take only a positive integer.
-    from fkimage import DomainError, verify
-    monkeypatch.setattr(verify, "_CHECKS", [
-        ("samples", 1.0, "no samples", lambda ctx: iter([0.0]))])
-    for count in ("0", "-3", "two"):
-        assert main(["verify", "--shape", "5,3", "--images", count]) == 1
-    assert main(["verify", "--shape", "5,3", "--images", "1"]) == 0
-    for images in (0, -3, True, 2.0):
-        with pytest.raises(DomainError):
-            verify.run_verification(shapes=((5, 3),), images=images)
-
-
-def test_verify_images_is_read_by_coefficient_unitarity_alone():
-    from fkimage import verify
-    shapes = ((5, 3), (24, 24))
-    one, three = (verify.run_verification(shapes, images=images)
-                  for images in (1, 3))
-    assert {a.name for a, b in zip(one, three)
-            if a.deviation != b.deviation} == {"coefficient_unitarity"}
 
 
 def test_verify_reports_a_raising_check_and_runs_the_others(monkeypatch,
@@ -281,7 +250,7 @@ def test_verify_reports_a_raising_check_and_runs_the_others(monkeypatch,
         checks["cartesian_basis_gram"],
         ("raising_check", 1.0, "raises", raising),
         checks["littled_group_law"]])
-    argv = ["verify", "--shape", "5,3", "--images", "2"]
+    argv = ["verify", "--shape", "5,3"]
     assert main(argv + ["--json"]) == 3
     report = _strict_json(capsys.readouterr().out)
     assert [c["name"] for c in report["checks"]] == [
@@ -358,7 +327,6 @@ def test_verify_cli_defaults_are_the_suites():
     parser = cli.build_parser()
     args = parser.parse_args(["verify"])
     defaults = inspect.signature(verify.run_verification).parameters
-    assert args.images == defaults["images"].default
     assert args.seed == defaults["seed"].default
     [subs] = [a for a in parser._actions
               if isinstance(a, argparse._SubParsersAction)]
@@ -366,6 +334,16 @@ def test_verify_cli_defaults_are_the_suites():
     listed = shape.help.split("default ", 1)[1].rstrip(")").split(" / ")
     assert [(s.j_x.j, s.j_y.j) for s in map(parse_shape, listed)] == \
         list(verify.DEFAULT_SHAPES)
+
+
+def test_verify_takes_no_image_count(capsys):
+    # coefficient_unitarity draws a fixed sample per screen, so a run
+    # depends only on its screens and its seed.
+    from fkimage import verify
+    assert main(["verify", "--shape", "5,3", "--images", "3"]) == 1
+    assert "--images" in capsys.readouterr().err
+    for run in (verify.run_verification, verify.verify):
+        assert "images" not in inspect.signature(run).parameters
 
 
 def test_verify_fails_a_check_whose_result_goes_nan(monkeypatch, capsys):

@@ -711,6 +711,8 @@ def test_nonfinite_angle_raises_domain_error(basis53, transform, angle):
         transform(basis53, np.ones(basis53.shape.pixels), angle)
 
 
+# ------------------------------------------------------------ huge angles
+
 @pytest.mark.parametrize("angle", [1e308, -1e308])
 @pytest.mark.parametrize("transform", [
     lambda basis, c, a: rotate_coeffs(basis, c, a),

@@ -2,6 +2,7 @@
 repr, ordering, pickle and deepcopy round trips, and immutability."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from fkimage import (DomainError, FourierGroupElement, RenderSpec,
 from fkimage.mode_basis import LevelSpectrum, level_spectrum
 from fkimage.special_functions import (LittleDMatrix, kravchuk_function,
                                        wigner_little_d)
-from fkimage.verify import CheckResult
+from fkimage.verify import KNOWN_LIMITATIONS, CheckResult
 
 
 # (positional construction, keyword construction, a different value, repr)
@@ -41,13 +42,12 @@ _CASES = {
                                       channel="abs"),
                    lambda: RenderSpec(),
                    "RenderSpec(scaling='adaptive', depth=16, channel='abs')"),
-    "CheckResult": (lambda: CheckResult("a", True, "d", 0.5, 1e-12, 1e-9),
-                    lambda: CheckResult(name="a", passed=True, detail="d",
-                                        seconds=0.5, deviation=1e-12,
-                                        tolerance=1e-9,
-                                        known_limitation=False, error=""),
-                    lambda: CheckResult("a", True, "d", 0.5, 1e-12, 1e-9,
-                                        True),
+    # A check result works out its own verdict: the other value fails.
+    "CheckResult": (lambda: CheckResult("a", "d", 0.5, 1e-12, 1e-9),
+                    lambda: CheckResult(name="a", detail="d", seconds=0.5,
+                                        deviation=1e-12, tolerance=1e-9,
+                                        error=""),
+                    lambda: CheckResult("a", "d", 0.5, 1.0, 1e-9),
                     "CheckResult(name='a', passed=True, detail='d', "
                     "seconds=0.5, deviation=1e-12, tolerance=1e-09, "
                     "known_limitation=False, error='')"),
@@ -113,6 +113,22 @@ def test_fields_are_validated_once_and_keep_their_types():
     element = FourierGroupElement(1, 2, 3, 4)
     assert all(type(a) is float for a in vars(element).values())
     assert element.omega == element.default_omega
+
+
+def test_a_check_result_works_out_its_verdict():
+    # It passes when deviation <= tolerance, so a NaN fails, and it is a
+    # known limitation when its name is listed and it did not raise.
+    assert CheckResult("a", "d", 0.5, 1e-9, 1e-9).passed
+    for deviation in (2e-9, math.inf, math.nan):
+        assert not CheckResult("a", "d", 0.5, deviation, 1e-9).passed
+    known = next(iter(KNOWN_LIMITATIONS))
+    assert CheckResult(known, "d", 0.5, 1.0, 1e-9).known_limitation
+    assert not CheckResult(known, "d", 0.5, math.nan, 1e-9,
+                           "ValueError: x").known_limitation
+    assert not CheckResult("a", "d", 0.5, 1.0, 1e-9).known_limitation
+    for claim in ("passed", "known_limitation"):
+        with pytest.raises(TypeError):
+            CheckResult("a", "d", 0.5, 1.0, 1e-9, **{claim: True})
 
 
 def test_a_spin_of_any_size_is_named_from_its_exact_two_j():

@@ -336,7 +336,7 @@ def test_every_check_is_named_by_a_defect():
 @pytest.fixture(scope="module")
 def full_suite():
     """The results of the clean suite on the screens, run once."""
-    return run_verification(_SCREENS, images=2)
+    return run_verification(_SCREENS)
 
 
 @pytest.mark.parametrize("defect", [None, *_DEFECTS])
@@ -346,12 +346,12 @@ def test_each_defect_fails_the_checks_it_names(defect, full_suite,
     if defect is not None:
         module, attribute, replacement, names = _DEFECTS[defect]
         monkeypatch.setattr(module, attribute, replacement)
-        results = run_verification(_SCREENS, images=2)
+        results = run_verification(_SCREENS)
     assert _failures(results) == names | set(KNOWN_LIMITATIONS)
 
 
 def test_a_screen_shape_reads_as_its_pair_of_spins(full_suite):
-    results = run_verification([ScreenShape.of(5, 3), (24, 24)], images=2)
+    results = run_verification([ScreenShape.of(5, 3), (24, 24)])
     assert [r.deviation for r in results] == [
         r.deviation for r in full_suite]
 
@@ -359,7 +359,7 @@ def test_a_screen_shape_reads_as_its_pair_of_spins(full_suite):
 @pytest.mark.parametrize("check", verify._CHECKS, ids=lambda check: check[0])
 def test_each_check_reads_the_same_alone(check, full_suite, monkeypatch):
     monkeypatch.setattr(verify, "_CHECKS", [check])
-    [alone] = run_verification(_SCREENS, images=2)
+    [alone] = run_verification(_SCREENS)
     assert alone.deviation == {r.name: r.deviation
                                for r in full_suite}[check[0]]
 
@@ -429,12 +429,14 @@ def test_coefficient_unitarity_needs_its_floor_on_tiny_screens(monkeypatch):
         check for check in verify._CHECKS
         if check[0] == "coefficient_unitarity"])
     tiny = ((0, 0), (0.5, 0), (0, 0.5), (0.5, 0.5), (1, 1))
+    monkeypatch.setattr(verify, "_IMAGES", 50)
     for shape in tiny + ((255, 3),):
-        [result] = run_verification([shape], images=50)
+        [result] = run_verification([shape])
         assert result.passed, shape
+    monkeypatch.setattr(verify, "_IMAGES", 300)
     bare = []
     for shape in tiny:
-        [result] = run_verification([shape], images=300)
+        [result] = run_verification([shape])
         assert result.passed, shape
         root = math.sqrt((2 * shape[0] + 1) * (2 * shape[1] + 1))
         bare.append(result.deviation * (root + 8) / root)
