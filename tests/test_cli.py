@@ -165,6 +165,13 @@ def test_apply_and_invert_round_trip(tmp_path, rng, capsys):
     assert np.max(np.abs(load_complex(back) - arr)) < 1e-9
 
 
+def test_invert_prints_the_negated_angles(capsys):
+    # The README's example: each angle negated, and a zero angle +0.0.
+    assert main(["invert", "--element", '{"chi":1.2,"theta":0.9}']) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == '{"chi": -1.2, "psi": 0.0, "theta": -0.9, "phi": 0.0}'
+
+
 def test_apply_element_from_file(tmp_path, rng):
     arr = rng.standard_normal((4, 4)) + 0j
     src = tmp_path / "s.fkimg"
@@ -298,7 +305,7 @@ def test_verify_rejects_seeds_other_than_non_negative_integers(monkeypatch):
 def test_verify_registry_holds_each_check_once():
     from fkimage import verify
     names = [name for name, _, _, _ in verify._CHECKS]
-    assert len(names) == len(set(names)) == 23
+    assert len(names) == len(set(names)) == 24
     for name, tolerance, detail, check in verify._CHECKS:
         assert math.isfinite(tolerance) and tolerance >= 0.0, name
         assert detail.strip() and callable(check), name

@@ -100,11 +100,25 @@ def _assert_angles_close(element, want):
     # A matrix fixes theta, psi and phi mod 2 pi, and chi - psi - phi mod
     # 4 pi: moving psi or phi by 2 pi flips the SU(2) sign, which chi
     # absorbs, so two routes may fold an angle next to 0 to either end.
+    # Within 1e-3 of theta = 0 (pi), psi and phi alone carry rounding of
+    # about eps / |theta| (eps / |pi - theta|), and the matrix fixes them
+    # to 1e-12 only through alpha = psi + phi (psi - phi) mod 2 pi and
+    # chi - alpha mod 4 pi.  The routes' gimbal windows differ, too: at
+    # theta = 1e-14 the oracle reads (0; 0, 0, 0) and from_matrix
+    # (2 pi; pi, 1e-14, pi), the same matrix to 1e-14.
     chi, psi, theta, phi = want
     e = element
-    for x, y, period in ((e.theta, theta, None), (e.psi, psi, TWO_PI),
-                         (e.phi, phi, TWO_PI),
-                         (e.chi - e.psi - e.phi, chi - psi - phi, FOUR_PI)):
+    pairs = [(e.theta, theta, None)]
+    for point, sign in ((0.0, 1.0), (math.pi, -1.0)):
+        if abs(theta - point) < 1e-3 and abs(e.theta - point) < 1e-3:
+            alpha, want_alpha = e.psi + sign * e.phi, psi + sign * phi
+            pairs += [(alpha, want_alpha, TWO_PI),
+                      (e.chi - alpha, chi - want_alpha, FOUR_PI)]
+            break
+    else:
+        pairs += [(e.psi, psi, TWO_PI), (e.phi, phi, TWO_PI),
+                  (e.chi - e.psi - e.phi, chi - psi - phi, FOUR_PI)]
+    for x, y, period in pairs:
         gap = abs(x - y)
         if period is not None:
             gap = min(gap % period, period - gap % period)
@@ -123,6 +137,7 @@ _ELEMENT = st.lists(st.floats(-20, 20, exclude_min=True, exclude_max=True),
 def test_scalar_group_algebra_matches_numpy_oracle(a, b):
     # compose, inverse and from_matrix against numpy 2x2 products and
     # decompositions; theta in {0, pi} and the sign flip as examples.
+    # inverse negates the angles, so its canonical form is from_matrix's.
     a, b = FourierGroupElement(*a), FourierGroupElement(*b)
     ua, ub = element_matrix(a), element_matrix(b)
     assert np.max(np.abs(to_matrix(a) - ua)) < 1e-14
@@ -135,10 +150,13 @@ def test_scalar_group_algebra_matches_numpy_oracle(a, b):
         ab.chi, ab.psi, ab.theta, ab.phi,
         a.omega + b.omega + 0.5 * (ab.chi - a.chi - b.chi)).omega
     inv = inverse(a)
-    _assert_angles_close(inv, euler_angles(ua.conj().T))
+    assert (inv.chi, inv.psi, inv.theta, inv.phi) == (
+        0.0 - a.chi, 0.0 - a.phi, 0.0 - a.theta, 0.0 - a.psi)
     assert inv.omega == FourierGroupElement(
-        inv.chi, inv.psi, inv.theta, inv.phi,
-        0.5 * (a.chi + inv.chi) - a.omega).omega
+        inv.chi, inv.psi, inv.theta, inv.phi, 0.0 - a.omega).omega
+    assert np.max(np.abs(to_matrix(inv) @ ua - np.eye(2))) < 1e-14
+    _assert_angles_close(from_matrix(to_matrix(inv)),
+                         euler_angles(ua.conj().T))
     for bad in (1.001 * ua, ua[:1], np.kron(np.eye(2), ua)):
         with pytest.raises(ValidationError):
             from_matrix(bad)
@@ -187,33 +205,28 @@ def test_pure_gyration_angles_add():
 
 
 def test_inverse_of_central_element():
-    e = FourierGroupElement(1.3, 0, 0, 0)
-    inv = inverse(e)
-    assert inv.chi == pytest.approx((FOUR_PI - 1.3) % FOUR_PI, abs=1e-12)
-    assert (inv.psi, inv.theta, inv.phi) == (0.0, 0.0, 0.0)
+    # Negated angles, with +0.0 where the element has a zero angle.
+    inv = inverse(FourierGroupElement(1.3, 0, 0, 0))
+    assert inv.as_dict() == {"chi": -1.3, "psi": 0.0, "theta": 0.0,
+                             "phi": 0.0}
+    assert all(math.copysign(1.0, x) == 1.0
+               for x in (inv.psi, inv.theta, inv.phi, inv.omega))
     assert inverse(FourierGroupElement.identity()) == \
         FourierGroupElement.identity()
 
 
-def test_inverse_rebuilds_the_matrix_once(rng, monkeypatch):
-    # The SU(2) sign of the extraction is decided from one rebuild: each
-    # inverse forms the element's entries and then one trial matrix, also
-    # when the sign flips (chi -> chi + 2 pi), as it does for about half
-    # of the elements.
+def test_inverse_forms_no_matrix(rng, monkeypatch):
     import fkimage.group_algebra as ga
-    entries, calls = ga._entries, []
 
-    def counted(*angles):
-        calls.append(angles)
-        return entries(*angles)
+    def refused(*args):
+        raise AssertionError("inverse formed a matrix")
 
-    monkeypatch.setattr(ga, "_entries", counted)
-    for _ in range(40):
-        e = FourierGroupElement(*rng.uniform(-20.0, 20.0, 5))
-        calls.clear()
-        inv = inverse(e)
-        assert len(calls) == 2
-        assert np.max(np.abs(to_matrix(inv) @ to_matrix(e) - np.eye(2))) < 1e-12
+    elements = [FourierGroupElement(*rng.uniform(-20.0, 20.0, 5))
+                for _ in range(10)]
+    monkeypatch.setattr(ga, "_entries", refused)
+    monkeypatch.setattr(ga, "_from_entries", refused)
+    for e in elements:
+        inverse(e)
 
 
 # ------------------------------------------------------- action images
@@ -267,6 +280,28 @@ def test_inverse_and_compose_exact_for_any_angles(spins):
         lhs = apply_element(basis, img, compose(a, b))
         rhs = apply_element(basis, once, a)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+@pytest.mark.parametrize("spins", [(5, 3), (20, 12), (24, 24), (64, 48)])
+def test_theta_zero_chain_and_back_is_exact(spins):
+    # At theta = 0 an element is the n_y phase and the level phase.  The
+    # level angle (chi + psi + phi)/2 is summed correctly rounded, so its
+    # negation is exact: 50 wide elements and their inverses in reverse
+    # order leave 2.2e-15 of max |x| at most, where the sum in a fixed
+    # order leaves 3.7e-14 to 4.3e-13.
+    basis = build_basis(spins)
+    rng = np.random.default_rng(5)
+    x = random_image(rng, basis)
+    chain = []
+    for _ in range(50):
+        e = wide_element(rng)
+        chain.append(FourierGroupElement(e.chi, e.psi, 0.0, e.phi, e.omega))
+    y = x
+    for e in chain:
+        y = apply_element_coeffs(basis, y, e)
+    for e in reversed(chain):
+        y = apply_element_coeffs(basis, y, inverse(e))
+    assert np.max(np.abs(y - x)) < 1e-14 * np.max(np.abs(x))
 
 
 @pytest.mark.parametrize("spins", [(20, 12), (64, 48)])

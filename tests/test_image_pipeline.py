@@ -376,6 +376,13 @@ def test_render_spec_depth_is_an_integer_8_or_16(depth):
         RenderSpec(depth=depth)
 
 
+@pytest.mark.parametrize("depth", [4, 12, -8, np.int64(12)], ids=repr)
+def test_render_spec_refuses_every_other_integer_depth_alike(depth):
+    with pytest.raises(DomainError) as refused:
+        RenderSpec(depth=depth)
+    assert str(refused.value) == f"depth must be 8 or 16, got {int(depth)}"
+
+
 @pytest.mark.parametrize("depth", [8, 16, np.int64(16), np.uint8(8)],
                          ids=repr)
 def test_render_spec_stores_an_integer_depth_as_int(depth):

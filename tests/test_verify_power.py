@@ -9,7 +9,15 @@ the defect names, and the known limitation, which fails on every
 rectangular screen.  Every registered check but the known limitation is
 named by at least one defect.  On the same screens each check, run as the
 only registered check, gives the deviation it gives in the full suite:
-its draws come from its own name.  The last tests show that the 2 pi
+its draws come from its own name.
+
+That alone run also records, under ``sys.setprofile``, the code of every
+function each check calls.  A defect that replaces a function reruns
+only the checks that called it, and takes the clean results for the
+rest; a defect that replaces anything else, a constant or a class,
+reruns every check.  For defects in three modules a test asserts that
+this run equals a full run under the defect, check by check.  The last
+tests show that the 2 pi
 identity of ``one_parameter_subgroups`` alone catches angles reduced mod
 2 pi, that each law of ``image_action_group_law`` alone catches a defect
 in its own group operation, and why the unit of ``coefficient_unitarity``
@@ -20,6 +28,8 @@ import cmath
 import itertools
 import math
 import os
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -200,6 +210,16 @@ def _transposed_matrix(element):
     return _to_matrix(element).T
 
 
+def _inverse_through_the_matrix(a):
+    # Euler angles extracted from the conjugate transpose, and omega from
+    # compose(a, inverse(a)) == identity.
+    u00, u01, u10, u11 = group_algebra._entries(a.chi, a.psi, a.theta, a.phi)
+    chi, psi, theta, phi = group_algebra._from_entries(
+        u00.conjugate(), u10.conjugate(), u01.conjugate(), u11.conjugate())
+    return group_algebra.FourierGroupElement(chi, psi, theta, phi,
+                                             0.5 * (a.chi + chi) - a.omega)
+
+
 def _biased_butterfly(t, b):
     # A per-op norm bias of about 1e-12 on halves; whole rungs have no
     # butterflies.
@@ -226,16 +246,18 @@ _DEFECTS = {
         {"lk_basis_gram", "lk_conjugation_symmetry"}),
     "every batch stack scaled by 1 - 1e-13": (
         verify, "build_basis", _scaled_stacks,
-        {"coefficient_unitarity", "quarter_turn_reflection"}),
+        {"chain_roundtrip", "coefficient_unitarity",
+         "quarter_turn_reflection"}),
     "every mix output scaled by 1 - 1e-13": (
         mode_basis.CartesianBasis, "_mix", _biased_mix,
-        {"coefficient_unitarity"}),
+        {"chain_roundtrip", "coefficient_unitarity"}),
     "every eigen-phase conjugated on even/odd halves": (
         mode_basis.CartesianBasis, "_mix", _conjugated_halves_mix,
         {"apply_element_reductions"}),
     "the middle members' partners left unzeroed": (
         verify, "build_basis", _unzeroed_middles,
-        {"apply_element_reductions", "coefficient_unitarity",
+        {"apply_element_reductions", "chain_roundtrip",
+         "coefficient_unitarity",
          "one_parameter_subgroups", "rotation_pi_half_turn_law",
          "rotation_realness"}),
     "the omega shift dropped in _phases": (
@@ -253,18 +275,22 @@ _DEFECTS = {
          "gyration_direct_vs_sandwich"}),
     "one off-diagonal entry of a whole-rung U moved by 1e-12": (
         verify, "build_basis", _perturbed_whole_rung,
-        {"apply_element_reductions", "coefficient_unitarity",
+        {"apply_element_reductions", "chain_roundtrip",
+         "coefficient_unitarity",
          "quarter_turn_reflection"}),
     "the butterfly's b *= -2 biased by 1e-12": (
         mode_basis, "_butterfly", _biased_butterfly,
-        {"coefficient_unitarity"}),
+        {"chain_roundtrip", "coefficient_unitarity"}),
     "ladder rung 2j = 30 scaled by 1 + 1e-9 in _half_step": (
         special_functions, "_half_step", _scaled_rung_30,
         {"apply_element_reductions", "cartesian_basis_gram",
-         "coefficient_unitarity", "littled_group_law",
+         "chain_roundtrip", "coefficient_unitarity", "littled_group_law",
          "littled_kravchuk_crosscheck", "littled_orthogonality",
          "lk_basis_gram", "one_parameter_subgroups",
          "rotation_pi_half_turn_law"}),
+    "inverse through the matrix": (
+        group_algebra, "inverse", _inverse_through_the_matrix,
+        {"chain_roundtrip"}),
     "to_matrix returning the transpose": (
         group_algebra, "to_matrix", _transposed_matrix,
         {"from_matrix_roundtrip", "matrix_homomorphism"}),
@@ -339,15 +365,72 @@ def full_suite():
     return run_verification(_SCREENS)
 
 
+@pytest.fixture(scope="module")
+def alone():
+    """Each check run as the only registered check on the screens: its
+    result, and the code of every function it called, recorded under
+    ``sys.setprofile``.  Alone, no basis built for an earlier check hides
+    a build from it."""
+    out = {}
+    for check in verify._CHECKS:
+        codes = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                codes.add(frame.f_code)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_CHECKS", [check])
+            sys.setprofile(record)
+            try:
+                [result] = run_verification(_SCREENS)
+            finally:
+                sys.setprofile(None)
+        out[check[0]] = result, codes
+    return out
+
+
+def _defect_run(defect, full_suite, alone):
+    """The suite on the screens under ``defect``.  A check reruns when it
+    called the function the defect replaces, and every check reruns for
+    a replaced non-function; the clean result stands for the rest.  Each
+    check's result depends only on the seed, its name, the screens and
+    the code it runs (``test_each_check_reads_the_same_alone``)."""
+    module, attribute, replacement, _ = _DEFECTS[defect]
+    original = getattr(module, attribute)
+    reached = [check for check in verify._CHECKS
+               if not isinstance(original, types.FunctionType)
+               or original.__code__ in alone[check[0]][1]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, attribute, replacement)
+        patch.setattr(verify, "_CHECKS", reached)
+        rerun = {r.name: r for r in run_verification(_SCREENS)}
+    return [rerun.get(r.name, r) for r in full_suite]
+
+
 @pytest.mark.parametrize("defect", [None, *_DEFECTS])
-def test_each_defect_fails_the_checks_it_names(defect, full_suite,
-                                               monkeypatch):
+def test_each_defect_fails_the_checks_it_names(defect, full_suite, alone):
     names, results = set(), full_suite
     if defect is not None:
-        module, attribute, replacement, names = _DEFECTS[defect]
-        monkeypatch.setattr(module, attribute, replacement)
-        results = run_verification(_SCREENS)
+        names = _DEFECTS[defect][3]
+        results = _defect_run(defect, full_suite, alone)
     assert _failures(results) == names | set(KNOWN_LIMITATIONS)
+
+
+def _outcomes(results):
+    return [(r.name, r.deviation, r.error) for r in results]
+
+
+@pytest.mark.parametrize("defect", [
+    "inverse through the matrix", "K_A's angle scaled by 1 + 1e-9",
+    "the LK level phase conjugated in _lk_block"])
+def test_a_defect_run_equals_a_full_run(defect, full_suite, alone,
+                                        monkeypatch):
+    # One defect each of group_algebra, fourier_transforms and mode_basis.
+    subset = _defect_run(defect, full_suite, alone)
+    module, attribute, replacement, _ = _DEFECTS[defect]
+    monkeypatch.setattr(module, attribute, replacement)
+    assert _outcomes(subset) == _outcomes(run_verification(_SCREENS))
 
 
 def test_a_screen_shape_reads_as_its_pair_of_spins(full_suite):
@@ -357,11 +440,9 @@ def test_a_screen_shape_reads_as_its_pair_of_spins(full_suite):
 
 
 @pytest.mark.parametrize("check", verify._CHECKS, ids=lambda check: check[0])
-def test_each_check_reads_the_same_alone(check, full_suite, monkeypatch):
-    monkeypatch.setattr(verify, "_CHECKS", [check])
-    [alone] = run_verification(_SCREENS)
-    assert alone.deviation == {r.name: r.deviation
-                               for r in full_suite}[check[0]]
+def test_each_check_reads_the_same_alone(check, full_suite, alone):
+    assert alone[check[0]][0].deviation == {
+        r.name: r.deviation for r in full_suite}[check[0]]
 
 
 def test_the_two_pi_identity_alone_catches_angles_reduced_mod_2_pi(
