@@ -316,8 +316,8 @@ def test_verify_merged_group_laws_keep_their_parts_tightest_tolerance():
     # littled_group_law merges littled_addition_law (1e-9) and
     # littled_periodicity (1e-10); one_parameter_subgroups merges
     # rotation_group_law, gyration_group_law (1e-9) and rotation_six_sixths
-    # (1e-8); image_action_group_law merges image_action_homomorphism and
-    # inverse_image_roundtrip (1e-9).
+    # (1e-8); image_action_group_law keeps image_action_homomorphism's
+    # 1e-9, and inverse_image_roundtrip's law is chain_roundtrip's.
     from fkimage import verify
     tolerances = {name: tol for name, tol, _, _ in verify._CHECKS}
     assert {name: tolerances[name] for name in (

@@ -96,17 +96,21 @@ def test_scalar_matrices_extract_into_the_documented_ranges(chi):
         "chi": e.chi, "psi": e.psi, "theta": 0.0, "phi": 0.0}
 
 
-def _assert_angles_close(element, want):
-    # A matrix fixes theta, psi and phi mod 2 pi, and chi - psi - phi mod
-    # 4 pi: moving psi or phi by 2 pi flips the SU(2) sign, which chi
-    # absorbs, so two routes may fold an angle next to 0 to either end.
-    # Within 1e-3 of theta = 0 (pi), psi and phi alone carry rounding of
-    # about eps / |theta| (eps / |pi - theta|), and the matrix fixes them
-    # to 1e-12 only through alpha = psi + phi (psi - phi) mod 2 pi and
-    # chi - alpha mod 4 pi.  The routes' gimbal windows differ, too: at
-    # theta = 1e-14 the oracle reads (0; 0, 0, 0) and from_matrix
-    # (2 pi; pi, 1e-14, pi), the same matrix to 1e-14.
-    chi, psi, theta, phi = want
+def _assert_angles_close(element, u):
+    # The element's matrix is u to rounding, and its angles are the
+    # oracle's.  A matrix fixes theta, psi and phi mod 2 pi, and
+    # chi - psi - phi mod 4 pi: moving psi or phi by 2 pi flips the SU(2)
+    # sign, which chi absorbs, so two routes may fold an angle next to 0
+    # to either end.  Within 1e-3 of theta = 0 (pi), psi and phi alone
+    # carry rounding of up to about 1.6 eps / |theta| (eps / |pi - theta|),
+    # past 1e-12 below theta = 4e-4, so there the angles are compared
+    # through alpha = psi + phi (psi - phi) mod 2 pi and chi - alpha mod
+    # 4 pi, and the matrix, compared to 1e-14, fixes the split of alpha.
+    # The routes' gimbal windows differ, too: at theta = 1e-14 the oracle
+    # reads (0; 0, 0, 0) and from_matrix (2 pi; pi, 1e-14, pi), the same
+    # matrix to 1e-14.
+    assert np.max(np.abs(to_matrix(element) - u)) < 1e-14, (element, u)
+    chi, psi, theta, phi = want = euler_angles(u)
     e = element
     pairs = [(e.theta, theta, None)]
     for point, sign in ((0.0, 1.0), (math.pi, -1.0)):
@@ -142,10 +146,10 @@ def test_scalar_group_algebra_matches_numpy_oracle(a, b):
     ua, ub = element_matrix(a), element_matrix(b)
     assert np.max(np.abs(to_matrix(a) - ua)) < 1e-14
     e = from_matrix(ua)
-    _assert_angles_close(e, euler_angles(ua))
+    _assert_angles_close(e, ua)
     assert e.omega == e.default_omega
     ab = compose(a, b)
-    _assert_angles_close(ab, euler_angles(ua @ ub))
+    _assert_angles_close(ab, ua @ ub)
     assert ab.omega == FourierGroupElement(
         ab.chi, ab.psi, ab.theta, ab.phi,
         a.omega + b.omega + 0.5 * (ab.chi - a.chi - b.chi)).omega
@@ -155,8 +159,7 @@ def test_scalar_group_algebra_matches_numpy_oracle(a, b):
     assert inv.omega == FourierGroupElement(
         inv.chi, inv.psi, inv.theta, inv.phi, 0.0 - a.omega).omega
     assert np.max(np.abs(to_matrix(inv) @ ua - np.eye(2))) < 1e-14
-    _assert_angles_close(from_matrix(to_matrix(inv)),
-                         euler_angles(ua.conj().T))
+    _assert_angles_close(from_matrix(to_matrix(inv)), ua.conj().T)
     for bad in (1.001 * ua, ua[:1], np.kron(np.eye(2), ua)):
         with pytest.raises(ValidationError):
             from_matrix(bad)

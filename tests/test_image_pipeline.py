@@ -370,17 +370,12 @@ def test_render_spec_validation():
 
 
 @pytest.mark.parametrize("depth", [8.0, 16.0, np.float64(8), True, "8",
-                                   None, np.int64(12)], ids=repr)
+                                   None, 4, 12, -8, np.int64(12)], ids=repr)
 def test_render_spec_depth_is_an_integer_8_or_16(depth):
-    with pytest.raises(DomainError, match="depth"):
+    with pytest.raises(DomainError, match="depth") as refused:
         RenderSpec(depth=depth)
-
-
-@pytest.mark.parametrize("depth", [4, 12, -8, np.int64(12)], ids=repr)
-def test_render_spec_refuses_every_other_integer_depth_alike(depth):
-    with pytest.raises(DomainError) as refused:
-        RenderSpec(depth=depth)
-    assert str(refused.value) == f"depth must be 8 or 16, got {int(depth)}"
+    if isinstance(depth, (int, np.integer)) and not isinstance(depth, bool):
+        assert str(refused.value) == f"depth must be 8 or 16, got {depth}"
 
 
 @pytest.mark.parametrize("depth", [8, 16, np.int64(16), np.uint8(8)],

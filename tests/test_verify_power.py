@@ -17,11 +17,10 @@ only the checks that called it, and takes the clean results for the
 rest; a defect that replaces anything else, a constant or a class,
 reruns every check.  For defects in three modules a test asserts that
 this run equals a full run under the defect, check by check.  The last
-tests show that the 2 pi
-identity of ``one_parameter_subgroups`` alone catches angles reduced mod
-2 pi, that each law of ``image_action_group_law`` alone catches a defect
-in its own group operation, and why the unit of ``coefficient_unitarity``
-has a floor.
+tests show that the 2 pi identity of ``one_parameter_subgroups`` alone
+catches angles reduced mod 2 pi, that ``image_action_group_law`` and
+``chain_roundtrip`` each alone catch a defect in their own group
+operation, and why the unit of ``coefficient_unitarity`` has a floor.
 """
 
 import cmath
@@ -477,28 +476,33 @@ def _omega_shifted(operation):
     return shifted
 
 
-@pytest.mark.parametrize("operation", ["compose", "inverse"])
-def test_each_image_action_law_alone_catches_its_own_operation(
-        operation, monkeypatch):
-    # image_action_group_law yields the compose law, then the inverse law,
-    # on each draw.  Shifting omega by 1e-6 in one operation fails that
-    # law's yields by ~1e-5 and leaves the other law's bit for bit.
-    [check] = [fn for name, _, _, fn in verify._CHECKS
-               if name == "image_action_group_law"]
+@pytest.mark.parametrize("operation, law", [
+    ("compose", "image_action_group_law"), ("inverse", "chain_roundtrip")])
+def test_each_group_law_alone_catches_its_own_operation(
+        operation, law, monkeypatch):
+    # image_action_group_law measures the compose law and chain_roundtrip
+    # the inverse law.  Shifting omega by 1e-6 in one operation fails
+    # every yield of its law's check and leaves the other's bit for bit.
+    checks = {name: (tolerance, check)
+              for name, tolerance, _, check in verify._CHECKS
+              if name in ("image_action_group_law", "chain_roundtrip")}
 
     def laws():
-        ctx = {"get_basis": mode_basis.build_basis,
-               "rng": np.random.default_rng(7)}
-        values = [np.max(np.abs(v)) for v in check(ctx)]
-        return {"compose": values[0::2], "inverse": values[1::2]}
+        values = {}
+        for name, (_, check) in checks.items():
+            ctx = {"get_basis": mode_basis.build_basis,
+                   "screens": lambda: [mode_basis.build_basis((5, 3))],
+                   "rng": np.random.default_rng(7)}
+            values[name] = [np.max(np.abs(v)) for v in check(ctx)]
+        return values
 
     clean = laws()
     monkeypatch.setattr(group_algebra, operation,
                         _omega_shifted(getattr(group_algebra, operation)))
     broken = laws()
-    [other] = {"compose", "inverse"} - {operation}
-    assert max(max(clean["compose"]), max(clean["inverse"])) < 1e-12
-    assert min(broken[operation]) > 1e-9
+    [other] = set(checks) - {law}
+    assert all(max(clean[name]) < checks[name][0] for name in checks)
+    assert min(broken[law]) > checks[law][0]
     assert broken[other] == clean[other]
 
 
